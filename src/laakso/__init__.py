@@ -11,10 +11,8 @@ fixed point fails to be differentiable.
 from .core import (
     CantorAddress,
     Direction,
-    ExtRational,
     GapRatioVerdict,
     HeightInterval,
-    INFINITY,
     LaaksoPoint,
     WormholeLevel,
     canonicalize,
@@ -30,7 +28,6 @@ from .core import (
     wormhole_order,
 )
 from .metric import (
-    EndingDirection,
     GeodesicPath,
     Segment,
     distance,
@@ -54,7 +51,6 @@ from .calculus import (
     difference_quotient,
     differentiability_probe,
     directional_derivative,
-    lipschitz_supremum_check,
     triadic_schedule,
 )
 from .profiles import (
@@ -74,7 +70,6 @@ from .constructions import (
     build_steep_nondifferentiable,
     find_band_schedule,
     maximality_verdict,
-    mcshane_extend,
     porosity_witness,
     sparse_ternary_height,
 )

@@ -34,13 +34,11 @@ from .metric import distance
 
 __all__ = [
     "DerivativeReport",
-    "LipschitzReport",
     "PointFunction",
     "ProbeReport",
     "difference_quotient",
     "differentiability_probe",
     "directional_derivative",
-    "lipschitz_supremum_check",
     "triadic_schedule",
 ]
 
@@ -74,11 +72,6 @@ class PointFunction:
     def distance_to(cls, p: LaaksoPoint) -> "PointFunction":
         pc = canonicalize(p)
         return cls(lambda y: distance(y, pc), lip_bound=Fraction(1), name="d_p")
-
-    @classmethod
-    def combine(cls, a, f: "PointFunction", b, g: "PointFunction") -> "PointFunction":
-        a, b = parse_rational(a), parse_rational(b)
-        return cls(lambda p: a * f(p) + b * g(p), name=f"{a}*{f.name}+{b}*{g.name}")
 
 
 def triadic_schedule(k0: int, k1: int) -> List[Fraction]:
@@ -233,51 +226,3 @@ def differentiability_probe(
     if best is None:
         raise ValueError("witness pool is empty (or contains only x itself)")
     return ProbeReport(best[0], best[2])
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    sup_quotients: Fraction
-    sup_derivatives: Optional[Fraction]
-
-    def to_json(self) -> dict:
-        return {
-            "sup_quotients": format_rational(self.sup_quotients),
-            "sup_derivatives": None
-            if self.sup_derivatives is None
-            else format_rational(self.sup_derivatives),
-        }
-
-
-def lipschitz_supremum_check(
-    f: PointFunction,
-    points: Sequence[LaaksoPoint],
-    pairs: Sequence[Tuple[LaaksoPoint, LaaksoPoint]],
-    schedule: Sequence[Fraction],
-    tol=Fraction(0),
-) -> LipschitzReport:
-    """Compare the pairwise-quotient and derivative views of the Lipschitz
-    constant on finite samples.
-
-    The exact inequality sup |f_I| <= sup |f(x)-f(y)| / d(x,y) + tol is
-    checked here (the reverse direction only holds in the limit over all
-    pairs, so it is not asserted on samples).
-    """
-    if not points and not pairs:
-        raise ValueError("need at least one sample point or pair")
-    sup_q = Fraction(0)
-    for a, b in pairs:
-        if same_point(a, b):
-            continue
-        sup_q = max(sup_q, abs(f(a) - f(b)) / distance(a, b))
-    sup_d: Optional[Fraction] = None
-    for p in points:
-        report = directional_derivative(f, p, schedule, tol)
-        if report.verdict == "exists":
-            v = abs(report.value)
-            sup_d = v if sup_d is None else max(sup_d, v)
-    if sup_d is not None and sup_d > sup_q + parse_rational(tol):
-        raise RuntimeError(
-            f"derivative supremum {sup_d} exceeds quotient supremum {sup_q} + tol"
-        )
-    return LipschitzReport(sup_q, sup_d)

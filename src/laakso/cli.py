@@ -191,6 +191,8 @@ def cmd_census(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in verify_mod.SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(verify_mod.SUITES)}")
+    if args.depth is not None and args.depth < 1:
+        raise UsageError(f"--depth must be a positive integer, got {args.depth}")
     _enforce_cap(args.depth, "--depth")
     checks = verify_mod.run_suite(args.suite, depth=args.depth, seed=args.seed)
     buf = io.StringIO()

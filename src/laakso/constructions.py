@@ -62,7 +62,6 @@ __all__ = [
     "build_steep_nondifferentiable",
     "find_band_schedule",
     "maximality_verdict",
-    "mcshane_extend",
     "porosity_witness",
     "sparse_ternary_height",
 ]
@@ -126,33 +125,10 @@ class SampledFunction:
         }
 
 
-def mcshane_extend(f: SampledFunction, z: LaaksoPoint) -> Fraction:
-    """Inf-convolution extension: min over samples of f(a) + L * d(z, a).
-
-    Agrees with f on sample points and is L-Lipschitz on any finite
-    evaluation set; adding samples can only lower the value at any z.
-    """
-    if not f.samples:
-        raise ValueError("cannot extend an empty sample set")
-    return min(v + f.lip_bound * distance(z, a) for a, v in f.samples)
-
-
-def as_point_function(f: SampledFunction, strict: bool = True) -> PointFunction:
-    """Wrap a sampled function for the calculus module.
-
-    strict=True restricts evaluation to sample points (exact values only);
-    strict=False falls back to the inf-convolution extension elsewhere.
-    """
-    if strict:
-        raw = f.value_at
-    else:
-        def raw(p, _f=f):
-            try:
-                return _f.value_at(p)
-            except KeyError:
-                return mcshane_extend(_f, p)
-
-    return PointFunction(raw, lip_bound=f.lip_bound, name="sampled")
+def as_point_function(f: SampledFunction) -> PointFunction:
+    """Wrap a sampled function for the calculus module; evaluation is
+    restricted to sample points (exact values only)."""
+    return PointFunction(f.value_at, lip_bound=f.lip_bound, name="sampled")
 
 
 def sparse_ternary_height(exponents: Sequence[int], tail: Optional[Fraction] = None) -> Fraction:
@@ -296,9 +272,9 @@ class BandSchedule:
             up = nearest_wormhole_gap(self.center, n, Direction.UP)
             down = nearest_wormhole_gap(self.center, n, Direction.DOWN)
             thin, wide = (up, down) if up_dir else (down, up)
-            if not (thin.is_finite and wide.is_finite):
-                raise ValueError(f"order {n} has an infinite gap")
-            if thin.finite != self.thin[k] or wide.finite != self.wide[k]:
+            if thin is None or wide is None:
+                raise ValueError(f"order {n} has no wormhole on one side")
+            if thin != self.thin[k] or wide != self.wide[k]:
                 raise ValueError(f"stored gaps at order {n} do not match the height")
             if not 2 * self.thin[k] * n < self.wide[k]:
                 raise ValueError(f"order {n}: thin/wide gap ratio too large")
@@ -337,19 +313,17 @@ def find_band_schedule(
         up = nearest_wormhole_gap(x1, n, Direction.UP)
         down = nearest_wormhole_gap(x1, n, Direction.DOWN)
         t, q = (up, down) if up_dir else (down, up)
-        if not (t.is_finite and q.is_finite):
-            continue
-        if not 2 * t.finite * n < q.finite:
+        if t is None or q is None or not 2 * t * n < q:
             continue
         if levels:
             n_prev = levels[-1]
-            if not (t.finite < thin[-1] and q.finite < wide[-1]):
+            if not (t < thin[-1] and q < wide[-1]):
                 continue
-            if not 2 * q.finite * n_prev < wide[-1]:
+            if not 2 * q * n_prev < wide[-1]:
                 continue
         levels.append(n)
-        thin.append(t.finite)
-        wide.append(q.finite)
+        thin.append(t)
+        wide.append(q)
         if len(levels) == max_orders:
             break
     if not levels:
@@ -533,15 +507,15 @@ class PorosityWitness:
                 raise ValueError(f"{s} is outside the hole")
             down = nearest_wormhole_gap(s, self.order, Direction.DOWN)
             up = nearest_wormhole_gap(s, self.order, Direction.UP)
-            ok_down = down.is_finite and down.finite <= self.lam * unit
-            ok_up = (not up.is_finite) or up.finite >= (1 - self.lam) * unit
+            ok_down = down is not None and down <= self.lam * unit
+            ok_up = up is None or up >= (1 - self.lam) * unit
             if not (ok_down and ok_up):
                 raise RuntimeError(f"hole certificate failed at {s}")
             records.append(
                 {
                     "s": format_rational(s),
-                    "down_gap": str(down),
-                    "up_gap": str(up),
+                    "down_gap": format_rational(down),
+                    "up_gap": "inf" if up is None else format_rational(up),
                     "down_bound": format_rational(self.lam * unit),
                     "up_bound": format_rational((1 - self.lam) * unit),
                 }
@@ -649,12 +623,12 @@ def maximality_verdict(
     n = probe.violated_at
     up = nearest_wormhole_gap(xc.height, n, Direction.UP)
     down = nearest_wormhole_gap(xc.height, n, Direction.DOWN)
-    if not up.is_finite:
+    if up is None:
         side = Direction.DOWN
-    elif not down.is_finite:
+    elif down is None:
         side = Direction.UP
     else:
-        side = Direction.DOWN if up.finite > down.finite else Direction.UP
+        side = Direction.DOWN if up > down else Direction.UP
 
     witness = None
     quotients: Tuple[Fraction, ...] = ()

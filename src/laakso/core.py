@@ -20,28 +20,25 @@ heights by whether their up/down gaps stay within a fixed ratio at all
 probed orders ("balanced" heights; these are exactly the heights at which a
 maximal directional derivative forces differentiability).
 
-All arithmetic is exact.  Heights and gaps are `fractions.Fraction` values,
-with `ExtRational` supplying the single extra value +infinity that
-nearest-gap queries need near the boundary of I.
+All arithmetic is exact.  Heights and gaps are `fractions.Fraction` values;
+a gap query returns None when no wormhole of the order lies on that side
+(near the boundary of I), which plays the role of an infinite gap.  Every
+grid lookup goes through one integer kernel, `_grid_index`.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import total_ordering
 from typing import Optional, Union
 
 __all__ = [
     "CantorAddress",
     "Direction",
-    "ExtRational",
     "GapRatioVerdict",
     "HeightInterval",
-    "INFINITY",
     "LaaksoPoint",
     "WormholeLevel",
     "canonicalize",
@@ -75,7 +72,10 @@ def parse_rational(text: RationalLike) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not an exact p/q rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -84,71 +84,6 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-@total_ordering
-class ExtRational:
-    """An exact rational extended with the single value +infinity.
-
-    Finite values are stored as `Fraction` (lowest terms, positive
-    denominator, as Fraction guarantees).  Infinity compares strictly
-    greater than every finite value and equal to itself.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Optional[RationalLike]):
-        self._value = None if value is None else parse_rational(value)
-
-    @classmethod
-    def infinity(cls) -> "ExtRational":
-        return cls(None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self._value is not None
-
-    @property
-    def finite(self) -> Fraction:
-        """The finite value; raises if infinite."""
-        if self._value is None:
-            raise ValueError("value is infinite")
-        return self._value
-
-    def _coerce(self, other) -> Optional["ExtRational"]:
-        if isinstance(other, ExtRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExtRational(other)
-        return None
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._value == other._value
-
-    def __lt__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self._value is None:
-            return False  # infinity is never less than anything
-        if other._value is None:
-            return True
-        return self._value < other._value
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __str__(self) -> str:
-        return "inf" if self._value is None else format_rational(self._value)
-
-    def __repr__(self) -> str:
-        return f"ExtRational({str(self)!r})"
-
-
-INFINITY = ExtRational.infinity()
 
 
 class Direction(str, Enum):
@@ -265,11 +200,7 @@ class WormholeLevel:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("wormhole order must be a positive integer")
-        k = self.height * 3**self.order
-        if k.denominator != 1:
-            raise ValueError(f"{self.height} is not a multiple of 1/3^{self.order}")
-        k = k.numerator
-        if not (0 < k < 3**self.order) or k % 3 == 0:
+        if wormhole_order(self.height) != self.order:
             raise ValueError(f"{self.height} is not a wormhole height of order {self.order}")
 
 
@@ -302,34 +233,40 @@ class HeightInterval:
 # ---------------------------------------------------------------------------
 
 
-def wormhole_above(n: int, t: Fraction, strict: bool = True) -> Optional[Fraction]:
-    """The least order-n wormhole height > t (or >= t), None if none exists."""
+def _grid_index(n: int, t: Fraction, up: bool, strict: bool) -> Optional[int]:
+    """The index k of the nearest order-n wormhole height k / 3**n above t
+    (`up`) or below it, strictly or not; None when that side has none.
+
+    Integer arithmetic only: q = floor(t * 3**n) and its remainder decide
+    the first grid index on the requested side, which is then clamped to
+    the interior 1..3**n - 1 and stepped off multiples of 3 (those are
+    grid heights of lower orders).
+    """
     if n < 1:
         raise ValueError("order must be a positive integer")
-    s = t * 3**n
-    k = math.floor(s) + 1 if strict else math.ceil(s)
-    if k < 1:
-        k = 1
+    top = 3**n
+    q, r = divmod(t.numerator * top, t.denominator)
+    if up:
+        k = max(q + 1 if strict or r else q, 1)
+        if k % 3 == 0:
+            k += 1
+        return k if k < top else None
+    k = min(q - 1 if strict and not r else q, top - 1)
     if k % 3 == 0:
-        k += 1
-    if k > 3**n - 1:
-        return None
-    return Fraction(k, 3**n)
+        k -= 1
+    return k if k > 0 else None
+
+
+def wormhole_above(n: int, t: Fraction, strict: bool = True) -> Optional[Fraction]:
+    """The least order-n wormhole height > t (or >= t), None if none exists."""
+    k = _grid_index(n, t, True, strict)
+    return None if k is None else Fraction(k, 3**n)
 
 
 def wormhole_below(n: int, t: Fraction, strict: bool = True) -> Optional[Fraction]:
     """The greatest order-n wormhole height < t (or <= t), None if none exists."""
-    if n < 1:
-        raise ValueError("order must be a positive integer")
-    s = t * 3**n
-    k = math.ceil(s) - 1 if strict else math.floor(s)
-    if k > 3**n - 1:
-        k = 3**n - 1
-    if k % 3 == 0:
-        k -= 1
-    if k < 1:
-        return None
-    return Fraction(k, 3**n)
+    k = _grid_index(n, t, False, strict)
+    return None if k is None else Fraction(k, 3**n)
 
 
 def enumerate_wormhole_heights(n: int, window: HeightInterval) -> list:
@@ -363,9 +300,10 @@ def wormhole_order(h: Fraction) -> Optional[int]:
     return n
 
 
-def nearest_wormhole_gap(t: Fraction, n: int, direction) -> ExtRational:
+def nearest_wormhole_gap(t: Fraction, n: int, direction) -> Optional[Fraction]:
     """Exact distance from t to the strictly nearest order-n wormhole height
-    above (`up`) or below (`down`), infinity when that side has none.
+    above (`up`) or below (`down`), None (an infinite gap) when that side
+    has none.
 
     The infimum defining the gap is over strictly positive offsets, so a
     height sitting on the grid still gets a positive gap to its neighbour.
@@ -375,10 +313,10 @@ def nearest_wormhole_gap(t: Fraction, n: int, direction) -> ExtRational:
         raise ValueError(f"gap queries need t in (0, 1), got {t}")
     direction = _as_direction(direction)
     if direction is Direction.UP:
-        h = wormhole_above(n, t, strict=True)
-        return INFINITY if h is None else ExtRational(h - t)
-    h = wormhole_below(n, t, strict=True)
-    return INFINITY if h is None else ExtRational(t - h)
+        h = wormhole_above(n, t)
+        return None if h is None else h - t
+    h = wormhole_below(n, t)
+    return None if h is None else t - h
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +361,8 @@ class GapRatioVerdict:
     `consistent` is a semi-decision: the ratio bound held at every probed
     order, which finite computation can never upgrade to a certificate for
     all orders.  A violation, by contrast, is definitive: `violated_at`
-    names the first order where the bound fails (an infinite gap counts as
-    a failure), and it stays violated at every larger probing depth.
+    names the first order where the bound fails (a side with no wormhole
+    counts as a failure), and it stays violated at every larger probing depth.
     """
 
     consistent: bool
@@ -454,8 +392,6 @@ def gap_ratio_probe(t: Fraction, bound: Fraction, start_level: int, depth: int) 
     for n in range(start_level, depth + 1):
         up = nearest_wormhole_gap(t, n, Direction.UP)
         down = nearest_wormhole_gap(t, n, Direction.DOWN)
-        if not (up.is_finite and down.is_finite):
-            return GapRatioVerdict(False, n, start_level, depth)
-        if up.finite > bound * down.finite or down.finite > bound * up.finite:
+        if up is None or down is None or up > bound * down or down > bound * up:
             return GapRatioVerdict(False, n, start_level, depth)
     return GapRatioVerdict(True, None, start_level, depth)

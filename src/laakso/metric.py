@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Tuple, Union
 
 from .core import (
-    CantorAddress,
     Direction,
     HeightInterval,
     LaaksoPoint,
@@ -35,7 +34,6 @@ from .core import (
 )
 
 __all__ = [
-    "EndingDirection",
     "GeodesicPath",
     "HeightInterval",
     "Segment",
@@ -45,10 +43,6 @@ __all__ = [
     "required_levels",
     "synthesize_geodesic",
 ]
-
-# Ending directions are plain vertical directions; the alias names the role.
-EndingDirection = Direction
-
 
 @dataclass(frozen=True)
 class Segment:

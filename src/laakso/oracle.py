@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import CantorAddress, LaaksoPoint, format_rational, point_key
 
@@ -103,24 +103,6 @@ class LevelGraph:
             return None
         n = self.level_of_k[k]
         return a ^ (1 << (n - 1))
-
-    def edges(self) -> Iterable[Tuple[int, int, Fraction]]:
-        """Every edge once, as (vertex, vertex, weight); for debug export."""
-        two_m = 2**self.m
-        for k in range(self.heights):
-            for a in range(two_m):
-                v = self.vertex(k, a)
-                if k + 1 < self.heights:
-                    yield (v, self.vertex(k + 1, a), self.unit)
-                partner = self.zero_partner(k, a)
-                if partner is not None and partner > a:
-                    yield (v, self.vertex(k, partner), Fraction(0))
-
-    def edges_json(self) -> list:
-        return [
-            {"u": u, "v": v, "w": format_rational(w)}
-            for u, v, w in self.edges()
-        ]
 
 
 def build_level_graph(m: int) -> LevelGraph:
@@ -241,8 +223,11 @@ class RegularityReport:
 def regularity_scan(m: int, sample: int, radii, seed: int = 0) -> RegularityReport:
     """Ball-growth ratios at `sample` random grid centers and each radius.
 
-    Radii must lie in [1/3**(m-1), 1/3].  Output is sorted by center and
-    radius and is fully determined by the seed.
+    Radii must lie in [1/3**(m-1), 1/3], and `sample` may not exceed the
+    2**(m-1) * (3**m + 3) distinct grid points (two unglued columns of 2**m
+    at heights 0 and 1, 2**(m-1) glued classes at each interior height).
+    Output is sorted by center and radius and is fully determined by the
+    seed.
     """
     g = build_level_graph(m)
     radii = [Fraction(r) for r in radii]
@@ -250,6 +235,9 @@ def regularity_scan(m: int, sample: int, radii, seed: int = 0) -> RegularityRepo
     for r in radii:
         if not (floor_r <= r <= Fraction(1, 3)):
             raise ValueError(f"radius {r} outside [1/3^{m - 1}, 1/3]")
+    distinct = 2 ** (m - 1) * (3**m + 3)
+    if sample > distinct:
+        raise ValueError(f"sample {sample} exceeds the {distinct} distinct grid points at m={m}")
     if not radii or sample <= 0:
         return RegularityReport((), None)
     rng = random.Random(seed)

@@ -47,6 +47,7 @@ __all__ = [
     "Kink",
     "ProfileLinearityError",
     "TWO_LEVEL_BRANCHES",
+    "census_level_sets",
     "census_records",
     "classify_two_level",
     "expected_kinks",
@@ -249,6 +250,14 @@ def _assemble(line: VerticalLine, v, breaks: List[Fraction]) -> KinkProfile:
     return KinkProfile(line, pieces, kinks)
 
 
+def _gaps(p1: Fraction, n: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    """The order-n (up, down) gaps at p1; None where that side has no wormhole."""
+    return (
+        nearest_wormhole_gap(p1, n, Direction.UP),
+        nearest_wormhole_gap(p1, n, Direction.DOWN),
+    )
+
+
 def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
     """Exact profile of t -> d(p, [t, line.bits]) over [0, 1]."""
     pc = canonicalize(p)
@@ -265,40 +274,24 @@ def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
     w = wormhole_order(pc.height)
     if w is not None:
         involved.add(w)
+    involved = sorted(involved)
 
     candidates = {Fraction(0), Fraction(1), pc.height}
-    for n in sorted(involved):
+    offsets: List[Fraction] = []
+    reach: Dict[int, List[Fraction]] = {}  # signed offsets to the order-n neighbours
+    for n in involved:
         candidates.update(enumerate_wormhole_heights(n, HeightInterval(Fraction(0), Fraction(1))))
-        up = nearest_wormhole_gap(pc.height, n, Direction.UP)
-        down = nearest_wormhole_gap(pc.height, n, Direction.DOWN)
-        offsets = []
-        if up.is_finite:
-            offsets.append(up.finite)
-        if down.is_finite:
-            offsets.append(-down.finite)
-        if up.is_finite and down.is_finite:
-            offsets.append(up.finite - down.finite)
-        for off in offsets:
-            t = pc.height + off
-            if 0 <= t <= 1:
-                candidates.add(t)
+        up, down = _gaps(pc.height, n)
+        reach[n] = ([] if up is None else [up]) + ([] if down is None else [-down])
+        offsets += reach[n]
+        if len(reach[n]) == 2:
+            offsets.append(up - down)  # tie of the down and up routes
     # Tie heights between pairs of involved orders (roof kinks of two-jump
     # lines fall here when one order resolves down and the other up).
-    fin = {}
-    for n in sorted(involved):
-        fu = nearest_wormhole_gap(pc.height, n, Direction.UP)
-        fd = nearest_wormhole_gap(pc.height, n, Direction.DOWN)
-        fin[n] = (fu, fd)
-    for n in sorted(involved):
-        for m in sorted(involved):
-            if m <= n:
-                continue
-            for a, sa in ((fin[n][0], 1), (fin[n][1], -1)):
-                for b, sb in ((fin[m][0], 1), (fin[m][1], -1)):
-                    if a.is_finite and b.is_finite:
-                        t = pc.height + (sa * a.finite - sb * b.finite)
-                        if 0 <= t <= 1:
-                            candidates.add(t)
+    for i, n in enumerate(involved):
+        for m in involved[i + 1 :]:
+            offsets += [a - b for a in reach[n] for b in reach[m]]
+    candidates.update(t for t in (pc.height + off for off in offsets) if 0 <= t <= 1)
 
     return _assemble(line, v, sorted(candidates))
 
@@ -313,21 +306,15 @@ class ImpossibleGapConfiguration(RuntimeError):
     one means the closed-form case analysis disagrees with the arithmetic."""
 
 
-def _gaps(p1: Fraction, n: int):
-    up = nearest_wormhole_gap(p1, n, Direction.UP)
-    down = nearest_wormhole_gap(p1, n, Direction.DOWN)
-    return up, down
-
-
 def _expected_single(p1: Fraction, n: int) -> List[Fraction]:
     up, down = _gaps(p1, n)
-    if up.is_finite and down.is_finite:
-        tie = up.finite - down.finite  # height where down-route and up-route tie
-        return sorted([p1 - down.finite, p1 + tie, p1 + up.finite])
-    if up.is_finite:
-        return [p1 + up.finite]
-    if down.is_finite:
-        return [p1 - down.finite]
+    if up is not None and down is not None:
+        tie = up - down  # height where down-route and up-route tie
+        return sorted([p1 - down, p1 + tie, p1 + up])
+    if up is not None:
+        return [p1 + up]
+    if down is not None:
+        return [p1 - down]
     raise ImpossibleGapConfiguration(f"order {n} has no wormhole on either side of {p1}")
 
 
@@ -362,74 +349,44 @@ def classify_two_level(p1: Fraction, n: int, m: int) -> Tuple[str, List[Fraction
     un, dn = _gaps(p1, n)
     um, dm = _gaps(p1, m)
 
-    if not dm.is_finite and dn.is_finite:
+    if dm is None and dn is not None:
         raise ImpossibleGapConfiguration("order-m grid reaches lower than order-n grid")
-    if not um.is_finite and un.is_finite:
+    if um is None and un is not None:
         raise ImpossibleGapConfiguration("order-m grid reaches higher than order-n grid")
 
-    if not dn.is_finite and not dm.is_finite:
-        if not (um.finite < un.finite):
+    if dn is None and dm is None:
+        if not (um < un):
             raise ImpossibleGapConfiguration("below the whole grid the finer gap is smaller")
-        return "deg-low-both", [p1 + un.finite]
-    if not dn.is_finite:
-        if un.finite > um.finite:
-            return "deg-low-far", [p1 + un.finite]
-        heights = [
-            p1 - dm.finite,
-            p1,
-            p1 + un.finite,
-            p1 + um.finite - dm.finite,
-            p1 + um.finite,
-        ]
+        return "deg-low-both", [p1 + un]
+    if dn is None:
+        if un > um:
+            return "deg-low-far", [p1 + un]
+        heights = [p1 - dm, p1, p1 + un, p1 + um - dm, p1 + um]
         if heights != sorted(heights):
             raise ImpossibleGapConfiguration("five-kink list out of order")
         return "deg-low-near", heights
-    if not un.is_finite and not um.is_finite:
-        if not (dm.finite < dn.finite):
+    if un is None and um is None:
+        if not (dm < dn):
             raise ImpossibleGapConfiguration("above the whole grid the finer gap is smaller")
-        return "deg-high-both", [p1 - dn.finite]
-    if not un.is_finite:
-        if dn.finite > dm.finite:
-            return "deg-high-far", [p1 - dn.finite]
-        heights = sorted(
-            [
-                p1 - dm.finite,
-                p1 + um.finite - dm.finite,
-                p1 - dn.finite,
-                p1,
-                p1 + um.finite,
-            ]
-        )
+        return "deg-high-both", [p1 - dn]
+    if un is None:
+        if dn > dm:
+            return "deg-high-far", [p1 - dn]
+        heights = sorted([p1 - dm, p1 + um - dm, p1 - dn, p1, p1 + um])
         return "deg-high-near", heights
 
     # All four gaps finite.
-    tie_n = un.finite - dn.finite
-    tie_m = um.finite - dm.finite
-    if dm.finite < dn.finite and um.finite < un.finite:
+    tie_n = un - dn
+    tie_m = um - dm
+    if dm < dn and um < un:
         return "nested", _expected_single(p1, n)
-    if dm.finite < dn.finite and un.finite < um.finite:
-        heights = [
-            p1 - dn.finite,
-            p1 + tie_n,
-            p1 - dm.finite,
-            p1,
-            p1 + un.finite,
-            p1 + tie_m,
-            p1 + um.finite,
-        ]
+    if dm < dn and un < um:
+        heights = [p1 - dn, p1 + tie_n, p1 - dm, p1, p1 + un, p1 + tie_m, p1 + um]
         if heights != sorted(heights):
             raise ImpossibleGapConfiguration("seven-kink list out of order")
         return "straddle-up", heights
-    if dn.finite < dm.finite and um.finite < un.finite:
-        heights = [
-            p1 - dm.finite,
-            p1 + tie_m,
-            p1 - dn.finite,
-            p1,
-            p1 + um.finite,
-            p1 + tie_n,
-            p1 + un.finite,
-        ]
+    if dn < dm and um < un:
+        heights = [p1 - dm, p1 + tie_m, p1 - dn, p1, p1 + um, p1 + tie_n, p1 + un]
         if heights != sorted(heights):
             raise ImpossibleGapConfiguration("seven-kink list out of order")
         return "straddle-down", heights
@@ -482,6 +439,14 @@ def parallel_reduction(
 _MAX_CENSUS_LEVEL = 12
 
 
+def census_level_sets(p: LaaksoPoint, max_level: int) -> List[Tuple[int, ...]]:
+    """Every one- and two-order jump level set with orders up to max_level,
+    skipping the wormhole order of p's height (a free jump at p)."""
+    w = wormhole_order(p.height)
+    usable = [n for n in range(1, max_level + 1) if n != w]
+    return [(n,) for n in usable] + [(n, m) for i, n in enumerate(usable) for m in usable[i + 1 :]]
+
+
 def census_records(p: LaaksoPoint, max_level: int) -> List[Tuple[Fraction, str, str]]:
     """(height, source line label, kink kind) over all lines with levels up
     to max_level.  Kinds alternate min, max, min, ... within each closed-form
@@ -489,13 +454,8 @@ def census_records(p: LaaksoPoint, max_level: int) -> List[Tuple[Fraction, str, 
     if not (1 <= max_level <= _MAX_CENSUS_LEVEL):
         raise ValueError(f"max_level must be in 1..{_MAX_CENSUS_LEVEL}")
     pc = canonicalize(p)
-    w = wormhole_order(pc.height)
-    usable = [n for n in range(1, max_level + 1) if n != w]
     records: List[Tuple[Fraction, str, str]] = [(pc.height, "v0", "min")]
-    level_sets = [(n,) for n in usable] + [
-        (n, m) for i, n in enumerate(usable) for m in usable[i + 1 :]
-    ]
-    for levels in level_sets:
+    for levels in census_level_sets(pc, max_level):
         line = vertical_lines(pc, levels)[0]
         heights = expected_kinks(pc, line)
         for i, h in enumerate(heights):

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import constructions as cons
 from . import oracle
 from .calculus import (
-    PointFunction,
     difference_quotient,
     differentiability_probe,
     directional_derivative,
@@ -29,7 +28,6 @@ from .core import (
     canonicalize,
     format_rational,
     point,
-    point_key,
     same_point,
     wormhole_order,
 )
@@ -37,11 +35,11 @@ from .metric import (
     distance,
     geodesic_endings,
     minimal_height_intervals,
-    required_levels,
     synthesize_geodesic,
 )
 from .profiles import (
     TWO_LEVEL_BRANCHES,
+    census_level_sets,
     classify_two_level,
     expected_kinks,
     nondiff_height_census,
@@ -546,13 +544,8 @@ def check_census(max_level: int = 4, seed: int = 7, extra_points: int = 2) -> Li
         pc = canonicalize(p)
         census = nondiff_height_census(pc, max_level)
         total_heights += len(census)
-        w = wormhole_order(pc.height)
-        usable = [n for n in range(1, max_level + 1) if n != w]
-        level_sets = [()] + [(n,) for n in usable] + [
-            (n, m) for i, n in enumerate(usable) for m in usable[i + 1 :]
-        ]
         census_set = set(census)
-        for levels in level_sets:
+        for levels in [()] + census_level_sets(pc, max_level):
             for line in vertical_lines(pc, levels):
                 profile = profile_distance_on_line(pc, line)
                 kinks = set(profile.kink_heights())
@@ -593,7 +586,7 @@ def check_census(max_level: int = 4, seed: int = 7, extra_points: int = 2) -> Li
 
 def run_suite(name: str, depth: Optional[int] = None, seed: Optional[int] = None) -> List[Check]:
     if name == "oracle":
-        return check_oracle(m=depth or 2, seed=seed if seed is not None else 1)
+        return check_oracle(m=2 if depth is None else depth, seed=1 if seed is None else seed)
     if name == "kinks":
         return check_kinks(seed=seed if seed is not None else 3)
     if name == "constructions":
@@ -601,7 +594,7 @@ def run_suite(name: str, depth: Optional[int] = None, seed: Optional[int] = None
     if name == "porosity":
         return check_porosity(seed=seed if seed is not None else 5)
     if name == "regularity":
-        return check_regularity(m=depth or 6, seed=seed if seed is not None else 6)
+        return check_regularity(m=6 if depth is None else depth, seed=6 if seed is None else seed)
     if name == "parallel":
         return check_parallel(seed=seed if seed is not None else 4)
     raise KeyError(name)

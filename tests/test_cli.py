@@ -127,3 +127,21 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["distance"] == "1/6"
+
+
+def test_zero_denominator_is_usage_error(capsys):
+    for argv in (
+        ("distance", "--x", "1/0:0", "--y", "0:0"),
+        ("reduce", "--p", "2/5:0", "--levels", "1,2,3", "--t", "1/0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_verify_rejects_nonpositive_depth(capsys):
+    for suite, depth in (("oracle", "0"), ("regularity", "-1"), ("kinks", "0")):
+        code, out, err = run(capsys, "verify", suite, "--depth", depth)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--depth" in err

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +12,6 @@ from laakso.constructions import (
     build_steep_nondifferentiable,
     find_band_schedule,
     maximality_verdict,
-    mcshane_extend,
     porosity_witness,
     sparse_ternary_height,
 )
@@ -47,30 +45,6 @@ def test_sampled_function_basics():
         SampledFunction(((a, F(0)), (a, F(1))), F(1))
 
 
-def test_mcshane_extension():
-    a, b = point("1/4", "0"), point("3/4", "0")
-    fn = SampledFunction(((a, F(0)), (b, F(1, 4))), F(1))
-    assert mcshane_extend(fn, a) == 0
-    assert mcshane_extend(fn, b) == F(1, 4)
-    # adding samples never increases the extension
-    bigger = SampledFunction(((a, F(0)), (b, F(1, 4)), (point("1/2", "1"), F(0))), F(1))
-    rng = random.Random(61)
-    zs = [point(F(rng.randint(1, 80), 81), rng.choice(["", "0", "1", "01"])) for _ in range(40)]
-    for z in zs:
-        assert mcshane_extend(bigger, z) <= mcshane_extend(fn, z)
-    # extension of the zero function is a distance field
-    zero = SampledFunction(((a, F(0)), (b, F(0))), F(1))
-    for z in zs:
-        val = mcshane_extend(zero, z)
-        assert val == min(distance(z, a), distance(z, b)) >= 0
-    # extension stays within the Lipschitz bound on 100 random pairs
-    for _ in range(100):
-        x, y = rng.choice(zs), rng.choice(zs)
-        d = distance(x, y)
-        if d:
-            assert abs(mcshane_extend(fn, x) - mcshane_extend(fn, y)) <= d
-
-
 def test_sampled_function_json():
     fn = SampledFunction(((point("1/4", "0"), F(0)), (point("3/4", "0"), F(1, 4))), F(1))
     payload = fn.to_json()
@@ -86,7 +60,7 @@ def test_flat_witness_frozen():
     f = as_point_function(flat.function)
     # gap symmetry at 1/2 pins the jump values
     for n, y in zip(flat.levels, flat.jump_points):
-        gap = nearest_wormhole_gap(F(1, 2), n, Direction.UP).finite
+        gap = nearest_wormhole_gap(F(1, 2), n, Direction.UP)
         assert distance(x, y) == 2 * gap
         assert flat.function.value_at(y) == gap
         assert abs(f(y) - f(x)) / distance(y, x) == F(1, 2)
@@ -236,13 +210,23 @@ def test_porosity_witness_frozen():
     assert len(records) == 10
     unit = F(1, 3**w.order)
     for s in samples:
-        down = nearest_wormhole_gap(s, w.order, Direction.DOWN).finite
-        up = nearest_wormhole_gap(s, w.order, Direction.UP).finite
+        down = nearest_wormhole_gap(s, w.order, Direction.DOWN)
+        up = nearest_wormhole_gap(s, w.order, Direction.UP)
         assert down <= w.lam * unit
         assert up >= (1 - w.lam) * unit
         assert up / down > w.bound  # hence outside the balanced set
     json_cert = w.to_json(records)
     assert json_cert["order"] == 3 and len(json_cert["certified"]) == 10
+
+
+def test_porosity_certificate_without_upper_wormhole():
+    # 26/27 is the topmost order-3 wormhole, so the hole above it has no
+    # order-3 wormhole on its upper side: the up gap reads "inf"
+    w = porosity_witness(F(2), 1, F(26, 27), F(1, 10))
+    assert w.order == 3 and w.anchor == F(26, 27)
+    (record,) = w.certify([w.anchor + w.hole_width / 2])
+    assert record["up_gap"] == "inf"
+    assert record["down_gap"] == "1/216"
 
 
 def test_porosity_witness_validation():

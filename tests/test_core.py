@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from laakso.core import (
     CantorAddress,
     Direction,
-    ExtRational,
     HeightInterval,
-    INFINITY,
     LaaksoPoint,
     WormholeLevel,
     canonicalize,
@@ -23,6 +21,8 @@ from laakso.core import (
     point_from_json,
     point_to_json,
     same_point,
+    wormhole_above,
+    wormhole_below,
     wormhole_order,
 )
 from laakso.constructions import sparse_ternary_height
@@ -43,17 +43,8 @@ def test_rational_parse_format():
         parse_rational("0.5")
     with pytest.raises(ValueError):
         parse_rational("1e-3")
-
-
-def test_ext_rational_ordering():
-    assert INFINITY > F(10**9)
-    assert ExtRational(F(1, 3)) < INFINITY
-    assert ExtRational(F(1, 3)) == F(1, 3)
-    assert INFINITY == ExtRational.infinity()
-    assert str(INFINITY) == "inf"
-    assert str(ExtRational(F(2, 6))) == "1/3"
     with pytest.raises(ValueError):
-        INFINITY.finite
+        parse_rational("1/0")
 
 
 def test_enumerate_wormhole_heights():
@@ -96,7 +87,7 @@ def test_grids_of_distinct_orders_disjoint():
 def test_nearest_wormhole_gap_examples():
     assert nearest_wormhole_gap(F(1, 2), 1, Direction.UP) == F(1, 6)
     assert nearest_wormhole_gap(F(1, 2), 2, Direction.DOWN) == F(1, 18)
-    assert nearest_wormhole_gap(F(1, 4), 1, Direction.DOWN) == INFINITY
+    assert nearest_wormhole_gap(F(1, 4), 1, Direction.DOWN) is None
     assert nearest_wormhole_gap(F(1, 3), 1, "up") == F(1, 3)  # strictly above
     with pytest.raises(ValueError):
         nearest_wormhole_gap(F(0), 1, Direction.UP)
@@ -111,8 +102,8 @@ def test_gap_sum_property(t, n):
     # one order are at least 1/3**n apart.
     up = nearest_wormhole_gap(t, n, Direction.UP)
     down = nearest_wormhole_gap(t, n, Direction.DOWN)
-    if up.is_finite and down.is_finite:
-        assert up.finite + down.finite >= F(1, 3**n)
+    if up is not None and down is not None:
+        assert up + down >= F(1, 3**n)
 
 
 def test_gap_sum_property_seeded_pool():
@@ -123,8 +114,8 @@ def test_gap_sum_property_seeded_pool():
         n = rng.randint(1, 7)
         up = nearest_wormhole_gap(t, n, Direction.UP)
         down = nearest_wormhole_gap(t, n, Direction.DOWN)
-        if up.is_finite and down.is_finite:
-            assert up.finite + down.finite >= F(1, 3**n)
+        if up is not None and down is not None:
+            assert up + down >= F(1, 3**n)
 
 
 def test_gap_upper_bound_when_room():
@@ -136,10 +127,33 @@ def test_gap_upper_bound_when_room():
         room = F(2, 3**n)
         if t >= room:
             down = nearest_wormhole_gap(t, n, Direction.DOWN)
-            assert down.is_finite and down.finite <= room
+            assert down is not None and down <= room
         if 1 - t >= room:
             up = nearest_wormhole_gap(t, n, Direction.UP)
-            assert up.is_finite and up.finite <= room
+            assert up is not None and up <= room
+
+
+
+# Heights in [0, 1], drawn both off and on the order-n grids (n <= 6).
+grid_or_not = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**4),
+    st.integers(min_value=0, max_value=3**6).map(lambda k: F(k, 3**6)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_or_not, st.integers(min_value=1, max_value=6))
+def test_grid_kernel_matches_brute_force(t, n):
+    grid = [F(k, 3**n) for k in range(1, 3**n) if k % 3]
+    above = min((h for h in grid if h > t), default=None)
+    below = max((h for h in grid if h < t), default=None)
+    assert wormhole_above(n, t) == above
+    assert wormhole_above(n, t, strict=False) == min((h for h in grid if h >= t), default=None)
+    assert wormhole_below(n, t) == below
+    assert wormhole_below(n, t, strict=False) == max((h for h in grid if h <= t), default=None)
+    if 0 < t < 1:
+        assert nearest_wormhole_gap(t, n, Direction.UP) == (None if above is None else above - t)
+        assert nearest_wormhole_gap(t, n, Direction.DOWN) == (None if below is None else t - below)
 
 
 def test_canonicalize_examples():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from laakso.core import point, same_point
+from laakso.core import point, point_key, same_point
 from laakso.metric import distance
 from laakso.oracle import (
     DIMENSION,
@@ -108,10 +108,15 @@ def test_regularity_scan_shape_and_determinism():
         regularity_scan(4, 3, [F(1, 2)])
 
 
-def test_edges_export():
-    g = build_level_graph(1)
-    rows = g.edges_json()
-    zero = [r for r in rows if r["w"] == "0"]
-    unit = [r for r in rows if r["w"] == "1/3"]
-    assert len(zero) == 2  # one gluing per interior height at m=1
-    assert len(unit) == 3 * 2  # three vertical steps per address column
+def test_regularity_scan_sample_limit():
+    # 2**(m-1) * (3**m + 3) distinct grid points: 24 at m = 2
+    assert len(regularity_scan(2, 24, [F(1, 3)]).estimates) == 24
+    with pytest.raises(ValueError):
+        regularity_scan(2, 25, [F(1, 3)])
+
+
+def test_distinct_grid_point_count():
+    for m in range(1, 6):
+        g = build_level_graph(m)
+        keys = {point_key(g.vertex_point(v)) for v in range(g.vertex_count)}
+        assert len(keys) == 2 ** (m - 1) * (3**m + 3)
