@@ -10,16 +10,21 @@ reachable from p is the height set where the distance to p fails to be
 differentiable, and lines needing three or more jumps add no new heights
 (their profiles coincide with two-jump profiles, see `parallel_reduction`).
 
-Profiling is verification based.  Candidate breakpoints are proposed from
-closed-form gap arithmetic plus every wormhole height of the involved
-orders, then each gap between consecutive candidates is certified linear:
-since the profile is 1-Lipschitz, |v(t1) - v(t0)| == t1 - t0 forces the
-profile to be a slope +-1 line on all of [t0, t1].  Where the certificate
-fails, a single interior kink is solved for exactly (the two candidate
-apexes of a one-kink shape are determined by the endpoint values) and
-validated by one more evaluation; only genuinely multi-kink gaps recurse.
-A missed breakpoint therefore surfaces as a verification failure, never as
-a silent wrong answer.
+Profiling is verification based.  Candidate breakpoints come from gap
+arithmetic alone: the ends 0 and 1, h(p), and h(p) shifted by the order-n
+gaps above and below it for each involved order n, by the tie of the up
+and down routes, and by the pairwise ties between orders.  That is a
+handful of heights whatever the jump orders, so a profile costs the same
+at order 30 as at order 3.  Each gap between consecutive candidates is
+then certified linear: since the profile is 1-Lipschitz,
+|v(t1) - v(t0)| == t1 - t0 forces the profile to be a slope +-1 line on
+all of [t0, t1].  Where the certificate fails, a single interior kink is
+solved for exactly (the two candidate apexes of a one-kink shape are
+determined by the endpoint values) and validated by one more evaluation;
+only genuinely multi-kink gaps recurse.  The certificate, not the
+candidate set, is what makes the profile exact: a breakpoint the gap
+arithmetic missed is either found by the one-kink solve or raises
+`ProfileLinearityError`, never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import (
     CantorAddress,
     Direction,
-    HeightInterval,
     LaaksoPoint,
     canonicalize,
-    enumerate_wormhole_heights,
     format_rational,
     nearest_wormhole_gap,
+    wormhole_above,
+    wormhole_below,
     wormhole_order,
 )
 from .metric import distance, required_levels
@@ -251,7 +256,16 @@ def _assemble(line: VerticalLine, v, breaks: List[Fraction]) -> KinkProfile:
 
 
 def _gaps(p1: Fraction, n: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-    """The order-n (up, down) gaps at p1; None where that side has no wormhole."""
+    """The order-n (up, down) gaps at p1; None where that side has no wormhole.
+
+    At the boundary heights 0 and 1 (where `nearest_wormhole_gap` is not
+    defined) the inner side is the distance to the nearest grid height and
+    the outer side is None.
+    """
+    if p1 == 0:
+        return wormhole_above(n, p1), None
+    if p1 == 1:
+        return None, p1 - wormhole_below(n, p1)
     return (
         nearest_wormhole_gap(p1, n, Direction.UP),
         nearest_wormhole_gap(p1, n, Direction.DOWN),
@@ -280,7 +294,6 @@ def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
     offsets: List[Fraction] = []
     reach: Dict[int, List[Fraction]] = {}  # signed offsets to the order-n neighbours
     for n in involved:
-        candidates.update(enumerate_wormhole_heights(n, HeightInterval(Fraction(0), Fraction(1))))
         up, down = _gaps(pc.height, n)
         reach[n] = ([] if up is None else [up]) + ([] if down is None else [-down])
         offsets += reach[n]
@@ -398,13 +411,14 @@ def classify_two_level(p1: Fraction, n: int, m: int) -> Tuple[str, List[Fraction
 def expected_kinks(p: LaaksoPoint, line: VerticalLine) -> List[Fraction]:
     """Closed-form kink heights for the line, from gap arithmetic alone.
 
-    Covers the point's own line (one kink, at its height) and one- and
-    two-jump lines; longer level sets are rejected, since their profiles
-    reduce to two-jump ones (`parallel_reduction`).
+    Covers the point's own line (one kink, at its height, or none when the
+    height is the boundary 0 or 1) and one- and two-jump lines; longer
+    level sets are rejected, since their profiles reduce to two-jump ones
+    (`parallel_reduction`).
     """
     pc = canonicalize(p)
     if len(line.levels) == 0:
-        return [pc.height]
+        return [pc.height] if 0 < pc.height < 1 else []
     if len(line.levels) == 1:
         return _expected_single(pc.height, line.levels[0])
     if len(line.levels) == 2:
@@ -450,11 +464,14 @@ def census_level_sets(p: LaaksoPoint, max_level: int) -> List[Tuple[int, ...]]:
 def census_records(p: LaaksoPoint, max_level: int) -> List[Tuple[Fraction, str, str]]:
     """(height, source line label, kink kind) over all lines with levels up
     to max_level.  Kinds alternate min, max, min, ... within each closed-form
-    list, which the profile verification cross-checks."""
+    list, which the profile verification cross-checks.  The own line
+    contributes h(p) unless it is a boundary height, where it has no kink."""
     if not (1 <= max_level <= _MAX_CENSUS_LEVEL):
         raise ValueError(f"max_level must be in 1..{_MAX_CENSUS_LEVEL}")
     pc = canonicalize(p)
-    records: List[Tuple[Fraction, str, str]] = [(pc.height, "v0", "min")]
+    records: List[Tuple[Fraction, str, str]] = [
+        (h, "v0", "min") for h in expected_kinks(pc, vertical_lines(pc, ())[0])
+    ]
     for levels in census_level_sets(pc, max_level):
         line = vertical_lines(pc, levels)[0]
         heights = expected_kinks(pc, line)

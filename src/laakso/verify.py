@@ -551,9 +551,7 @@ def check_census(max_level: int = 4, seed: int = 7, extra_points: int = 2) -> Li
                 kinks = set(profile.kink_heights())
                 if not kinks <= census_set:
                     bad_confirm += 1
-                if levels and set(expected_kinks(pc, line)) - kinks:
-                    bad_confirm += 1
-                if not levels and pc.height not in kinks:
+                if set(expected_kinks(pc, line)) - kinks:
                     bad_confirm += 1
                 heights = sorted(kinks | {Fraction(0), Fraction(1)})
                 for a, b in zip(heights, heights[1:]):

@@ -1,15 +1,19 @@
-"""Acceptance checklist (A1..A13, see README) run at its pinned scales.
+"""Acceptance checklist (A1..A14, see README) run at its pinned scales.
 
 Each test prints one pass/fail line; exact tolerances throughout (the only
 non-exact thresholds are the documented empirical ones: the ball-growth
 spread bound and the suite runtime caps).
 """
 
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from laakso import verify
+from laakso.core import point, wormhole_order
+from laakso.profiles import expected_kinks, profile_distance_on_line, vertical_lines
 
 
 def _report(tag, rows, extra=""):
@@ -113,3 +117,47 @@ def test_a12_low_order_jump_bound(geodesic_rows):
 def test_a13_height_census():
     rows = verify.check_census(max_level=4, seed=7)
     _report("A13 height census", rows)
+
+
+def _deep_order_points(rng, count):
+    """Seeded base points, every other one on a wormhole grid of order <= 6."""
+    pts = []
+    for i in range(count):
+        if i % 2:
+            n = rng.randint(1, 6)
+            k = rng.choice([k for k in range(1, 3**n) if k % 3])
+            h = Fraction(k, 3**n)
+        else:
+            den = rng.randint(2, 500)
+            h = Fraction(rng.randint(1, den - 1), den)
+        bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 4)))
+        pts.append(point(h, bits))
+    return pts
+
+
+def test_a14_deep_order_kinks():
+    """Profiles at jump orders up to 12, and one order-30 line, equal the
+    closed-form kink lists; the cost of a profile does not grow with order."""
+    rng = random.Random(14)
+    start = time.monotonic()
+    profiles = bad = 0
+    for p in _deep_order_points(rng, 8):
+        w = wormhole_order(p.height)
+        usable = [o for o in range(1, 13) if o != w]
+        level_sets = [(o,) for o in usable]
+        level_sets += [(rng.choice([n for n in usable if n < o]), o) for o in usable[1:]]
+        level_sets.append((usable[0], 30))
+        for levels in level_sets:
+            for line in vertical_lines(p, levels):
+                profiles += 1
+                if profile_distance_on_line(p, line).kink_heights() != expected_kinks(p, line):
+                    bad += 1
+    elapsed = time.monotonic() - start
+    row = verify.Check(
+        "deep-order-kinks",
+        bad == 0,
+        "profiled kinks equal the closed form",
+        f"{bad} bad over {profiles} profiles",
+    )
+    _report("A14 deep-order kinks", [row], extra=f"{elapsed:.1f}s")
+    assert elapsed < 5

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from laakso.cli import main
 
 
@@ -145,3 +147,64 @@ def test_verify_rejects_nonpositive_depth(capsys):
         code, out, err = run(capsys, "verify", suite, "--depth", depth)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--depth" in err
+
+
+def _kinks(entry):
+    return [k["h"] for k in entry["profile"]["kinks"]]
+
+
+def test_profile_boundary_base_points(capsys):
+    code, out, err = run(capsys, "profile", "--p", "0:0", "--line", "v1")
+    assert code == 0 and err == ""
+    (entry,) = json.loads(out)["lines"]
+    assert entry["pass"] is True and _kinks(entry) == ["1/3"]
+
+    code, out, _ = run(capsys, "profile", "--p", "0:0", "--line", "v0")
+    assert code == 0
+    (entry,) = json.loads(out)["lines"]
+    assert entry["pass"] is True
+    assert _kinks(entry) == [] and entry["expected_kinks"] == []
+
+
+def test_census_boundary_base_point(capsys):
+    code, out, err = run(capsys, "census", "--p", "1:0", "--max-level", "2")
+    assert code == 0 and err == ""
+    rows = out.strip().splitlines()[1:]
+    assert rows and not any(
+        row.split(",")[0] in ("0", "1") and row.split(",")[1] == "v0" for row in rows
+    )
+
+
+def test_profile_deep_order_line(capsys):
+    code, out, _ = run(capsys, "profile", "--p", "1/2:0", "--line", "vD:1,30")
+    assert code == 0
+    (entry,) = json.loads(out)["lines"]
+    assert entry["pass"] is True
+
+
+def test_internal_invariant_failures_exit_3(monkeypatch, capsys):
+    from laakso.profiles import ImpossibleGapConfiguration, ProfileLinearityError
+
+    for name, exc in (
+        ("profile_distance_on_line", ProfileLinearityError("no linear certificate")),
+        ("expected_kinks", ImpossibleGapConfiguration("five-kink list out of order")),
+    ):
+
+        def boom(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(f"laakso.cli.{name}", boom)
+        code, out, err = run(capsys, "profile", "--p", "1/2:0", "--line", "v1")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        monkeypatch.undo()
+
+
+def test_other_runtime_errors_are_not_internal_errors(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("unrelated")
+
+    monkeypatch.setattr("laakso.cli.profile_distance_on_line", boom)
+    with pytest.raises(RuntimeError, match="unrelated"):
+        main(["profile", "--p", "1/2:0", "--line", "v1"])
