@@ -13,6 +13,7 @@ from .core import (
     Direction,
     GapRatioVerdict,
     HeightInterval,
+    InternalError,
     LaaksoPoint,
     WormholeLevel,
     canonicalize,

@@ -8,7 +8,7 @@ are floating point for reporting only.  Identical invocations produce
 byte-identical output; randomized suites are pinned by --seed.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3
-internal error (an invariant of the profile engine failed).  The
+internal error (an invariant of the library failed, `core.InternalError`).  The
 environment variable LAAKSO_MAX_DEPTH caps resource-heavy parameters
 (verify --depth, census --max-level).
 """
@@ -24,11 +24,17 @@ import sys
 from typing import List, Optional
 
 from . import verify as verify_mod
-from .core import LaaksoPoint, canonicalize, format_rational, parse_rational, point, point_to_json
+from .core import (
+    InternalError,
+    LaaksoPoint,
+    canonicalize,
+    format_rational,
+    parse_rational,
+    point,
+    point_to_json,
+)
 from .metric import distance, minimal_height_intervals, synthesize_geodesic
 from .profiles import (
-    ImpossibleGapConfiguration,
-    ProfileLinearityError,
     census_records,
     expected_kinks,
     parallel_reduction,
@@ -274,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ProfileLinearityError, ImpossibleGapConfiguration) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -24,6 +24,9 @@ All arithmetic is exact.  Heights and gaps are `fractions.Fraction` values;
 a gap query returns None when no wormhole of the order lies on that side
 (near the boundary of I), which plays the role of an infinite gap.  Every
 grid lookup goes through one integer kernel, `_grid_index`.
+
+`InternalError` is the one exception type every layer raises when one of its
+own invariants fails (a bug, never bad input or a failed check).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "Direction",
     "GapRatioVerdict",
     "HeightInterval",
+    "InternalError",
     "LaaksoPoint",
     "WormholeLevel",
     "canonicalize",
@@ -58,6 +62,12 @@ __all__ = [
 ]
 
 RationalLike = Union[Fraction, int, str]
+
+
+class InternalError(RuntimeError):
+    """An invariant of the library failed: a bug, not bad input and not a
+    failed check.  The CLI reports it with exit code 3."""
+
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _BITS_RE = re.compile(r"^[01]*$")
@@ -291,13 +301,17 @@ def wormhole_order(h: Fraction) -> Optional[int]:
     if not (0 < h < 1):
         return None
     q = h.denominator
-    n = 0
-    while q % 3 == 0:
-        q //= 3
-        n += 1
-    if q != 1 or n == 0:
+    if q % 3:
         return None
-    return n
+    # 3**n has bit length floor(n * log2(3)) + 1, and 15849626 / 10**7 exceeds
+    # log2(3), so this estimate never exceeds the order of a power of 3 (below
+    # order 10**7 it is short by at most one); exact integer steps finish.
+    n = q.bit_length() * 10**7 // 15849626
+    power = 3**n
+    while power < q:
+        power *= 3
+        n += 1
+    return n if power == q else None
 
 
 def nearest_wormhole_gap(t: Fraction, n: int, direction) -> Optional[Fraction]:

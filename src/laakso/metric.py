@@ -24,6 +24,7 @@ from typing import FrozenSet, List, Optional, Tuple, Union
 from .core import (
     Direction,
     HeightInterval,
+    InternalError,
     LaaksoPoint,
     WormholeLevel,
     canonicalize,
@@ -144,7 +145,7 @@ def minimal_height_intervals(x: LaaksoPoint, y: LaaksoPoint) -> List[HeightInter
     above = {n: wormhole_above(n, hi, strict=True) for n in unsat}
     for n in unsat:
         if below[n] is None and above[n] is None:
-            raise RuntimeError(f"order-{n} grid is empty; invalid state")
+            raise InternalError(f"order-{n} grid is empty; invalid state")
 
     candidates = [lo] + [b for b in below.values() if b is not None]
     results = []
@@ -155,7 +156,7 @@ def minimal_height_intervals(x: LaaksoPoint, y: LaaksoPoint) -> List[HeightInter
         b = max([hi] + [above[n] for n in need_up])
         results.append(HeightInterval(a, b))
     if not results:
-        raise RuntimeError("no feasible interval; invalid state")
+        raise InternalError("no feasible interval; invalid state")
     best = min(iv.length for iv in results)
     out = sorted({iv for iv in results if iv.length == best}, key=lambda iv: (iv.a, iv.b))
     return out
@@ -210,7 +211,7 @@ def synthesize_geodesic(x: LaaksoPoint, y: LaaksoPoint, interval: HeightInterval
                 placed = True
                 break
         if not placed:
-            raise RuntimeError(f"interval misses the order-{n} grid; invalid state")
+            raise InternalError(f"interval misses the order-{n} grid; invalid state")
 
     events: List[PathEvent] = []
     bits = start.address.padded(depth)
@@ -231,9 +232,9 @@ def synthesize_geodesic(x: LaaksoPoint, y: LaaksoPoint, interval: HeightInterval
 
     path = GeodesicPath(tuple(events))
     if path.length != distance(xc, yc):
-        raise RuntimeError("synthesized path length does not match the distance")
+        raise InternalError("synthesized path length does not match the distance")
     if not same_point(LaaksoPoint(end.height, bits), end):
-        raise RuntimeError("synthesized path does not arrive at the target address")
+        raise InternalError("synthesized path does not arrive at the target address")
     return path
 
 

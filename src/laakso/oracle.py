@@ -6,24 +6,31 @@ fixed address; identification edges of weight 0 join, at every interior
 grid height, the pair of addresses differing exactly in the bit of that
 height's wormhole order.  Shortest paths are computed with integer weights
 (units of 1/3**m), so the oracle is exact and shares no code path with the
-interval-based distance it cross-checks.
+interval-based distance it cross-checks.  Every edge weighs 0 or 1, so the
+one search, `_dijkstra`, is a 0-1 BFS: a deque in place of a heap, 0-edges
+pushed to the front and 1-edges to the back.  It stops at the first
+distance above a cutoff or once a target is settled, so `graph_distance`
+settles only the vertices no farther than its target.
 
 The same grid carries the product measure used for ball-growth checks: a
 cell of height 1/3**m and address depth m has mass (1/3**m) * 2**(-m), so
 the whole space has mass exactly 1 and a depth-m Cantor column has mass
-2**(-m), matching (3**(-m)) ** (DIMENSION - 1).
+2**(-m), matching (3**(-m)) ** (DIMENSION - 1).  A ball's mass at every
+radius comes from one search about its center, cut off at the largest
+radius, and one histogram of the settled distances.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from .core import CantorAddress, LaaksoPoint, format_rational, point_key
+from .core import CantorAddress, InternalError, LaaksoPoint, format_rational, point_key
 
 __all__ = [
     "DIMENSION",
@@ -119,29 +126,40 @@ def build_level_graph(m: int) -> LevelGraph:
     return LevelGraph(m, tuple(levels))
 
 
-def _dijkstra(g: LevelGraph, source: int, cutoff: Optional[int] = None) -> List[Optional[int]]:
-    """Single-source shortest paths in units of 1/3**m (integer weights)."""
-    two_m = 2**g.m
-    top = 3**g.m
-    dist: List[Optional[int]] = [None] * g.vertex_count
-    heap = [(0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
+def _dijkstra(
+    g: LevelGraph, source: int, cutoff: Optional[int] = None, target: Optional[int] = None
+) -> List[Optional[int]]:
+    """Single-source shortest paths in units of 1/3**m, by 0-1 BFS.
+
+    Every edge weighs 0 or 1, so a deque ordered by distance replaces the
+    heap: a 0-edge goes to the front, a 1-edge to the back.  The search stops
+    at the first distance above `cutoff`, or once `target` is settled.
+    Returns one entry per vertex, None where the search never settled it.
+    """
+    m, two_m = g.m, 2**g.m
+    vertex_count = g.vertex_count
+    flips = [n and 1 << (n - 1) for n in g.level_of_k]  # 0 at heights 0 and 1
+    dist: List[Optional[int]] = [None] * vertex_count
+    queue = deque([(0, source)])
+    pop, push_front, push_back = queue.popleft, queue.appendleft, queue.append
+    while queue:
+        d, v = pop()
         if dist[v] is not None:
             continue
         if cutoff is not None and d > cutoff:
-            continue
+            break
         dist[v] = d
-        k, a = divmod(v, two_m)
-        if k > 0 and dist[v - two_m] is None:
-            heapq.heappush(heap, (d + 1, v - two_m))
-        if k < top and dist[v + two_m] is None:
-            heapq.heappush(heap, (d + 1, v + two_m))
-        if 0 < k < top:
-            partner = a ^ (1 << (g.level_of_k[k] - 1))
-            w = g.vertex(k, partner)
-            if dist[w] is None:
-                heapq.heappush(heap, (d, w))
+        if v == target:
+            break
+        flip = flips[v >> m]
+        if flip and dist[v ^ flip] is None:
+            push_front((d, v ^ flip))
+        w = v - two_m
+        if w >= 0 and dist[w] is None:
+            push_back((d + 1, w))
+        w = v + two_m
+        if w < vertex_count and dist[w] is None:
+            push_back((d + 1, w))
     return dist
 
 
@@ -153,10 +171,10 @@ def graph_distance_map(g: LevelGraph, x: LaaksoPoint) -> Dict[int, Fraction]:
 
 def graph_distance(g: LevelGraph, x: LaaksoPoint, y: LaaksoPoint) -> Fraction:
     """Exact shortest-path distance between two representable points."""
-    dist = _dijkstra(g, g.point_vertex(x))
-    d = dist[g.point_vertex(y)]
+    target = g.point_vertex(y)
+    d = _dijkstra(g, g.point_vertex(x), target=target)[target]
     if d is None:
-        raise RuntimeError("graph is connected; unreachable vertex is a bug")
+        raise InternalError("graph is connected; unreachable vertex is a bug")
     return d * g.unit
 
 
@@ -189,26 +207,39 @@ def total_cell_mass(g: LevelGraph) -> Fraction:
     return 3**g.m * 2**g.m * g.cell_mass
 
 
-def ball_measure(g: LevelGraph, center: LaaksoPoint, r: Fraction) -> MeasureEstimate:
-    """Mass of the cells whose representative lies within distance r.
+def _ball_estimates(g: LevelGraph, center: LaaksoPoint, radii) -> List[MeasureEstimate]:
+    """Ball masses about `center` at every radius, from one search cut off
+    at the largest radius and one histogram of settled distances.
 
     A cell's representative is its lower-left corner (minimum height, the
-    cell's own address); at resolution m the choice moves distances by at
-    most 2/3**m, which the reported spread absorbs.
+    cell's own address), so cells are the vertices of rows k < 3**m; at
+    resolution m the choice moves distances by at most 2/3**m, which the
+    reported spread absorbs.
     """
+    top, two_m = 3**g.m, 2**g.m
+    limits = [math.floor(r * top) for r in radii]  # integer d <= r * 3**m iff d <= limit
+    cutoff = max(limits)
+    source = g.point_vertex(center)
+    dist = _dijkstra(g, source, cutoff=cutoff)
+    # A settled vertex lies within `cutoff` rows of the center, since only
+    # vertical edges change the height; only those rows are read.
+    k0 = source // two_m
+    rows = islice(dist, max(0, k0 - cutoff) * two_m, min(top, k0 + cutoff + 1) * two_m)
+    histogram = Counter(rows)
+    histogram.pop(None, None)
+    return [
+        MeasureEstimate(
+            center, r, g.m, sum(n for d, n in histogram.items() if d <= limit) * g.cell_mass
+        )
+        for r, limit in zip(radii, limits)
+    ]
+
+
+def ball_measure(g: LevelGraph, center: LaaksoPoint, r: Fraction) -> MeasureEstimate:
+    """Mass of the cells whose representative lies within distance r."""
     if not (g.unit <= r <= 1):
         raise ValueError(f"radius must lie in [1/3^{g.m}, 1], got {r}")
-    cutoff_units = r * 3**g.m
-    dist = _dijkstra(g, g.point_vertex(center), cutoff=math.ceil(cutoff_units))
-    two_m = 2**g.m
-    count = 0
-    for k in range(3**g.m):  # cells are indexed by their lower height
-        base = k * two_m
-        for a in range(two_m):
-            d = dist[base + a]
-            if d is not None and d <= cutoff_units:
-                count += 1
-    return MeasureEstimate(center, r, g.m, count * g.cell_mass)
+    return _ball_estimates(g, center, [r])[0]
 
 
 @dataclass(frozen=True)
@@ -253,9 +284,7 @@ def regularity_scan(m: int, sample: int, radii, seed: int = 0) -> RegularityRepo
         seen.add(key)
         centers.append(c)
     centers.sort(key=lambda c: (c.height, c.address.bits))
-    estimates = []
-    for c in centers:
-        for r in sorted(radii):
-            estimates.append(ball_measure(g, c, r))
+    radii.sort()
+    estimates = [e for c in centers for e in _ball_estimates(g, c, radii)]
     ratios = [e.ratio for e in estimates]
     return RegularityReport(tuple(estimates), max(ratios) / min(ratios))

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import (
     CantorAddress,
     Direction,
+    InternalError,
     LaaksoPoint,
     canonicalize,
     format_rational,
@@ -67,7 +68,7 @@ __all__ = [
 _MAX_SUBDIVISION = 8
 
 
-class ProfileLinearityError(RuntimeError):
+class ProfileLinearityError(InternalError):
     """Linearity verification failed after maximal subdivision; this signals
     a missed breakpoint candidate (an internal error, not bad input)."""
 
@@ -314,7 +315,7 @@ def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
 # ---------------------------------------------------------------------------
 
 
-class ImpossibleGapConfiguration(RuntimeError):
+class ImpossibleGapConfiguration(InternalError):
     """Raised for gap orderings that the grid geometry rules out; reaching
     one means the closed-form case analysis disagrees with the arithmetic."""
 

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from laakso import verify
+from laakso import oracle, verify
 from laakso.core import point, wormhole_order
+from laakso.metric import distance
 from laakso.profiles import expected_kinks, profile_distance_on_line, vertical_lines
 
 
@@ -52,6 +53,24 @@ def test_a01_oracle_equivalence():
     rows = verify.check_oracle(m=2, random_pairs=500, seed=1)
     elapsed = time.monotonic() - start
     _report("A01 oracle equivalence", rows, extra=f"{elapsed:.1f}s")
+    assert elapsed < 60
+
+
+def test_a01_oracle_random_pairs_m7():
+    """Seeded random vertex pairs at the deepest resolution the suite uses
+    for balls, each answered by an early-exit search."""
+    g = oracle.build_level_graph(7)
+    rng = random.Random(71)
+    start = time.monotonic()
+    bad = 0
+    for _ in range(10):
+        x = g.vertex_point(rng.randrange(g.vertex_count))
+        y = g.vertex_point(rng.randrange(g.vertex_count))
+        if oracle.graph_distance(g, x, y) != distance(x, y):
+            bad += 1
+    elapsed = time.monotonic() - start
+    row = verify.Check("oracle-random-pairs-m7", bad == 0, "0 mismatches", f"{bad}/10")
+    _report("A01 oracle random pairs m7", [row], extra=f"{elapsed:.1f}s")
     assert elapsed < 60
 
 
@@ -108,6 +127,14 @@ def test_a10_porosity_holes():
 def test_a11_ball_growth_regularity():
     rows = verify.check_regularity(m=6, centers=20, seed=6)
     _report("A11 ball-growth regularity", rows)
+
+
+def test_a11_ball_growth_regularity_m7():
+    start = time.monotonic()
+    rows = verify.check_regularity(m=7, centers=20, seed=6)
+    elapsed = time.monotonic() - start
+    _report("A11 ball-growth regularity m7", rows, extra=f"{elapsed:.1f}s")
+    assert elapsed < 60
 
 
 def test_a12_low_order_jump_bound(geodesic_rows):

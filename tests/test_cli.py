@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -208,3 +209,22 @@ def test_other_runtime_errors_are_not_internal_errors(monkeypatch):
     monkeypatch.setattr("laakso.cli.profile_distance_on_line", boom)
     with pytest.raises(RuntimeError, match="unrelated"):
         main(["profile", "--p", "1/2:0", "--line", "v1"])
+
+
+def test_metric_invariant_failure_exits_3(monkeypatch, capsys):
+    # With every grid lookup failing, the real "invalid state" guard fires.
+    monkeypatch.setattr("laakso.metric.wormhole_below", lambda *args, **kw: None)
+    monkeypatch.setattr("laakso.metric.wormhole_above", lambda *args, **kw: None)
+    code, out, err = run(capsys, "distance", "--x", "1/2:0", "--y", "1/2:1")
+    assert code == 3 and out == ""
+    assert err == "internal error: order-1 grid is empty; invalid state\n"
+
+
+def test_profile_very_deep_order_line(capsys):
+    start = time.monotonic()
+    code, out, _ = run(capsys, "profile", "--p", "1/2:0", "--line", "vD:1,30000")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    (entry,) = json.loads(out)["lines"]
+    assert entry["pass"] is True
+    assert elapsed < 2

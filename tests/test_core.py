@@ -76,6 +76,36 @@ def test_wormhole_order():
     assert wormhole_order(F(1)) is None
 
 
+def _wormhole_order_by_division(h):
+    """Reference: strip factors of 3 from the denominator one at a time."""
+    if not (0 < h < 1):
+        return None
+    q, n = h.denominator, 0
+    while q % 3 == 0:
+        q //= 3
+        n += 1
+    return n if q == 1 and n > 0 else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.sampled_from([1, 2, 4, 5, 7, 10, 3**5 + 1, 2**40]),
+    st.integers(min_value=1, max_value=10**6),
+)
+def test_wormhole_order_matches_division(n, cofactor, k):
+    q = 3**n * cofactor
+    h = F(k % q, q) if q > 1 else F(0)
+    assert wormhole_order(h) == _wormhole_order_by_division(h)
+
+
+def test_wormhole_order_deep():
+    for n in range(1, 2001):
+        assert wormhole_order(F(1, 3**n)) == n
+        assert wormhole_order(F(3**n - 1, 3**n)) == n
+        assert wormhole_order(F(1, 2 * 3**n)) is None
+
+
 def test_grids_of_distinct_orders_disjoint():
     seen = {}
     for n in range(1, 6):

@@ -1,12 +1,15 @@
+import heapq
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from laakso.core import point, point_key, same_point
+from laakso import oracle
+from laakso.core import InternalError, point, point_key, same_point
 from laakso.metric import distance
 from laakso.oracle import (
     DIMENSION,
+    _dijkstra,
     ball_measure,
     build_level_graph,
     graph_distance,
@@ -120,3 +123,81 @@ def test_distinct_grid_point_count():
         g = build_level_graph(m)
         keys = {point_key(g.vertex_point(v)) for v in range(g.vertex_count)}
         assert len(keys) == 2 ** (m - 1) * (3**m + 3)
+
+
+def _heap_dijkstra(g, source):
+    """Reference search: a binary-heap Dijkstra over the same edges, built
+    from `zero_partner`, settling every vertex."""
+    two_m, top = 2**g.m, 3**g.m
+    dist = [None] * g.vertex_count
+    heap = [(0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if dist[v] is not None:
+            continue
+        dist[v] = d
+        k, a = divmod(v, two_m)
+        edges = [(k - 1, a, 1), (k + 1, a, 1), (k, g.zero_partner(k, a), 0)]
+        for kw, aw, weight in edges:
+            if 0 <= kw <= top and aw is not None and dist[kw * two_m + aw] is None:
+                heapq.heappush(heap, (d + weight, kw * two_m + aw))
+    return dist
+
+
+def test_search_matches_heap_dijkstra_at_every_cutoff():
+    for m in (1, 2, 3):
+        g = build_level_graph(m)
+        for source in range(g.vertex_count):
+            ref = _heap_dijkstra(g, source)
+            assert _dijkstra(g, source) == ref
+            for cutoff in range(3**m + 1):
+                want = [d if d <= cutoff else None for d in ref]
+                assert _dijkstra(g, source, cutoff=cutoff) == want
+
+
+def test_search_with_target_settles_only_what_it_needs():
+    g = build_level_graph(3)
+    for source in range(0, g.vertex_count, 5):
+        ref = _heap_dijkstra(g, source)
+        for target in range(0, g.vertex_count, 3):
+            dist = _dijkstra(g, source, target=target)
+            assert dist[target] == ref[target]
+            # Only vertices no farther than the target are settled, exactly.
+            assert all(d is None or (d == ref[v] and d <= ref[target]) for v, d in enumerate(dist))
+
+
+def test_graph_distance_early_exit_matches_distance_map():
+    g = build_level_graph(2)
+    pts = [g.vertex_point(v) for v in range(g.vertex_count)]
+    for x in pts:
+        dmap = graph_distance_map(g, x)
+        for v, y in enumerate(pts):
+            assert graph_distance(g, x, y) == dmap[v]
+
+
+def test_graph_distance_unreachable_is_internal_error(monkeypatch):
+    g = build_level_graph(2)
+    monkeypatch.setattr(oracle, "_dijkstra", lambda g, source, **kw: [None] * g.vertex_count)
+    with pytest.raises(InternalError, match="unreachable"):
+        graph_distance(g, point("1/3", "0"), point("2/3", "1"))
+
+
+def test_ball_measure_matches_scan_rows():
+    for m, seed in ((3, 1), (4, 2), (5, 3)):
+        radii = [F(1, 3 ** (m - 1)), F(1, 9), F(5, 27), F(1, 3)]
+        g = build_level_graph(m)
+        report = regularity_scan(m, 8, radii, seed=seed)
+        assert len(report.estimates) == 8 * len(radii)
+        for e in report.estimates:
+            assert ball_measure(g, e.center, e.radius) == e
+
+
+def test_ball_measure_matches_heap_dijkstra_count():
+    g = build_level_graph(3)
+    cells = 3**g.m * 2**g.m
+    for source in range(0, g.vertex_count, 3):
+        ref = _heap_dijkstra(g, source)
+        center = g.vertex_point(source)
+        for r in (F(1, 27), F(2, 27), F(1, 9), F(4, 27), F(1, 3), F(1)):
+            count = sum(1 for d in ref[:cells] if d <= r * 27)
+            assert ball_measure(g, center, r).mass == count * g.cell_mass
