@@ -200,6 +200,11 @@ def cmd_census(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in verify_mod.SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(verify_mod.SUITES)}")
+    if args.depth is not None and args.suite not in verify_mod.DEPTH_SUITES:
+        raise UsageError(
+            f"--depth sets the grid resolution of the {' and '.join(verify_mod.DEPTH_SUITES)} "
+            f"suites; suite {args.suite!r} has none"
+        )
     if args.depth is not None and args.depth < 1:
         raise UsageError(f"--depth must be a positive integer, got {args.depth}")
     _enforce_cap(args.depth, "--depth")
@@ -258,7 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "(exact p/q values except fields named ratio/spread).",
     )
     ve.add_argument("suite", help="|".join(verify_mod.SUITES))
-    ve.add_argument("--depth", type=int, default=None, help="suite scale (resolution)")
+    ve.add_argument(
+        "--depth",
+        type=int,
+        default=None,
+        help="grid resolution m (oracle and regularity suites only)",
+    )
     ve.add_argument("--seed", type=int, default=None, help="pin randomized pools")
     ve.add_argument("--out", default=None)
     ve.set_defaults(func=cmd_verify)

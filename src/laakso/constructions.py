@@ -22,7 +22,8 @@ claimed inequality checked exactly:
 Porosity of the balanced-height set is certified hole by hole: next to any
 wormhole height of a deep enough order, an explicit interval is produced on
 which the down gap is tiny and the up gap is large, violating any fixed
-ratio bound; the certificate records both bounds at every sampled height.
+ratio bound; the certificate checks both gaps against the hole's bounds at
+every sampled height and records the exact gaps.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .core import (
     format_rational,
     gap_ratio_probe,
     GapRatioVerdict,
+    InternalError,
     nearest_wormhole_gap,
     parse_rational,
     point_key,
@@ -472,6 +474,11 @@ def build_one_sided_steep(x: LaaksoPoint, levels: Sequence[int]) -> SteepWitness
 # ---------------------------------------------------------------------------
 
 
+# (s, down gap, up gap) at one certified height; the up gap is None where no
+# wormhole of the hole's order lies above s.
+Certificate = Tuple[Fraction, Fraction, Optional[Fraction]]
+
+
 @dataclass(frozen=True)
 class PorosityWitness:
     """An explicit hole in the balanced-height set near t0.
@@ -494,35 +501,36 @@ class PorosityWitness:
     def hole_width(self) -> Fraction:
         return self.lam / 3**self.order
 
-    def contains(self, s: Fraction) -> bool:
-        return self.anchor < s < self.anchor + self.hole_width
+    @property
+    def gap_bounds(self) -> Tuple[Fraction, Fraction]:
+        """(lam / 3**order, (1 - lam) / 3**order): the largest down gap and
+        the smallest up gap the hole allows."""
+        top = 3**self.order
+        return self.lam / top, (1 - self.lam) / top
 
-    def certify(self, heights: Iterable[Fraction]) -> List[dict]:
-        """Exact per-height certificates; raises if any inequality fails."""
-        unit = Fraction(1, 3**self.order)
+    def certify(self, heights: Iterable[Fraction]) -> List[Certificate]:
+        """Exact per-height certificates (s, down_gap, up_gap), one per
+        height, a gap None where no order-n wormhole lies on that side.
+
+        Raises ValueError for a height outside the hole and RuntimeError if
+        any inequality fails.
+        """
+        lo, hi = self.anchor, self.anchor + self.hole_width
+        down_bound, up_bound = self.gap_bounds
+        n = self.order
         records = []
         for s in heights:
             s = parse_rational(s)
-            if not self.contains(s):
+            if not lo < s < hi:
                 raise ValueError(f"{s} is outside the hole")
-            down = nearest_wormhole_gap(s, self.order, Direction.DOWN)
-            up = nearest_wormhole_gap(s, self.order, Direction.UP)
-            ok_down = down is not None and down <= self.lam * unit
-            ok_up = up is None or up >= (1 - self.lam) * unit
-            if not (ok_down and ok_up):
+            down = nearest_wormhole_gap(s, n, Direction.DOWN)
+            up = nearest_wormhole_gap(s, n, Direction.UP)
+            if down is None or down > down_bound or (up is not None and up < up_bound):
                 raise RuntimeError(f"hole certificate failed at {s}")
-            records.append(
-                {
-                    "s": format_rational(s),
-                    "down_gap": format_rational(down),
-                    "up_gap": "inf" if up is None else format_rational(up),
-                    "down_bound": format_rational(self.lam * unit),
-                    "up_bound": format_rational((1 - self.lam) * unit),
-                }
-            )
+            records.append((s, down, up))
         return records
 
-    def to_json(self, certified: Optional[List[dict]] = None) -> dict:
+    def to_json(self, certified: Optional[List[Certificate]] = None) -> dict:
         out = {
             "bound": format_rational(self.bound),
             "start_level": self.start_level,
@@ -532,7 +540,17 @@ class PorosityWitness:
             "hole": [format_rational(self.anchor), format_rational(self.anchor + self.hole_width)],
         }
         if certified is not None:
-            out["certified"] = certified
+            down_bound, up_bound = (format_rational(b) for b in self.gap_bounds)
+            out["certified"] = [
+                {
+                    "s": format_rational(s),
+                    "down_gap": format_rational(down),
+                    "up_gap": "inf" if up is None else format_rational(up),
+                    "down_bound": down_bound,
+                    "up_bound": up_bound,
+                }
+                for s, down, up in certified
+            ]
         return out
 
 
@@ -563,7 +581,7 @@ def porosity_witness(bound, start_level: int, t0, delta, lam=None) -> PorosityWi
     above = wormhole_above(n, t0, strict=False)
     options = [h for h in (below, above) if h is not None and abs(h - t0) < Fraction(2, 3**n)]
     if not options:
-        raise RuntimeError("a wormhole within 2/3^n of any interior height must exist")
+        raise InternalError("a wormhole within 2/3^n of any interior height must exist")
     anchor = min(options, key=lambda h: (abs(h - t0), h))
     return PorosityWitness(bound, start_level, t0, lam, n, anchor)
 

@@ -321,16 +321,19 @@ def nearest_wormhole_gap(t: Fraction, n: int, direction) -> Optional[Fraction]:
 
     The infimum defining the gap is over strictly positive offsets, so a
     height sitting on the grid still gets a positive gap to its neighbour.
+    With t = a / b and grid index k, the gap is built as one Fraction,
+    |k * b - a * 3**n| / (3**n * b).
     """
     t = parse_rational(t)
-    if not (0 < t < 1):
+    a, b = t.numerator, t.denominator
+    if not (0 < a < b):
         raise ValueError(f"gap queries need t in (0, 1), got {t}")
-    direction = _as_direction(direction)
-    if direction is Direction.UP:
-        h = wormhole_above(n, t)
-        return None if h is None else h - t
-    h = wormhole_below(n, t)
-    return None if h is None else t - h
+    up = _as_direction(direction) is Direction.UP
+    k = _grid_index(n, t, up, True)
+    if k is None:
+        return None
+    top = 3**n
+    return Fraction(k * b - a * top if up else a * top - k * b, top * b)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .calculus import (
 from .core import (
     CantorAddress,
     Direction,
+    InternalError,
     LaaksoPoint,
     canonicalize,
     format_rational,
@@ -49,6 +50,7 @@ from .profiles import (
 
 __all__ = [
     "Check",
+    "DEPTH_SUITES",
     "SUITES",
     "check_census",
     "check_constructions",
@@ -469,6 +471,18 @@ def check_constructions(flat_levels: Tuple[int, int] = (1, 6)) -> List[Check]:
 # ---------------------------------------------------------------------------
 
 
+def _hole_samples(witness: cons.PorosityWitness, count: int) -> List[Fraction]:
+    """anchor + hole_width * i / (count + 1) for i = 1..count, each built as
+    one Fraction from integers: with anchor = a / b and hole_width = p / q,
+    the i-th height is (a*q*(count+1) + p*b*i) / (b*q*(count+1))."""
+    a, b = witness.anchor.numerator, witness.anchor.denominator
+    width = witness.hole_width
+    p, q = width.numerator, width.denominator
+    d = count + 1
+    base, step, den = a * q * d, p * b, b * q * d
+    return [Fraction(base + step * i, den) for i in range(1, d)]
+
+
 def check_porosity(cases: int = 20, samples_per_hole: int = 1000, seed: int = 5) -> List[Check]:
     rng = random.Random(seed)
     bad = 0
@@ -480,13 +494,10 @@ def check_porosity(cases: int = 20, samples_per_hole: int = 1000, seed: int = 5)
         t0 = _random_height(rng)
         delta = Fraction(1, rng.randint(5, 400))
         witness = cons.porosity_witness(bound, start, t0, delta)
-        width = witness.hole_width
-        heights = [
-            witness.anchor + width * Fraction(i, samples_per_hole + 1)
-            for i in range(1, samples_per_hole + 1)
-        ]
         try:
-            witness.certify(heights)
+            witness.certify(_hole_samples(witness, samples_per_hole))
+        except InternalError:
+            raise
         except RuntimeError:
             bad += 1
         if not (witness.order > start and Fraction(2, 3**witness.order) < delta):
@@ -599,3 +610,6 @@ def run_suite(name: str, depth: Optional[int] = None, seed: Optional[int] = None
 
 
 SUITES = ("oracle", "kinks", "constructions", "porosity", "regularity", "parallel")
+# The suites whose scale is a grid resolution (`run_suite`'s depth); the
+# others have no resolution to set.
+DEPTH_SUITES = ("oracle", "regularity")

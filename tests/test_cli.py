@@ -4,6 +4,7 @@ import time
 import pytest
 
 from laakso.cli import main
+from laakso.core import InternalError
 
 
 def run(capsys, *argv):
@@ -150,6 +151,16 @@ def test_verify_rejects_nonpositive_depth(capsys):
         assert err.startswith("error:") and "--depth" in err
 
 
+def test_verify_depth_only_on_resolution_suites(capsys):
+    for suite in ("parallel", "kinks", "constructions", "porosity"):
+        code, out, err = run(capsys, "verify", suite, "--depth", "9")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--depth" in err and suite in err
+    code, out, _ = run(capsys, "verify", "regularity", "--depth", "5")
+    assert code == 0 and out.count(",pass,") == 2
+
+
 def _kinks(entry):
     return [k["h"] for k in entry["profile"]["kinks"]]
 
@@ -200,6 +211,35 @@ def test_internal_invariant_failures_exit_3(monkeypatch, capsys):
         assert err.startswith("internal error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         monkeypatch.undo()
+
+
+def test_porosity_internal_errors_exit_3(monkeypatch, capsys):
+    # An invariant failure inside the suite is not a failed hole certificate.
+    def boom(self, heights):
+        raise InternalError("certificate kernel broke")
+
+    monkeypatch.setattr("laakso.constructions.PorosityWitness.certify", boom)
+    code, out, err = run(capsys, "verify", "porosity")
+    assert code == 3 and out == ""
+    assert err == "internal error: certificate kernel broke\n"
+    monkeypatch.undo()
+
+    # With both grid lookups failing, porosity_witness's own guard fires.
+    monkeypatch.setattr("laakso.constructions.wormhole_below", lambda *args, **kw: None)
+    monkeypatch.setattr("laakso.constructions.wormhole_above", lambda *args, **kw: None)
+    code, out, err = run(capsys, "verify", "porosity")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: a wormhole within") and err.count("\n") == 1
+
+
+def test_porosity_certificate_failure_is_a_check_failure(monkeypatch, capsys):
+    def fail(self, heights):
+        raise RuntimeError("hole certificate failed at 1/2")
+
+    monkeypatch.setattr("laakso.constructions.PorosityWitness.certify", fail)
+    code, out, err = run(capsys, "verify", "porosity")
+    assert code == 1 and err == ""
+    assert out.splitlines()[1].endswith(",FAIL,20 holes x 1000 samples certified,20 failures")
 
 
 def test_other_runtime_errors_are_not_internal_errors(monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from laakso.calculus import difference_quotient, directional_derivative, triadic_schedule
 from laakso.constructions import (
     BandSchedule,
+    PorosityWitness,
     SampledFunction,
     as_point_function,
     build_flat_nondifferentiable,
@@ -15,8 +17,16 @@ from laakso.constructions import (
     porosity_witness,
     sparse_ternary_height,
 )
-from laakso.core import Direction, nearest_wormhole_gap, point, wormhole_order
+from laakso.core import (
+    Direction,
+    InternalError,
+    format_rational,
+    nearest_wormhole_gap,
+    point,
+    wormhole_order,
+)
 from laakso.metric import distance
+from laakso.verify import check_porosity
 
 UNBALANCED = sparse_ternary_height((2, 4, 8, 16, 32), tail=F(1, 2 * 3**34))
 MIRROR = 1 - UNBALANCED
@@ -205,28 +215,84 @@ def test_porosity_witness_frozen():
     assert (1 - w.lam) / w.lam > w.bound
     assert w.order == 3 and F(2, 3**w.order) < F(1, 10)
     assert abs(w.anchor - F(1, 3)) < F(2, 3**w.order)
+    assert w.gap_bounds == (w.lam / 27, (1 - w.lam) / 27)
     samples = [w.anchor + w.hole_width * F(i, 11) for i in range(1, 11)]
     records = w.certify(samples)
     assert len(records) == 10
     unit = F(1, 3**w.order)
-    for s in samples:
-        down = nearest_wormhole_gap(s, w.order, Direction.DOWN)
-        up = nearest_wormhole_gap(s, w.order, Direction.UP)
+    for s, (rs, down, up) in zip(samples, records):
+        assert rs == s
+        assert down == nearest_wormhole_gap(s, w.order, Direction.DOWN)
+        assert up == nearest_wormhole_gap(s, w.order, Direction.UP)
         assert down <= w.lam * unit
         assert up >= (1 - w.lam) * unit
         assert up / down > w.bound  # hence outside the balanced set
     json_cert = w.to_json(records)
     assert json_cert["order"] == 3 and len(json_cert["certified"]) == 10
+    first = json_cert["certified"][0]
+    assert first["s"] == format_rational(samples[0])
+    assert first["down_gap"] == format_rational(records[0][1])
+    assert first["up_gap"] == format_rational(records[0][2])
+    assert first["down_bound"] == "1/108" and first["up_bound"] == "1/36"
 
 
 def test_porosity_certificate_without_upper_wormhole():
     # 26/27 is the topmost order-3 wormhole, so the hole above it has no
-    # order-3 wormhole on its upper side: the up gap reads "inf"
+    # order-3 wormhole on its upper side: the up gap is None, "inf" in JSON
     w = porosity_witness(F(2), 1, F(26, 27), F(1, 10))
     assert w.order == 3 and w.anchor == F(26, 27)
-    (record,) = w.certify([w.anchor + w.hole_width / 2])
+    records = w.certify([w.anchor + w.hole_width / 2])
+    ((s, down, up),) = records
+    assert up is None
+    assert down == F(1, 216)
+    (record,) = w.to_json(records)["certified"]
     assert record["up_gap"] == "inf"
     assert record["down_gap"] == "1/216"
+
+
+def test_porosity_certificate_rejects_off_grid_anchor():
+    # Half a grid step above the order-3 anchor the down gap is at least
+    # 1/54 > lam / 27, so every height of the moved hole fails its certificate.
+    w = porosity_witness(F(2), 1, F(1, 3), F(1, 10))
+    moved = replace(w, anchor=w.anchor + F(1, 2 * 3**w.order))
+    assert wormhole_order(moved.anchor) != moved.order
+    for s in (moved.anchor + moved.hole_width / 2, moved.anchor + moved.hole_width / 1000):
+        with pytest.raises(RuntimeError, match="hole certificate failed") as info:
+            moved.certify([s])
+        assert not isinstance(info.value, InternalError)
+
+
+def test_porosity_certificate_checks_both_bounds(monkeypatch):
+    # On the true grid a passing down gap implies a passing up gap, so a gap
+    # kernel that misreports one side is what shows each check is made.
+    w = porosity_witness(F(2), 1, F(1, 3), F(1, 10))
+    down_bound, up_bound = w.gap_bounds
+    s = w.anchor + w.hole_width / 2
+    for down, up in ((down_bound, up_bound), (down_bound + F(1, 10**9), up_bound),
+                     (down_bound, up_bound - F(1, 10**9)), (None, up_bound)):
+        def kernel(t, n, direction, down=down, up=up):
+            return up if direction is Direction.UP else down
+
+        monkeypatch.setattr("laakso.constructions.nearest_wormhole_gap", kernel)
+        if (down, up) == (down_bound, up_bound):
+            assert w.certify([s]) == [(s, down, up)]
+        else:
+            with pytest.raises(RuntimeError, match="hole certificate failed"):
+                w.certify([s])
+
+
+def test_check_porosity_sample_heights(monkeypatch):
+    # The heights check_porosity certifies are exactly
+    # anchor + hole_width * i / (N + 1), i = 1..N, in order.
+    seen = []
+    monkeypatch.setattr(PorosityWitness, "certify", lambda w, hs: seen.append((w, list(hs))))
+    for seed in range(8):
+        seen.clear()
+        rows = check_porosity(cases=20, samples_per_hole=1000, seed=seed)
+        assert all(r.passed for r in rows)
+        assert len(seen) == 20
+        for w, heights in seen:
+            assert heights == [w.anchor + w.hole_width * F(i, 1001) for i in range(1, 1001)]
 
 
 def test_porosity_witness_validation():

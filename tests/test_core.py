@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laakso.core import (
@@ -184,6 +184,33 @@ def test_grid_kernel_matches_brute_force(t, n):
     if 0 < t < 1:
         assert nearest_wormhole_gap(t, n, Direction.UP) == (None if above is None else above - t)
         assert nearest_wormhole_gap(t, n, Direction.DOWN) == (None if below is None else t - below)
+
+
+# Interior heights on the order-m grids (m <= 8, so on and off the queried
+# order's grid, and next to 0 and 1 where a side has no wormhole) and off
+# every grid.
+interior_heights = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**5).filter(lambda t: 0 < t < 1),
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda m: st.integers(min_value=1, max_value=3**m - 1).map(lambda k: F(k, 3**m))
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(interior_heights, st.integers(min_value=1, max_value=8))
+@example(F(1, 3**8), 1)  # no order-1 wormhole below
+@example(F(3**8 - 1, 3**8), 2)  # no order-2 wormhole above
+@example(F(1, 3), 1)  # on the grid: strict neighbours only
+def test_gap_kernel_matches_wormhole_differences(t, n):
+    above = wormhole_above(n, t)
+    below = wormhole_below(n, t)
+    up = nearest_wormhole_gap(t, n, Direction.UP)
+    down = nearest_wormhole_gap(t, n, Direction.DOWN)
+    assert up == (None if above is None else above - t)
+    assert down == (None if below is None else t - below)
+    for gap in (up, down):
+        assert gap is None or (type(gap) is F and gap > 0)
 
 
 def test_canonicalize_examples():
