@@ -61,6 +61,17 @@ def _parse_point(text: str) -> LaaksoPoint:
         raise UsageError(f"bad point {text!r}: {exc}") from exc
 
 
+# A line at jump order n carries an n-bit address and grid arithmetic on
+# 3**n, so the work grows faster than n: a `vD:1,n` profile takes ~0.8 s at
+# n = 100000 and ~19 s at n = 1000000 on a 2-vCPU host.
+_MAX_ORDER = 100_000
+
+
+def _check_orders(levels, flag: str, text: str) -> None:
+    if levels and max(levels) > _MAX_ORDER:
+        raise UsageError(f"{flag} {text!r}: jump orders above {_MAX_ORDER} are not accepted")
+
+
 def _parse_line_spec(spec: str):
     """v0 | vN:<N> | vD:<N>,<M>[,...]; also accepts v<N> and v<N>:<N>."""
     s = spec.strip().lower()
@@ -80,7 +91,44 @@ def _parse_line_spec(spec: str):
         raise UsageError(f"bad line spec {spec!r}") from exc
     if any(n < 1 for n in levels) or list(levels) != sorted(set(levels)):
         raise UsageError(f"line levels must be increasing positive integers: {spec!r}")
+    _check_orders(levels, "--line", spec)
     return levels
+
+
+def _check_printable(p: LaaksoPoint, levels, spec: str) -> None:
+    """Refuse a line whose profile could not be printed, before computing it.
+
+    Every height and value a profile prints lies in [-3, 3] with a
+    denominator dividing den(h(p)) * 3**n, for n the deepest order that can
+    bind.  Every minimal interval covers h(p) and an order-`levels[0]`
+    wormhole, so it is at least 1/(den * 3**levels[0]) long; a deeper order
+    whose grid (spacing at most 2/3**n) meets every such interval never
+    binds.  Python refuses to print an integer of more than
+    `sys.get_int_max_str_digits()` digits.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not levels or not limit:
+        return
+    den = p.height.denominator
+    order = levels[0]
+    for n in levels[1:]:
+        if n - levels[0] < (2 * den).bit_length() and 3 ** (n - levels[0]) < 2 * den:
+            order = n
+    # Printed integers stay below den * 3**(order + 1) < 2**(bits + 2*(order + 1)),
+    # and 2**(3 * limit) < 10**limit.
+    if den.bit_length() + 2 * (order + 1) <= 3 * limit:
+        return
+    cap = (10**limit - 1) // den
+    if order < 4 * limit and 3 ** (order + 1) <= cap:  # 3**(4 * limit) > 10**limit
+        return
+    top, power = -1, 3  # the largest order with 3**(top + 1) <= cap
+    while power <= cap:
+        top, power = top + 1, power * 3
+    raise UsageError(
+        f"--line {spec!r} reaches jump order {order}; at base height "
+        f"{format_rational(p.height)} orders up to {top} can be printed "
+        f"({limit}-digit integer limit)"
+    )
 
 
 def _depth_cap() -> Optional[int]:
@@ -135,6 +183,7 @@ def cmd_profile(args) -> int:
             "profiles cover at most two jump levels; use the `reduce` subcommand "
             "to compare deeper lines against their two-level reduction"
         )
+    _check_printable(p, levels, args.line)
     lines = vertical_lines(p, levels)
     results = []
     ok = True
@@ -170,6 +219,7 @@ def cmd_reduce(args) -> int:
         levels = tuple(int(x) for x in args.levels.split(","))
     except ValueError as exc:
         raise UsageError(f"bad level list {args.levels!r}") from exc
+    _check_orders(levels, "--levels", args.levels)
     t = parse_rational(args.t)
     full, two = parallel_reduction(p, levels, t)
     payload = {
@@ -200,13 +250,15 @@ def cmd_census(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in verify_mod.SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(verify_mod.SUITES)}")
-    if args.depth is not None and args.suite not in verify_mod.DEPTH_SUITES:
-        raise UsageError(
-            f"--depth sets the grid resolution of the {' and '.join(verify_mod.DEPTH_SUITES)} "
-            f"suites; suite {args.suite!r} has none"
-        )
-    if args.depth is not None and args.depth < 1:
-        raise UsageError(f"--depth must be a positive integer, got {args.depth}")
+    if args.depth is not None:
+        if args.suite not in verify_mod.DEPTH_SUITES:
+            raise UsageError(
+                f"--depth sets the grid resolution of the {' and '.join(verify_mod.DEPTH_SUITES)} "
+                f"suites; suite {args.suite!r} has none"
+            )
+        lo, hi = verify_mod.DEPTH_SUITES[args.suite]
+        if not lo <= args.depth <= hi:
+            raise UsageError(f"--depth of suite {args.suite!r} must be in {lo}..{hi}, got {args.depth}")
     _enforce_cap(args.depth, "--depth")
     checks = verify_mod.run_suite(args.suite, depth=args.depth, seed=args.seed)
     buf = io.StringIO()
@@ -276,10 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -99,8 +99,11 @@ class SampledFunction:
         return [p for p, _ in self.samples]
 
     def verify_lipschitz(self) -> Fraction:
-        """Max of |f(a) - f(b)| / d(a, b) over sample pairs (exact); raises
-        if it exceeds the declared bound."""
+        """Max of |f(a) - f(b)| / d(a, b) over sample pairs (exact).
+
+        The library builds its samples to respect the bound, so a ratio
+        above it, or two samples at distance 0 with different values, is
+        an `InternalError`."""
         pts = self.samples
         worst = Fraction(0)
         for i in range(len(pts)):
@@ -110,11 +113,11 @@ class SampledFunction:
                 d = distance(a, b)
                 if d == 0:
                     if fa != fb:
-                        raise RuntimeError(f"equal points {a}, {b} carry different values")
+                        raise InternalError(f"equal points {a}, {b} carry different values")
                     continue
                 worst = max(worst, abs(fa - fb) / d)
         if worst > self.lip_bound:
-            raise RuntimeError(f"sampled ratio {worst} exceeds bound {self.lip_bound}")
+            raise InternalError(f"sampled ratio {worst} exceeds bound {self.lip_bound}")
         return worst
 
     def to_json(self) -> dict:
@@ -209,7 +212,7 @@ def build_flat_nondifferentiable(
                 line_heights.add(h)
         y = LaaksoPoint(xc.height, xc.address.flipped(n))
         if distance(xc, y) != 2 * value:
-            raise RuntimeError(f"jump point at order {n} is not at distance 2*min-gap")
+            raise InternalError(f"jump point at order {n} is not at distance 2*min-gap")
         levels.append(n)
         jump_points.append(y)
         samples.append((y, value))
@@ -363,6 +366,15 @@ def _band_integral(schedule: BandSchedule, span: Fraction) -> Fraction:
     return total
 
 
+def _steep_line_value(center: Fraction, sign: int, schedule: BandSchedule, t: Fraction) -> Fraction:
+    """The steep witness on the center's vertical line: slope exactly 1 on
+    the thin side, the integrated band slopes on the wide side."""
+    offset = t - center
+    if sign * offset >= 0:
+        return offset
+    return sign * -_band_integral(schedule, abs(offset))
+
+
 def build_steep_nondifferentiable(
     x: LaaksoPoint,
     schedule: BandSchedule,
@@ -385,13 +397,6 @@ def build_steep_nondifferentiable(
         raise ValueError("schedule was computed for a different height")
     schedule.validate()
     sign = 1 if schedule.jump_side is Direction.UP else -1
-
-    def line_value(t: Fraction) -> Fraction:
-        offset = t - xc.height
-        if sign * offset >= 0:  # thin side: slope exactly 1
-            return offset
-        return sign * -_band_integral(schedule, abs(offset))
-
     heights = {xc.height}
     for k, n in enumerate(schedule.levels):
         heights.add(xc.height + sign * schedule.thin[k])
@@ -405,7 +410,7 @@ def build_steep_nondifferentiable(
 
     samples: List[Tuple[LaaksoPoint, Fraction]] = []
     for t in sorted(heights):
-        samples.append((LaaksoPoint(t, xc.address), line_value(t)))
+        samples.append((LaaksoPoint(t, xc.address), _steep_line_value(xc.height, sign, schedule, t)))
 
     jump_points: List[LaaksoPoint] = []
     jump_values: List[Fraction] = []
@@ -413,13 +418,13 @@ def build_steep_nondifferentiable(
         y = LaaksoPoint(xc.height, xc.address.flipped(n))
         value = sign * schedule.thin[k]
         if distance(xc, y) != 2 * schedule.thin[k]:
-            raise RuntimeError(f"order-{n} jump point is not at distance twice the thin gap")
-        anchor = line_value(xc.height + sign * schedule.thin[k])
+            raise InternalError(f"order-{n} jump point is not at distance twice the thin gap")
+        anchor = _steep_line_value(xc.height, sign, schedule, xc.height + sign * schedule.thin[k])
         if anchor != value:
-            raise RuntimeError(f"order-{n} thin-gap line value does not match the jump value")
+            raise InternalError(f"order-{n} thin-gap line value does not match the jump value")
         for j in range(k):
             if distance(jump_points[j], y) != 2 * schedule.thin[j]:
-                raise RuntimeError("jump points are not spaced by twice the earlier thin gap")
+                raise InternalError("jump points are not spaced by twice the earlier thin gap")
         jump_points.append(y)
         jump_values.append(value)
         samples.append((y, value))
@@ -460,7 +465,7 @@ def build_one_sided_steep(x: LaaksoPoint, levels: Sequence[int]) -> SteepWitness
         samples.append((LaaksoPoint(gap, xc.address), value))
         y = LaaksoPoint(xc.height, xc.address.flipped(n))
         if distance(xc, y) != 2 * reach:
-            raise RuntimeError(f"order-{n} jump point is not at distance twice the reach")
+            raise InternalError(f"order-{n} jump point is not at distance twice the reach")
         jump_points.append(y)
         jump_values.append(value)
         samples.append((y, value))

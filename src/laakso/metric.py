@@ -162,10 +162,14 @@ def minimal_height_intervals(x: LaaksoPoint, y: LaaksoPoint) -> List[HeightInter
     return out
 
 
+def _distance(intervals: List[HeightInterval], x: LaaksoPoint, y: LaaksoPoint) -> Fraction:
+    """d(x, y) = 2*(b - a) - |h(x) - h(y)|, read off x and y's minimal intervals."""
+    return 2 * intervals[0].length - abs(x.height - y.height)
+
+
 def distance(x: LaaksoPoint, y: LaaksoPoint) -> Fraction:
     """Exact path distance between two points."""
-    iv = minimal_height_intervals(x, y)[0]
-    return 2 * iv.length - abs(x.height - y.height)
+    return _distance(minimal_height_intervals(x, y), x, y)
 
 
 def synthesize_geodesic(x: LaaksoPoint, y: LaaksoPoint, interval: HeightInterval) -> GeodesicPath:
@@ -178,7 +182,8 @@ def synthesize_geodesic(x: LaaksoPoint, y: LaaksoPoint, interval: HeightInterval
     any other valid jump schedule has the same length.
     """
     xc, yc = canonicalize(x), canonicalize(y)
-    if interval not in minimal_height_intervals(xc, yc):
+    intervals = minimal_height_intervals(xc, yc)
+    if interval not in intervals:
         raise ValueError(f"[{interval.a}, {interval.b}] is not a minimal height interval")
     if same_point(xc, yc):
         return GeodesicPath(())
@@ -231,7 +236,7 @@ def synthesize_geodesic(x: LaaksoPoint, y: LaaksoPoint, interval: HeightInterval
             events.append(Segment(pos, e, bits.bits, direction))
 
     path = GeodesicPath(tuple(events))
-    if path.length != distance(xc, yc):
+    if path.length != _distance(intervals, xc, yc):
         raise InternalError("synthesized path length does not match the distance")
     if not same_point(LaaksoPoint(end.height, bits), end):
         raise InternalError("synthesized path does not arrive at the target address")

@@ -610,6 +610,11 @@ def run_suite(name: str, depth: Optional[int] = None, seed: Optional[int] = None
 
 
 SUITES = ("oracle", "kinks", "constructions", "porosity", "regularity", "parallel")
-# The suites whose scale is a grid resolution (`run_suite`'s depth); the
-# others have no resolution to set.
-DEPTH_SUITES = ("oracle", "regularity")
+# The suites whose scale is a grid resolution (`run_suite`'s depth), with
+# the depths each accepts; the others have no resolution to set.
+# Regularity's smallest radius 1/81 needs m >= 5 (`regularity_scan` takes
+# radii down to 1/3^(m-1)).  The upper ends bound the work before it
+# starts: on a 2-vCPU host the oracle's all-pairs check takes 1-2 s at
+# m = 3 and tens of seconds at m = 4, and regularity 1.4-2.4 s at m = 8,
+# while m = 9 builds a graph of ~10M vertices.
+DEPTH_SUITES = {"oracle": (1, 3), "regularity": (5, 8)}

@@ -1,10 +1,23 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
+import laakso
 from laakso.cli import main
 from laakso.core import InternalError
+
+SRC = Path(laakso.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -242,6 +255,63 @@ def test_porosity_certificate_failure_is_a_check_failure(monkeypatch, capsys):
     assert out.splitlines()[1].endswith(",FAIL,20 holes x 1000 samples certified,20 failures")
 
 
+def test_construction_self_checks_exit_3(monkeypatch, capsys):
+    # Each self-check of the witness builds is an invariant, not a check
+    # result: `verify constructions` reports it as one internal error line.
+    from laakso.constructions import SampledFunction
+    from laakso.core import point
+    from laakso.metric import distance
+    from laakso.verify import ENGINEERED_MIRROR
+
+    steep_center = point(ENGINEERED_MIRROR, "0").height
+    post_init = SampledFunction.__post_init__
+
+    def bound_zero(self):
+        post_init(self)
+        object.__setattr__(self, "lip_bound", Fraction(0))
+
+    cases = (
+        # verify_lipschitz: samples at distance 0 with different values
+        (
+            "laakso.constructions.distance",
+            lambda a, b: distance(a, b) if a.height == b.height else Fraction(0),
+            "equal points ",
+        ),
+        # verify_lipschitz: a sampled ratio above the declared bound
+        ("laakso.constructions.SampledFunction.__post_init__", bound_zero, "sampled ratio 1 exceeds bound 0"),
+        # build_flat_nondifferentiable: jump point distance
+        (
+            "laakso.constructions.distance",
+            lambda a, b: Fraction(0),
+            "jump point at order 1 is not at distance 2*min-gap",
+        ),
+        # build_steep_nondifferentiable: jump point distance
+        (
+            "laakso.constructions.distance",
+            lambda a, b: distance(a, b) + (1 if a.height == steep_center else 0),
+            "order-2 jump point is not at distance twice the thin gap",
+        ),
+        # build_steep_nondifferentiable: spacing of consecutive jump points
+        (
+            "laakso.constructions.distance",
+            lambda a, b: distance(a, b) + (1 if min(a.address.depth, b.address.depth) > 1 else 0),
+            "jump points are not spaced by twice the earlier thin gap",
+        ),
+        # build_steep_nondifferentiable: line value at the thin-gap height
+        (
+            "laakso.constructions._steep_line_value",
+            lambda center, sign, schedule, t: t - center + 1,
+            "order-2 thin-gap line value does not match the jump value",
+        ),
+    )
+    for target, fake, message in cases:
+        monkeypatch.setattr(target, fake)
+        code, out, err = run(capsys, "verify", "constructions")
+        assert code == 3 and out == "", message
+        assert err.startswith("internal error: " + message) and err.count("\n") == 1
+        monkeypatch.undo()
+
+
 def test_other_runtime_errors_are_not_internal_errors(monkeypatch):
     def boom(*args):
         raise RuntimeError("unrelated")
@@ -268,3 +338,235 @@ def test_profile_very_deep_order_line(capsys):
     (entry,) = json.loads(out)["lines"]
     assert entry["pass"] is True
     assert elapsed < 2
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _alone(argv, cwd):
+    """Exit code and stdout of argv in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-m", "laakso.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_main_is_reentrant(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out_path = tmp_path / "d.json"
+    to_file = ("distance", "--x", "1/2:0", "--y", "2/3:1", "--out", str(out_path))
+    to_stdout = to_file[:5]
+    profile = ("profile", "--p", "1/2:0", "--line", "v1")
+    seq = [
+        to_file,
+        to_stdout,
+        ("distance", "--x", "0.5:0", "--y", "1/2:1"),
+        ("--help",),
+        ("profile", "--help"),
+        ("distance", "--x", "1/2:0"),
+        profile,
+        ("census", "--p", "1/2:0", "--max-level", "2"),
+        ("reduce", "--p", "2/5:0", "--levels", "1,2,3", "--t", "1/2"),
+        ("verify", "oracle", "--depth", "4"),
+        ("verify", "regularity", "--depth", "5", "--seed", "3"),
+        to_stdout,
+        profile,
+        to_file,
+    ]
+    in_process = []
+    for argv in seq:
+        in_process.append(_call(argv))
+        if argv == to_file:
+            in_process[-1] += (out_path.read_text(),)
+            out_path.unlink()
+    alone = {}
+    for argv in set(seq):
+        alone[argv] = _alone(argv, tmp_path)
+        if argv == to_file:
+            alone[argv] += (out_path.read_text(),)
+    for argv, got in zip(seq, in_process):
+        want = alone[argv]
+        assert got[:2] == want[:2], argv
+        if argv == to_file:
+            assert got[1] == "" and got[3] == want[2]
+    # --out is not carried into the next call on stdout.
+    assert in_process[1][1] == in_process[0][3] != ""
+    assert in_process[3][0] == 0 and in_process[3][1].startswith("usage: laakso")
+    assert [got[0] for got in in_process[2:6]] == [2, 0, 0, 2]
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    code, out, _ = run(capsys, "distance", "--x", "1/2:0", "--y", "2/3:1")
+    assert code == 0 and json.loads(out)["distance"] == "1/6"
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0 and out.startswith("usage: laakso verify")
+    code, _, err = run(capsys, "distance", "--x", "1/2:0")
+    assert code == 2 and "--y" in err
+
+
+def test_verify_depth_bounds_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level graph was built")
+
+    monkeypatch.setattr("laakso.oracle.build_level_graph", refuse)
+    for suite, depth, accepted in (
+        ("oracle", "4", "1..3"),
+        ("oracle", "0", "1..3"),
+        ("regularity", "9", "5..8"),
+        ("regularity", "2", "5..8"),
+        ("regularity", "4", "5..8"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify", suite, "--depth", depth)
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: --depth of suite {suite!r} must be in {accepted}, got {depth}\n"
+
+
+def test_profile_unprintable_order_is_usage_error(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("profile work started")
+
+    monkeypatch.setattr("laakso.cli.vertical_lines", refuse)
+    for line, order in (("vN:20000", 20000), ("vN:100000", 100000), ("vD:9011,9012", 9012)):
+        start = time.monotonic()
+        code, out, err = run(capsys, "profile", "--p", "1/2:0", "--line", line)
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: --line {line!r} reaches jump order {order};")
+        assert "orders up to 9010 can be printed" in err
+    for argv in (
+        ("profile", "--p", "1/2:0", "--line", "vN:3000000"),
+        ("profile", "--p", "1/2:0", "--line", "vD:1,100001"),
+        ("reduce", "--p", "1/2:0", "--levels", "1,2,100001", "--t", "1/2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[3]} {argv[4]!r}: jump orders above 100000 are not accepted\n"
+    monkeypatch.undo()
+
+    # The largest accepted order prints.
+    code, out, _ = run(capsys, "profile", "--p", "1/2:0", "--line", "vN:9010")
+    assert code == 0 and json.loads(out)["lines"][0]["pass"] is True
+
+
+_near_grid = st.builds(
+    lambda n, k, sign, c, j: Fraction((3 * k + 1) % 3**n, 3**n) + Fraction(sign, c * 3 ** (n + j)),
+    st.integers(1, 4),
+    st.integers(0, 40),
+    st.sampled_from([1, -1]),
+    st.integers(1, 30),
+    st.integers(0, 6),
+).filter(lambda h: 0 < h < 1)
+_profile_heights = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=500),
+    _near_grid,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@example(Fraction(27, 329), "0", 1335, 2)  # the order-1337 grid binds
+@given(
+    _profile_heights,
+    st.text("01", max_size=4),
+    st.one_of(st.integers(1, 20), st.integers(1310, 1345)),
+    st.one_of(st.none(), st.integers(1, 6), st.integers(7, 2000)),
+)
+def test_printable_order_bound_holds_at_a_low_digit_limit(height, bits, first, step):
+    # At the smallest digit limit CPython allows, the bound `profile` checks
+    # before any work must still cover every integer the profile prints.
+    line = f"vN:{first}" if step is None else f"vD:{first},{first + step}"
+    argv = ("profile", "--p", f"{height.numerator}/{height.denominator}:{bits}", "--line", line)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = _call(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    event(f"exit {code}")
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert err.startswith(("error: --line", "error: level")), (argv, err)
+    else:
+        assert json.loads(out)["lines"][0]["pass"] is True
+
+
+_valid_heights = st.fractions(min_value=0, max_value=1, max_denominator=30).map(
+    lambda h: f"{h.numerator}/{h.denominator}"
+)
+_fuzz_heights = st.one_of(
+    _valid_heights,
+    _valid_heights,
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-2, 30), st.integers(0, 30)),
+    st.sampled_from(["0", "1", "1/3", "2/9", "0.5", "x", "", "1/" + "3" * 5000]),
+)
+_fuzz_points = st.builds(
+    lambda h, sep, bits: h + sep + bits,
+    _fuzz_heights,
+    st.sampled_from([":", ""]),
+    st.one_of(st.text("01", max_size=10), st.text("01", max_size=10), st.sampled_from(["2", "0a"])),
+)
+_fuzz_orders = st.one_of(
+    st.integers(1, 14), st.integers(-1, 14), st.integers(9005, 9015), st.integers(10**5 - 2, 10**12)
+)
+_fuzz_lines = st.one_of(
+    st.just("v0"),
+    st.builds("vN:{}".format, _fuzz_orders),
+    st.builds("v{}".format, _fuzz_orders),
+    st.builds("vD:{},{}".format, _fuzz_orders, _fuzz_orders),
+    st.builds(lambda n, k: f"vD:{n},{n + k}", _fuzz_orders, _fuzz_orders),
+    st.builds("vD:{},{},{}".format, _fuzz_orders, _fuzz_orders, _fuzz_orders),
+    st.text("vND:0123456789,", max_size=8),
+)
+_fuzz_argv = st.one_of(
+    st.tuples(st.just("distance"), st.just("--x"), _fuzz_points, st.just("--y"), _fuzz_points),
+    st.tuples(st.just("profile"), st.just("--p"), _fuzz_points, st.just("--line"), _fuzz_lines),
+    st.tuples(
+        st.just("reduce"),
+        st.just("--p"),
+        _fuzz_points,
+        st.just("--levels"),
+        st.one_of(
+            st.lists(_fuzz_orders, max_size=4),
+            st.lists(st.integers(1, 14), min_size=3, max_size=4, unique=True).map(sorted),
+        ).map(lambda ns: ",".join(map(str, ns))),
+        st.just("--t"),
+        _fuzz_heights,
+    ),
+    st.tuples(
+        st.just("census"), st.just("--p"), _fuzz_points, st.just("--max-level"),
+        st.integers(-1, 14).map(str),
+    ),
+    st.builds(
+        lambda suite, depth, seed: ("verify", suite) + depth + seed,
+        st.sampled_from(["oracle", "kinks", "constructions", "porosity", "regularity", "parallel", "x"]),
+        st.one_of(st.just(()), st.integers(-1, 10).map(lambda d: ("--depth", str(d)))),
+        st.one_of(st.just(()), st.integers(0, 40).map(lambda s: ("--seed", str(s)))),
+    ),
+    st.lists(
+        st.sampled_from(["distance", "profile", "verify", "--x", "--p", "--line", "1/2:0", "v1", "--depth", "-h"]),
+        max_size=5,
+    ).map(tuple),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fuzz_argv)
+def test_cli_fuzz_total_input_contract(argv):
+    start = time.monotonic()
+    code, _, err = _call(argv)
+    elapsed = time.monotonic() - start
+    event(f"{argv[0] if argv else '(none)'} exit {code}")
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    assert elapsed < 5, (argv, elapsed)

@@ -49,10 +49,16 @@ def test_sampled_function_basics():
         fn.value_at(point("1/2", "0"))
     assert fn.verify_lipschitz() == F(1, 2)
     bad = SampledFunction(((a, F(0)), (b, F(3, 4))), F(1))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(InternalError, match="exceeds bound"):
         bad.verify_lipschitz()
     with pytest.raises(ValueError):
         SampledFunction(((a, F(0)), (a, F(1))), F(1))
+
+
+def test_one_sided_jump_check_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr("laakso.constructions.distance", lambda a, b: F(0))
+    with pytest.raises(InternalError, match="twice the reach"):
+        build_one_sided_steep(point("0", "0"), (1, 2))
 
 
 def test_sampled_function_json():
