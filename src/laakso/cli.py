@@ -8,9 +8,14 @@ are floating point for reporting only.  Identical invocations produce
 byte-identical output; randomized suites are pinned by --seed.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3
-internal error (an invariant of the library failed, `core.InternalError`).  The
-environment variable LAAKSO_MAX_DEPTH caps resource-heavy parameters
-(verify --depth, census --max-level).
+internal error (an invariant of the library failed, `core.InternalError`).
+Every argument that sets a scale (verify --depth, census --max-level, the
+jump orders of profile --line and reduce --levels) is bounded before any
+work, so an input gets either an answer or one `error:` line.
+
+A --line spec is one of v0 (the base point's own line), v<N>, vN:<N> or
+v<N>:<N> (one jump at order N), or vD:<N>,<M>[,...] (one jump at each of
+the increasing orders listed).
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -29,6 +36,7 @@ from .core import (
     LaaksoPoint,
     canonicalize,
     format_rational,
+    nearest_wormhole_gap,
     parse_rational,
     point,
     point_to_json,
@@ -68,52 +76,59 @@ _MAX_ORDER = 100_000
 
 
 def _check_orders(levels, flag: str, text: str) -> None:
+    if any(n < 1 for n in levels) or list(levels) != sorted(set(levels)):
+        raise UsageError(f"{flag} {text!r}: jump orders must be increasing positive integers")
     if levels and max(levels) > _MAX_ORDER:
         raise UsageError(f"{flag} {text!r}: jump orders above {_MAX_ORDER} are not accepted")
 
 
+_LINE_SPEC = re.compile(
+    r"v(?:(?P<one>\d+)|(?P<tag>n|\d+):(?P<order>\d+)|d:(?P<orders>\d+(?:,\d+)+))", re.ASCII
+)
+
+
 def _parse_line_spec(spec: str):
-    """v0 | vN:<N> | vD:<N>,<M>[,...]; also accepts v<N> and v<N>:<N>."""
-    s = spec.strip().lower()
-    if not s.startswith("v"):
+    """v0 | v<N> | vN:<N> | v<N>:<N> (equal numbers) | vD:<N>,<M>[,...]."""
+    match = _LINE_SPEC.fullmatch(spec.strip().lower())
+    if match is None:
         raise UsageError(f"bad line spec {spec!r}")
-    body = s[1:]
-    if body == "0":
-        return ()
-    try:
-        if body.startswith("d:"):
-            levels = tuple(int(x) for x in body[2:].split(","))
-        elif ":" in body:
-            levels = (int(body.split(":", 1)[1]),)
+    one, tag, order, orders = match.groups()
+    try:  # int() refuses numbers past the integer-string digit limit
+        if orders is not None:
+            levels = tuple(int(x) for x in orders.split(","))
+        elif one is not None:
+            levels = () if int(one) == 0 else (int(one),)
+        elif tag == "n" or int(tag) == int(order):
+            levels = (int(order),)
         else:
-            levels = (int(body),)
+            raise ValueError("unequal orders")
     except ValueError as exc:
         raise UsageError(f"bad line spec {spec!r}") from exc
-    if any(n < 1 for n in levels) or list(levels) != sorted(set(levels)):
-        raise UsageError(f"line levels must be increasing positive integers: {spec!r}")
     _check_orders(levels, "--line", spec)
     return levels
 
 
-def _check_printable(p: LaaksoPoint, levels, spec: str) -> None:
-    """Refuse a line whose profile could not be printed, before computing it.
+def _check_printable(p: LaaksoPoint, levels, den: int, flag: str, text: str) -> None:
+    """Refuse a request whose answer could not be printed, before computing it.
 
-    Every height and value a profile prints lies in [-3, 3] with a
-    denominator dividing den(h(p)) * 3**n, for n the deepest order that can
-    bind.  Every minimal interval covers h(p) and an order-`levels[0]`
-    wormhole, so it is at least 1/(den * 3**levels[0]) long; a deeper order
-    whose grid (spacing at most 2/3**n) meets every such interval never
-    binds.  Python refuses to print an integer of more than
-    `sys.get_int_max_str_digits()` digits.
+    Every height and value printed lies in [-3, 3] with a denominator
+    dividing den * 3**n, for den the lcm of the denominators of the heights
+    asked about and n the deepest order of `levels` that can bind.  Every
+    minimal interval covers h(p) and an order-`levels[0]` wormhole, so it
+    is at least as long as the smaller order-`levels[0]` gap g at h(p); a
+    deeper order M binds only if g < 2/3**M, since its grid (spacing at
+    most 2/3**M) meets every longer interval.  Python refuses to print an
+    integer of more than `sys.get_int_max_str_digits()` digits.
     """
     limit = sys.get_int_max_str_digits()
     if not levels or not limit:
         return
-    den = p.height.denominator
+    g = min(gap for gap in nearest_wormhole_gap(p.height, levels[0]) if gap is not None)
     order = levels[0]
-    for n in levels[1:]:
-        if n - levels[0] < (2 * den).bit_length() and 3 ** (n - levels[0]) < 2 * den:
-            order = n
+    for m in levels[1:]:
+        # g < 2/3**m is impossible once 3**m > 2**m >= 2 * den(g).
+        if m < (2 * g.denominator).bit_length() and 3**m * g.numerator < 2 * g.denominator:
+            order = m
     # Printed integers stay below den * 3**(order + 1) < 2**(bits + 2*(order + 1)),
     # and 2**(3 * limit) < 10**limit.
     if den.bit_length() + 2 * (order + 1) <= 3 * limit:
@@ -125,26 +140,9 @@ def _check_printable(p: LaaksoPoint, levels, spec: str) -> None:
     while power <= cap:
         top, power = top + 1, power * 3
     raise UsageError(
-        f"--line {spec!r} reaches jump order {order}; at base height "
-        f"{format_rational(p.height)} orders up to {top} can be printed "
-        f"({limit}-digit integer limit)"
+        f"{flag} {text!r} reaches jump order {order}; at height denominator {den} "
+        f"orders up to {top} can be printed ({limit}-digit integer limit)"
     )
-
-
-def _depth_cap() -> Optional[int]:
-    raw = os.environ.get("LAAKSO_MAX_DEPTH")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"LAAKSO_MAX_DEPTH must be an integer, got {raw!r}")
-
-
-def _enforce_cap(value: Optional[int], what: str) -> None:
-    cap = _depth_cap()
-    if cap is not None and value is not None and value > cap:
-        raise UsageError(f"{what} {value} exceeds LAAKSO_MAX_DEPTH={cap}")
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -183,7 +181,7 @@ def cmd_profile(args) -> int:
             "profiles cover at most two jump levels; use the `reduce` subcommand "
             "to compare deeper lines against their two-level reduction"
         )
-    _check_printable(p, levels, args.line)
+    _check_printable(p, levels, p.height.denominator, "--line", args.line)
     lines = vertical_lines(p, levels)
     results = []
     ok = True
@@ -221,6 +219,8 @@ def cmd_reduce(args) -> int:
         raise UsageError(f"bad level list {args.levels!r}") from exc
     _check_orders(levels, "--levels", args.levels)
     t = parse_rational(args.t)
+    den = math.lcm(p.height.denominator, t.denominator)
+    _check_printable(p, levels[:2], den, "--levels", args.levels)
     full, two = parallel_reduction(p, levels, t)
     payload = {
         "p": point_to_json(canonicalize(p)),
@@ -236,7 +236,6 @@ def cmd_reduce(args) -> int:
 
 def cmd_census(args) -> int:
     p = _parse_point(args.p)
-    _enforce_cap(args.max_level, "--max-level")
     records = census_records(p, args.max_level)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -259,7 +258,6 @@ def cmd_verify(args) -> int:
         lo, hi = verify_mod.DEPTH_SUITES[args.suite]
         if not lo <= args.depth <= hi:
             raise UsageError(f"--depth of suite {args.suite!r} must be in {lo}..{hi}, got {args.depth}")
-    _enforce_cap(args.depth, "--depth")
     checks = verify_mod.run_suite(args.suite, depth=args.depth, seed=args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -338,9 +336,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -200,24 +200,18 @@ def build_flat_nondifferentiable(
     levels: List[int] = []
     jump_points: List[LaaksoPoint] = []
     for n in range(start_level, end_level + 1):
-        above = wormhole_above(n, xc.height, strict=True)
-        below = wormhole_below(n, xc.height, strict=True)
-        finite = [h - xc.height for h in (above,) if h is not None]
-        finite += [xc.height - h for h in (below,) if h is not None]
-        if not finite:
-            continue
-        value = min(finite)
-        for h in (above, below):
-            if h is not None:
-                line_heights.add(h)
+        up, down = nearest_wormhole_gap(xc.height, n)
+        if up is not None:
+            line_heights.add(xc.height + up)
+        if down is not None:
+            line_heights.add(xc.height - down)
+        value = min(g for g in (up, down) if g is not None)
         y = LaaksoPoint(xc.height, xc.address.flipped(n))
         if distance(xc, y) != 2 * value:
             raise InternalError(f"jump point at order {n} is not at distance 2*min-gap")
         levels.append(n)
         jump_points.append(y)
         samples.append((y, value))
-    if not levels:
-        raise ValueError("no usable order in the requested range")
 
     for t in sorted(line_heights):
         samples.append((LaaksoPoint(t, xc.address), Fraction(0)))
@@ -274,8 +268,7 @@ class BandSchedule:
             raise ValueError("orders must be strictly increasing")
         up_dir = self.jump_side is Direction.UP
         for k, n in enumerate(self.levels):
-            up = nearest_wormhole_gap(self.center, n, Direction.UP)
-            down = nearest_wormhole_gap(self.center, n, Direction.DOWN)
+            up, down = nearest_wormhole_gap(self.center, n)
             thin, wide = (up, down) if up_dir else (down, up)
             if thin is None or wide is None:
                 raise ValueError(f"order {n} has no wormhole on one side")
@@ -315,8 +308,7 @@ def find_band_schedule(
     thin: List[Fraction] = []
     wide: List[Fraction] = []
     for n in range(start_level, max_level + 1):
-        up = nearest_wormhole_gap(x1, n, Direction.UP)
-        down = nearest_wormhole_gap(x1, n, Direction.DOWN)
+        up, down = nearest_wormhole_gap(x1, n)
         t, q = (up, down) if up_dir else (down, up)
         if t is None or q is None or not 2 * t * n < q:
             continue
@@ -439,11 +431,7 @@ def build_one_sided_steep(x: LaaksoPoint, levels: Sequence[int]) -> SteepWitness
     available side, the slope profile is constantly 1 there, and the jump
     value at order n is the distance to the first order-n wormhole."""
     xc = canonicalize(x)
-    if xc.height == 0:
-        side, sign = Direction.UP, 1
-    elif xc.height == 1:
-        side, sign = Direction.DOWN, -1
-    else:
+    if xc.height not in (0, 1):
         raise ValueError("one-sided construction is for boundary heights only")
     levels = tuple(levels)
     if not levels or list(levels) != sorted(set(levels)):
@@ -453,18 +441,11 @@ def build_one_sided_steep(x: LaaksoPoint, levels: Sequence[int]) -> SteepWitness
     jump_points: List[LaaksoPoint] = []
     jump_values: List[Fraction] = []
     for n in levels:
-        gap = (
-            wormhole_above(n, xc.height, strict=True)
-            if sign > 0
-            else wormhole_below(n, xc.height, strict=True)
-        )
-        if gap is None:
-            raise ValueError(f"order {n} has no wormhole on the available side")
-        reach = abs(gap - xc.height)
-        value = sign * reach
-        samples.append((LaaksoPoint(gap, xc.address), value))
+        up, down = nearest_wormhole_gap(xc.height, n)
+        value = up if xc.height == 0 else -down
+        samples.append((LaaksoPoint(xc.height + value, xc.address), value))
         y = LaaksoPoint(xc.height, xc.address.flipped(n))
-        if distance(xc, y) != 2 * reach:
+        if distance(xc, y) != 2 * abs(value):
             raise InternalError(f"order-{n} jump point is not at distance twice the reach")
         jump_points.append(y)
         jump_values.append(value)
@@ -528,8 +509,7 @@ class PorosityWitness:
             s = parse_rational(s)
             if not lo < s < hi:
                 raise ValueError(f"{s} is outside the hole")
-            down = nearest_wormhole_gap(s, n, Direction.DOWN)
-            up = nearest_wormhole_gap(s, n, Direction.UP)
+            up, down = nearest_wormhole_gap(s, n)
             if down is None or down > down_bound or (up is not None and up < up_bound):
                 raise RuntimeError(f"hole certificate failed at {s}")
             records.append((s, down, up))
@@ -644,8 +624,7 @@ def maximality_verdict(
         return MaximalityVerdict(xc, probe, None, ())
 
     n = probe.violated_at
-    up = nearest_wormhole_gap(xc.height, n, Direction.UP)
-    down = nearest_wormhole_gap(xc.height, n, Direction.DOWN)
+    up, down = nearest_wormhole_gap(xc.height, n)
     if up is None:
         side = Direction.DOWN
     elif down is None:

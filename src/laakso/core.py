@@ -13,17 +13,19 @@ flips bit n.  Wormhole heights of different orders never coincide, so the
 order of a triadic height is well defined.
 
 This module provides the exact rational machinery underneath everything
-else: wormhole grids, nearest-gap functions (the distance from a height to
-the closest wormhole of a given order, above or below), canonical
-representatives of glued points, and the gap-ratio probe that classifies
-heights by whether their up/down gaps stay within a fixed ratio at all
-probed orders ("balanced" heights; these are exactly the heights at which a
-maximal directional derivative forces differentiability).
+else: wormhole grids, the one gap query `nearest_wormhole_gap` (the
+distances from a height to the closest wormholes of a given order above and
+below it, the quantity both the porosity and the kink results rest on),
+canonical representatives of glued points, and the gap-ratio probe that
+classifies heights by whether their up/down gaps stay within a fixed ratio
+at all probed orders ("balanced" heights; these are exactly the heights at
+which a maximal directional derivative forces differentiability).
 
 All arithmetic is exact.  Heights and gaps are `fractions.Fraction` values;
-a gap query returns None when no wormhole of the order lies on that side
-(near the boundary of I), which plays the role of an infinite gap.  Every
-grid lookup goes through one integer kernel, `_grid_index`.
+a gap is None when no wormhole of the order lies on that side (near the
+boundary of I, and always on the outer side of 0 and 1), which plays the
+role of an infinite gap.  Every grid lookup goes through one integer
+kernel, `_grid_index`, which needs no special case at 0 or 1.
 
 `InternalError` is the one exception type every layer raises when one of its
 own invariants fails (a bug, never bad input or a failed check).
@@ -35,7 +37,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 __all__ = [
     "CantorAddress",
@@ -101,12 +103,6 @@ class Direction(str, Enum):
 
     UP = "up"
     DOWN = "down"
-
-
-def _as_direction(direction) -> Direction:
-    if isinstance(direction, Direction):
-        return direction
-    return Direction(str(direction))
 
 
 @dataclass(frozen=True)
@@ -314,26 +310,27 @@ def wormhole_order(h: Fraction) -> Optional[int]:
     return n if power == q else None
 
 
-def nearest_wormhole_gap(t: Fraction, n: int, direction) -> Optional[Fraction]:
-    """Exact distance from t to the strictly nearest order-n wormhole height
-    above (`up`) or below (`down`), None (an infinite gap) when that side
-    has none.
+def nearest_wormhole_gap(t: Fraction, n: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    """Exact (up, down) distances from t in [0, 1] to the strictly nearest
+    order-n wormhole heights above and below it, None (an infinite gap) for
+    a side that has none; at 0 and 1 that is always the outer side.
 
-    The infimum defining the gap is over strictly positive offsets, so a
-    height sitting on the grid still gets a positive gap to its neighbour.
-    With t = a / b and grid index k, the gap is built as one Fraction,
+    The infimum defining a gap is over strictly positive offsets, so a
+    height sitting on the grid still gets positive gaps to its neighbours.
+    With t = a / b and grid index k, a gap is built as one Fraction,
     |k * b - a * 3**n| / (3**n * b).
     """
     t = parse_rational(t)
     a, b = t.numerator, t.denominator
-    if not (0 < a < b):
-        raise ValueError(f"gap queries need t in (0, 1), got {t}")
-    up = _as_direction(direction) is Direction.UP
-    k = _grid_index(n, t, up, True)
-    if k is None:
-        return None
+    if not (0 <= a <= b):
+        raise ValueError(f"gap queries need t in [0, 1], got {t}")
+    above = _grid_index(n, t, True, True)
+    below = _grid_index(n, t, False, True)
     top = 3**n
-    return Fraction(k * b - a * top if up else a * top - k * b, top * b)
+    return (
+        None if above is None else Fraction(above * b - a * top, top * b),
+        None if below is None else Fraction(a * top - below * b, top * b),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +404,7 @@ def gap_ratio_probe(t: Fraction, bound: Fraction, start_level: int, depth: int) 
     if start_level < 1 or depth < start_level:
         raise ValueError("need 1 <= start_level <= depth")
     for n in range(start_level, depth + 1):
-        up = nearest_wormhole_gap(t, n, Direction.UP)
-        down = nearest_wormhole_gap(t, n, Direction.DOWN)
+        up, down = nearest_wormhole_gap(t, n)
         if up is None or down is None or up > bound * down or down > bound * up:
             return GapRatioVerdict(False, n, start_level, depth)
     return GapRatioVerdict(True, None, start_level, depth)

@@ -12,10 +12,11 @@ differentiable, and lines needing three or more jumps add no new heights
 
 Profiling is verification based.  Candidate breakpoints come from gap
 arithmetic alone: the ends 0 and 1, h(p), and h(p) shifted by the order-n
-gaps above and below it for each involved order n, by the tie of the up
-and down routes, and by the pairwise ties between orders.  That is a
-handful of heights whatever the jump orders, so a profile costs the same
-at order 30 as at order 3.  Each gap between consecutive candidates is
+gaps above and below it for each involved order n (one
+`core.nearest_wormhole_gap` pair, which needs no special case at a
+boundary base point), by the tie of the up and down routes, and by the
+pairwise ties between orders.  That is a handful of heights whatever the
+jump orders, so a profile costs the same at order 30 as at order 3.  Each gap between consecutive candidates is
 then certified linear: since the profile is 1-Lipschitz,
 |v(t1) - v(t0)| == t1 - t0 forces the profile to be a slope +-1 line on
 all of [t0, t1].  Where the certificate fails, a single interior kink is
@@ -35,14 +36,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     CantorAddress,
-    Direction,
     InternalError,
     LaaksoPoint,
     canonicalize,
     format_rational,
     nearest_wormhole_gap,
-    wormhole_above,
-    wormhole_below,
     wormhole_order,
 )
 from .metric import distance, required_levels
@@ -256,23 +254,6 @@ def _assemble(line: VerticalLine, v, breaks: List[Fraction]) -> KinkProfile:
     return KinkProfile(line, pieces, kinks)
 
 
-def _gaps(p1: Fraction, n: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-    """The order-n (up, down) gaps at p1; None where that side has no wormhole.
-
-    At the boundary heights 0 and 1 (where `nearest_wormhole_gap` is not
-    defined) the inner side is the distance to the nearest grid height and
-    the outer side is None.
-    """
-    if p1 == 0:
-        return wormhole_above(n, p1), None
-    if p1 == 1:
-        return None, p1 - wormhole_below(n, p1)
-    return (
-        nearest_wormhole_gap(p1, n, Direction.UP),
-        nearest_wormhole_gap(p1, n, Direction.DOWN),
-    )
-
-
 def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
     """Exact profile of t -> d(p, [t, line.bits]) over [0, 1]."""
     pc = canonicalize(p)
@@ -295,7 +276,7 @@ def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
     offsets: List[Fraction] = []
     reach: Dict[int, List[Fraction]] = {}  # signed offsets to the order-n neighbours
     for n in involved:
-        up, down = _gaps(pc.height, n)
+        up, down = nearest_wormhole_gap(pc.height, n)
         reach[n] = ([] if up is None else [up]) + ([] if down is None else [-down])
         offsets += reach[n]
         if len(reach[n]) == 2:
@@ -321,7 +302,7 @@ class ImpossibleGapConfiguration(InternalError):
 
 
 def _expected_single(p1: Fraction, n: int) -> List[Fraction]:
-    up, down = _gaps(p1, n)
+    up, down = nearest_wormhole_gap(p1, n)
     if up is not None and down is not None:
         tie = up - down  # height where down-route and up-route tie
         return sorted([p1 - down, p1 + tie, p1 + up])
@@ -360,8 +341,8 @@ def classify_two_level(p1: Fraction, n: int, m: int) -> Tuple[str, List[Fraction
     """
     if not (1 <= n < m):
         raise ValueError("need two orders with n < m")
-    un, dn = _gaps(p1, n)
-    um, dm = _gaps(p1, m)
+    un, dn = nearest_wormhole_gap(p1, n)
+    um, dm = nearest_wormhole_gap(p1, m)
 
     if dm is None and dn is not None:
         raise ImpossibleGapConfiguration("order-m grid reaches lower than order-n grid")

@@ -60,6 +60,25 @@ def test_profile_command(capsys):
     assert entry["profile"]["kinks"][0]["left"] == -1
     assert entry["profile"]["kinks"][0]["right"] == 1
 
+    # v0, v<N>, vN:<N>, v<N>:<N> with equal numbers and vD:<N>,<M>[,...]
+    # name a line; any other spec is one usage error, not a guess.
+    _, v4, _ = run(capsys, "profile", "--p", "1/2:0", "--line", "v4")
+    for spec in ("vN:4", "v4:4", "V4", "vn:4"):
+        code, out, _ = run(capsys, "profile", "--p", "1/2:0", "--line", spec)
+        assert code == 0 and out == v4, spec
+    for spec in ("v0", "vD:1,2"):
+        code, _, _ = run(capsys, "profile", "--p", "1/2:0", "--line", spec)
+        assert code == 0, spec
+    for spec in ("v7:4", "vx:4", "v:4", "vN:", "vD:4", "vD:1,", "vD:1,,2", "v+4", "v 4",
+                 "v4.0", "v4:4:4", "vN:1,2", "w4", "v", "4", "v\u0664", "v" + "9" * 5000):
+        code, out, err = run(capsys, "profile", "--p", "1/2:0", "--line", spec)
+        assert code == 2 and out == "", spec
+        assert err == f"error: bad line spec {spec!r}\n"
+    for spec in ("vD:2,1", "vD:2,2", "vN:0", "v0:0"):
+        code, out, err = run(capsys, "profile", "--p", "1/2:0", "--line", spec)
+        assert code == 2 and out == "", spec
+        assert err == f"error: --line {spec!r}: jump orders must be increasing positive integers\n"
+
 
 def test_profile_wormhole_base_point_two_lines(capsys):
     code, out, _ = run(capsys, "profile", "--p", "1/3:0", "--line", "v2")
@@ -127,14 +146,6 @@ def test_distance_determinism(capsys):
     _, out1, _ = run(capsys, "distance", "--x", "4/9:00", "--y", "4/9:11")
     _, out2, _ = run(capsys, "distance", "--x", "4/9:00", "--y", "4/9:11")
     assert out1 == out2
-
-
-def test_depth_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("LAAKSO_MAX_DEPTH", "3")
-    code, _, err = run(capsys, "census", "--p", "1/2:0", "--max-level", "5")
-    assert code == 2 and "LAAKSO_MAX_DEPTH" in err
-    code, _, _ = run(capsys, "census", "--p", "1/2:0", "--max-level", "2")
-    assert code == 0
 
 
 def test_output_file(tmp_path, capsys):
@@ -435,9 +446,10 @@ def test_verify_depth_bounds_before_any_work(monkeypatch, capsys):
 
 def test_profile_unprintable_order_is_usage_error(monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("profile work started")
+        raise AssertionError("profile or reduce work started")
 
     monkeypatch.setattr("laakso.cli.vertical_lines", refuse)
+    monkeypatch.setattr("laakso.profiles.vertical_lines", refuse)
     for line, order in (("vN:20000", 20000), ("vN:100000", 100000), ("vD:9011,9012", 9012)):
         start = time.monotonic()
         code, out, err = run(capsys, "profile", "--p", "1/2:0", "--line", line)
@@ -445,6 +457,24 @@ def test_profile_unprintable_order_is_usage_error(monkeypatch, capsys):
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: --line {line!r} reaches jump order {order};")
         assert "orders up to 9010 can be printed" in err
+    for p, levels, t, order, den, top in (
+        ("1/2:0", "20000,20001,20002", "1/2", 20001, 2, 9010),
+        ("1/2:0", "9011,9012,9013", "1/2", 9012, 2, 9010),
+        ("0:0", "9010,9011,9012", "1/5", 9010, 5, 9009),
+        ("1/5:0", "9008,9009,100000", "1/7", 9009, 35, 9008),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, "reduce", "--p", p, "--levels", levels, "--t", t)
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: --levels {levels!r} reaches jump order {order}; at height denominator "
+            f"{den} orders up to {top} can be printed (4300-digit integer limit)\n"
+        ), err
+    for levels in ("3,2,4", "0,1,2"):
+        code, out, err = run(capsys, "reduce", "--p", "1/2:0", "--levels", levels, "--t", "1/2")
+        assert code == 2 and out == ""
+        assert err == f"error: --levels {levels!r}: jump orders must be increasing positive integers\n"
     for argv in (
         ("profile", "--p", "1/2:0", "--line", "vN:3000000"),
         ("profile", "--p", "1/2:0", "--line", "vD:1,100001"),
@@ -459,6 +489,10 @@ def test_profile_unprintable_order_is_usage_error(monkeypatch, capsys):
     code, out, _ = run(capsys, "profile", "--p", "1/2:0", "--line", "vN:9010")
     assert code == 0 and json.loads(out)["lines"][0]["pass"] is True
 
+    # Deeper orders that cannot bind leave the printed values short.
+    code, out, _ = run(capsys, "reduce", "--p", "1/2:0", "--levels", "9010,20000,30000", "--t", "1/2")
+    assert code == 0 and json.loads(out)["equal"] is True
+
 
 _near_grid = st.builds(
     lambda n, k, sign, c, j: Fraction((3 * k + 1) % 3**n, 3**n) + Fraction(sign, c * 3 ** (n + j)),
@@ -472,6 +506,23 @@ _profile_heights = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=500),
     _near_grid,
 )
+
+
+
+
+def test_printable_bound_counts_only_binding_orders():
+    # At these heights the order-N gap is wide enough that the order-M grid
+    # meets every minimal interval, so the line prints as an order-N line.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for height, line in (("14/17", "vD:1337,1340"), ("2/33", "vD:1337,1339"),
+                             ("11/42", "vD:1336,1338")):
+            code, out, err = _call(("profile", "--p", f"{height}:0", "--line", line))
+            assert code == 0, (line, err)
+            assert json.loads(out)["lines"][0]["pass"] is True
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @settings(max_examples=120, deadline=None)

@@ -76,7 +76,8 @@ def test_flat_witness_frozen():
     f = as_point_function(flat.function)
     # gap symmetry at 1/2 pins the jump values
     for n, y in zip(flat.levels, flat.jump_points):
-        gap = nearest_wormhole_gap(F(1, 2), n, Direction.UP)
+        gap, down = nearest_wormhole_gap(F(1, 2), n)
+        assert down == gap
         assert distance(x, y) == 2 * gap
         assert flat.function.value_at(y) == gap
         assert abs(f(y) - f(x)) / distance(y, x) == F(1, 2)
@@ -228,8 +229,7 @@ def test_porosity_witness_frozen():
     unit = F(1, 3**w.order)
     for s, (rs, down, up) in zip(samples, records):
         assert rs == s
-        assert down == nearest_wormhole_gap(s, w.order, Direction.DOWN)
-        assert up == nearest_wormhole_gap(s, w.order, Direction.UP)
+        assert (up, down) == nearest_wormhole_gap(s, w.order)
         assert down <= w.lam * unit
         assert up >= (1 - w.lam) * unit
         assert up / down > w.bound  # hence outside the balanced set
@@ -276,8 +276,8 @@ def test_porosity_certificate_checks_both_bounds(monkeypatch):
     s = w.anchor + w.hole_width / 2
     for down, up in ((down_bound, up_bound), (down_bound + F(1, 10**9), up_bound),
                      (down_bound, up_bound - F(1, 10**9)), (None, up_bound)):
-        def kernel(t, n, direction, down=down, up=up):
-            return up if direction is Direction.UP else down
+        def kernel(t, n, down=down, up=up):
+            return up, down
 
         monkeypatch.setattr("laakso.constructions.nearest_wormhole_gap", kernel)
         if (down, up) == (down_bound, up_bound):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from laakso.core import (
     CantorAddress,
-    Direction,
     HeightInterval,
     LaaksoPoint,
     WormholeLevel,
@@ -115,14 +114,17 @@ def test_grids_of_distinct_orders_disjoint():
 
 
 def test_nearest_wormhole_gap_examples():
-    assert nearest_wormhole_gap(F(1, 2), 1, Direction.UP) == F(1, 6)
-    assert nearest_wormhole_gap(F(1, 2), 2, Direction.DOWN) == F(1, 18)
-    assert nearest_wormhole_gap(F(1, 4), 1, Direction.DOWN) is None
-    assert nearest_wormhole_gap(F(1, 3), 1, "up") == F(1, 3)  # strictly above
-    with pytest.raises(ValueError):
-        nearest_wormhole_gap(F(0), 1, Direction.UP)
-    with pytest.raises(ValueError):
-        nearest_wormhole_gap(F(3, 2), 1, Direction.UP)
+    assert nearest_wormhole_gap(F(1, 2), 1) == (F(1, 6), F(1, 6))
+    assert nearest_wormhole_gap(F(1, 2), 2) == (F(1, 18), F(1, 18))
+    assert nearest_wormhole_gap(F(1, 4), 1) == (F(1, 12), None)
+    assert nearest_wormhole_gap(F(1, 3), 1) == (F(1, 3), None)  # strict neighbours only
+    # At the ends of [0, 1] the outer side never has a wormhole.
+    assert nearest_wormhole_gap(F(0), 2) == (F(1, 9), None)
+    assert nearest_wormhole_gap(F(1), 2) == (None, F(1, 9))
+    assert nearest_wormhole_gap("0", 1) == (F(1, 3), None)
+    for t in (F(3, 2), F(-1, 3)):
+        with pytest.raises(ValueError):
+            nearest_wormhole_gap(t, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,8 +132,7 @@ def test_nearest_wormhole_gap_examples():
 def test_gap_sum_property(t, n):
     # Two distinct grid heights straddle t, and consecutive grid heights of
     # one order are at least 1/3**n apart.
-    up = nearest_wormhole_gap(t, n, Direction.UP)
-    down = nearest_wormhole_gap(t, n, Direction.DOWN)
+    up, down = nearest_wormhole_gap(t, n)
     if up is not None and down is not None:
         assert up + down >= F(1, 3**n)
 
@@ -142,8 +143,7 @@ def test_gap_sum_property_seeded_pool():
         den = rng.randint(2, 3**7)
         t = F(rng.randint(1, den - 1), den)
         n = rng.randint(1, 7)
-        up = nearest_wormhole_gap(t, n, Direction.UP)
-        down = nearest_wormhole_gap(t, n, Direction.DOWN)
+        up, down = nearest_wormhole_gap(t, n)
         if up is not None and down is not None:
             assert up + down >= F(1, 3**n)
 
@@ -155,11 +155,10 @@ def test_gap_upper_bound_when_room():
         t = F(rng.randint(1, den - 1), den)
         n = rng.randint(1, 6)
         room = F(2, 3**n)
+        up, down = nearest_wormhole_gap(t, n)
         if t >= room:
-            down = nearest_wormhole_gap(t, n, Direction.DOWN)
             assert down is not None and down <= room
         if 1 - t >= room:
-            up = nearest_wormhole_gap(t, n, Direction.UP)
             assert up is not None and up <= room
 
 
@@ -181,32 +180,34 @@ def test_grid_kernel_matches_brute_force(t, n):
     assert wormhole_above(n, t, strict=False) == min((h for h in grid if h >= t), default=None)
     assert wormhole_below(n, t) == below
     assert wormhole_below(n, t, strict=False) == max((h for h in grid if h <= t), default=None)
-    if 0 < t < 1:
-        assert nearest_wormhole_gap(t, n, Direction.UP) == (None if above is None else above - t)
-        assert nearest_wormhole_gap(t, n, Direction.DOWN) == (None if below is None else t - below)
+    assert nearest_wormhole_gap(t, n) == (
+        None if above is None else above - t,
+        None if below is None else t - below,
+    )
 
 
-# Interior heights on the order-m grids (m <= 8, so on and off the queried
-# order's grid, and next to 0 and 1 where a side has no wormhole) and off
-# every grid.
-interior_heights = st.one_of(
-    st.fractions(min_value=0, max_value=1, max_denominator=10**5).filter(lambda t: 0 < t < 1),
+# Heights on the order-m grids (m <= 8, so on and off the queried order's
+# grid, and next to 0 and 1 where a side has no wormhole), off every grid,
+# and the ends 0 and 1.
+unit_heights = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**5),
     st.integers(min_value=1, max_value=8).flatmap(
-        lambda m: st.integers(min_value=1, max_value=3**m - 1).map(lambda k: F(k, 3**m))
+        lambda m: st.integers(min_value=0, max_value=3**m).map(lambda k: F(k, 3**m))
     ),
 )
 
 
 @settings(max_examples=500, deadline=None)
-@given(interior_heights, st.integers(min_value=1, max_value=8))
+@given(unit_heights, st.integers(min_value=1, max_value=8))
 @example(F(1, 3**8), 1)  # no order-1 wormhole below
 @example(F(3**8 - 1, 3**8), 2)  # no order-2 wormhole above
 @example(F(1, 3), 1)  # on the grid: strict neighbours only
+@example(F(0), 3)
+@example(F(1), 3)
 def test_gap_kernel_matches_wormhole_differences(t, n):
     above = wormhole_above(n, t)
     below = wormhole_below(n, t)
-    up = nearest_wormhole_gap(t, n, Direction.UP)
-    down = nearest_wormhole_gap(t, n, Direction.DOWN)
+    up, down = nearest_wormhole_gap(t, n)
     assert up == (None if above is None else above - t)
     assert down == (None if below is None else t - below)
     for gap in (up, down):

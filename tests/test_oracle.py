@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laakso import oracle
 from laakso.core import InternalError, point, point_key, same_point
@@ -64,6 +66,25 @@ def test_oracle_matches_metric_random():
         x = g.vertex_point(rng.randrange(g.vertex_count))
         y = g.vertex_point(rng.randrange(g.vertex_count))
         assert graph_distance(g, x, y) == distance(x, y)
+
+
+_GRAPHS = {m: build_level_graph(m) for m in range(1, 5)}
+
+
+def _grid_points(m):
+    """Points of the level-m graph: heights k/3**m, addresses of <= m bits."""
+    return st.builds(
+        lambda k, bits: point(F(k, 3**m), bits), st.integers(0, 3**m), st.text("01", max_size=m)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), _grid_points(m), _grid_points(m))))
+def test_distance_matches_graph_distance_on_drawn_points(case):
+    # The interval formula against the graph search, with shrinking, on
+    # grid points at every resolution up to 4.
+    m, x, y = case
+    assert distance(x, y) == graph_distance(_GRAPHS[m], x, y)
 
 
 def test_zero_classes_match_canonical_equality():
