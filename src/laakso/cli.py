@@ -41,7 +41,9 @@ from .core import (
     point,
     point_to_json,
 )
-from .metric import distance, minimal_height_intervals, synthesize_geodesic
+# `distance` stays bound here: perfbench/selftest.py checks that its tracer
+# rebinds `laakso.cli.distance` along with `laakso.metric.distance`.
+from .metric import _Pair, distance  # noqa: F401
 from .profiles import (
     census_records,
     expected_kinks,
@@ -108,6 +110,23 @@ def _parse_line_spec(spec: str):
     return levels
 
 
+def _printable_top(den: int, order: int) -> Optional[int]:
+    """None when every integer below den * 3**(order + 1) can be printed
+    under `sys.get_int_max_str_digits()`; otherwise the largest order for
+    which that holds (-1 if none does)."""
+    limit = sys.get_int_max_str_digits()
+    # 2**(3 * limit) < 10**limit and den * 3**(order + 1) < 2**(bits + 2*(order + 1)).
+    if not limit or den.bit_length() + 2 * (order + 1) <= 3 * limit:
+        return None
+    cap = (10**limit - 1) // den
+    if order < 4 * limit and 3 ** (order + 1) <= cap:  # 3**(4 * limit) > 10**limit
+        return None
+    top, power = -1, 3  # the largest order with 3**(top + 1) <= cap
+    while power <= cap:
+        top, power = top + 1, power * 3
+    return top
+
+
 def _check_printable(p: LaaksoPoint, levels, den: int, flag: str, text: str) -> None:
     """Refuse a request whose answer could not be printed, before computing it.
 
@@ -120,8 +139,7 @@ def _check_printable(p: LaaksoPoint, levels, den: int, flag: str, text: str) -> 
     most 2/3**M) meets every longer interval.  Python refuses to print an
     integer of more than `sys.get_int_max_str_digits()` digits.
     """
-    limit = sys.get_int_max_str_digits()
-    if not levels or not limit:
+    if not levels or not sys.get_int_max_str_digits():
         return
     g = min(gap for gap in nearest_wormhole_gap(p.height, levels[0]) if gap is not None)
     order = levels[0]
@@ -129,20 +147,12 @@ def _check_printable(p: LaaksoPoint, levels, den: int, flag: str, text: str) -> 
         # g < 2/3**m is impossible once 3**m > 2**m >= 2 * den(g).
         if m < (2 * g.denominator).bit_length() and 3**m * g.numerator < 2 * g.denominator:
             order = m
-    # Printed integers stay below den * 3**(order + 1) < 2**(bits + 2*(order + 1)),
-    # and 2**(3 * limit) < 10**limit.
-    if den.bit_length() + 2 * (order + 1) <= 3 * limit:
-        return
-    cap = (10**limit - 1) // den
-    if order < 4 * limit and 3 ** (order + 1) <= cap:  # 3**(4 * limit) > 10**limit
-        return
-    top, power = -1, 3  # the largest order with 3**(top + 1) <= cap
-    while power <= cap:
-        top, power = top + 1, power * 3
-    raise UsageError(
-        f"{flag} {text!r} reaches jump order {order}; at height denominator {den} "
-        f"orders up to {top} can be printed ({limit}-digit integer limit)"
-    )
+    top = _printable_top(den, order)
+    if top is not None:
+        raise UsageError(
+            f"{flag} {text!r} reaches jump order {order}; at height denominator {den} "
+            f"orders up to {top} can be printed ({sys.get_int_max_str_digits()}-digit integer limit)"
+        )
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -160,14 +170,26 @@ def _json_dumps(obj) -> str:
 def cmd_distance(args) -> int:
     x = _parse_point(args.x)
     y = _parse_point(args.y)
-    ivs = minimal_height_intervals(x, y)
-    geodesics = [synthesize_geodesic(x, y, iv).to_json() for iv in ivs]
+    # Every printed height and value is below 3 with a denominator dividing
+    # den * 3**N, for den the lcm of the height denominators and N the
+    # deepest address bit where x and y differ.
+    pair = _Pair(x, y)
+    order = pair.levels[-1] if pair.levels else 0
+    top = _printable_top(math.lcm(x.height.denominator, y.height.denominator), order)
+    if top is not None:
+        limit = sys.get_int_max_str_digits()
+        reach = f"orders up to {top} can be printed" if top >= 0 else "no order can be printed"
+        raise UsageError(
+            f"--x/--y reach jump order {order}; at these heights {reach} ({limit}-digit integer limit)"
+        )
+    ivs = pair.search()
+    intervals = [pair.interval(*iv) for iv in ivs]
     payload = {
-        "x": point_to_json(canonicalize(x)),
-        "y": point_to_json(canonicalize(y)),
-        "distance": format_rational(distance(x, y)),
-        "intervals": [[format_rational(iv.a), format_rational(iv.b)] for iv in ivs],
-        "geodesics": geodesics,
+        "x": point_to_json(pair.x),
+        "y": point_to_json(pair.y),
+        "distance": format_rational(pair.distance(*ivs[0])),
+        "intervals": [[format_rational(iv.a), format_rational(iv.b)] for iv in intervals],
+        "geodesics": [pair.geodesic(*iv).to_json() for iv in ivs],
     }
     _emit(_json_dumps(payload), args.out)
     return 0

@@ -239,9 +239,11 @@ class HeightInterval:
 # ---------------------------------------------------------------------------
 
 
-def _grid_index(n: int, t: Fraction, up: bool, strict: bool) -> Optional[int]:
-    """The index k of the nearest order-n wormhole height k / 3**n above t
-    (`up`) or below it, strictly or not; None when that side has none.
+def _grid_index(n: int, num: int, den: int, up: bool, strict: bool) -> Optional[int]:
+    """The index k of the nearest order-n wormhole height k / 3**n above
+    t = num / den (`up`) or below it, strictly or not; None when that side
+    has none.  The fraction need not be in lowest terms, so a caller that
+    keeps several heights over one common denominator passes the numerators.
 
     Integer arithmetic only: q = floor(t * 3**n) and its remainder decide
     the first grid index on the requested side, which is then clamped to
@@ -251,7 +253,7 @@ def _grid_index(n: int, t: Fraction, up: bool, strict: bool) -> Optional[int]:
     if n < 1:
         raise ValueError("order must be a positive integer")
     top = 3**n
-    q, r = divmod(t.numerator * top, t.denominator)
+    q, r = divmod(num * top, den)
     if up:
         k = max(q + 1 if strict or r else q, 1)
         if k % 3 == 0:
@@ -265,13 +267,13 @@ def _grid_index(n: int, t: Fraction, up: bool, strict: bool) -> Optional[int]:
 
 def wormhole_above(n: int, t: Fraction, strict: bool = True) -> Optional[Fraction]:
     """The least order-n wormhole height > t (or >= t), None if none exists."""
-    k = _grid_index(n, t, True, strict)
+    k = _grid_index(n, t.numerator, t.denominator, True, strict)
     return None if k is None else Fraction(k, 3**n)
 
 
 def wormhole_below(n: int, t: Fraction, strict: bool = True) -> Optional[Fraction]:
     """The greatest order-n wormhole height < t (or <= t), None if none exists."""
-    k = _grid_index(n, t, False, strict)
+    k = _grid_index(n, t.numerator, t.denominator, False, strict)
     return None if k is None else Fraction(k, 3**n)
 
 
@@ -294,10 +296,8 @@ def wormhole_order(h: Fraction) -> Optional[int]:
     denominator is 3**n (n >= 1); grids of different orders are disjoint.
     """
     h = parse_rational(h)
-    if not (0 < h < 1):
-        return None
     q = h.denominator
-    if q % 3:
+    if q % 3 or not 0 < h.numerator < q:
         return None
     # 3**n has bit length floor(n * log2(3)) + 1, and 15849626 / 10**7 exceeds
     # log2(3), so this estimate never exceeds the order of a power of 3 (below
@@ -324,8 +324,8 @@ def nearest_wormhole_gap(t: Fraction, n: int) -> Tuple[Optional[Fraction], Optio
     a, b = t.numerator, t.denominator
     if not (0 <= a <= b):
         raise ValueError(f"gap queries need t in [0, 1], got {t}")
-    above = _grid_index(n, t, True, True)
-    below = _grid_index(n, t, False, True)
+    above = _grid_index(n, a, b, True, True)
+    below = _grid_index(n, a, b, False, True)
     top = 3**n
     return (
         None if above is None else Fraction(above * b - a * top, top * b),

@@ -14,8 +14,9 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import laakso
+from laakso import metric
 from laakso.cli import main
-from laakso.core import InternalError
+from laakso.core import HeightInterval, InternalError, point
 
 SRC = Path(laakso.__file__).resolve().parent.parent
 
@@ -333,12 +334,73 @@ def test_other_runtime_errors_are_not_internal_errors(monkeypatch):
 
 
 def test_metric_invariant_failure_exits_3(monkeypatch, capsys):
-    # With every grid lookup failing, the real "invalid state" guard fires.
-    monkeypatch.setattr("laakso.metric.wormhole_below", lambda *args, **kw: None)
-    monkeypatch.setattr("laakso.metric.wormhole_above", lambda *args, **kw: None)
+    # With every grid lookup of the integer kernel failing, the real
+    # "invalid state" guard fires.
+    monkeypatch.setattr("laakso.metric._grid_index", lambda *args, **kw: None)
     code, out, err = run(capsys, "distance", "--x", "1/2:0", "--y", "1/2:1")
     assert code == 3 and out == ""
     assert err == "internal error: order-1 grid is empty; invalid state\n"
+
+
+def test_geodesic_length_check_exits_3(monkeypatch, capsys):
+    # Each jump moved to its mirror height is still on its grid and still
+    # flips the right bit, so only the length of the emitted segments
+    # (1/2 -> 1/3 -> 2/3 -> 1/2 instead of 1/2 -> 2/3 -> 1/2) gives it away.
+    schedule = metric._Pair.schedule
+
+    def mirrored(self, a, b):
+        return [(s, e, [(self.den - h, n) for h, n in jumps]) for s, e, jumps in schedule(self, a, b)]
+
+    monkeypatch.setattr(metric._Pair, "schedule", mirrored)
+    code, out, err = run(capsys, "distance", "--x", "1/2:0", "--y", "1/2:1")
+    assert code == 3 and out == ""
+    assert err == "internal error: synthesized path length does not match the distance\n"
+    with pytest.raises(InternalError, match="length does not match"):
+        metric.synthesize_geodesic(point("1/2", "0"), point("1/2", "1"), HeightInterval(Fraction(1, 2), Fraction(2, 3)))
+
+
+def test_distance_unprintable_order_is_usage_error(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interval search started")
+
+    monkeypatch.setattr(metric._Pair, "search", refuse)
+    deep = "1/2:" + "0" * 19999 + "1"
+    start = time.monotonic()
+    code, out, err = run(capsys, "distance", "--x", deep, "--y", "1/2:0")
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --x/--y reach jump order 20000; at these heights orders up to 9010 "
+        "can be printed (4300-digit integer limit)\n"
+    )
+
+    # At a lowered digit limit the bound is exact: the largest order N with
+    # den * 3**(N + 1) printable prints, and the next one is refused.
+    def pair(den, order):
+        return f"1/{den}:" + "0" * (order - 1) + "1", f"1/{den}:0"
+
+    tops = {den: max(n for n in range(2000) if den * 3 ** (n + 1) < 10**640) for den in (2, 35)}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for den, top in tops.items():
+            for order in (top + 1, top + 10):
+                x, y = pair(den, order)
+                code, out, err = run(capsys, "distance", "--x", x, "--y", y)
+                assert code == 2 and out == ""
+                assert err == (
+                    f"error: --x/--y reach jump order {order}; at these heights orders up to "
+                    f"{top} can be printed (640-digit integer limit)\n"
+                )
+        monkeypatch.undo()
+        for den, top in tops.items():
+            x, y = pair(den, top)
+            code, out, err = run(capsys, "distance", "--x", x, "--y", y)
+            assert code == 0, err
+            geodesics = json.loads(out)["geodesics"]
+            assert [[e["jump"] for e in g if "jump" in e] for g in geodesics] == [[top]] * len(geodesics)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_profile_very_deep_order_line(capsys):
