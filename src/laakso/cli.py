@@ -9,9 +9,13 @@ byte-identical output; randomized suites are pinned by --seed.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3
 internal error (an invariant of the library failed, `core.InternalError`).
-Every argument that sets a scale (verify --depth, census --max-level, the
-jump orders of profile --line and reduce --levels) is bounded before any
-work, so an input gets either an answer or one `error:` line.
+argparse is the only parser: every flag is read by a `type=` converter or
+`choices=`, and every usage error, argparse's own included, is one
+`error:` line naming the flag at fault.  Every argument that sets a scale
+is bounded before any work: the jump orders of profile --line and reduce
+--levels by their converters, verify --depth by the depths
+`verify.SUITES` lists, census --max-level by the library, and the size of
+every printed answer by `_check_printable`.
 
 A --line spec is one of v0 (the base point's own line), v<N>, vN:<N> or
 v<N>:<N> (one jump at order N), or vD:<N>,<M>[,...] (one jump at each of
@@ -28,7 +32,8 @@ import math
 import os
 import re
 import sys
-from typing import List, Optional
+from fractions import Fraction
+from typing import List, Optional, Tuple
 
 from . import verify as verify_mod
 from .core import (
@@ -60,15 +65,26 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_point(text: str) -> LaaksoPoint:
-    if ":" in text:
-        h, bits = text.split(":", 1)
-    else:
-        h, bits = text, ""
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error, argparse's own included, as one `error:` line."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _point(text: str) -> LaaksoPoint:
+    h, _, bits = text.partition(":")
     try:
         return point(parse_rational(h), bits)
     except ValueError as exc:
-        raise UsageError(f"bad point {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad point {text!r}: {exc}") from exc
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 # A line at jump order n carries an n-bit address and grid arithmetic on
@@ -77,11 +93,19 @@ def _parse_point(text: str) -> LaaksoPoint:
 _MAX_ORDER = 100_000
 
 
-def _check_orders(levels, flag: str, text: str) -> None:
+def _checked_orders(levels: Tuple[int, ...], text: str) -> Tuple[int, ...]:
     if any(n < 1 for n in levels) or list(levels) != sorted(set(levels)):
-        raise UsageError(f"{flag} {text!r}: jump orders must be increasing positive integers")
+        raise argparse.ArgumentTypeError(f"{text!r}: jump orders must be increasing positive integers")
     if levels and max(levels) > _MAX_ORDER:
-        raise UsageError(f"{flag} {text!r}: jump orders above {_MAX_ORDER} are not accepted")
+        raise argparse.ArgumentTypeError(f"{text!r}: jump orders above {_MAX_ORDER} are not accepted")
+    return levels
+
+
+def _levels(text: str) -> Tuple[int, ...]:
+    try:
+        return _checked_orders(tuple(int(x) for x in text.split(",")), text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad level list {text!r}") from exc
 
 
 _LINE_SPEC = re.compile(
@@ -89,11 +113,11 @@ _LINE_SPEC = re.compile(
 )
 
 
-def _parse_line_spec(spec: str):
+def _line(spec: str) -> Tuple[int, ...]:
     """v0 | v<N> | vN:<N> | v<N>:<N> (equal numbers) | vD:<N>,<M>[,...]."""
     match = _LINE_SPEC.fullmatch(spec.strip().lower())
     if match is None:
-        raise UsageError(f"bad line spec {spec!r}")
+        raise argparse.ArgumentTypeError(f"bad line spec {spec!r}")
     one, tag, order, orders = match.groups()
     try:  # int() refuses numbers past the integer-string digit limit
         if orders is not None:
@@ -105,54 +129,50 @@ def _parse_line_spec(spec: str):
         else:
             raise ValueError("unequal orders")
     except ValueError as exc:
-        raise UsageError(f"bad line spec {spec!r}") from exc
-    _check_orders(levels, "--line", spec)
-    return levels
+        raise argparse.ArgumentTypeError(f"bad line spec {spec!r}") from exc
+    return _checked_orders(levels, spec)
 
 
-def _printable_top(den: int, order: int) -> Optional[int]:
-    """None when every integer below den * 3**(order + 1) can be printed
-    under `sys.get_int_max_str_digits()`; otherwise the largest order for
-    which that holds (-1 if none does)."""
-    limit = sys.get_int_max_str_digits()
-    # 2**(3 * limit) < 10**limit and den * 3**(order + 1) < 2**(bits + 2*(order + 1)).
-    if not limit or den.bit_length() + 2 * (order + 1) <= 3 * limit:
-        return None
-    cap = (10**limit - 1) // den
-    if order < 4 * limit and 3 ** (order + 1) <= cap:  # 3**(4 * limit) > 10**limit
-        return None
-    top, power = -1, 3  # the largest order with 3**(top + 1) <= cap
-    while power <= cap:
-        top, power = top + 1, power * 3
-    return top
-
-
-def _check_printable(p: LaaksoPoint, levels, den: int, flag: str, text: str) -> None:
-    """Refuse a request whose answer could not be printed, before computing it.
-
-    Every height and value printed lies in [-3, 3] with a denominator
-    dividing den * 3**n, for den the lcm of the denominators of the heights
-    asked about and n the deepest order of `levels` that can bind.  Every
-    minimal interval covers h(p) and an order-`levels[0]` wormhole, so it
-    is at least as long as the smaller order-`levels[0]` gap g at h(p); a
-    deeper order M binds only if g < 2/3**M, since its grid (spacing at
-    most 2/3**M) meets every longer interval.  Python refuses to print an
-    integer of more than `sys.get_int_max_str_digits()` digits.
-    """
-    if not levels or not sys.get_int_max_str_digits():
-        return
+def _binding_order(p: LaaksoPoint, levels: Tuple[int, ...]) -> int:
+    """The deepest order of `levels` that can bind a minimal interval on a
+    line through p.  Every minimal interval covers h(p) and an
+    order-`levels[0]` wormhole, so it is at least as long as the smaller
+    order-`levels[0]` gap g at h(p); a deeper order M binds only if
+    g < 2/3**M, since its grid (spacing at most 2/3**M) meets every longer
+    interval."""
     g = min(gap for gap in nearest_wormhole_gap(p.height, levels[0]) if gap is not None)
     order = levels[0]
     for m in levels[1:]:
         # g < 2/3**m is impossible once 3**m > 2**m >= 2 * den(g).
         if m < (2 * g.denominator).bit_length() and 3**m * g.numerator < 2 * g.denominator:
             order = m
-    top = _printable_top(den, order)
-    if top is not None:
-        raise UsageError(
-            f"{flag} {text!r} reaches jump order {order}; at height denominator {den} "
-            f"orders up to {top} can be printed ({sys.get_int_max_str_digits()}-digit integer limit)"
-        )
+    return order
+
+
+def _check_printable(flag: str, den: int, order: int) -> None:
+    """Refuse, before any work, a request whose answer could not be printed.
+
+    Every height and value printed lies in [-3, 3] with a denominator
+    dividing den * 3**order, and Python refuses to print an integer of
+    more than `sys.get_int_max_str_digits()` digits, so the answer prints
+    when every integer below den * 3**(order + 1) does.  The refusal names
+    the largest order that would print; it never prints den, which may be
+    past the limit itself.
+    """
+    limit = sys.get_int_max_str_digits()
+    # 2**(3 * limit) < 10**limit and den * 3**(order + 1) < 2**(bits + 2*(order + 1)).
+    if not limit or den.bit_length() + 2 * (order + 1) <= 3 * limit:
+        return
+    cap = (10**limit - 1) // den
+    if order < 4 * limit and 3 ** (order + 1) <= cap:  # 3**(4 * limit) > 10**limit
+        return
+    top, power = -1, 3  # the largest order with 3**(top + 1) <= cap
+    while power <= cap:
+        top, power = top + 1, power * 3
+    reach = f"orders up to {top} can be printed" if top >= 0 else "no order can be printed"
+    raise UsageError(
+        f"{flag} reaches jump order {order}; at these heights {reach} ({limit}-digit integer limit)"
+    )
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -168,20 +188,12 @@ def _json_dumps(obj) -> str:
 
 
 def cmd_distance(args) -> int:
-    x = _parse_point(args.x)
-    y = _parse_point(args.y)
-    # Every printed height and value is below 3 with a denominator dividing
-    # den * 3**N, for den the lcm of the height denominators and N the
-    # deepest address bit where x and y differ.
+    x, y = args.x, args.y
+    # The deepest address bit where x and y differ is the deepest order a
+    # printed height or value can carry.
     pair = _Pair(x, y)
-    order = pair.levels[-1] if pair.levels else 0
-    top = _printable_top(math.lcm(x.height.denominator, y.height.denominator), order)
-    if top is not None:
-        limit = sys.get_int_max_str_digits()
-        reach = f"orders up to {top} can be printed" if top >= 0 else "no order can be printed"
-        raise UsageError(
-            f"--x/--y reach jump order {order}; at these heights {reach} ({limit}-digit integer limit)"
-        )
+    den = math.lcm(x.height.denominator, y.height.denominator)
+    _check_printable("--x/--y", den, pair.levels[-1] if pair.levels else 0)
     ivs = pair.search()
     intervals = [pair.interval(*iv) for iv in ivs]
     payload = {
@@ -196,14 +208,14 @@ def cmd_distance(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    p = _parse_point(args.p)
-    levels = _parse_line_spec(args.line)
+    p, levels = args.p, args.line
     if len(levels) >= 3:
         raise UsageError(
             "profiles cover at most two jump levels; use the `reduce` subcommand "
             "to compare deeper lines against their two-level reduction"
         )
-    _check_printable(p, levels, p.height.denominator, "--line", args.line)
+    if levels:
+        _check_printable("--line", p.height.denominator, _binding_order(p, levels))
     lines = vertical_lines(p, levels)
     results = []
     ok = True
@@ -234,15 +246,11 @@ def _suffixed(path: str, suffix: str) -> str:
 
 
 def cmd_reduce(args) -> int:
-    p = _parse_point(args.p)
-    try:
-        levels = tuple(int(x) for x in args.levels.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad level list {args.levels!r}") from exc
-    _check_orders(levels, "--levels", args.levels)
-    t = parse_rational(args.t)
+    p, levels, t = args.p, args.levels, args.t
+    # Deeper jumps thread through a geodesic of the first two orders for
+    # free, so both printed values are those of the first-two-order line.
     den = math.lcm(p.height.denominator, t.denominator)
-    _check_printable(p, levels[:2], den, "--levels", args.levels)
+    _check_printable("--levels", den, _binding_order(p, levels[:2]))
     full, two = parallel_reduction(p, levels, t)
     payload = {
         "p": point_to_json(canonicalize(p)),
@@ -257,8 +265,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_census(args) -> int:
-    p = _parse_point(args.p)
-    records = census_records(p, args.max_level)
+    records = census_records(args.p, args.max_level)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["height", "source_line", "kink_type"])
@@ -269,17 +276,11 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in verify_mod.SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(verify_mod.SUITES)}")
-    if args.depth is not None:
-        if args.suite not in verify_mod.DEPTH_SUITES:
-            raise UsageError(
-                f"--depth sets the grid resolution of the {' and '.join(verify_mod.DEPTH_SUITES)} "
-                f"suites; suite {args.suite!r} has none"
-            )
-        lo, hi = verify_mod.DEPTH_SUITES[args.suite]
-        if not lo <= args.depth <= hi:
-            raise UsageError(f"--depth of suite {args.suite!r} must be in {lo}..{hi}, got {args.depth}")
+    depths = verify_mod.SUITES[args.suite].depths
+    if args.depth is not None and args.depth not in depths:
+        if not depths:
+            raise UsageError(f"suite {args.suite!r} has no grid resolution to set with --depth")
+        raise UsageError(f"--depth of suite {args.suite!r} must be in {depths[0]}..{depths[-1]}, got {args.depth}")
     checks = verify_mod.run_suite(args.suite, depth=args.depth, seed=args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -291,7 +292,7 @@ def cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="laakso",
         description="Exact computation on Laakso space: distances, geodesics, "
         "kink profiles of distance functions, and verification suites.",
@@ -299,22 +300,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("distance", help="exact distance, minimal intervals, geodesics")
-    d.add_argument("--x", required=True, help="point as h:bits, e.g. 1/2:0")
-    d.add_argument("--y", required=True, help="point as h:bits")
+    d.add_argument("--x", required=True, type=_point, help="point as h:bits, e.g. 1/2:0")
+    d.add_argument("--y", required=True, type=_point, help="point as h:bits")
     d.add_argument("--out", default=None, help="output path (default stdout)")
     d.set_defaults(func=cmd_distance)
 
     pr = sub.add_parser("profile", help="kink profile of d_p along a vertical line")
-    pr.add_argument("--p", required=True, help="base point as h:bits")
-    pr.add_argument("--line", required=True, help="v0 | vN:<N> | vD:<N>,<M>")
+    pr.add_argument("--p", required=True, type=_point, help="base point as h:bits")
+    pr.add_argument("--line", required=True, type=_line, help="v0 | vN:<N> | vD:<N>,<M>")
     pr.add_argument("--svg", default=None, help="write an SVG plot here")
     pr.add_argument("--out", default=None, help="JSON output path (default stdout)")
     pr.set_defaults(func=cmd_profile)
 
     rd = sub.add_parser("reduce", help="compare a deep line with its two-level reduction")
-    rd.add_argument("--p", required=True, help="base point as h:bits")
-    rd.add_argument("--levels", required=True, help="comma list of >=3 jump levels")
-    rd.add_argument("--t", required=True, help="height as p/q")
+    rd.add_argument("--p", required=True, type=_point, help="base point as h:bits")
+    rd.add_argument("--levels", required=True, type=_levels, help="comma list of >=3 jump levels")
+    rd.add_argument("--t", required=True, type=_rational, help="height as p/q")
     rd.add_argument("--out", default=None)
     rd.set_defaults(func=cmd_reduce)
 
@@ -323,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="CSV census of non-differentiability heights",
         epilog="CSV columns: height, source_line, kink_type.",
     )
-    ce.add_argument("--p", required=True, help="base point as h:bits")
+    ce.add_argument("--p", required=True, type=_point, help="base point as h:bits")
     ce.add_argument("--max-level", type=int, default=4)
     ce.add_argument("--out", default=None)
     ce.set_defaults(func=cmd_census)
@@ -334,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: check, status, expected, actual "
         "(exact p/q values except fields named ratio/spread).",
     )
-    ve.add_argument("suite", help="|".join(verify_mod.SUITES))
+    ve.add_argument("suite", choices=verify_mod.SUITES, metavar="suite", help="|".join(verify_mod.SUITES))
     ve.add_argument(
         "--depth",
         type=int,
@@ -354,10 +355,9 @@ _PARSER = _build_parser()
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:  # argparse uses its own exit codes
-        return 2 if exc.code not in (0, None) else 0
-    try:
         return args.func(args)
+    except SystemExit:  # only --help exits: the parser raises UsageError
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

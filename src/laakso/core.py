@@ -54,7 +54,6 @@ __all__ = [
     "nearest_wormhole_gap",
     "parse_rational",
     "point",
-    "point_from_json",
     "point_key",
     "point_to_json",
     "same_point",
@@ -190,10 +189,6 @@ def point(height: RationalLike, bits: str = "") -> LaaksoPoint:
 def point_to_json(p: LaaksoPoint) -> dict:
     """Wire format shared by every module and the CLI."""
     return {"h": format_rational(p.height), "bits": p.address.bits}
-
-
-def point_from_json(obj: dict) -> LaaksoPoint:
-    return point(obj["h"], obj.get("bits", ""))
 
 
 @dataclass(frozen=True)

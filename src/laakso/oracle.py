@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from .core import CantorAddress, InternalError, LaaksoPoint, format_rational, point_key
+from .core import CantorAddress, InternalError, LaaksoPoint, point_key
 
 __all__ = [
     "DIMENSION",
@@ -191,16 +191,6 @@ class MeasureEstimate:
     def ratio(self) -> float:
         return float(self.mass) / float(self.radius) ** DIMENSION
 
-    def csv_row(self) -> list:
-        return [
-            format_rational(self.center.height),
-            self.center.address.bits,
-            format_rational(self.radius),
-            format_rational(self.mass),
-            f"{self.ratio:.12g}",
-            str(self.m),
-        ]
-
 
 def total_cell_mass(g: LevelGraph) -> Fraction:
     """Mass of the full cell decomposition (exactly 1 by construction)."""
@@ -246,9 +236,6 @@ def ball_measure(g: LevelGraph, center: LaaksoPoint, r: Fraction) -> MeasureEsti
 class RegularityReport:
     estimates: Tuple[MeasureEstimate, ...]
     spread: Optional[float]  # max ratio / min ratio; None for an empty scan
-
-    def csv_rows(self) -> list:
-        return [e.csv_row() for e in self.estimates]
 
 
 def regularity_scan(m: int, sample: int, radii, seed: int = 0) -> RegularityReport:

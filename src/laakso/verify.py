@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import constructions as cons
 from . import oracle
@@ -50,8 +50,8 @@ from .profiles import (
 
 __all__ = [
     "Check",
-    "DEPTH_SUITES",
     "SUITES",
+    "Suite",
     "check_census",
     "check_constructions",
     "check_geodesic_laws",
@@ -381,7 +381,9 @@ ENGINEERED_UNBALANCED = cons.sparse_ternary_height(
 ENGINEERED_MIRROR = 1 - ENGINEERED_UNBALANCED
 
 
-def check_constructions(flat_levels: Tuple[int, int] = (1, 6)) -> List[Check]:
+def check_constructions(flat_levels: Tuple[int, int] = (1, 6), seed: Optional[int] = None) -> List[Check]:
+    """The flat and steep witnesses at fixed centers.  Nothing is drawn at
+    random: `seed` is taken, like every suite's, and unused."""
     out: List[Check] = []
     schedule_steps = triadic_schedule(2, 8)
 
@@ -483,9 +485,10 @@ def _hole_samples(witness: cons.PorosityWitness, count: int) -> List[Fraction]:
     return [Fraction(base + step * i, den) for i in range(1, d)]
 
 
-def check_porosity(cases: int = 20, samples_per_hole: int = 1000, seed: int = 5) -> List[Check]:
+def _porosity_cases(cases: int, seed: int) -> List[Tuple[cons.PorosityWitness, Fraction]]:
+    """The seeded (witness, delta) pairs `check_porosity` certifies."""
     rng = random.Random(seed)
-    bad = 0
+    out = []
     for _ in range(cases):
         bound = Fraction(rng.randint(3, 12), rng.randint(1, 2))
         if bound <= 1:
@@ -493,16 +496,22 @@ def check_porosity(cases: int = 20, samples_per_hole: int = 1000, seed: int = 5)
         start = rng.randint(1, 3)
         t0 = _random_height(rng)
         delta = Fraction(1, rng.randint(5, 400))
-        witness = cons.porosity_witness(bound, start, t0, delta)
+        out.append((cons.porosity_witness(bound, start, t0, delta), delta))
+    return out
+
+
+def check_porosity(cases: int = 20, samples_per_hole: int = 1000, seed: int = 5) -> List[Check]:
+    bad = 0
+    for witness, delta in _porosity_cases(cases, seed):
         try:
             witness.certify(_hole_samples(witness, samples_per_hole))
         except InternalError:
             raise
         except RuntimeError:
             bad += 1
-        if not (witness.order > start and Fraction(2, 3**witness.order) < delta):
+        if not (witness.order > witness.start_level and Fraction(2, 3**witness.order) < delta):
             bad += 1
-        if abs(witness.anchor - t0) >= Fraction(2, 3**witness.order):
+        if abs(witness.anchor - witness.t0) >= Fraction(2, 3**witness.order):
             bad += 1
     return [
         _check(
@@ -593,28 +602,31 @@ def check_census(max_level: int = 4, seed: int = 7, extra_points: int = 2) -> Li
 # ---------------------------------------------------------------------------
 
 
-def run_suite(name: str, depth: Optional[int] = None, seed: Optional[int] = None) -> List[Check]:
-    if name == "oracle":
-        return check_oracle(m=2 if depth is None else depth, seed=1 if seed is None else seed)
-    if name == "kinks":
-        return check_kinks(seed=seed if seed is not None else 3)
-    if name == "constructions":
-        return check_constructions()
-    if name == "porosity":
-        return check_porosity(seed=seed if seed is not None else 5)
-    if name == "regularity":
-        return check_regularity(m=6 if depth is None else depth, seed=6 if seed is None else seed)
-    if name == "parallel":
-        return check_parallel(seed=seed if seed is not None else 4)
-    raise KeyError(name)
+class Suite(NamedTuple):
+    """A `verify` suite: its check, which takes `seed` and, when `depths` is
+    not empty, the grid resolution `m`."""
+
+    check: Callable[..., List[Check]]
+    depths: range = range(0)
 
 
-SUITES = ("oracle", "kinks", "constructions", "porosity", "regularity", "parallel")
-# The suites whose scale is a grid resolution (`run_suite`'s depth), with
-# the depths each accepts; the others have no resolution to set.
 # Regularity's smallest radius 1/81 needs m >= 5 (`regularity_scan` takes
 # radii down to 1/3^(m-1)).  The upper ends bound the work before it
 # starts: on a 2-vCPU host the oracle's all-pairs check takes 1-2 s at
 # m = 3 and tens of seconds at m = 4, and regularity 1.4-2.4 s at m = 8,
 # while m = 9 builds a graph of ~10M vertices.
-DEPTH_SUITES = {"oracle": (1, 3), "regularity": (5, 8)}
+SUITES: Dict[str, Suite] = {
+    "oracle": Suite(check_oracle, range(1, 4)),
+    "kinks": Suite(check_kinks),
+    "constructions": Suite(check_constructions),
+    "porosity": Suite(check_porosity),
+    "regularity": Suite(check_regularity, range(5, 9)),
+    "parallel": Suite(check_parallel),
+}
+
+
+def run_suite(name: str, depth: Optional[int] = None, seed: Optional[int] = None) -> List[Check]:
+    """Run suite `name`; a `depth` or `seed` given replaces the check's
+    own default, one not given leaves it."""
+    kwargs = {"m": depth, "seed": seed}
+    return SUITES[name].check(**{k: v for k, v in kwargs.items() if v is not None})

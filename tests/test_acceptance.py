@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from laakso import oracle, verify
+from laakso.constructions import maximality_verdict
 from laakso.core import point, wormhole_order
 from laakso.metric import distance
 from laakso.profiles import expected_kinks, profile_distance_on_line, vertical_lines
@@ -126,6 +127,23 @@ def test_a10_porosity_holes():
     assert [r.expected for r in rows] == ["20 holes x 1000 samples certified"]
     _report("A10 porosity hole certificates", rows, extra=f"{elapsed:.2f}s")
     assert elapsed < 1
+
+
+def test_a10_holes_classify_not_in_m():
+    """The two halves of the headline agree: every sampled hole height fails
+    the balanced-gap condition no later than the hole's order, and every
+    steep witness built there has error quotient exactly 1/2."""
+    heights = witnesses = 0
+    for hole, _ in verify._porosity_cases(20, seed=5):  # A10's cases
+        for s in verify._hole_samples(hole, 5):
+            v = maximality_verdict(point(s, "0"), hole.bound, hole.start_level, hole.order)
+            assert v.verdict == "not-in-M" and v.probe.violated_at <= hole.order, (hole, s)
+            heights += 1
+            if v.witness is not None:
+                witnesses += 1
+                assert v.witness_quotients and set(v.witness_quotients) == {Fraction(1, 2)}, (hole, s)
+    print(f"[A10 maximality] PASS: {heights} heights not-in-M, {witnesses} witnesses")
+    assert heights == 100 and witnesses > 0
 
 
 def test_a11_ball_growth_regularity():

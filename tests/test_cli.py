@@ -74,11 +74,11 @@ def test_profile_command(capsys):
                  "v4.0", "v4:4:4", "vN:1,2", "w4", "v", "4", "v\u0664", "v" + "9" * 5000):
         code, out, err = run(capsys, "profile", "--p", "1/2:0", "--line", spec)
         assert code == 2 and out == "", spec
-        assert err == f"error: bad line spec {spec!r}\n"
+        assert err == f"error: argument --line: bad line spec {spec!r}\n"
     for spec in ("vD:2,1", "vD:2,2", "vN:0", "v0:0"):
         code, out, err = run(capsys, "profile", "--p", "1/2:0", "--line", spec)
         assert code == 2 and out == "", spec
-        assert err == f"error: --line {spec!r}: jump orders must be increasing positive integers\n"
+        assert err == f"error: argument --line: {spec!r}: jump orders must be increasing positive integers\n"
 
 
 def test_profile_wormhole_base_point_two_lines(capsys):
@@ -133,7 +133,10 @@ def test_verify_command(capsys):
     assert lines[0] == "check,status,expected,actual"
     assert all(",pass," in row for row in lines[1:])
     code, _, err = run(capsys, "verify", "nonsense")
-    assert code == 2 and "unknown suite" in err
+    assert code == 2 and err == (
+        "error: argument suite: invalid choice: 'nonsense' (choose from 'oracle', 'kinks', "
+        "'constructions', 'porosity', 'regularity', 'parallel')\n"
+    )
 
 
 def test_verify_determinism(capsys):
@@ -370,7 +373,7 @@ def test_distance_unprintable_order_is_usage_error(monkeypatch, capsys):
     assert time.monotonic() - start < 1
     assert code == 2 and out == ""
     assert err == (
-        "error: --x/--y reach jump order 20000; at these heights orders up to 9010 "
+        "error: --x/--y reaches jump order 20000; at these heights orders up to 9010 "
         "can be printed (4300-digit integer limit)\n"
     )
 
@@ -389,7 +392,7 @@ def test_distance_unprintable_order_is_usage_error(monkeypatch, capsys):
                 code, out, err = run(capsys, "distance", "--x", x, "--y", y)
                 assert code == 2 and out == ""
                 assert err == (
-                    f"error: --x/--y reach jump order {order}; at these heights orders up to "
+                    f"error: --x/--y reaches jump order {order}; at these heights orders up to "
                     f"{top} can be printed (640-digit integer limit)\n"
                 )
         monkeypatch.undo()
@@ -401,6 +404,47 @@ def test_distance_unprintable_order_is_usage_error(monkeypatch, capsys):
             assert [[e["jump"] for e in g if "jump" in e] for g in geodesics] == [[top]] * len(geodesics)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_unprintable_height_denominator_is_one_usage_error(monkeypatch, capsys):
+    # The lcm of two 3001-digit denominators is past the digit limit itself:
+    # the refusal names the flag and never tries to print it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("distance or reduce work started")
+
+    monkeypatch.setattr(metric._Pair, "search", refuse)
+    monkeypatch.setattr("laakso.cli.vertical_lines", refuse)
+    monkeypatch.setattr("laakso.profiles.vertical_lines", refuse)
+    a, b = f"1/{10**3000 + 1}", f"1/{10**3000 + 3}"
+    for argv, flag in (
+        (("reduce", "--p", f"{a}:0", "--levels", "1,2,3", "--t", b), "--levels"),
+        (("distance", "--x", f"{a}:0", "--y", f"{b}:1"), "--x/--y"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {flag} reaches jump order 1; at these heights no order can be printed "
+            "(4300-digit integer limit)\n"
+        )
+
+
+def test_argparse_errors_are_one_line(capsys):
+    for argv, message in (
+        (("distance", "--x", "1/2:0"), "the following arguments are required: --y"),
+        (("verify", "oracle", "--depth", "x"), "argument --depth: invalid int value: 'x'"),
+        (("verify", "oracle", "--seed", "x"), "argument --seed: invalid int value: 'x'"),
+        (("nonsense",), "argument command: invalid choice: 'nonsense' (choose from "
+         "'distance', 'profile', 'reduce', 'census', 'verify')"),
+        (("verify", "x"), "argument suite: invalid choice: 'x' (choose from 'oracle', 'kinks', "
+         "'constructions', 'porosity', 'regularity', 'parallel')"),
+        ((), "the following arguments are required: command"),
+        (("distance", "--x", "1/2:0", "--y", "1/2:1", "--z", "1"), "unrecognized arguments: --z 1"),
+        (("reduce", "--p", "1/2:0", "--levels", "1,2,3", "--t", "1/0"), "argument --t: zero denominator in '1/0'"),
+        (("census", "--p", "0.5:0"), "argument --p: bad point '0.5:0': not an exact p/q rational: '0.5'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: {message}\n", argv
 
 
 def test_profile_very_deep_order_line(capsys):
@@ -517,8 +561,10 @@ def test_profile_unprintable_order_is_usage_error(monkeypatch, capsys):
         code, out, err = run(capsys, "profile", "--p", "1/2:0", "--line", line)
         assert time.monotonic() - start < 1
         assert code == 2 and out == "" and err.count("\n") == 1
-        assert err.startswith(f"error: --line {line!r} reaches jump order {order};")
-        assert "orders up to 9010 can be printed" in err
+        assert err == (
+            f"error: --line reaches jump order {order}; at these heights orders up to 9010 "
+            "can be printed (4300-digit integer limit)\n"
+        )
     for p, levels, t, order, den, top in (
         ("1/2:0", "20000,20001,20002", "1/2", 20001, 2, 9010),
         ("1/2:0", "9011,9012,9013", "1/2", 9012, 2, 9010),
@@ -530,13 +576,13 @@ def test_profile_unprintable_order_is_usage_error(monkeypatch, capsys):
         assert time.monotonic() - start < 1
         assert code == 2 and out == ""
         assert err == (
-            f"error: --levels {levels!r} reaches jump order {order}; at height denominator "
-            f"{den} orders up to {top} can be printed (4300-digit integer limit)\n"
-        ), err
+            f"error: --levels reaches jump order {order}; at these heights orders up to {top} "
+            "can be printed (4300-digit integer limit)\n"
+        ), (den, err)
     for levels in ("3,2,4", "0,1,2"):
         code, out, err = run(capsys, "reduce", "--p", "1/2:0", "--levels", levels, "--t", "1/2")
         assert code == 2 and out == ""
-        assert err == f"error: --levels {levels!r}: jump orders must be increasing positive integers\n"
+        assert err == f"error: argument --levels: {levels!r}: jump orders must be increasing positive integers\n"
     for argv in (
         ("profile", "--p", "1/2:0", "--line", "vN:3000000"),
         ("profile", "--p", "1/2:0", "--line", "vD:1,100001"),
@@ -544,7 +590,7 @@ def test_profile_unprintable_order_is_usage_error(monkeypatch, capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err == f"error: {argv[3]} {argv[4]!r}: jump orders above 100000 are not accepted\n"
+        assert err == f"error: argument {argv[3]}: {argv[4]!r}: jump orders above 100000 are not accepted\n"
     monkeypatch.undo()
 
     # The largest accepted order prints.
@@ -609,7 +655,7 @@ def test_printable_order_bound_holds_at_a_low_digit_limit(height, bits, first, s
     event(f"exit {code}")
     assert code in (0, 2), (argv, err)
     if code == 2:
-        assert err.startswith(("error: --line", "error: level")), (argv, err)
+        assert err.startswith(("error: --line reaches", "error: argument --line:", "error: level")), (argv, err)
     else:
         assert json.loads(out)["lines"][0]["pass"] is True
 
@@ -681,5 +727,7 @@ def test_cli_fuzz_total_input_contract(argv):
     elapsed = time.monotonic() - start
     event(f"{argv[0] if argv else '(none)'} exit {code}")
     assert code in (0, 1, 2), (argv, err)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
     assert "Traceback" not in err
     assert elapsed < 5, (argv, elapsed)

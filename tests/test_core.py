@@ -17,7 +17,6 @@ from laakso.core import (
     nearest_wormhole_gap,
     parse_rational,
     point,
-    point_from_json,
     point_to_json,
     same_point,
     wormhole_above,
@@ -240,7 +239,6 @@ def test_same_point_padding():
 def test_point_json_roundtrip():
     p = point("4/9", "011")
     assert point_to_json(p) == {"h": "4/9", "bits": "011"}
-    assert point_from_json(point_to_json(p)) == p
 
 
 def test_point_and_address_validation():

@@ -2,12 +2,15 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import laakso
+from laakso import verify
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_exported_name_resolves():
@@ -24,12 +27,21 @@ def test_every_package_import_resolves():
     assert [name for name in names if not hasattr(laakso, name)] == []
 
 
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look up their module while it runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
 def test_benchmark_tracer_installs_and_uninstalls():
     # The benchmark's tracer wraps library functions by name and refuses to
     # install when one it reads is gone; this makes a stale name fail here.
-    spec = importlib.util.spec_from_file_location("laakso_bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load(TRACING, "laakso_bench_tracing")
     layers = [importlib.import_module(f"laakso.{layer}") for layer in tracing.LAYERS]
     core = layers[tracing.LAYERS.index("core")]
     kernel = core.nearest_wormhole_gap
@@ -42,3 +54,10 @@ def test_benchmark_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert core.nearest_wormhole_gap is kernel
+
+
+def test_benchmark_runs_every_verify_suite():
+    # The verify-suites workload sends `laakso verify <suite>` for each name
+    # in its own list; a suite renamed or added here must show up there.
+    workloads = _load(PERFBENCH / "workloads.py", "laakso_bench_workloads")
+    assert workloads.SUITES == tuple(verify.SUITES)
