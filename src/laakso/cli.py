@@ -178,9 +178,12 @@ def _check_printable(flag: str, den: int, order: int) -> None:
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _json_dumps(obj) -> str:

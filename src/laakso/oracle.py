@@ -6,11 +6,20 @@ fixed address; identification edges of weight 0 join, at every interior
 grid height, the pair of addresses differing exactly in the bit of that
 height's wormhole order.  Shortest paths are computed with integer weights
 (units of 1/3**m), so the oracle is exact and shares no code path with the
-interval-based distance it cross-checks.  Every edge weighs 0 or 1, so the
-one search, `_dijkstra`, is a 0-1 BFS: a deque in place of a heap, 0-edges
-pushed to the front and 1-edges to the back.  It stops at the first
-distance above a cutoff or once a target is settled, so `graph_distance`
-settles only the vertices no farther than its target.
+interval-based distance it cross-checks.
+
+Each row k carries exactly one flip mask, so the 0-edges pair every
+interior vertex with one partner and nothing else: the one search,
+`_dijkstra`, is a level-synchronous 0-1 BFS over glued pairs.  A vertex
+gets its distance when first reached, together with its partner, and is
+pushed once.  The search stops after the last level within a cutoff, or
+after the level that reaches a target, so `graph_distance` settles only the
+vertices no farther than its target.
+
+XOR-ing every address with one mask maps the graph onto itself (flip edges
+are XORs, vertical edges keep the address), so d((k1, a1), (k2, a2)) =
+d((k1, 0), (k2, a1 ^ a2)): `row_distances` answers every pair from one
+search per row.
 
 The same grid carries the product measure used for ball-growth checks: a
 cell of height 1/3**m and address depth m has mass (1/3**m) * 2**(-m), so
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -42,6 +51,7 @@ __all__ = [
     "graph_distance",
     "graph_distance_map",
     "regularity_scan",
+    "row_distances",
     "total_cell_mass",
 ]
 
@@ -57,12 +67,13 @@ class LevelGraph:
 
     Vertices are the pairs (k, a) with 0 <= k <= 3**m and a an m-bit
     address, encoded as k * 2**m + a with address bit i (1-indexed) stored
-    at integer bit i - 1.  `level_of_k[k]` caches the wormhole order of the
-    interior grid height k / 3**m (every interior grid height has one).
+    at integer bit i - 1.  `flips[k]` is the address mask the gluing at the
+    grid height k / 3**m XORs in, 1 << (n - 1) for n the height's wormhole
+    order (every interior grid height has one), and 0 at heights 0 and 1.
     """
 
     m: int
-    level_of_k: Tuple[int, ...]
+    flips: Tuple[int, ...]
 
     @property
     def heights(self) -> int:
@@ -108,59 +119,82 @@ class LevelGraph:
         """The address glued to `a` at height k / 3**m, if k is interior."""
         if not (0 < k < 3**self.m):
             return None
-        n = self.level_of_k[k]
-        return a ^ (1 << (n - 1))
+        return a ^ self.flips[k]
 
 
 def build_level_graph(m: int) -> LevelGraph:
     """Construct the level-m graph; m is capped to keep memory sane."""
     if not (1 <= m <= _MAX_RESOLUTION):
         raise ValueError(f"resolution must be in 1..{_MAX_RESOLUTION}, got {m}")
-    levels = [0] * (3**m + 1)
+    flips = [0] * (3**m + 1)
     for k in range(1, 3**m):
         j, n = k, m
         while j % 3 == 0:
             j //= 3
             n -= 1
-        levels[k] = n
-    return LevelGraph(m, tuple(levels))
+        flips[k] = 1 << (n - 1)
+    return LevelGraph(m, tuple(flips))
 
 
 def _dijkstra(
     g: LevelGraph, source: int, cutoff: Optional[int] = None, target: Optional[int] = None
 ) -> List[Optional[int]]:
-    """Single-source shortest paths in units of 1/3**m, by 0-1 BFS.
+    """Single-source shortest paths in units of 1/3**m, by a level-synchronous
+    0-1 BFS.
 
-    Every edge weighs 0 or 1, so a deque ordered by distance replaces the
-    heap: a 0-edge goes to the front, a 1-edge to the back.  The search stops
-    at the first distance above `cutoff`, or once `target` is settled.
-    Returns one entry per vertex, None where the search never settled it.
+    `frontier` holds every vertex at distance d.  A vertical edge from it
+    reaches an unmarked vertex at d + 1, and its glued partner gets d + 1 in
+    the same step, since the partner's only 0-edge leads back to it; so the
+    two are marked together, each vertex is pushed once and no entry is
+    stale.  The search stops after the last level within `cutoff`, or after
+    the level that reaches `target`, so it settles exactly the vertices no
+    farther than either.  Returns one entry per vertex, None where the
+    search never settled it.
     """
-    m, two_m = g.m, 2**g.m
+    m, two_m, flips = g.m, 2**g.m, g.flips
     vertex_count = g.vertex_count
-    flips = [n and 1 << (n - 1) for n in g.level_of_k]  # 0 at heights 0 and 1
     dist: List[Optional[int]] = [None] * vertex_count
-    queue = deque([(0, source)])
-    pop, push_front, push_back = queue.popleft, queue.appendleft, queue.append
-    while queue:
-        d, v = pop()
-        if dist[v] is not None:
-            continue
-        if cutoff is not None and d > cutoff:
-            break
-        dist[v] = d
-        if v == target:
-            break
-        flip = flips[v >> m]
-        if flip and dist[v ^ flip] is None:
-            push_front((d, v ^ flip))
-        w = v - two_m
-        if w >= 0 and dist[w] is None:
-            push_back((d + 1, w))
-        w = v + two_m
-        if w < vertex_count and dist[w] is None:
-            push_back((d + 1, w))
+    dist[source] = 0
+    frontier = [source]
+    partner = source ^ flips[source >> m]
+    if partner != source:
+        dist[partner] = 0
+        frontier.append(partner)
+    d = 0
+    while frontier and (cutoff is None or d < cutoff) and (target is None or dist[target] is None):
+        d += 1
+        reached: List[int] = []
+        push = reached.append
+        for v in frontier:  # the two vertical edges, unrolled
+            w = v - two_m
+            if w >= 0 and dist[w] is None:
+                dist[w] = d
+                push(w)
+                flip = flips[w >> m]
+                if flip:
+                    w ^= flip
+                    dist[w] = d
+                    push(w)
+            w = v + two_m
+            if w < vertex_count and dist[w] is None:
+                dist[w] = d
+                push(w)
+                flip = flips[w >> m]
+                if flip:
+                    w ^= flip
+                    dist[w] = d
+                    push(w)
+        frontier = reached
     return dist
+
+
+def row_distances(g: LevelGraph) -> List[List[int]]:
+    """Distances from (k, 0) for every row k, one full search per row.
+
+    By the address-XOR automorphism, the distance from (k1, a1) to the
+    vertex v, in units of 1/3**m, is `row_distances(g)[k1][v ^ a1]`.
+    """
+    return [_dijkstra(g, g.vertex(k, 0)) for k in range(g.heights)]
 
 
 def graph_distance_map(g: LevelGraph, x: LaaksoPoint) -> Dict[int, Fraction]:

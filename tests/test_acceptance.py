@@ -75,6 +75,24 @@ def test_a01_oracle_random_pairs_m7():
     assert elapsed < 60
 
 
+def test_a01_oracle_random_pairs_m8():
+    """Seeded random vertex pairs at the oracle's deepest resolution
+    (1.68M vertices), each answered by an early-exit search."""
+    g = oracle.build_level_graph(8)
+    rng = random.Random(81)
+    start = time.monotonic()
+    bad = 0
+    for _ in range(10):
+        x = g.vertex_point(rng.randrange(g.vertex_count))
+        y = g.vertex_point(rng.randrange(g.vertex_count))
+        if oracle.graph_distance(g, x, y) != distance(x, y):
+            bad += 1
+    elapsed = time.monotonic() - start
+    row = verify.Check("oracle-random-pairs-m8", bad == 0, "0 mismatches", f"{bad}/10")
+    _report("A01 oracle random pairs m8", [row], extra=f"{elapsed:.1f}s")
+    assert elapsed < 60
+
+
 def test_a02_minimal_interval_law(geodesic_rows):
     rows = _named(geodesic_rows, "intervals-equal-length", "geodesic-length-equals-distance")
     _report("A02 minimal-interval law", rows)

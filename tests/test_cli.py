@@ -161,6 +161,18 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["distance"] == "1/6"
 
 
+def test_unwritable_output_is_one_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv, path in (
+        (("distance", "--x", "1/2:0", "--y", "1/2:1", "--out"), missing / "d.json"),
+        (("profile", "--p", "1/2:0", "--line", "v1", "--svg"), missing / "plot.svg"),
+    ):
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == "", argv
+        assert err == f"error: cannot write {path}: No such file or directory\n", argv
+    assert not missing.exists()
+
+
 def test_zero_denominator_is_usage_error(capsys):
     for argv in (
         ("distance", "--x", "1/0:0", "--y", "0:0"),

@@ -38,7 +38,8 @@ def test_zero_edges_m1():
     # every interior height carries a gluing at m=2 (orders 1 and 2 combined)
     g2 = build_level_graph(2)
     assert all(g2.zero_partner(k, 0) is not None for k in range(1, 9))
-    assert g2.level_of_k[3] == 1 and g2.level_of_k[4] == 2
+    # 3/9 has wormhole order 1 and 4/9 order 2: their gluings flip bits 1 and 2
+    assert g2.flips[3] == 1 << 0 and g2.flips[4] == 1 << 1
 
 
 def test_representability():
@@ -174,6 +175,49 @@ def test_search_matches_heap_dijkstra_at_every_cutoff():
             for cutoff in range(3**m + 1):
                 want = [d if d <= cutoff else None for d in ref]
                 assert _dijkstra(g, source, cutoff=cutoff) == want
+
+
+def test_search_matches_heap_dijkstra_at_workload_resolutions():
+    # The ball scans run at m = 6 and 7 and the distance pairs at m = 5
+    # and 6: seeded sources, cutoffs at the scan radii, seeded targets.
+    rng = random.Random(46)
+    for m, sources in ((4, 3), (5, 3), (6, 2)):
+        g = build_level_graph(m)
+        top = 3**m
+        for _ in range(sources):
+            source = rng.randrange(g.vertex_count)
+            ref = _heap_dijkstra(g, source)
+            for cutoff in (0, 1, top // 81, top // 27, top // 9, None):
+                want = [d if cutoff is None or d <= cutoff else None for d in ref]
+                assert _dijkstra(g, source, cutoff=cutoff) == want, (m, source, cutoff)
+            for _ in range(4):
+                target = rng.randrange(g.vertex_count)
+                want = [d if d <= ref[target] else None for d in ref]
+                assert _dijkstra(g, source, target=target) == want, (m, source, target)
+
+
+def _all_searches(g):
+    return [_dijkstra(g, v) for v in range(g.vertex_count)]
+
+
+def test_graph_automorphisms_and_row_table():
+    # XOR of both addresses with one mask, and the height reflection
+    # k -> 3**m - k, map the level graph onto itself; `row_distances`
+    # reads every pair off one search per row through the first.
+    for m in (1, 2, 3):
+        g = build_level_graph(m)
+        two_m, top = 2**m, 3**m
+        full = _all_searches(g)
+        vertices = range(g.vertex_count)
+        for mask in range(two_m):
+            assert all(full[u ^ mask][v ^ mask] == full[u][v] for u in vertices for v in vertices)
+        mirror = [(top - k) * two_m + a for k in range(top + 1) for a in range(two_m)]
+        assert all(full[mirror[u]][mirror[v]] == full[u][v] for u in vertices for v in vertices)
+        rows = oracle.row_distances(g)
+        assert len(rows) == top + 1
+        for u in vertices:
+            k, a = divmod(u, two_m)
+            assert [rows[k][v ^ a] for v in vertices] == full[u]
 
 
 def test_search_with_target_settles_only_what_it_needs():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import laakso
-from laakso import verify
+from laakso import oracle, verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -54,6 +54,29 @@ def test_benchmark_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert core.nearest_wormhole_gap is kernel
+
+
+def test_benchmark_tracer_counts_settled_search_vertices():
+    # The tracer reads the search's return shape (one entry per vertex,
+    # None where nothing settled); a change to it must fail here.
+    tracing = _load(TRACING, "laakso_bench_tracing")
+    g = oracle.build_level_graph(3)
+    x, y = g.vertex_point(0), g.vertex_point(g.vertex_count - 1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0, "op.full")
+        oracle.graph_distance(g, x, y)  # the far corner: every vertex settles
+        tracer.end_op()
+        full = tracer.metrics(1, 0)["oracle.vertices_per_search"]
+        tracer.begin_op(1, "op.ball")
+        oracle.ball_measure(g, x, Fraction(1, 9))  # stops at the radius
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert full == g.vertex_count
+    assert tracer.counts["search_runs"] == 2
+    assert 0 < tracer.counts["search_vertices"] - g.vertex_count < g.vertex_count
 
 
 def test_benchmark_runs_every_verify_suite():
