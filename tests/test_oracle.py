@@ -196,10 +196,6 @@ def test_search_matches_heap_dijkstra_at_workload_resolutions():
                 assert _dijkstra(g, source, target=target) == want, (m, source, target)
 
 
-def _all_searches(g):
-    return [_dijkstra(g, v) for v in range(g.vertex_count)]
-
-
 def test_graph_automorphisms_and_row_table():
     # XOR of both addresses with one mask, and the height reflection
     # k -> 3**m - k, map the level graph onto itself; `row_distances`
@@ -207,8 +203,8 @@ def test_graph_automorphisms_and_row_table():
     for m in (1, 2, 3):
         g = build_level_graph(m)
         two_m, top = 2**m, 3**m
-        full = _all_searches(g)
         vertices = range(g.vertex_count)
+        full = [_dijkstra(g, v) for v in vertices]
         for mask in range(two_m):
             assert all(full[u ^ mask][v ^ mask] == full[u][v] for u in vertices for v in vertices)
         mirror = [(top - k) * two_m + a for k in range(top + 1) for a in range(two_m)]
