@@ -25,6 +25,7 @@ the increasing orders listed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -175,15 +176,51 @@ def _check_printable(flag: str, den: int, order: int) -> None:
     )
 
 
-def _emit(text: str, path: Optional[str]) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+def _emit(*outputs: Tuple[str, Optional[str]]) -> None:
+    """Writes all of a command's output, given as (text, path) pairs built in
+    full beforehand; a path of None or "-" is stdout.
+
+    Each file is first written under a temporary name in the directory of
+    the file it replaces (symlinks resolved), and only once every file is
+    written are they moved into place with `os.replace`, so a failed write
+    leaves none of the command's files, final or temporary, behind.  A path
+    that exists but is no regular file (a device such as /dev/null, a pipe)
+    cannot be replaced: it is opened with the files and written after them,
+    as is the empty path, which names no file.  Stdout is written last.
+    """
+    files = [(text, path) for text, path in outputs if path not in (None, "-")]
+    pending, in_place = [], []
     try:
-        with open(path, "w") as fh:
+        for i, (text, path) in enumerate(files):
+            if not path or (os.path.exists(path) and not os.path.isfile(path)):
+                in_place.append((text, path, open(path, "w")))
+                continue
+            real = os.path.realpath(path)
+            head, tail = os.path.split(real)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            pending.append((tmp, real, path))
+            with open(fd, "w") as fh:
+                fh.write(text)
+        while pending:
+            tmp, real, path = pending[0]
+            os.replace(tmp, real)
+            pending.pop(0)
+        for text, path, fh in in_place:
             fh.write(text)
+            fh.flush()
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        for tmp, _, _ in pending:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        for _, _, fh in in_place:
+            with contextlib.suppress(OSError):
+                fh.close()
+    for text, path in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
 
 
 def _json_dumps(obj) -> str:
@@ -206,7 +243,7 @@ def cmd_distance(args) -> int:
         "intervals": [[format_rational(iv.a), format_rational(iv.b)] for iv in intervals],
         "geodesics": [pair.geodesic(*iv).to_json() for iv in ivs],
     }
-    _emit(_json_dumps(payload), args.out)
+    _emit((_json_dumps(payload), args.out))
     return 0
 
 
@@ -221,6 +258,7 @@ def cmd_profile(args) -> int:
         _check_printable("--line", p.height.denominator, _binding_order(p, levels))
     lines = vertical_lines(p, levels)
     results = []
+    svgs = []
     ok = True
     for line in lines:
         profile = profile_distance_on_line(p, line)
@@ -237,9 +275,9 @@ def cmd_profile(args) -> int:
         if args.svg:
             suffix = f".{line.branch}" if len(lines) > 1 else ""
             path = args.svg if not suffix else _suffixed(args.svg, suffix)
-            _emit(profile_to_svg(profile), path)
+            svgs.append((profile_to_svg(profile), path))
     payload = {"p": point_to_json(canonicalize(p)), "lines": results}
-    _emit(_json_dumps(payload), args.out)
+    _emit(*svgs, (_json_dumps(payload), args.out))
     return 0 if ok else 1
 
 
@@ -263,7 +301,7 @@ def cmd_reduce(args) -> int:
         "value_two_level": format_rational(two),
         "equal": full == two,
     }
-    _emit(_json_dumps(payload), args.out)
+    _emit((_json_dumps(payload), args.out))
     return 0 if full == two else 1
 
 
@@ -274,7 +312,7 @@ def cmd_census(args) -> int:
     writer.writerow(["height", "source_line", "kink_type"])
     for h, label, kind in records:
         writer.writerow([format_rational(h), label, kind])
-    _emit(buf.getvalue(), args.out)
+    _emit((buf.getvalue(), args.out))
     return 0
 
 
@@ -290,7 +328,7 @@ def cmd_verify(args) -> int:
     writer.writerow(["check", "status", "expected", "actual"])
     for c in checks:
         writer.writerow(c.csv_row())
-    _emit(buf.getvalue(), args.out)
+    _emit((buf.getvalue(), args.out))
     return 0 if all(c.passed for c in checks) else 1
 
 

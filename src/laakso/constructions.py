@@ -22,8 +22,11 @@ claimed inequality checked exactly:
 Porosity of the balanced-height set is certified hole by hole: next to any
 wormhole height of a deep enough order, an explicit interval is produced on
 which the down gap is tiny and the up gap is large, violating any fixed
-ratio bound; the certificate checks both gaps against the hole's bounds at
-every sampled height and records the exact gaps.
+ratio bound.  The certificate works in integers on one scale per hole: the
+sampled heights share one denominator D, both grid indices of every height
+come from the grid kernel `core._grid_index`, both gaps are checked against
+the hole's bounds over 3**order * D, and the exact gaps are recorded as
+numerators on that scale, turned into "p/q" strings only for JSON.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .core import (
     Direction,
     LaaksoPoint,
+    _grid_index,
     canonicalize,
     format_rational,
     gap_ratio_probe,
@@ -460,9 +464,11 @@ def build_one_sided_steep(x: LaaksoPoint, levels: Sequence[int]) -> SteepWitness
 # ---------------------------------------------------------------------------
 
 
-# (s, down gap, up gap) at one certified height; the up gap is None where no
-# wormhole of the hole's order lies above s.
-Certificate = Tuple[Fraction, Fraction, Optional[Fraction]]
+# (num, down, up) at one certified height, integers on the scale D the
+# heights were given on: the height is num / D and the down and up gaps are
+# down / (3**n * D) and up / (3**n * D); up is None where no wormhole of the
+# hole's order n lies above the height.
+Certificate = Tuple[int, int, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -494,28 +500,60 @@ class PorosityWitness:
         top = 3**self.order
         return self.lam / top, (1 - self.lam) / top
 
-    def certify(self, heights: Iterable[Fraction]) -> List[Certificate]:
-        """Exact per-height certificates (s, down_gap, up_gap), one per
-        height, a gap None where no order-n wormhole lies on that side.
+    def samples(self, count: int) -> Tuple[range, int]:
+        """The heights anchor + hole_width * i / (count + 1), i = 1..count, as
+        numerators over their common denominator D: with anchor = a / b and
+        hole_width = p / q, D = b * q * (count + 1) and the i-th numerator is
+        a * q * (count + 1) + p * b * i."""
+        a, b = self.anchor.numerator, self.anchor.denominator
+        width = self.hole_width
+        p, q = width.numerator, width.denominator
+        d = count + 1
+        base, step = a * q * d, p * b
+        return range(base + step, base + step * d, step), b * q * d
 
-        Raises ValueError for a height outside the hole and RuntimeError if
-        any inequality fails.
+    def certify(self, nums: Iterable[int], den: int) -> List[Certificate]:
+        """Exact per-height certificates (num, down, up) for the heights
+        num / den, one per height, in the integer form of `Certificate`.
+
+        Both grid indices of every height come from the grid kernel, and
+        both gaps are compared with the hole's bounds on the scale
+        3**order * den, all in integers.  Raises ValueError for a height
+        outside the hole and RuntimeError if any inequality fails.
         """
-        lo, hi = self.anchor, self.anchor + self.hole_width
-        down_bound, up_bound = self.gap_bounds
-        n = self.order
+        if den < 1:
+            raise ValueError("the heights' denominator must be positive")
+        n, top = self.order, 3**self.order
+        a, b = self.anchor.numerator, self.anchor.denominator
+        width = self.hole_width
+        p, q = width.numerator, width.denominator
+        # num / den lies in the open hole exactly when lo < num < hi: lo is
+        # the floor of anchor * den and hi the ceiling of its upper end.
+        lo = a * den // b
+        hi = -(-(a * q + p * b) * den // (b * q))
+        # down <= lam / 3**n and up >= (1 - lam) / 3**n, with lam = lp / lq,
+        # over 3**n * den.
+        lp, lq = self.lam.numerator, self.lam.denominator
+        down_cap, up_floor = lp * den, (lq - lp) * den
         records = []
-        for s in heights:
-            s = parse_rational(s)
-            if not lo < s < hi:
-                raise ValueError(f"{s} is outside the hole")
-            up, down = nearest_wormhole_gap(s, n)
-            if down is None or down > down_bound or (up is not None and up < up_bound):
-                raise RuntimeError(f"hole certificate failed at {s}")
-            records.append((s, down, up))
+        for num in nums:
+            if not lo < num < hi:
+                raise ValueError(f"{Fraction(num, den)} is outside the hole")
+            scaled = num * top
+            below = _grid_index(n, num, den, False, True)
+            above = _grid_index(n, num, den, True, True)
+            down = None if below is None else scaled - below * den
+            up = None if above is None else above * den - scaled
+            if down is None or down * lq > down_cap or (up is not None and up * lq < up_floor):
+                raise RuntimeError(f"hole certificate failed at {Fraction(num, den)}")
+            records.append((num, down, up))
         return records
 
-    def to_json(self, certified: Optional[List[Certificate]] = None) -> dict:
+    def to_json(
+        self, certified: Optional[List[Certificate]] = None, den: Optional[int] = None
+    ) -> dict:
+        """The hole, and with `certified` the records `certify` returned for
+        heights over `den`, every number an exact "p/q" string."""
         out = {
             "bound": format_rational(self.bound),
             "start_level": self.start_level,
@@ -526,15 +564,16 @@ class PorosityWitness:
         }
         if certified is not None:
             down_bound, up_bound = (format_rational(b) for b in self.gap_bounds)
+            gap_den = 3**self.order * den
             out["certified"] = [
                 {
-                    "s": format_rational(s),
-                    "down_gap": format_rational(down),
-                    "up_gap": "inf" if up is None else format_rational(up),
+                    "s": format_rational(Fraction(num, den)),
+                    "down_gap": format_rational(Fraction(down, gap_den)),
+                    "up_gap": "inf" if up is None else format_rational(Fraction(up, gap_den)),
                     "down_bound": down_bound,
                     "up_bound": up_bound,
                 }
-                for s, down, up in certified
+                for num, down, up in certified
             ]
         return out
 

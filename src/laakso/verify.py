@@ -480,15 +480,9 @@ def check_constructions(flat_levels: Tuple[int, int] = (1, 6), seed: Optional[in
 
 
 def _hole_samples(witness: cons.PorosityWitness, count: int) -> List[Fraction]:
-    """anchor + hole_width * i / (count + 1) for i = 1..count, each built as
-    one Fraction from integers: with anchor = a / b and hole_width = p / q,
-    the i-th height is (a*q*(count+1) + p*b*i) / (b*q*(count+1))."""
-    a, b = witness.anchor.numerator, witness.anchor.denominator
-    width = witness.hole_width
-    p, q = width.numerator, width.denominator
-    d = count + 1
-    base, step, den = a * q * d, p * b, b * q * d
-    return [Fraction(base + step * i, den) for i in range(1, d)]
+    """The heights `witness.samples(count)` gives, as Fractions."""
+    nums, den = witness.samples(count)
+    return [Fraction(num, den) for num in nums]
 
 
 def _porosity_cases(cases: int, seed: int) -> List[Tuple[cons.PorosityWitness, Fraction]]:
@@ -510,7 +504,7 @@ def check_porosity(cases: int = 20, samples_per_hole: int = 1000, seed: int = 5)
     bad = 0
     for witness, delta in _porosity_cases(cases, seed):
         try:
-            witness.certify(_hole_samples(witness, samples_per_hole))
+            witness.certify(*witness.samples(samples_per_hole))
         except InternalError:
             raise
         except RuntimeError:

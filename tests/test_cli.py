@@ -3,8 +3,10 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -173,6 +175,53 @@ def test_unwritable_output_is_one_usage_error(tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_failed_write_leaves_no_output_file(tmp_path, capsys):
+    # Every file of a command is moved into place only once all of them are
+    # written, so one unwritable path leaves neither the other file nor a
+    # temporary one behind, whichever of the two fails.
+    missing = tmp_path / "missing"
+    for svg, out, bad in (
+        (tmp_path / "p.svg", missing / "d.json", missing / "d.json"),
+        (missing / "p.svg", tmp_path / "d.json", missing / "p.svg"),
+    ):
+        code, stdout, err = run(
+            capsys, "profile", "--p", "1/2:0", "--line", "v1", "--svg", str(svg), "--out", str(out)
+        )
+        assert code == 2 and stdout == ""
+        assert err == f"error: cannot write {bad}: No such file or directory\n"
+        assert sorted(os.listdir(tmp_path)) == []
+    code, _, _ = run(
+        capsys, "profile", "--p", "1/2:0", "--line", "v1",
+        "--svg", str(tmp_path / "p.svg"), "--out", str(tmp_path / "d.json"),
+    )
+    assert code == 0 and sorted(os.listdir(tmp_path)) == ["d.json", "p.svg"]
+
+
+def test_output_to_pipe_or_symlink_writes_through_it(tmp_path, capsys):
+    # A path that is no regular file (here a named pipe; /dev/null alike) is
+    # written in place, never replaced by a file, and a symlink stays a
+    # symlink with the output in the file it names.
+    argv = ("distance", "--x", "1/2:0", "--y", "2/3:1", "--out")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    code, out, _ = run(capsys, *argv, str(pipe))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0 and out == "" and stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert json.loads(received[0])["distance"] == "1/6"
+    os.unlink(pipe)
+    target, link = tmp_path / "d.json", tmp_path / "link.json"
+    target.write_text("old")
+    link.symlink_to(target)
+    code, out, _ = run(capsys, *argv, str(link))
+    assert code == 0 and out == "" and link.is_symlink()
+    assert json.loads(target.read_text())["distance"] == "1/6"
+    assert sorted(os.listdir(tmp_path)) == ["d.json", "link.json"]
+
+
 def test_zero_denominator_is_usage_error(capsys):
     for argv in (
         ("distance", "--x", "1/0:0", "--y", "0:0"),
@@ -255,7 +304,7 @@ def test_internal_invariant_failures_exit_3(monkeypatch, capsys):
 
 def test_porosity_internal_errors_exit_3(monkeypatch, capsys):
     # An invariant failure inside the suite is not a failed hole certificate.
-    def boom(self, heights):
+    def boom(self, nums, den):
         raise InternalError("certificate kernel broke")
 
     monkeypatch.setattr("laakso.constructions.PorosityWitness.certify", boom)
@@ -273,7 +322,7 @@ def test_porosity_internal_errors_exit_3(monkeypatch, capsys):
 
 
 def test_porosity_certificate_failure_is_a_check_failure(monkeypatch, capsys):
-    def fail(self, heights):
+    def fail(self, nums, den):
         raise RuntimeError("hole certificate failed at 1/2")
 
     monkeypatch.setattr("laakso.constructions.PorosityWitness.certify", fail)

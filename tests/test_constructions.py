@@ -26,7 +26,7 @@ from laakso.core import (
     wormhole_order,
 )
 from laakso.metric import distance
-from laakso.verify import check_porosity
+from laakso.verify import _porosity_cases, check_porosity
 
 UNBALANCED = sparse_ternary_height((2, 4, 8, 16, 32), tail=F(1, 2 * 3**34))
 MIRROR = 1 - UNBALANCED
@@ -216,6 +216,13 @@ def test_one_sided_steep_at_boundary():
         build_one_sided_steep(point("1/2", "0"), (1, 2))
 
 
+def _read_record(w, den, record):
+    """A certificate record read back as Fractions: (s, down gap, up gap)."""
+    num, down, up = record
+    scale = 3**w.order * den
+    return F(num, den), F(down, scale), None if up is None else F(up, scale)
+
+
 def test_porosity_witness_frozen():
     w = porosity_witness(F(2), 1, F(1, 3), F(1, 10))
     assert w.lam == F(1, 4)  # default 1 / (bound + 2)
@@ -224,21 +231,25 @@ def test_porosity_witness_frozen():
     assert abs(w.anchor - F(1, 3)) < F(2, 3**w.order)
     assert w.gap_bounds == (w.lam / 27, (1 - w.lam) / 27)
     samples = [w.anchor + w.hole_width * F(i, 11) for i in range(1, 11)]
-    records = w.certify(samples)
+    nums, den = w.samples(10)
+    assert [F(num, den) for num in nums] == samples
+    records = w.certify(nums, den)
     assert len(records) == 10
     unit = F(1, 3**w.order)
-    for s, (rs, down, up) in zip(samples, records):
+    for s, record in zip(samples, records):
+        rs, down, up = _read_record(w, den, record)
         assert rs == s
         assert (up, down) == nearest_wormhole_gap(s, w.order)
         assert down <= w.lam * unit
         assert up >= (1 - w.lam) * unit
         assert up / down > w.bound  # hence outside the balanced set
-    json_cert = w.to_json(records)
+    json_cert = w.to_json(records, den)
     assert json_cert["order"] == 3 and len(json_cert["certified"]) == 10
     first = json_cert["certified"][0]
+    _, down0, up0 = _read_record(w, den, records[0])
     assert first["s"] == format_rational(samples[0])
-    assert first["down_gap"] == format_rational(records[0][1])
-    assert first["up_gap"] == format_rational(records[0][2])
+    assert first["down_gap"] == format_rational(down0)
+    assert first["up_gap"] == format_rational(up0)
     assert first["down_bound"] == "1/108" and first["up_bound"] == "1/36"
 
 
@@ -247,13 +258,45 @@ def test_porosity_certificate_without_upper_wormhole():
     # order-3 wormhole on its upper side: the up gap is None, "inf" in JSON
     w = porosity_witness(F(2), 1, F(26, 27), F(1, 10))
     assert w.order == 3 and w.anchor == F(26, 27)
-    records = w.certify([w.anchor + w.hole_width / 2])
-    ((s, down, up),) = records
+    s = w.anchor + w.hole_width / 2
+    records = w.certify([s.numerator], s.denominator)
+    ((_, down, up),) = [_read_record(w, s.denominator, r) for r in records]
     assert up is None
     assert down == F(1, 216)
-    (record,) = w.to_json(records)["certified"]
+    (record,) = w.to_json(records, s.denominator)["certified"]
     assert record["up_gap"] == "inf"
     assert record["down_gap"] == "1/216"
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 7])
+def test_porosity_certificate_matches_gap_query(seed):
+    # Differential check of the integer certificate against the Fraction gap
+    # query, on the seeded holes check_porosity certifies and on the hole
+    # above 26/27, which has no upper wormhole.  The JSON strings are those
+    # the Fraction records formatted.
+    holes = [w for w, _ in _porosity_cases(20, seed)]
+    holes.append(porosity_witness(F(2), 1, F(26, 27), F(1, 10)))
+    for w in holes:
+        nums, den = w.samples(100)
+        records = w.certify(nums, den)
+        assert len(records) == len(nums)
+        expected = []
+        for num, record in zip(nums, records):
+            s = F(num, den)
+            fractions = (s, *reversed(nearest_wormhole_gap(s, w.order)))
+            assert _read_record(w, den, record) == fractions
+            expected.append(fractions)
+        down_bound, up_bound = (format_rational(b) for b in w.gap_bounds)
+        assert w.to_json(records, den)["certified"] == [
+            {
+                "s": format_rational(s),
+                "down_gap": format_rational(down),
+                "up_gap": "inf" if up is None else format_rational(up),
+                "down_bound": down_bound,
+                "up_bound": up_bound,
+            }
+            for s, down, up in expected
+        ]
 
 
 def test_porosity_certificate_rejects_off_grid_anchor():
@@ -264,34 +307,41 @@ def test_porosity_certificate_rejects_off_grid_anchor():
     assert wormhole_order(moved.anchor) != moved.order
     for s in (moved.anchor + moved.hole_width / 2, moved.anchor + moved.hole_width / 1000):
         with pytest.raises(RuntimeError, match="hole certificate failed") as info:
-            moved.certify([s])
+            moved.certify([s.numerator], s.denominator)
         assert not isinstance(info.value, InternalError)
 
 
 def test_porosity_certificate_checks_both_bounds(monkeypatch):
-    # On the true grid a passing down gap implies a passing up gap, so a gap
-    # kernel that misreports one side is what shows each check is made.
+    # On the true grid a passing down gap implies a passing up gap, so a grid
+    # kernel that misreports one side is what shows each check is made.  The
+    # misreported index sits exactly the given gap away from s, so it need
+    # not be an integer.
     w = porosity_witness(F(2), 1, F(1, 3), F(1, 10))
     down_bound, up_bound = w.gap_bounds
+    top = 3**w.order
     s = w.anchor + w.hole_width / 2
+    num, den = s.numerator, s.denominator
     for down, up in ((down_bound, up_bound), (down_bound + F(1, 10**9), up_bound),
                      (down_bound, up_bound - F(1, 10**9)), (None, up_bound)):
-        def kernel(t, n, down=down, up=up):
-            return up, down
+        def kernel(n, t_num, t_den, upward, strict, down=down, up=up):
+            gap = up if upward else down
+            return None if gap is None else (s + gap if upward else s - gap) * top
 
-        monkeypatch.setattr("laakso.constructions.nearest_wormhole_gap", kernel)
+        monkeypatch.setattr("laakso.constructions._grid_index", kernel)
         if (down, up) == (down_bound, up_bound):
-            assert w.certify([s]) == [(s, down, up)]
+            assert w.certify([num], den) == [(num, down * top * den, up * top * den)]
         else:
             with pytest.raises(RuntimeError, match="hole certificate failed"):
-                w.certify([s])
+                w.certify([num], den)
 
 
 def test_check_porosity_sample_heights(monkeypatch):
     # The heights check_porosity certifies are exactly
     # anchor + hole_width * i / (N + 1), i = 1..N, in order.
     seen = []
-    monkeypatch.setattr(PorosityWitness, "certify", lambda w, hs: seen.append((w, list(hs))))
+    monkeypatch.setattr(
+        PorosityWitness, "certify", lambda w, nums, den: seen.append((w, [F(n, den) for n in nums]))
+    )
     for seed in range(8):
         seen.clear()
         rows = check_porosity(cases=20, samples_per_hole=1000, seed=seed)
@@ -308,7 +358,7 @@ def test_porosity_witness_validation():
         porosity_witness(F(2), 1, F(0), F(1, 10))
     w = porosity_witness(F(2), 1, F(1, 3), F(1, 10))
     with pytest.raises(ValueError):
-        w.certify([w.anchor])  # boundary is not inside the open hole
+        w.certify([w.anchor.numerator], w.anchor.denominator)  # boundary is not inside the open hole
 
 
 def test_maximality_verdict_frozen():
