@@ -231,7 +231,7 @@ def cmd_distance(args) -> int:
     x, y = args.x, args.y
     # The deepest address bit where x and y differ is the deepest order a
     # printed height or value can carry.
-    pair = _Pair(x, y)
+    pair = _Pair.of(x, y)
     den = math.lcm(x.height.denominator, y.height.denominator)
     _check_printable("--x/--y", den, pair.levels[-1] if pair.levels else 0)
     ivs = pair.search()

@@ -89,9 +89,10 @@ def parse_rational(text: RationalLike) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: RationalLike) -> str:
     """Render a rational as "p/q", or plain "p" for integers."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

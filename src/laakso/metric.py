@@ -21,7 +21,10 @@ required order; an order-n grid height k / 3**n is then an integer
 multiple of 3**(N - n).  The minimal-interval search, the length formula
 and the geodesic jump schedule run on those integers, through the one
 grid-index kernel `core._grid_index`.  `Fraction`s are built only for the
-values returned: intervals, segments, jumps and the distance.
+values returned: intervals, segments, jumps and the distance.  A caller
+holding many pairs on one scale of its own (`profiles` holds every height
+of a vertical line over one denominator) builds each `_Pair` from its
+integers directly, without canonicalizing again.
 """
 
 from __future__ import annotations
@@ -127,34 +130,40 @@ def required_levels(x: LaaksoPoint, y: LaaksoPoint) -> FrozenSet[int]:
     return frozenset(_levels(canonicalize(x).bits, canonicalize(y).bits))
 
 
-def _path_length(a: int, b: int, lo: int, hi: int) -> int:
-    """2*(b - a) - |h(x) - h(y)|: the length of a path sweeping [a, b] from
-    heights lo <= hi, all on one integer scale."""
-    return 2 * (b - a) - (hi - lo)
-
-
 class _Pair:
-    """Two points, canonicalized once, with every height on one integer scale.
+    """Two points with every height on one integer scale.
 
-    `den` is lcm(den h(x), den h(y)) * 3**N for N the deepest required
-    order, so both heights and every wormhole height of a required order
-    are integer multiples of 1 / den; `hx` and `hy` are the heights times
-    `den`, `lo` and `hi` the smaller and the larger.  Intervals are integer
-    pairs (a, b) on the same scale.
+    `den` is a common denominator of both heights and of every wormhole
+    height of a required order (an integer multiple of 3**N for N the
+    deepest one), so `hx` and `hy`, the heights times `den`, and every grid
+    height the pair needs are integers; `lo` and `hi` are the smaller and
+    the larger.  Intervals are integer pairs (a, b) on the same scale.
+
+    The constructor takes that data as given: `levels`, the increasing
+    orders where the addresses differ, and the scaled heights.  `of` builds
+    it from two points, canonicalized once, on the least such scale,
+    lcm(den h(x), den h(y)) * 3**N; a caller that already holds canonical
+    data on a scale of its own builds the pair directly.  `x` and `y` are
+    the canonical points when built by `of` (`geodesic` needs their
+    addresses), else None.
     """
 
     __slots__ = ("x", "y", "levels", "den", "hx", "hy", "lo", "hi")
 
-    def __init__(self, x: LaaksoPoint, y: LaaksoPoint):
-        self.x = xc = canonicalize(x)
-        self.y = yc = canonicalize(y)
-        self.levels = _levels(xc.bits, yc.bits)
+    def __init__(self, levels: List[int], hx: int, hy: int, den: int):
+        self.x = self.y = None
+        self.levels, self.den, self.hx, self.hy = levels, den, hx, hy
+        self.lo, self.hi = min(hx, hy), max(hx, hy)
+
+    @classmethod
+    def of(cls, x: LaaksoPoint, y: LaaksoPoint) -> "_Pair":
+        xc, yc = canonicalize(x), canonicalize(y)
+        levels = _levels(xc.bits, yc.bits)
         hx, hy = xc.height, yc.height
-        order = self.levels[-1] if self.levels else 0
-        self.den = den = math.lcm(hx.denominator, hy.denominator) * 3**order
-        self.hx = hx.numerator * (den // hx.denominator)
-        self.hy = hy.numerator * (den // hy.denominator)
-        self.lo, self.hi = min(self.hx, self.hy), max(self.hx, self.hy)
+        den = math.lcm(hx.denominator, hy.denominator) * 3 ** (levels[-1] if levels else 0)
+        pair = cls(levels, hx.numerator * (den // hx.denominator), hy.numerator * (den // hy.denominator), den)
+        pair.x, pair.y = xc, yc
+        return pair
 
     def search(self) -> List[Tuple[int, int]]:
         """All minimum-length intervals covering both heights and every
@@ -206,9 +215,14 @@ class _Pair:
     def interval(self, a: int, b: int) -> HeightInterval:
         return HeightInterval(Fraction(a, self.den), Fraction(b, self.den))
 
+    def length(self, a: int, b: int) -> int:
+        """2*(b - a) - |h(x) - h(y)|, on this pair's scale: the length of a
+        path sweeping [a, b] from heights lo <= hi."""
+        return 2 * (b - a) - (self.hi - self.lo)
+
     def distance(self, a: int, b: int) -> Fraction:
         """d(x, y) read off the minimal interval [a, b]."""
-        return Fraction(_path_length(a, b, self.lo, self.hi), self.den)
+        return Fraction(self.length(a, b), self.den)
 
     def schedule(self, a: int, b: int) -> List[Tuple[int, int, List[Tuple[int, int]]]]:
         """The geodesic's height trace over [a, b] as phases (from, to, jumps).
@@ -269,7 +283,7 @@ class _Pair:
                     bits[n - 1] = "1" if bits[n - 1] == "0" else "0"
                     events.append(WormholeLevel(n, height(h)))
 
-        if length != _path_length(a, b, self.lo, self.hi):
+        if length != self.length(a, b):
             raise InternalError("synthesized path length does not match the distance")
         if "".join(bits).rstrip("0") != end.bits.rstrip("0"):
             raise InternalError("synthesized path does not arrive at the target address")
@@ -280,13 +294,13 @@ def minimal_height_intervals(x: LaaksoPoint, y: LaaksoPoint) -> List[HeightInter
     """All minimum-length intervals covering both heights and every required
     wormhole order, in increasing order; they all have one length (see
     `_Pair.search`)."""
-    pair = _Pair(x, y)
+    pair = _Pair.of(x, y)
     return [pair.interval(a, b) for a, b in pair.search()]
 
 
 def distance(x: LaaksoPoint, y: LaaksoPoint) -> Fraction:
     """Exact path distance between two points."""
-    pair = _Pair(x, y)
+    pair = _Pair.of(x, y)
     return pair.distance(*pair.search()[0])
 
 
@@ -299,7 +313,7 @@ def synthesize_geodesic(x: LaaksoPoint, y: LaaksoPoint, interval: HeightInterval
     the trace encounters, which fixes one canonical geodesic per interval;
     any other valid jump schedule has the same length.
     """
-    pair = _Pair(x, y)
+    pair = _Pair.of(x, y)
     scaled = pair.scaled(interval)
     if scaled not in pair.search():
         raise ValueError(f"[{interval.a}, {interval.b}] is not a minimal height interval")
@@ -316,7 +330,7 @@ def geodesic_endings(p: LaaksoPoint, q: LaaksoPoint) -> FrozenSet[Direction]:
     height tie both sweep orders are geodesics, so a single interval can
     contribute both endings.
     """
-    pair = _Pair(p, q)
+    pair = _Pair.of(p, q)
     if not pair.levels and pair.hx == pair.hy:
         raise ValueError("geodesic endings need distinct points")
     ph, qh = pair.hx, pair.hy

@@ -12,19 +12,28 @@ differentiable, and lines needing three or more jumps add no new heights
 
 Profiling is verification based.  Candidate breakpoints come from gap
 arithmetic alone: the ends 0 and 1, h(p), and h(p) shifted by the order-n
-gaps above and below it for each involved order n (one
-`core.nearest_wormhole_gap` pair, which needs no special case at a
-boundary base point), by the tie of the up and down routes, and by the
-pairwise ties between orders.  That is a handful of heights whatever the
-jump orders, so a profile costs the same at order 30 as at order 3.  Each gap between consecutive candidates is
-then certified linear: since the profile is 1-Lipschitz,
-|v(t1) - v(t0)| == t1 - t0 forces the profile to be a slope +-1 line on
-all of [t0, t1].  Where the certificate fails, a single interior kink is
-solved for exactly (the two candidate apexes of a one-kink shape are
-determined by the endpoint values) and validated by one more evaluation;
-only genuinely multi-kink gaps recurse.  The certificate, not the
-candidate set, is what makes the profile exact: a breakpoint the gap
-arithmetic missed is either found by the one-kink solve or raises
+gaps above and below it for each involved order n (two lookups of the grid
+kernel `core._grid_index`, which needs no special case at a boundary base
+point), by the tie of the up and down routes, and by the pairwise ties
+between orders.  That is a handful of heights whatever the jump orders, so
+a profile costs the same at order 30 as at order 3.
+
+A line is worked on one integer scale (`_LineScale`).  p is canonicalized
+once and the orders the line requires are read off its address once; every
+height, candidate and distance value of the line is an integer over one
+denominator, den h(p) * 3**N * 2**8 for N the deepest involved order, so
+every apex and midpoint of the certificate below stays an integer.  Each
+evaluation is one `metric._Pair.search` on that scale, and `Fraction`s are
+built only for the returned `Piece` and `Kink` fields.
+
+Each gap between consecutive candidates is then certified linear: since
+the profile is 1-Lipschitz, |v(t1) - v(t0)| == t1 - t0 forces the profile
+to be a slope +-1 line on all of [t0, t1].  Where the certificate fails, a
+single interior kink is solved for exactly (the two candidate apexes of a
+one-kink shape are determined by the endpoint values) and validated by one
+more evaluation; only genuinely multi-kink gaps recurse.  The certificate,
+not the candidate set, is what makes the profile exact: a breakpoint the
+gap arithmetic missed is either found by the one-kink solve or raises
 `ProfileLinearityError`, never a silent wrong answer.
 """
 
@@ -38,12 +47,13 @@ from .core import (
     CantorAddress,
     InternalError,
     LaaksoPoint,
+    _grid_index,
     canonicalize,
     format_rational,
     nearest_wormhole_gap,
     wormhole_order,
 )
-from .metric import distance, required_levels
+from .metric import _levels, _Pair, distance
 
 __all__ = [
     "KinkProfile",
@@ -200,14 +210,23 @@ class KinkProfile:
         }
 
 
+def _half(num: int) -> int:
+    """num / 2 on a line's scale, which keeps every halving even (see
+    `_LineScale`); an odd numerator is a broken invariant.  Messages name
+    no numerator: at deep orders it may be past the printable digit limit."""
+    if num & 1:
+        raise InternalError("odd numerator halved on a line's integer scale")
+    return num >> 1
+
+
 def _certify(
-    v: Callable[[Fraction], Fraction],
-    t0: Fraction,
-    v0: Fraction,
-    t1: Fraction,
-    v1: Fraction,
+    v: Callable[[int], int],
+    t0: int,
+    v0: int,
+    t1: int,
+    v1: int,
     depth: int,
-    pieces: List[Tuple[Fraction, Fraction, int]],
+    pieces: List[Tuple[int, int, int]],
 ) -> None:
     dv = v1 - v0
     dt = t1 - t0
@@ -219,34 +238,36 @@ def _certify(
         return
     if depth >= _MAX_SUBDIVISION:
         raise ProfileLinearityError(
-            f"no linear certificate on [{t0}, {t1}] after {depth} subdivisions"
+            f"no linear certificate on a gap of the line after {depth} subdivisions"
         )
     # Try a single interior kink; its apex is forced by the endpoint values.
     for s0 in (1, -1):
-        tau = (t0 + t1 + s0 * dv) / 2
+        tau = _half(t0 + t1 + s0 * dv)
         if t0 < tau < t1 and v(tau) == v0 + s0 * (tau - t0):
             _certify(v, t0, v0, tau, v(tau), depth + 1, pieces)
             _certify(v, tau, v(tau), t1, v1, depth + 1, pieces)
             return
-    mid = (t0 + t1) / 2
+    mid = _half(t0 + t1)
     vm = v(mid)
     _certify(v, t0, v0, mid, vm, depth + 1, pieces)
     _certify(v, mid, vm, t1, v1, depth + 1, pieces)
 
 
-def _assemble(line: VerticalLine, v, breaks: List[Fraction]) -> KinkProfile:
-    raw: List[Tuple[Fraction, Fraction, int]] = []
-    values = {t: v(t) for t in breaks}
+def _assemble(line: VerticalLine, v: Callable[[int], int], breaks: List[int], den: int) -> KinkProfile:
+    """Certify every gap between consecutive breaks (heights times `den`),
+    merge runs of one slope, and build the profile's `Fraction`s."""
+    raw: List[Tuple[int, int, int]] = []
     for t0, t1 in zip(breaks, breaks[1:]):
-        _certify(v, t0, values[t0], t1, values[t1], 0, raw)
-    merged: List[Tuple[Fraction, Fraction, int]] = []
+        _certify(v, t0, v(t0), t1, v(t1), 0, raw)
+    merged: List[Tuple[int, int, int]] = []
     for lo, hi, slope in raw:
         if merged and merged[-1][2] == slope and merged[-1][1] == lo:
             merged[-1] = (merged[-1][0], hi, slope)
         else:
             merged.append((lo, hi, slope))
     pieces = tuple(
-        Piece(lo, hi, slope, values.get(lo, v(lo)) - slope * lo) for lo, hi, slope in merged
+        Piece(Fraction(lo, den), Fraction(hi, den), slope, Fraction(v(lo) - slope * lo, den))
+        for lo, hi, slope in merged
     )
     kinks = tuple(
         Kink(b.lo, a.slope, b.slope) for a, b in zip(pieces, pieces[1:]) if a.slope != b.slope
@@ -254,41 +275,67 @@ def _assemble(line: VerticalLine, v, breaks: List[Fraction]) -> KinkProfile:
     return KinkProfile(line, pieces, kinks)
 
 
+class _LineScale:
+    """The distance from a canonical point p to a vertical line, with every
+    height on one integer scale.
+
+    `den` is den h(p) * 3**N * 2**_MAX_SUBDIVISION, N the deepest involved
+    order: it holds 0, 1, h(p) (`hp` on the scale) and every candidate
+    breakpoint, and the distance values there.  Each of the at most
+    _MAX_SUBDIVISION nested halvings of `_certify` takes one factor 2, so
+    every apex and midpoint stays an integer.
+    """
+
+    __slots__ = ("levels", "involved", "den", "hp", "_values")
+
+    def __init__(self, pc: LaaksoPoint, line: VerticalLine):
+        # The orders a path from p to the line must jump at.  Heights on the
+        # line are not canonicalized: at an order-n wormhole height t the two
+        # representatives differ only in whether n is required, and t itself
+        # meets the order-n requirement, so `_Pair.search` returns the same
+        # intervals for either.
+        self.levels = _levels(pc.bits, line.bits)
+        w = wormhole_order(pc.height)
+        involved = set(line.levels) | set(self.levels) | ({w} if w is not None else set())
+        self.involved = sorted(involved)
+        order = self.involved[-1] if involved else 0
+        self.den = pc.height.denominator * 3**order * 2**_MAX_SUBDIVISION
+        self.hp = pc.height.numerator * (self.den // pc.height.denominator)
+        self._values: Dict[int, int] = {}
+
+    def value(self, t: int) -> int:
+        """d(p, [t / den, line]) times den, by one interval search."""
+        if t not in self._values:
+            pair = _Pair(self.levels, self.hp, t, self.den)
+            self._values[t] = pair.length(*pair.search()[0])
+        return self._values[t]
+
+    def candidates(self) -> List[int]:
+        """The sorted candidate breakpoints: 0, 1 and h(p), and h(p) shifted
+        by the order-n gaps above and below it for each involved order n,
+        by their tie, and by the pairwise ties between orders."""
+        den, hp = self.den, self.hp
+        offsets: List[int] = []
+        reach: Dict[int, List[int]] = {}  # signed offsets to the order-n neighbours
+        for n in self.involved:
+            step = den // 3**n
+            nearest = (_grid_index(n, hp, den, up, True) for up in (True, False))
+            reach[n] = [k * step - hp for k in nearest if k is not None]
+            offsets += reach[n]
+            if len(reach[n]) == 2:
+                offsets.append(reach[n][0] + reach[n][1])  # tie of the down and up routes
+        # Tie heights between pairs of involved orders (roof kinks of two-jump
+        # lines fall here when one order resolves down and the other up).
+        for i, n in enumerate(self.involved):
+            for m in self.involved[i + 1 :]:
+                offsets += [a - b for a in reach[n] for b in reach[m]]
+        return sorted({0, den, hp} | {hp + off for off in offsets if 0 <= hp + off <= den})
+
+
 def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
     """Exact profile of t -> d(p, [t, line.bits]) over [0, 1]."""
-    pc = canonicalize(p)
-    v_cache: Dict[Fraction, Fraction] = {}
-
-    def v(t: Fraction) -> Fraction:
-        if t not in v_cache:
-            v_cache[t] = distance(pc, LaaksoPoint(t, line.base_address))
-        return v_cache[t]
-
-    involved = set(line.levels) | set(
-        required_levels(pc, LaaksoPoint(pc.height, line.base_address))
-    )
-    w = wormhole_order(pc.height)
-    if w is not None:
-        involved.add(w)
-    involved = sorted(involved)
-
-    candidates = {Fraction(0), Fraction(1), pc.height}
-    offsets: List[Fraction] = []
-    reach: Dict[int, List[Fraction]] = {}  # signed offsets to the order-n neighbours
-    for n in involved:
-        up, down = nearest_wormhole_gap(pc.height, n)
-        reach[n] = ([] if up is None else [up]) + ([] if down is None else [-down])
-        offsets += reach[n]
-        if len(reach[n]) == 2:
-            offsets.append(up - down)  # tie of the down and up routes
-    # Tie heights between pairs of involved orders (roof kinks of two-jump
-    # lines fall here when one order resolves down and the other up).
-    for i, n in enumerate(involved):
-        for m in involved[i + 1 :]:
-            offsets += [a - b for a in reach[n] for b in reach[m]]
-    candidates.update(t for t in (pc.height + off for off in offsets) if 0 <= t <= 1)
-
-    return _assemble(line, v, sorted(candidates))
+    scale = _LineScale(canonicalize(p), line)
+    return _assemble(line, scale.value, scale.candidates(), scale.den)
 
 
 # ---------------------------------------------------------------------------

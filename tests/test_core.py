@@ -37,6 +37,9 @@ def test_rational_parse_format():
     assert parse_rational("-2") == F(-2)
     assert format_rational(F(4, 2)) == "2"
     assert format_rational(F(1, 3)) == "1/3"
+    # int and str inputs are coerced, and read as the same rational
+    assert format_rational(-2) == "-2"
+    assert format_rational("6/4") == format_rational(F(6, 4)) == "3/2"
     with pytest.raises(ValueError):
         parse_rational("0.5")
     with pytest.raises(ValueError):

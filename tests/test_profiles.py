@@ -1,11 +1,28 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from laakso.core import point
+from laakso.core import (
+    InternalError,
+    LaaksoPoint,
+    canonicalize,
+    nearest_wormhole_gap,
+    point,
+    wormhole_order,
+)
+from laakso.metric import distance, required_levels
 from laakso.profiles import (
     TWO_LEVEL_BRANCHES,
+    Kink,
+    KinkProfile,
+    Piece,
+    ProfileLinearityError,
+    _certify,
+    _LineScale,
     census_records,
     classify_two_level,
     expected_kinks,
@@ -180,14 +197,162 @@ def test_census_heights_confirmed_by_profiles():
 
 def test_linearity_failure_signals_internal_error():
     # a profile evaluator that is not piecewise slope +-1 cannot be
-    # certified; the solver reports it instead of emitting a wrong profile
-    from laakso.profiles import ProfileLinearityError, _certify
-
+    # certified; the solver reports it instead of emitting a wrong profile.
+    # [0, 1/2] on the integer scale 2**12, which keeps every halving even.
     def v(t):
         return t * t
 
     with pytest.raises(ProfileLinearityError):
-        _certify(v, F(0), v(F(0)), F(1, 2), v(F(1, 2)), 0, [])
+        _certify(v, 0, v(0), 2**11, v(2**11), 0, [])
+
+
+def test_certify_solves_interior_kinks():
+    # Profiles of the space certify every candidate gap at once, so the
+    # one-kink solve and the midpoint split run here on a synthetic line:
+    # distance to {1000, 3000} on [0, 4096] has a V at 1000 and at 3000
+    # and a roof at 2000, none of them a break given to the certificate.
+    def v(t):
+        return min(abs(t - 1000), abs(t - 3000))
+
+    pieces = []
+    _certify(v, 0, v(0), 4096, v(4096), 0, pieces)
+    merged = []
+    for lo, hi, slope in pieces:
+        if merged and merged[-1][2] == slope:
+            lo = merged.pop()[0]
+        merged.append((lo, hi, slope))
+    assert merged == [(0, 1000, -1), (1000, 2000, 1), (2000, 3000, -1), (3000, 4096, 1)]
+    # one kink: solved from the end values in one step
+    pieces = []
+    _certify(v, 0, v(0), 2000, v(2000), 0, pieces)
+    assert pieces == [(0, 1000, -1), (1000, 2000, 1)]
+
+
+def test_odd_halving_on_line_scale_is_internal_error():
+    # A flat evaluator on [0, 1] certifies neither slope, and its apexes
+    # (0 + 1 +- 0) / 2 are off the scale: the halving refuses to floor.
+    with pytest.raises(InternalError, match="odd numerator") as raised:
+        _certify(lambda t: 0, 0, 0, 1, 0, 0, [])
+    assert not isinstance(raised.value, ProfileLinearityError)
+
+
+@st.composite
+def _point_and_line(draw):
+    den = draw(st.sampled_from([1, 2, 3, 5, 9, 10, 20, 27, 54, 81]))
+    h = F(draw(st.integers(min_value=0, max_value=den)), den)
+    p = point(h, draw(st.text(alphabet="01", max_size=5)))
+    w = wormhole_order(h)
+    usable = [n for n in range(1, 5) if n != w]
+    levels = tuple(sorted(draw(st.sets(st.sampled_from(usable), max_size=2))))
+    lines = vertical_lines(p, levels)
+    return p, lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_and_line(), st.data())
+@example((point("1/2", "11"), vertical_lines(point("1/2", "11"), (2,))[0]), None)
+@example((point("1/3", "01"), vertical_lines(point("1/3", "01"), (2,))[1]), None)
+@example((point("0", "1"), vertical_lines(point("0", "1"), (1,))[0]), None)
+@example((point("1", "0"), vertical_lines(point("1", "0"), (2,))[0]), None)
+def test_line_values_equal_public_distance(case, data):
+    # The line evaluator never canonicalizes a height on the line; at an
+    # order-n wormhole height where the line's bit n is 1 its levels differ
+    # from the canonical pair's, and the value must not.
+    p, line = case
+    scale = _LineScale(canonicalize(p), line)
+    den = scale.den
+    heights = {0, den, scale.hp}
+    breaks = scale.candidates()
+    for t0, t1 in zip(breaks, breaks[1:]):
+        dv = scale.value(t1) - scale.value(t0)
+        heights |= {(t0 + t1) // 2, (t0 + t1 + dv) // 2, (t0 + t1 - dv) // 2}
+    bits = line.bits
+    for n in scale.involved:
+        if n <= len(bits) and bits[n - 1] == "1":
+            step = den // 3**n
+            heights |= {k * step for k in range(1, 3**n) if k % 3}
+    if data is not None:
+        heights |= set(data.draw(st.lists(st.integers(min_value=0, max_value=den), max_size=6)))
+    for t in sorted(h for h in heights if 0 <= h <= den):
+        assert F(scale.value(t), den) == distance(p, LaaksoPoint(F(t, den), line.base_address)), t
+
+
+def _reference_profile(p, line):
+    """The profile rebuilt in `Fraction`s on public `distance`: candidates
+    from `nearest_wormhole_gap`, then the same certificate and merge."""
+    pc = canonicalize(p)
+    values = {}  # keyed by (numerator, denominator): hashing a Fraction is slow
+
+    def v(t):
+        key = (t.numerator, t.denominator)
+        if key not in values:
+            values[key] = distance(pc, LaaksoPoint(t, line.base_address))
+        return values[key]
+
+    orders = set(line.levels) | required_levels(pc, LaaksoPoint(pc.height, line.base_address))
+    if wormhole_order(pc.height) is not None:
+        orders.add(wormhole_order(pc.height))
+    reach = {}
+    heights = {F(0), F(1), pc.height}
+    for n in orders:
+        up, down = nearest_wormhole_gap(pc.height, n)
+        reach[n] = [g for g in (up, None if down is None else -down) if g is not None]
+        heights |= {pc.height + g for g in reach[n]}
+        if len(reach[n]) == 2:
+            heights.add(pc.height + sum(reach[n]))
+    for n, m in combinations(sorted(orders), 2):
+        heights |= {pc.height + a - b for a in reach[n] for b in reach[m]}
+    breaks = sorted(t for t in heights if 0 <= t <= 1)
+
+    def certify(t0, v0, t1, v1, depth, out):
+        dv, dt = v1 - v0, t1 - t0
+        if abs(dv) == dt:
+            out.append((t0, t1, 1 if dv == dt else -1))
+            return
+        assert depth < 8, (t0, t1)
+        for s in (1, -1):
+            tau = (t0 + t1 + s * dv) / 2
+            if t0 < tau < t1 and v(tau) == v0 + s * (tau - t0):
+                certify(t0, v0, tau, v(tau), depth + 1, out)
+                certify(tau, v(tau), t1, v1, depth + 1, out)
+                return
+        mid = (t0 + t1) / 2
+        certify(t0, v0, mid, v(mid), depth + 1, out)
+        certify(mid, v(mid), t1, v1, depth + 1, out)
+
+    raw = []
+    for t0, t1 in zip(breaks, breaks[1:]):
+        certify(t0, v(t0), t1, v(t1), 0, raw)
+    pieces = []
+    for lo, hi, slope in raw:
+        if pieces and pieces[-1].slope == slope:
+            pieces[-1] = Piece(pieces[-1].lo, hi, slope, pieces[-1].offset)
+        else:
+            pieces.append(Piece(lo, hi, slope, v(lo) - slope * lo))
+    kinks = [Kink(b.lo, a.slope, b.slope) for a, b in zip(pieces, pieces[1:]) if a.slope != b.slope]
+    return KinkProfile(line, tuple(pieces), tuple(kinks))
+
+
+def test_profiles_equal_fraction_reference():
+    rng = random.Random(12)
+    cases = []
+    while len(cases) < 1000:
+        kind = rng.random()
+        if kind < 0.1:
+            h = F(rng.randint(0, 1))
+        elif kind < 0.4:
+            order = rng.randint(1, 6)
+            h = F(rng.randrange(1, 3**order), 3**order)
+        else:
+            den = rng.choice([2, 4, 5, 7, 10, 11, 20, 36, 45, 54, 60])
+            h = F(rng.randint(0, den), den)
+        p = point(h, "".join(rng.choice("01") for _ in range(rng.randint(0, 7))))
+        usable = [n for n in range(1, 10) if n != wormhole_order(h)]
+        levels = tuple(sorted(rng.sample(usable, rng.choice([0, 1, 1, 2, 2, 3]))))
+        cases += [(p, line) for line in vertical_lines(p, levels)]
+    assert {line.branch for _, line in cases} == {0, 1}
+    for p, line in cases:
+        assert profile_distance_on_line(p, line) == _reference_profile(p, line), (p, line)
 
 
 def test_svg_output():
