@@ -64,11 +64,6 @@ class PointFunction:
         return cls(lambda p: p.height, lip_bound=Fraction(1), name="height")
 
     @classmethod
-    def constant(cls, c) -> "PointFunction":
-        c = parse_rational(c)
-        return cls(lambda p: c, lip_bound=Fraction(0), name=f"const({c})")
-
-    @classmethod
     def distance_to(cls, p: LaaksoPoint) -> "PointFunction":
         pc = canonicalize(p)
         return cls(lambda y: distance(y, pc), lip_bound=Fraction(1), name="d_p")

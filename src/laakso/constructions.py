@@ -296,14 +296,14 @@ def find_band_schedule(
     jump_side,
     start_level: int = 1,
     max_level: int = 48,
-    max_orders: int = 6,
 ) -> Optional[BandSchedule]:
     """Greedy search for a valid schedule at x1, thin side as given.
 
     Scans orders upward, keeping each order whose thin/wide ratio beats the
     1/n threshold and whose wide gap collapses fast enough relative to the
-    previously kept order.  Slopes default to the exact ramp bounds (the
-    largest admissible values).  Returns None when nothing qualifies.
+    previously kept order, up to six orders.  Slopes default to the exact
+    ramp bounds (the largest admissible values).  Returns None when nothing
+    qualifies.
     """
     x1 = parse_rational(x1)
     jump_side = Direction(jump_side)
@@ -325,7 +325,7 @@ def find_band_schedule(
         levels.append(n)
         thin.append(t)
         wide.append(q)
-        if len(levels) == max_orders:
+        if len(levels) == 6:
             break
     if not levels:
         return None
@@ -523,7 +523,7 @@ class PorosityWitness:
         """
         if den < 1:
             raise ValueError("the heights' denominator must be positive")
-        n, top = self.order, 3**self.order
+        top = 3**self.order
         a, b = self.anchor.numerator, self.anchor.denominator
         width = self.hole_width
         p, q = width.numerator, width.denominator
@@ -531,8 +531,8 @@ class PorosityWitness:
         # the floor of anchor * den and hi the ceiling of its upper end.
         lo = a * den // b
         hi = -(-(a * q + p * b) * den // (b * q))
-        # down <= lam / 3**n and up >= (1 - lam) / 3**n, with lam = lp / lq,
-        # over 3**n * den.
+        # down <= lam / top and up >= (1 - lam) / top, with lam = lp / lq,
+        # over top * den.
         lp, lq = self.lam.numerator, self.lam.denominator
         down_cap, up_floor = lp * den, (lq - lp) * den
         records = []
@@ -540,8 +540,8 @@ class PorosityWitness:
             if not lo < num < hi:
                 raise ValueError(f"{Fraction(num, den)} is outside the hole")
             scaled = num * top
-            below = _grid_index(n, num, den, False, True)
-            above = _grid_index(n, num, den, True, True)
+            below = _grid_index(top, scaled, den, False, True)
+            above = _grid_index(top, scaled, den, True, True)
             down = None if below is None else scaled - below * den
             up = None if above is None else above * den - scaled
             if down is None or down * lq > down_cap or (up is not None and up * lq < up_floor):
@@ -578,12 +578,12 @@ class PorosityWitness:
         return out
 
 
-def porosity_witness(bound, start_level: int, t0, delta, lam=None) -> PorosityWitness:
+def porosity_witness(bound, start_level: int, t0, delta) -> PorosityWitness:
     """A hole of relative width lam / 2 within distance 2/3**n of t0, for
     some order n with 2/3**n below delta; always exists.
 
-    lam defaults to 1 / (bound + 2), which satisfies both lam < 1/2 and the
-    ratio requirement (1 - lam) / lam = bound + 1 > bound.
+    lam is 1 / (bound + 2), which satisfies both lam < 1/2 and the ratio
+    requirement (1 - lam) / lam = bound + 1 > bound.
     """
     bound = parse_rational(bound)
     t0 = parse_rational(t0)
@@ -594,9 +594,7 @@ def porosity_witness(bound, start_level: int, t0, delta, lam=None) -> PorosityWi
         raise ValueError("t0 must be interior")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    lam = Fraction(1, 1) / (bound + 2) if lam is None else parse_rational(lam)
-    if not (0 < lam < Fraction(1, 2)) or (1 - lam) / lam <= bound:
-        raise ValueError("lambda must be in (0, 1/2) with (1-lambda)/lambda > bound")
+    lam = 1 / (bound + 2)
 
     n = start_level + 1
     while Fraction(2, 3**n) >= delta:
@@ -646,7 +644,6 @@ def maximality_verdict(
     bound,
     start_level: int,
     depth: int,
-    search_depth: Optional[int] = None,
 ) -> MaximalityVerdict:
     """Probe x's height and, on violation, build the steep witness.
 
@@ -674,7 +671,7 @@ def maximality_verdict(
     witness = None
     quotients: Tuple[Fraction, ...] = ()
     if wormhole_order(xc.height) is None:
-        limit = search_depth if search_depth is not None else max(2 * depth, n + 16)
+        limit = max(2 * depth, n + 16)
         schedule = find_band_schedule(xc.height, side, start_level=start_level, max_level=limit)
         if schedule is None:
             other = Direction.UP if side is Direction.DOWN else Direction.DOWN

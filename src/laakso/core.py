@@ -225,9 +225,6 @@ class HeightInterval:
     def length(self) -> Fraction:
         return self.b - self.a
 
-    def contains(self, t: Fraction) -> bool:
-        return self.a <= t <= self.b
-
 
 # ---------------------------------------------------------------------------
 # Wormhole grids.  Order-n wormhole heights are the k / 3**n with 0 < k < 3**n
@@ -235,21 +232,25 @@ class HeightInterval:
 # ---------------------------------------------------------------------------
 
 
-def _grid_index(n: int, num: int, den: int, up: bool, strict: bool) -> Optional[int]:
-    """The index k of the nearest order-n wormhole height k / 3**n above
-    t = num / den (`up`) or below it, strictly or not; None when that side
-    has none.  The fraction need not be in lowest terms, so a caller that
-    keeps several heights over one common denominator passes the numerators.
+def _grid_index(top: int, num: int, step: int, up: bool, strict: bool) -> Optional[int]:
+    """The index k of the nearest wormhole height k / top of order n, for
+    top = 3**n, above t (`up`) or below it, strictly or not, where
+    t * top = num / step; None when that side has none.
 
-    Integer arithmetic only: q = floor(t * 3**n) and its remainder decide
+    A caller holding t = a / b passes num = a * top and step = b.  One that
+    keeps its heights on an integer scale den, a multiple of top, passes the
+    scaled height as num and step = den // top, and reads the grid height
+    back as k * step on its scale; no product with top is then formed, so
+    deep orders cost no long division of a doubled-length dividend.
+
+    Integer arithmetic only: q = floor(t * top) and its remainder decide
     the first grid index on the requested side, which is then clamped to
-    the interior 1..3**n - 1 and stepped off multiples of 3 (those are
-    grid heights of lower orders).
+    the interior 1..top - 1 and stepped off multiples of 3 (those are grid
+    heights of lower orders).
     """
-    if n < 1:
+    if top < 3:
         raise ValueError("order must be a positive integer")
-    top = 3**n
-    q, r = divmod(num * top, den)
+    q, r = divmod(num, step)
     if up:
         k = max(q + 1 if strict or r else q, 1)
         if k % 3 == 0:
@@ -263,14 +264,16 @@ def _grid_index(n: int, num: int, den: int, up: bool, strict: bool) -> Optional[
 
 def wormhole_above(n: int, t: Fraction, strict: bool = True) -> Optional[Fraction]:
     """The least order-n wormhole height > t (or >= t), None if none exists."""
-    k = _grid_index(n, t.numerator, t.denominator, True, strict)
-    return None if k is None else Fraction(k, 3**n)
+    top = 3**n
+    k = _grid_index(top, t.numerator * top, t.denominator, True, strict)
+    return None if k is None else Fraction(k, top)
 
 
 def wormhole_below(n: int, t: Fraction, strict: bool = True) -> Optional[Fraction]:
     """The greatest order-n wormhole height < t (or <= t), None if none exists."""
-    k = _grid_index(n, t.numerator, t.denominator, False, strict)
-    return None if k is None else Fraction(k, 3**n)
+    top = 3**n
+    k = _grid_index(top, t.numerator * top, t.denominator, False, strict)
+    return None if k is None else Fraction(k, top)
 
 
 def enumerate_wormhole_heights(n: int, window: HeightInterval) -> list:
@@ -320,9 +323,9 @@ def nearest_wormhole_gap(t: Fraction, n: int) -> Tuple[Optional[Fraction], Optio
     a, b = t.numerator, t.denominator
     if not (0 <= a <= b):
         raise ValueError(f"gap queries need t in [0, 1], got {t}")
-    above = _grid_index(n, a, b, True, True)
-    below = _grid_index(n, a, b, False, True)
     top = 3**n
+    above = _grid_index(top, a * top, b, True, True)
+    below = _grid_index(top, a * top, b, False, True)
     return (
         None if above is None else Fraction(above * b - a * top, top * b),
         None if below is None else Fraction(a * top - below * b, top * b),

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Tuple, Union
+from typing import FrozenSet, List, Tuple, Union
 
 from .core import (
     Direction,
@@ -95,13 +95,6 @@ class GeodesicPath:
     @property
     def length(self) -> Fraction:
         return sum((s.length for s in self.segments), Fraction(0))
-
-    @property
-    def ending_direction(self) -> Optional[Direction]:
-        for e in reversed(self.events):
-            if isinstance(e, Segment):
-                return e.direction
-        return None
 
     def to_json(self) -> list:
         out = []
@@ -180,12 +173,13 @@ class _Pair:
         den, lo, hi = self.den, self.lo, self.hi
         unsat = []  # (nearest grid height below lo, nearest above hi) per unmet order
         for n in self.levels:
-            step = den // 3**n
-            k = _grid_index(n, lo, den, True, False)
+            top = 3**n
+            step = den // top
+            k = _grid_index(top, lo, step, True, False)
             if k is not None and k * step <= hi:
                 continue
-            below = _grid_index(n, lo, den, False, True)
-            above = _grid_index(n, hi, den, True, True)
+            below = _grid_index(top, lo, step, False, True)
+            above = _grid_index(top, hi, step, True, True)
             if below is None and above is None:
                 raise InternalError(f"order-{n} grid is empty; invalid state")
             unsat.append((None if below is None else below * step, None if above is None else above * step))
@@ -201,16 +195,6 @@ class _Pair:
             raise InternalError("no feasible interval; invalid state")
         best = min(b - a for a, b in results)
         return sorted(iv for iv in results if iv[1] - iv[0] == best)
-
-    def scaled(self, interval: HeightInterval) -> Optional[Tuple[int, int]]:
-        """The interval on this pair's scale, None when an end is off it."""
-        out = []
-        for h in (interval.a, interval.b):
-            q, r = divmod(self.den, h.denominator)
-            if r:
-                return None
-            out.append(h.numerator * q)
-        return out[0], out[1]
 
     def interval(self, a: int, b: int) -> HeightInterval:
         return HeightInterval(Fraction(a, self.den), Fraction(b, self.den))
@@ -237,11 +221,12 @@ class _Pair:
         start, end = (self.hy, self.hx) if self.hy < self.hx else (self.hx, self.hy)
         phases = [(start, a, []), (a, b, []), (b, end, [])]
         for n in self.levels:
-            step = den // 3**n
+            top = 3**n
+            step = den // top
             for s, e, jumps in phases:
                 if s == e:
                     continue
-                k = _grid_index(n, s, den, s < e, False)
+                k = _grid_index(top, s, step, s < e, False)
                 if k is not None and min(s, e) <= k * step <= max(s, e):
                     jumps.append((k * step, n))
                     break
@@ -314,10 +299,10 @@ def synthesize_geodesic(x: LaaksoPoint, y: LaaksoPoint, interval: HeightInterval
     any other valid jump schedule has the same length.
     """
     pair = _Pair.of(x, y)
-    scaled = pair.scaled(interval)
-    if scaled not in pair.search():
-        raise ValueError(f"[{interval.a}, {interval.b}] is not a minimal height interval")
-    return pair.geodesic(*scaled)
+    for a, b in pair.search():
+        if pair.interval(a, b) == interval:
+            return pair.geodesic(a, b)
+    raise ValueError(f"[{interval.a}, {interval.b}] is not a minimal height interval")
 
 
 def geodesic_endings(p: LaaksoPoint, q: LaaksoPoint) -> FrozenSet[Direction]:

@@ -318,8 +318,9 @@ class _LineScale:
         offsets: List[int] = []
         reach: Dict[int, List[int]] = {}  # signed offsets to the order-n neighbours
         for n in self.involved:
-            step = den // 3**n
-            nearest = (_grid_index(n, hp, den, up, True) for up in (True, False))
+            top = 3**n
+            step = den // top
+            nearest = (_grid_index(top, hp, step, up, True) for up in (True, False))
             reach[n] = [k * step - hp for k in nearest if k is not None]
             offsets += reach[n]
             if len(reach[n]) == 2:
@@ -522,9 +523,9 @@ def nondiff_height_census(p: LaaksoPoint, max_level: int) -> List[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def profile_to_svg(profile: KinkProfile, width: int = 640, height: int = 360) -> str:
-    """A plain line plot of the profile with kink markers."""
-    margin = 40.0
+def profile_to_svg(profile: KinkProfile) -> str:
+    """A plain 640 x 360 line plot of the profile with kink markers."""
+    width, height, margin = 640, 360, 40.0
     xs = [profile.pieces[0].lo] + [p.hi for p in profile.pieces]
     vmax = max(profile.value_at(t) for t in xs)
     vmax = max(vmax, Fraction(1, 100))

@@ -1,9 +1,11 @@
 """Shared verification harness behind the CLI `verify` command and the
 acceptance test suite.
 
-Each check function runs one family of exact cross-checks at a configurable
-scale and returns `Check` rows (name, pass/fail, expected vs actual as
-exact strings).  Randomized pools are fully determined by their seed.
+Each check function runs one family of exact cross-checks at the fixed
+scale the acceptance checklist names and returns `Check` rows (name,
+pass/fail, expected vs actual as exact strings).  A check takes only its
+`seed`, plus the grid resolution `m` where its suite lists depths;
+randomized pools are fully determined by the seed.
 """
 
 from __future__ import annotations
@@ -79,16 +81,16 @@ def _check(name: str, passed: bool, expected: str, actual: str) -> Check:
     return Check(name, bool(passed), expected, actual)
 
 
-def _random_height(rng: random.Random, max_denominator: int = 81) -> Fraction:
-    den = rng.randint(2, max_denominator)
+def _random_height(rng: random.Random) -> Fraction:
+    den = rng.randint(2, 81)
     num = rng.randint(1, den - 1)
     return Fraction(num, den)
 
 
-def _random_point(rng: random.Random, max_depth: int = 4, max_denominator: int = 81) -> LaaksoPoint:
+def _random_point(rng: random.Random, max_depth: int = 4) -> LaaksoPoint:
     depth = rng.randint(0, max_depth)
     bits = "".join(rng.choice("01") for _ in range(depth))
-    return LaaksoPoint(_random_height(rng, max_denominator), CantorAddress(bits))
+    return LaaksoPoint(_random_height(rng), CantorAddress(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +98,11 @@ def _random_point(rng: random.Random, max_depth: int = 4, max_denominator: int =
 # ---------------------------------------------------------------------------
 
 
-def check_oracle(m: int = 2, random_pairs: int = 500, seed: int = 1) -> List[Check]:
+def check_oracle(m: int = 2, seed: int = 1) -> List[Check]:
     """Interval-formula distance against graph shortest paths.
 
-    All vertex pairs at the given resolution, plus seeded random pairs one
-    level deeper; also checks that zero graph distance coincides exactly
+    All vertex pairs at the given resolution, plus 500 seeded random pairs
+    one level deeper; also checks that zero graph distance coincides exactly
     with canonical equality.  The graph side at each resolution is one
     search per row, read through the address-XOR automorphism
     (`oracle.row_distances`).
@@ -139,7 +141,7 @@ def check_oracle(m: int = 2, random_pairs: int = 500, seed: int = 1) -> List[Che
     rows, two_m, top = oracle.row_distances(g3), 2 ** (m + 1), 3 ** (m + 1)
     rng = random.Random(seed)
     mismatches = 0
-    for _ in range(random_pairs):
+    for _ in range(500):
         vx = rng.randrange(g3.vertex_count)
         vy = rng.randrange(g3.vertex_count)
         kx, ax = divmod(vx, two_m)
@@ -151,7 +153,7 @@ def check_oracle(m: int = 2, random_pairs: int = 500, seed: int = 1) -> List[Che
             f"oracle-random-pairs-m{m + 1}",
             mismatches == 0,
             "0 mismatches",
-            f"{mismatches}/{random_pairs}",
+            f"{mismatches}/500",
         )
     )
     return out
@@ -162,16 +164,17 @@ def check_oracle(m: int = 2, random_pairs: int = 500, seed: int = 1) -> List[Che
 # ---------------------------------------------------------------------------
 
 
-def check_geodesic_laws(count: int = 1000, seed: int = 2) -> List[Check]:
+def check_geodesic_laws(seed: int = 2) -> List[Check]:
     """Equal interval lengths, geodesic length == distance, and the
     low-order jump bound (a short geodesic crosses at most one low wormhole:
-    whenever d < 1/3**(N-1), at most one jump has order <= N-1)."""
+    whenever d < 1/3**(N-1), at most one jump has order <= N-1), on 1000
+    seeded pairs."""
     rng = random.Random(seed)
     bad_lengths = 0
     bad_geodesics = 0
     bad_jump_bound = 0
     checked_paths = 0
-    for _ in range(count):
+    for _ in range(1000):
         x = _random_point(rng)
         y = _random_point(rng)
         ivs = minimal_height_intervals(x, y)
@@ -190,7 +193,7 @@ def check_geodesic_laws(count: int = 1000, seed: int = 2) -> List[Check]:
                         bad_jump_bound += 1
                         break
     return [
-        _check("intervals-equal-length", bad_lengths == 0, "0 unequal", f"{bad_lengths}/{count}"),
+        _check("intervals-equal-length", bad_lengths == 0, "0 unequal", f"{bad_lengths}/1000"),
         _check(
             "geodesic-length-equals-distance",
             bad_geodesics == 0,
@@ -213,7 +216,7 @@ def check_geodesic_laws(count: int = 1000, seed: int = 2) -> List[Check]:
 
 def _random_profile_point(rng: random.Random, avoid_orders: Sequence[int]) -> LaaksoPoint:
     while True:
-        p = _random_point(rng, max_depth=3, max_denominator=81)
+        p = _random_point(rng, max_depth=3)
         if wormhole_order(p.height) in avoid_orders:
             continue
         return p
@@ -233,122 +236,79 @@ _BRANCH_POOL: Tuple[Tuple[str, Fraction], ...] = (
 )
 
 
-def _kink_followups(p: LaaksoPoint, line, profile) -> Tuple[int, int, int]:
-    """Cross-checks on a verified profile: roof kinks admit both geodesic
-    endings, V kinks have unit one-sided slopes.  Returns (roof checked,
-    V checked, failures)."""
-    roofs = vs = bad = 0
-    for kink in profile.kinks:
-        left, right = profile.slopes_at(kink.height)
-        if kink.kind == "max":
-            roofs += 1
-            q = canonicalize(LaaksoPoint(kink.height, line.base_address))
-            if same_point(q, p):
-                bad += 1
-                continue
-            if geodesic_endings(p, q) != frozenset({Direction.UP, Direction.DOWN}):
-                bad += 1
-            if (left, right) != (1, -1):
-                bad += 1
-        else:
-            vs += 1
-            if (left, right) != (-1, 1):
-                bad += 1
-    return roofs, vs, bad
-
-
-def check_kinks(
-    seed: int = 3,
-    v0_count: int = 20,
-    vn_count: int = 50,
-    random_two_level: int = 25,
-) -> List[Check]:
+def check_kinks(seed: int = 3) -> List[Check]:
     """Profiles against closed-form kink lists on the three line families,
     with per-branch coverage of the two-level case analysis and the
-    double-geodesic follow-ups on every kink found."""
+    double-geodesic follow-ups on every kink found: roof kinks admit both
+    geodesic endings, V kinks have unit one-sided slopes.
+
+    The families are 20 seeded points on their own lines, 50 seeded
+    one-jump lines, and the branch pool plus 25 seeded two-jump lines."""
     rng = random.Random(seed)
-    out: List[Check] = []
-    roof_total = v_total = follow_bad = 0
-
-    bad = 0
-    for _ in range(v0_count):
-        p = _random_profile_point(rng, ())
-        for line in vertical_lines(p, ()):
-            profile = profile_distance_on_line(p, line)
-            kinks = profile.kinks
-            ok = (
-                len(kinks) == 1
-                and kinks[0].height == canonicalize(p).height
-                and (kinks[0].left_slope, kinks[0].right_slope) == (-1, 1)
-            )
-            bad += 0 if ok else 1
-            r, v, fb = _kink_followups(p, line, profile)
-            roof_total += r
-            v_total += v
-            follow_bad += fb
-    out.append(_check("v0-single-kink", bad == 0, "1 kink at h(p), slopes (-1,+1)", f"{bad} bad"))
-
-    bad = 0
-    profiles = 0
-    for _ in range(vn_count):
+    cases: List[Tuple[LaaksoPoint, Tuple[int, ...]]] = [
+        (_random_profile_point(rng, ()), ()) for _ in range(20)
+    ]
+    for _ in range(50):
         n = rng.randint(1, 4)
-        p = _random_profile_point(rng, (n,))
-        for line in vertical_lines(p, (n,)):
-            profiles += 1
-            profile = profile_distance_on_line(p, line)
-            if profile.kink_heights() != expected_kinks(p, line):
-                bad += 1
-            r, v, fb = _kink_followups(p, line, profile)
-            roof_total += r
-            v_total += v
-            follow_bad += fb
-    out.append(
-        _check("single-jump-kinks", bad == 0, "profile == closed form", f"{bad}/{profiles} bad")
-    )
-
-    hits: Dict[str, int] = {b: 0 for b in TWO_LEVEL_BRANCHES}
-    bad = 0
-    profiles = 0
-    cases: List[Tuple[LaaksoPoint, Tuple[int, int]]] = []
-    for _, height in _BRANCH_POOL:
-        cases.append((LaaksoPoint(height, CantorAddress("0")), (1, 2)))
-    for _ in range(random_two_level):
+        cases.append((_random_profile_point(rng, (n,)), (n,)))
+    cases += [(LaaksoPoint(height, CantorAddress("0")), (1, 2)) for _, height in _BRANCH_POOL]
+    for _ in range(25):
         n = rng.randint(1, 3)
         m = rng.randint(n + 1, 4)
         cases.append((_random_profile_point(rng, (n, m)), (n, m)))
-    for p, (n, m) in cases:
-        branch, heights = classify_two_level(canonicalize(p).height, n, m)
-        hits[branch] += 1
-        for line in vertical_lines(p, (n, m)):
-            profiles += 1
+
+    hits: Dict[str, int] = {b: 0 for b in TWO_LEVEL_BRANCHES}
+    profiles, bad = [0, 0, 0], [0, 0, 0]  # per family, by jump count
+    roof_total = v_total = follow_bad = 0
+    for p, levels in cases:
+        family, hp = len(levels), canonicalize(p).height
+        if family == 2:
+            hits[classify_two_level(hp, *levels)[0]] += 1
+        for line in vertical_lines(p, levels):
+            profiles[family] += 1
             profile = profile_distance_on_line(p, line)
-            if profile.kink_heights() != heights:
-                bad += 1
-            r, v, fb = _kink_followups(p, line, profile)
-            roof_total += r
-            v_total += v
-            follow_bad += fb
+            if family:
+                ok = profile.kink_heights() == expected_kinks(p, line)
+            else:  # the own line: exactly one kink, a V at h(p)
+                found = [(k.height, k.left_slope, k.right_slope) for k in profile.kinks]
+                ok = found == [(hp, -1, 1)]
+            bad[family] += not ok
+            for kink in profile.kinks:
+                slopes = profile.slopes_at(kink.height)
+                if kink.kind == "min":
+                    v_total += 1
+                    follow_bad += slopes != (-1, 1)
+                    continue
+                roof_total += 1
+                q = canonicalize(LaaksoPoint(kink.height, line.base_address))
+                if same_point(q, p):
+                    follow_bad += 1
+                    continue
+                both_ways = geodesic_endings(p, q) == frozenset({Direction.UP, Direction.DOWN})
+                follow_bad += not both_ways
+                follow_bad += slopes != (1, -1)
     missed = [b for b, c in hits.items() if c == 0]
-    out.append(
-        _check("two-level-kinks", bad == 0, "profile == closed form", f"{bad}/{profiles} bad")
-    )
-    out.append(
+    return [
+        _check("v0-single-kink", bad[0] == 0, "1 kink at h(p), slopes (-1,+1)", f"{bad[0]} bad"),
+        _check(
+            "single-jump-kinks", bad[1] == 0, "profile == closed form", f"{bad[1]}/{profiles[1]} bad"
+        ),
+        _check(
+            "two-level-kinks", bad[2] == 0, "profile == closed form", f"{bad[2]}/{profiles[2]} bad"
+        ),
         _check(
             "two-level-branch-coverage",
             not missed,
             "all branches hit: " + ",".join(TWO_LEVEL_BRANCHES),
             "hits " + ",".join(f"{b}={c}" for b, c in sorted(hits.items())),
-        )
-    )
-    out.append(
+        ),
         _check(
             "double-geodesic-endings",
             follow_bad == 0,
             "roof kinks end both ways, V kinks unit slopes",
             f"{follow_bad} bad over {roof_total} roofs, {v_total} Vs",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +316,24 @@ def check_kinks(
 # ---------------------------------------------------------------------------
 
 
-def check_parallel(count: int = 1000, seed: int = 4, max_level: int = 6) -> List[Check]:
+def check_parallel(seed: int = 4) -> List[Check]:
+    """Full-line against two-level values on 1000 seeded lines of three or
+    four jump orders up to 6."""
     from .profiles import parallel_reduction
 
     rng = random.Random(seed)
     bad = 0
-    for _ in range(count):
+    for _ in range(1000):
         p = _random_point(rng, max_depth=3)
         w = wormhole_order(p.height)
-        pool = [n for n in range(1, max_level + 1) if n != w]
+        pool = [n for n in range(1, 7) if n != w]
         size = rng.randint(3, min(4, len(pool)))
         levels = tuple(sorted(rng.sample(pool, size)))
         t = _random_height(rng)
         full, two = parallel_reduction(p, levels, t)
         if full != two:
             bad += 1
-    return [_check("parallel-values", bad == 0, "full == two-level", f"{bad}/{count} bad")]
+    return [_check("parallel-values", bad == 0, "full == two-level", f"{bad}/1000 bad")]
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +349,15 @@ ENGINEERED_UNBALANCED = cons.sparse_ternary_height(
 ENGINEERED_MIRROR = 1 - ENGINEERED_UNBALANCED
 
 
-def check_constructions(flat_levels: Tuple[int, int] = (1, 6), seed: Optional[int] = None) -> List[Check]:
-    """The flat and steep witnesses at fixed centers.  Nothing is drawn at
-    random: `seed` is taken, like every suite's, and unused."""
+def check_constructions(seed: Optional[int] = None) -> List[Check]:
+    """The flat witness at orders 1..6 and the steep witness, at fixed
+    centers.  Nothing is drawn at random: `seed` is taken, like every
+    suite's, and unused."""
     out: List[Check] = []
     schedule_steps = triadic_schedule(2, 8)
 
     x = point("1/2", "0")
-    flat = cons.build_flat_nondifferentiable(
-        x, flat_levels[0], flat_levels[1], probe_offsets=schedule_steps
-    )
+    flat = cons.build_flat_nondifferentiable(x, 1, 6, probe_offsets=schedule_steps)
     f = cons.as_point_function(flat.function)
     report = directional_derivative(f, x, schedule_steps)
     out.append(
@@ -479,17 +440,11 @@ def check_constructions(flat_levels: Tuple[int, int] = (1, 6), seed: Optional[in
 # ---------------------------------------------------------------------------
 
 
-def _hole_samples(witness: cons.PorosityWitness, count: int) -> List[Fraction]:
-    """The heights `witness.samples(count)` gives, as Fractions."""
-    nums, den = witness.samples(count)
-    return [Fraction(num, den) for num in nums]
-
-
-def _porosity_cases(cases: int, seed: int) -> List[Tuple[cons.PorosityWitness, Fraction]]:
-    """The seeded (witness, delta) pairs `check_porosity` certifies."""
+def _porosity_cases(seed: int) -> List[Tuple[cons.PorosityWitness, Fraction]]:
+    """The 20 seeded (witness, delta) pairs `check_porosity` certifies."""
     rng = random.Random(seed)
     out = []
-    for _ in range(cases):
+    for _ in range(20):
         bound = Fraction(rng.randint(3, 12), rng.randint(1, 2))
         if bound <= 1:
             bound += 1
@@ -500,11 +455,13 @@ def _porosity_cases(cases: int, seed: int) -> List[Tuple[cons.PorosityWitness, F
     return out
 
 
-def check_porosity(cases: int = 20, samples_per_hole: int = 1000, seed: int = 5) -> List[Check]:
+def check_porosity(seed: int = 5) -> List[Check]:
+    """Each seeded hole certified at 1000 evenly spaced heights, and placed
+    deeper than its start level, finer than its delta and near its t0."""
     bad = 0
-    for witness, delta in _porosity_cases(cases, seed):
+    for witness, delta in _porosity_cases(seed):
         try:
-            witness.certify(*witness.samples(samples_per_hole))
+            witness.certify(*witness.samples(1000))
         except InternalError:
             raise
         except RuntimeError:
@@ -517,7 +474,7 @@ def check_porosity(cases: int = 20, samples_per_hole: int = 1000, seed: int = 5)
         _check(
             "porosity-hole-certificates",
             bad == 0,
-            f"{cases} holes x {samples_per_hole} samples certified",
+            "20 holes x 1000 samples certified",
             f"{bad} failures",
         )
     ]
@@ -528,9 +485,11 @@ def check_porosity(cases: int = 20, samples_per_hole: int = 1000, seed: int = 5)
 # ---------------------------------------------------------------------------
 
 
-def check_regularity(m: int = 6, centers: int = 20, seed: int = 6) -> List[Check]:
+def check_regularity(m: int = 6, seed: int = 6) -> List[Check]:
+    """Ball-growth spread over 20 seeded grid centers and radii 1/9, 1/27
+    and 1/81, and the total cell mass, on the level-`m` graph."""
     radii = [Fraction(1, 9), Fraction(1, 27), Fraction(1, 81)]
-    report = oracle.regularity_scan(m, centers, radii, seed=seed)
+    report = oracle.regularity_scan(m, 20, radii, seed=seed)
     g = oracle.build_level_graph(m)
     total = oracle.total_cell_mass(g)
     return [
@@ -549,23 +508,24 @@ def check_regularity(m: int = 6, centers: int = 20, seed: int = 6) -> List[Check
 # ---------------------------------------------------------------------------
 
 
-def check_census(max_level: int = 4, seed: int = 7, extra_points: int = 2) -> List[Check]:
-    """The census is finite, every census height shows up as a profiled kink
-    on its source line, and sampled non-census heights on probed lines have
-    matching one-sided slopes."""
+def check_census(seed: int = 7) -> List[Check]:
+    """The census up to order 4 is finite, every census height shows up as
+    a profiled kink on its source line, and sampled non-census heights on
+    probed lines have matching one-sided slopes; at 1/2:0 and two seeded
+    points."""
     rng = random.Random(seed)
     pts = [point("1/2", "0")]
-    for _ in range(extra_points):
+    for _ in range(2):
         pts.append(_random_profile_point(rng, ()))
     bad_confirm = 0
     bad_smooth = 0
     total_heights = 0
     for p in pts:
         pc = canonicalize(p)
-        census = nondiff_height_census(pc, max_level)
+        census = nondiff_height_census(pc, 4)
         total_heights += len(census)
         census_set = set(census)
-        for levels in [()] + census_level_sets(pc, max_level):
+        for levels in [()] + census_level_sets(pc, 4):
             for line in vertical_lines(pc, levels):
                 profile = profile_distance_on_line(pc, line)
                 kinks = set(profile.kink_heights())

@@ -5,6 +5,8 @@ non-exact thresholds are the documented empirical ones: the ball-growth
 spread bound and the suite runtime caps).
 """
 
+import dataclasses
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -15,7 +17,7 @@ from laakso import oracle, verify
 from laakso.constructions import maximality_verdict
 from laakso.core import point, wormhole_order
 from laakso.metric import distance
-from laakso.profiles import expected_kinks, profile_distance_on_line, vertical_lines
+from laakso.profiles import Kink, expected_kinks, profile_distance_on_line, vertical_lines
 
 
 def _report(tag, rows, extra=""):
@@ -30,12 +32,12 @@ def _report(tag, rows, extra=""):
 
 @pytest.fixture(scope="module")
 def geodesic_rows():
-    return verify.check_geodesic_laws(count=1000, seed=2)
+    return verify.check_geodesic_laws(seed=2)
 
 
 @pytest.fixture(scope="module")
 def kink_rows():
-    return verify.check_kinks(seed=3, v0_count=20, vn_count=50, random_two_level=25)
+    return verify.check_kinks(seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +51,21 @@ def _named(rows, *names):
     return picked
 
 
+def test_suite_checks_take_only_seed_and_depth():
+    # Every scale of a suite is fixed in its check; only the seed, and the
+    # grid resolution where the suite lists depths, can be set.
+    for name, suite in verify.SUITES.items():
+        params = tuple(inspect.signature(suite.check).parameters)
+        assert params == (("m", "seed") if suite.depths else ("seed",)), name
+
+
 def test_a01_oracle_equivalence():
     start = time.monotonic()
-    rows = verify.check_oracle(m=2, random_pairs=500, seed=1)
+    rows = verify.check_oracle(m=2, seed=1)
     elapsed = time.monotonic() - start
     _report("A01 oracle equivalence", rows, extra=f"{elapsed:.1f}s")
+    (deeper,) = _named(rows, "oracle-random-pairs-m3")
+    assert deeper.actual.endswith("/500")
     assert elapsed < 60
 
 
@@ -96,6 +108,7 @@ def test_a01_oracle_random_pairs_m8():
 def test_a02_minimal_interval_law(geodesic_rows):
     rows = _named(geodesic_rows, "intervals-equal-length", "geodesic-length-equals-distance")
     _report("A02 minimal-interval law", rows)
+    assert _named(rows, "intervals-equal-length")[0].actual.endswith("/1000")
 
 
 def test_a03_own_line_classification(kink_rows):
@@ -111,9 +124,26 @@ def test_a05_two_jump_classification(kink_rows):
     _report("A05 two-jump kinks and branch coverage", rows)
 
 
+def test_own_line_roof_kink_fails_v0_row(monkeypatch):
+    # The own-line rule is exact: a kink at h(p) that is a roof, not a V,
+    # must fail the row even though its height matches.
+    def roofed(p, line):
+        profile = profile_distance_on_line(p, line)
+        if line.levels:
+            return profile
+        roofs = tuple(Kink(k.height, 1, -1) for k in profile.kinks)
+        return dataclasses.replace(profile, kinks=roofs)
+
+    monkeypatch.setattr("laakso.verify.profile_distance_on_line", roofed)
+    rows = {r.name: r for r in verify.check_kinks(seed=3)}
+    assert not rows["v0-single-kink"].passed
+    assert rows["single-jump-kinks"].passed and rows["two-level-kinks"].passed
+
+
 def test_a06_parallel_values():
-    rows = verify.check_parallel(count=1000, seed=4)
+    rows = verify.check_parallel(seed=4)
     _report("A06 parallel values", rows)
+    assert rows[0].actual.endswith("/1000 bad")
 
 
 def test_a07_double_geodesics(kink_rows):
@@ -152,8 +182,9 @@ def test_a10_holes_classify_not_in_m():
     the balanced-gap condition no later than the hole's order, and every
     steep witness built there has error quotient exactly 1/2."""
     heights = witnesses = 0
-    for hole, _ in verify._porosity_cases(20, seed=5):  # A10's cases
-        for s in verify._hole_samples(hole, 5):
+    for hole, _ in verify._porosity_cases(seed=5):  # A10's cases
+        nums, den = hole.samples(5)
+        for s in (Fraction(num, den) for num in nums):
             v = maximality_verdict(point(s, "0"), hole.bound, hole.start_level, hole.order)
             assert v.verdict == "not-in-M" and v.probe.violated_at <= hole.order, (hole, s)
             heights += 1
@@ -165,13 +196,13 @@ def test_a10_holes_classify_not_in_m():
 
 
 def test_a11_ball_growth_regularity():
-    rows = verify.check_regularity(m=6, centers=20, seed=6)
+    rows = verify.check_regularity(m=6, seed=6)
     _report("A11 ball-growth regularity", rows)
 
 
 def test_a11_ball_growth_regularity_m7():
     start = time.monotonic()
-    rows = verify.check_regularity(m=7, centers=20, seed=6)
+    rows = verify.check_regularity(m=7, seed=6)
     elapsed = time.monotonic() - start
     _report("A11 ball-growth regularity m7", rows, extra=f"{elapsed:.1f}s")
     assert elapsed < 60
@@ -182,7 +213,7 @@ def test_a12_low_order_jump_bound(geodesic_rows):
 
 
 def test_a13_height_census():
-    rows = verify.check_census(max_level=4, seed=7)
+    rows = verify.check_census(seed=7)
     _report("A13 height census", rows)
 
 

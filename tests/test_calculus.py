@@ -23,7 +23,7 @@ def test_triadic_schedule():
 
 def test_difference_quotient_height_and_constant():
     h = PointFunction.height()
-    c = PointFunction.constant("7/3")
+    c = PointFunction(lambda p: F(7, 3))
     x = point("2/5", "01")
     for t in (F(1, 9), -F(1, 9), F(1, 100)):
         assert difference_quotient(h, x, t) == 1

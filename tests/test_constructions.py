@@ -274,7 +274,7 @@ def test_porosity_certificate_matches_gap_query(seed):
     # query, on the seeded holes check_porosity certifies and on the hole
     # above 26/27, which has no upper wormhole.  The JSON strings are those
     # the Fraction records formatted.
-    holes = [w for w, _ in _porosity_cases(20, seed)]
+    holes = [w for w, _ in _porosity_cases(seed)]
     holes.append(porosity_witness(F(2), 1, F(26, 27), F(1, 10)))
     for w in holes:
         nums, den = w.samples(100)
@@ -323,7 +323,7 @@ def test_porosity_certificate_checks_both_bounds(monkeypatch):
     num, den = s.numerator, s.denominator
     for down, up in ((down_bound, up_bound), (down_bound + F(1, 10**9), up_bound),
                      (down_bound, up_bound - F(1, 10**9)), (None, up_bound)):
-        def kernel(n, t_num, t_den, upward, strict, down=down, up=up):
+        def kernel(n_top, t_num, t_step, upward, strict, down=down, up=up):
             gap = up if upward else down
             return None if gap is None else (s + gap if upward else s - gap) * top
 
@@ -344,7 +344,7 @@ def test_check_porosity_sample_heights(monkeypatch):
     )
     for seed in range(8):
         seen.clear()
-        rows = check_porosity(cases=20, samples_per_hole=1000, seed=seed)
+        rows = check_porosity(seed=seed)
         assert all(r.passed for r in rows)
         assert len(seen) == 20
         for w, heights in seen:

@@ -10,6 +10,7 @@ from laakso.core import (
     HeightInterval,
     LaaksoPoint,
     WormholeLevel,
+    _grid_index,
     canonicalize,
     enumerate_wormhole_heights,
     format_rational,
@@ -178,14 +179,24 @@ def test_grid_kernel_matches_brute_force(t, n):
     grid = [F(k, 3**n) for k in range(1, 3**n) if k % 3]
     above = min((h for h in grid if h > t), default=None)
     below = max((h for h in grid if h < t), default=None)
+    above_eq = min((h for h in grid if h >= t), default=None)
+    below_eq = max((h for h in grid if h <= t), default=None)
     assert wormhole_above(n, t) == above
-    assert wormhole_above(n, t, strict=False) == min((h for h in grid if h >= t), default=None)
+    assert wormhole_above(n, t, strict=False) == above_eq
     assert wormhole_below(n, t) == below
-    assert wormhole_below(n, t, strict=False) == max((h for h in grid if h <= t), default=None)
+    assert wormhole_below(n, t, strict=False) == below_eq
     assert nearest_wormhole_gap(t, n) == (
         None if above is None else above - t,
         None if below is None else t - below,
     )
+    # The kernel in both caller forms: t = a / b as a * 3**n over step b,
+    # and t on a scale D = 3 * b * 3**n as t * D over step D // 3**n.
+    top, a, b = 3**n, t.numerator, t.denominator
+    for up, strict, h in ((True, True, above), (True, False, above_eq),
+                          (False, True, below), (False, False, below_eq)):
+        k = None if h is None else h * top
+        assert _grid_index(top, a * top, b, up, strict) == k
+        assert _grid_index(top, 3 * a * top, 3 * b, up, strict) == k
 
 
 # Heights on the order-m grids (m <= 8, so on and off the queried order's

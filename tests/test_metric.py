@@ -105,7 +105,7 @@ def test_interval_lengths_all_equal():
         ivs = minimal_height_intervals(x, y)
         assert len({iv.length for iv in ivs}) == 1
         for iv in ivs:
-            assert iv.contains(x.height) and iv.contains(y.height)
+            assert iv.a <= min(x.height, y.height) and max(x.height, y.height) <= iv.b
 
 
 def test_synthesize_geodesic_examples():
@@ -114,11 +114,11 @@ def test_synthesize_geodesic_examples():
     assert up.length == F(1, 3)
     assert [j.order for j in up.jumps] == [1]
     assert up.jumps[0].height == F(2, 3)
-    assert up.ending_direction == Direction.DOWN
+    assert up.segments[-1].direction == Direction.DOWN
     down = synthesize_geodesic(x, y, HeightInterval(F(1, 3), F(1, 2)))
     assert down.length == F(1, 3)
     assert down.jumps[0].height == F(1, 3)
-    assert down.ending_direction == Direction.UP
+    assert down.segments[-1].direction == Direction.UP
     assert synthesize_geodesic(x, x, HeightInterval(F(1, 2), F(1, 2))).events == ()
     with pytest.raises(ValueError):
         synthesize_geodesic(x, y, HeightInterval(F(0), F(1)))

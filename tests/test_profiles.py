@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -141,6 +142,17 @@ def test_expected_kinks_rejects_deep_lines():
     line = vertical_lines(p, (1, 2, 3))[0]
     with pytest.raises(ValueError):
         expected_kinks(p, line)
+
+
+def test_deep_order_profile_within_time():
+    # Every height of this line sits on a scale with a 3**300000 factor; a
+    # grid lookup that formed the doubled-length product num * 3**n before
+    # dividing took about 8 s here.
+    p = point("1/2", "0")
+    (line,) = vertical_lines(p, (1, 300000))
+    start = time.monotonic()
+    assert profile_distance_on_line(p, line).kink_heights() == expected_kinks(p, line)
+    assert time.monotonic() - start < 3
 
 
 def test_parallel_reduction():
