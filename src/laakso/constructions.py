@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     Direction,
@@ -57,11 +57,10 @@ from .metric import distance
 
 __all__ = [
     "BandSchedule",
-    "FlatWitness",
     "MaximalityVerdict",
     "PorosityWitness",
     "SampledFunction",
-    "SteepWitness",
+    "Witness",
     "as_point_function",
     "build_flat_nondifferentiable",
     "build_one_sided_steep",
@@ -157,17 +156,55 @@ def sparse_ternary_height(exponents: Sequence[int], tail: Optional[Fraction] = N
 
 
 # ---------------------------------------------------------------------------
-# Flat witness (vanishing vertical derivative, not differentiable).
+# Witness record, shared by the flat, steep and one-sided builders.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FlatWitness:
+class Witness:
+    """A sampled witness around `center`: per order in `levels`, the point
+    reached by jumping at that order back at the center's height, and the
+    value the function carries there."""
+
     function: SampledFunction
     center: LaaksoPoint
     levels: Tuple[int, ...]
-    jump_points: Tuple[LaaksoPoint, ...]  # one per level, at the center's height
+    jump_points: Tuple[LaaksoPoint, ...]
+    jump_values: Tuple[Fraction, ...]
     sampled_ratio: Fraction  # verified pairwise Lipschitz ratio
+
+    def jump_quotients(self) -> Tuple[Fraction, ...]:
+        """|f(y) - f(center)| / d(y, center) at every jump point y."""
+        f = self.function.value_at
+        fx = f(self.center)
+        return tuple(abs(f(y) - fx) / distance(y, self.center) for y in self.jump_points)
+
+
+def _witness(
+    xc: LaaksoPoint, line: Dict[Fraction, Fraction], jumps: Sequence[Tuple[int, Fraction]]
+) -> Witness:
+    """The witness sampled on xc's vertical line, where `line` maps each
+    height to its value, and at one jump point per (order, value) in
+    `jumps`, which carries the value.  Verifies exactly that every jump
+    point sits at distance twice |value| from xc and that every sample pair
+    respects the Lipschitz bound 1."""
+    samples = [(LaaksoPoint(t, xc.address), v) for t, v in sorted(line.items())]
+    jump_points = []
+    for n, value in jumps:
+        y = LaaksoPoint(xc.height, xc.address.flipped(n))
+        if distance(xc, y) != 2 * abs(value):
+            raise InternalError(f"order-{n} jump point is not at distance twice its value")
+        jump_points.append(y)
+        samples.append((y, value))
+    fn = SampledFunction(tuple(samples), Fraction(1))
+    ratio = fn.verify_lipschitz()
+    levels, values = zip(*jumps)
+    return Witness(fn, xc, levels, tuple(jump_points), values, ratio)
+
+
+# ---------------------------------------------------------------------------
+# Flat witness (vanishing vertical derivative, not differentiable).
+# ---------------------------------------------------------------------------
 
 
 def build_flat_nondifferentiable(
@@ -175,7 +212,7 @@ def build_flat_nondifferentiable(
     start_level: int,
     end_level: int,
     probe_offsets: Iterable[Fraction] = (),
-) -> FlatWitness:
+) -> Witness:
     """The flat witness around x, sampled at orders start..end.
 
     Samples: the vertical line through x (value 0) at x, at both gap
@@ -193,7 +230,6 @@ def build_flat_nondifferentiable(
     if not (1 <= start_level <= end_level):
         raise ValueError("need 1 <= start_level <= end_level")
 
-    samples: List[Tuple[LaaksoPoint, Fraction]] = []
     line_heights = {xc.height}
     for off in probe_offsets:
         off = parse_rational(off)
@@ -201,27 +237,15 @@ def build_flat_nondifferentiable(
             if 0 <= t <= 1:
                 line_heights.add(t)
 
-    levels: List[int] = []
-    jump_points: List[LaaksoPoint] = []
+    jumps = []
     for n in range(start_level, end_level + 1):
         up, down = nearest_wormhole_gap(xc.height, n)
         if up is not None:
             line_heights.add(xc.height + up)
         if down is not None:
             line_heights.add(xc.height - down)
-        value = min(g for g in (up, down) if g is not None)
-        y = LaaksoPoint(xc.height, xc.address.flipped(n))
-        if distance(xc, y) != 2 * value:
-            raise InternalError(f"jump point at order {n} is not at distance 2*min-gap")
-        levels.append(n)
-        jump_points.append(y)
-        samples.append((y, value))
-
-    for t in sorted(line_heights):
-        samples.append((LaaksoPoint(t, xc.address), Fraction(0)))
-    fn = SampledFunction(tuple(samples), Fraction(1))
-    ratio = fn.verify_lipschitz()
-    return FlatWitness(fn, xc, tuple(levels), tuple(jump_points), ratio)
+        jumps.append((n, min(g for g in (up, down) if g is not None)))
+    return _witness(xc, dict.fromkeys(line_heights, Fraction(0)), jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +362,6 @@ def find_band_schedule(
     return schedule
 
 
-@dataclass(frozen=True)
-class SteepWitness:
-    function: SampledFunction
-    center: LaaksoPoint
-    schedule: Optional[BandSchedule]
-    jump_points: Tuple[LaaksoPoint, ...]
-    jump_values: Tuple[Fraction, ...]
-    sampled_ratio: Fraction
-
-
 def _band_integral(schedule: BandSchedule, span: Fraction) -> Fraction:
     """Integral of the banded slope profile from the center out to distance
     `span` on the wide side (span <= the outermost wide gap)."""
@@ -375,7 +389,7 @@ def build_steep_nondifferentiable(
     x: LaaksoPoint,
     schedule: BandSchedule,
     probe_offsets: Iterable[Fraction] = (),
-) -> SteepWitness:
+) -> Witness:
     """The steep witness at x for a validated band schedule.
 
     On the vertical line through x the function integrates the slope
@@ -404,33 +418,21 @@ def build_steep_nondifferentiable(
         heights.add(xc.height + off)
         heights.add(xc.height - off)
 
-    samples: List[Tuple[LaaksoPoint, Fraction]] = []
-    for t in sorted(heights):
-        samples.append((LaaksoPoint(t, xc.address), _steep_line_value(xc.height, sign, schedule, t)))
-
-    jump_points: List[LaaksoPoint] = []
-    jump_values: List[Fraction] = []
-    for k, n in enumerate(schedule.levels):
-        y = LaaksoPoint(xc.height, xc.address.flipped(n))
-        value = sign * schedule.thin[k]
-        if distance(xc, y) != 2 * schedule.thin[k]:
-            raise InternalError(f"order-{n} jump point is not at distance twice the thin gap")
-        anchor = _steep_line_value(xc.height, sign, schedule, xc.height + sign * schedule.thin[k])
-        if anchor != value:
+    line = {t: _steep_line_value(xc.height, sign, schedule, t) for t in heights}
+    jumps = [(n, sign * thin) for n, thin in zip(schedule.levels, schedule.thin)]
+    for n, value in jumps:
+        if line[xc.height + value] != value:
             raise InternalError(f"order-{n} thin-gap line value does not match the jump value")
+    witness = _witness(xc, line, jumps)
+    points = witness.jump_points
+    for k, y in enumerate(points):
         for j in range(k):
-            if distance(jump_points[j], y) != 2 * schedule.thin[j]:
+            if distance(points[j], y) != 2 * schedule.thin[j]:
                 raise InternalError("jump points are not spaced by twice the earlier thin gap")
-        jump_points.append(y)
-        jump_values.append(value)
-        samples.append((y, value))
-
-    fn = SampledFunction(tuple(samples), Fraction(1))
-    ratio = fn.verify_lipschitz()
-    return SteepWitness(fn, xc, schedule, tuple(jump_points), tuple(jump_values), ratio)
+    return witness
 
 
-def build_one_sided_steep(x: LaaksoPoint, levels: Sequence[int]) -> SteepWitness:
+def build_one_sided_steep(x: LaaksoPoint, levels: Sequence[int]) -> Witness:
     """Boundary variant (height 0 or 1): the construction lives on the one
     available side, the slope profile is constantly 1 there, and the jump
     value at order n is the distance to the first order-n wormhole."""
@@ -441,22 +443,14 @@ def build_one_sided_steep(x: LaaksoPoint, levels: Sequence[int]) -> SteepWitness
     if not levels or list(levels) != sorted(set(levels)):
         raise ValueError("levels must be strictly increasing and nonempty")
 
-    samples: List[Tuple[LaaksoPoint, Fraction]] = [(xc, Fraction(0))]
-    jump_points: List[LaaksoPoint] = []
-    jump_values: List[Fraction] = []
+    line = {xc.height: Fraction(0)}
+    jumps = []
     for n in levels:
         up, down = nearest_wormhole_gap(xc.height, n)
         value = up if xc.height == 0 else -down
-        samples.append((LaaksoPoint(xc.height + value, xc.address), value))
-        y = LaaksoPoint(xc.height, xc.address.flipped(n))
-        if distance(xc, y) != 2 * abs(value):
-            raise InternalError(f"order-{n} jump point is not at distance twice the reach")
-        jump_points.append(y)
-        jump_values.append(value)
-        samples.append((y, value))
-    fn = SampledFunction(tuple(samples), Fraction(1))
-    ratio = fn.verify_lipschitz()
-    return SteepWitness(fn, xc, None, tuple(jump_points), tuple(jump_values), ratio)
+        line[xc.height + value] = value
+        jumps.append((n, value))
+    return _witness(xc, line, jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +625,7 @@ class MaximalityVerdict:
 
     point: LaaksoPoint
     probe: GapRatioVerdict
-    witness: Optional[SteepWitness]
-    witness_quotients: Tuple[Fraction, ...]
+    witness: Optional[Witness]
 
     @property
     def verdict(self) -> str:
@@ -657,7 +650,7 @@ def maximality_verdict(
     bound = parse_rational(bound)
     probe = gap_ratio_probe(xc.height, bound, start_level, depth)
     if probe.consistent:
-        return MaximalityVerdict(xc, probe, None, ())
+        return MaximalityVerdict(xc, probe, None)
 
     n = probe.violated_at
     up, down = nearest_wormhole_gap(xc.height, n)
@@ -669,7 +662,6 @@ def maximality_verdict(
         side = Direction.DOWN if up > down else Direction.UP
 
     witness = None
-    quotients: Tuple[Fraction, ...] = ()
     if wormhole_order(xc.height) is None:
         limit = max(2 * depth, n + 16)
         schedule = find_band_schedule(xc.height, side, start_level=start_level, max_level=limit)
@@ -678,9 +670,4 @@ def maximality_verdict(
             schedule = find_band_schedule(xc.height, other, start_level=start_level, max_level=limit)
         if schedule is not None:
             witness = build_steep_nondifferentiable(xc, schedule)
-            fx = witness.function.value_at(xc)
-            quotients = tuple(
-                abs(witness.function.value_at(y) - fx) / distance(y, xc)
-                for y in witness.jump_points
-            )
-    return MaximalityVerdict(xc, probe, witness, quotients)
+    return MaximalityVerdict(xc, probe, witness)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import constructions as cons
 from . import oracle
@@ -31,6 +31,7 @@ from .core import (
     canonicalize,
     format_rational,
     point,
+    point_key,
     same_point,
     wormhole_order,
 )
@@ -98,65 +99,58 @@ def _random_point(rng: random.Random, max_depth: int = 4) -> LaaksoPoint:
 # ---------------------------------------------------------------------------
 
 
+def _oracle_mismatches(
+    m: int, pairs: Callable[[int], Iterable[Tuple[int, int]]]
+) -> Tuple[int, int, int]:
+    """Interval-formula distance against the level-`m` graph on the vertex
+    pairs `pairs(vertex_count)` yields: (distance mismatches, pairs whose
+    zero graph distance disagrees with canonical equality, pairs).  The
+    graph side is one search per row, read through the address-XOR
+    automorphism (`oracle.row_distances`); canonical equality compares one
+    `point_key` per vertex."""
+    g = oracle.build_level_graph(m)
+    rows, two_m, top = oracle.row_distances(g), 2**m, 3**m
+    pts = [g.vertex_point(v) for v in range(g.vertex_count)]
+    keys = [point_key(p) for p in pts]
+    mismatches = zero_mismatches = total = 0
+    for i, j in pairs(g.vertex_count):
+        ki, ai = divmod(i, two_m)
+        gd = rows[ki][j ^ ai]
+        total += 1
+        mismatches += distance(pts[i], pts[j]) * top != gd
+        zero_mismatches += (gd == 0) != (keys[i] == keys[j])
+    return mismatches, zero_mismatches, total
+
+
 def check_oracle(m: int = 2, seed: int = 1) -> List[Check]:
     """Interval-formula distance against graph shortest paths.
 
     All vertex pairs at the given resolution, plus 500 seeded random pairs
     one level deeper; also checks that zero graph distance coincides exactly
-    with canonical equality.  The graph side at each resolution is one
-    search per row, read through the address-XOR automorphism
-    (`oracle.row_distances`).
+    with canonical equality on all pairs.
     """
-    out: List[Check] = []
-    g = oracle.build_level_graph(m)
-    rows, two_m, top = oracle.row_distances(g), 2**m, 3**m
-    pts = [g.vertex_point(v) for v in range(g.vertex_count)]
-    mismatches = 0
-    zero_mismatches = 0
-    total = 0
-    for i, x in enumerate(pts):
-        ki, ai = divmod(i, two_m)
-        row = rows[ki]
-        for j in range(i + 1, len(pts)):
-            y = pts[j]
-            total += 1
-            gd = row[j ^ ai]
-            if distance(x, y) * top != gd:
-                mismatches += 1
-            if (gd == 0) != same_point(x, y):
-                zero_mismatches += 1
-    out.append(
-        _check(f"oracle-all-pairs-m{m}", mismatches == 0, "0 mismatches", f"{mismatches}/{total}")
+    mismatches, zero_mismatches, total = _oracle_mismatches(
+        m, lambda n: ((i, j) for i in range(n) for j in range(i + 1, n))
     )
-    out.append(
+    rng = random.Random(seed)
+    random_mismatches, _, random_total = _oracle_mismatches(
+        m + 1, lambda n: ((rng.randrange(n), rng.randrange(n)) for _ in range(500))
+    )
+    return [
+        _check(f"oracle-all-pairs-m{m}", mismatches == 0, "0 mismatches", f"{mismatches}/{total}"),
         _check(
             f"oracle-zero-classes-m{m}",
             zero_mismatches == 0,
             "zero distance iff same point",
             f"{zero_mismatches} mismatches",
-        )
-    )
-
-    g3 = oracle.build_level_graph(m + 1)
-    rows, two_m, top = oracle.row_distances(g3), 2 ** (m + 1), 3 ** (m + 1)
-    rng = random.Random(seed)
-    mismatches = 0
-    for _ in range(500):
-        vx = rng.randrange(g3.vertex_count)
-        vy = rng.randrange(g3.vertex_count)
-        kx, ax = divmod(vx, two_m)
-        x, y = g3.vertex_point(vx), g3.vertex_point(vy)
-        if distance(x, y) * top != rows[kx][vy ^ ax]:
-            mismatches += 1
-    out.append(
+        ),
         _check(
             f"oracle-random-pairs-m{m + 1}",
-            mismatches == 0,
+            random_mismatches == 0,
             "0 mismatches",
-            f"{mismatches}/500",
-        )
-    )
-    return out
+            f"{random_mismatches}/{random_total}",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +363,7 @@ def check_constructions(seed: Optional[int] = None) -> List[Check]:
         )
     )
     probe = differentiability_probe(f, x, 0, flat.jump_points)
-    quot_ok = all(
-        abs(f(y) - f(x)) / distance(y, x) == Fraction(1, 2) for y in flat.jump_points
-    )
+    quot_ok = all(q == Fraction(1, 2) for q in flat.jump_quotients())
     out.append(
         _check(
             "flat-jump-quotients",
@@ -391,7 +383,8 @@ def check_constructions(seed: Optional[int] = None) -> List[Check]:
 
     center = point(ENGINEERED_MIRROR, "0")
     schedule = cons.find_band_schedule(center.height, Direction.UP, max_level=20)
-    assert schedule is not None
+    if schedule is None:
+        raise InternalError("no band schedule at the engineered steep center")
     steep_probes = [Fraction(1, 3**k) for k in range(3, 12)]
     steep = cons.build_steep_nondifferentiable(center, schedule, probe_offsets=steep_probes)
     g = cons.as_point_function(steep.function)
@@ -408,10 +401,7 @@ def check_constructions(seed: Optional[int] = None) -> List[Check]:
             f"{sorted(set(map(format_rational, upper)))}",
         )
     )
-    quot_ok = all(
-        abs(g(y) - g(center)) / distance(y, center) == Fraction(1, 2)
-        for y in steep.jump_points
-    )
+    quot_ok = all(q == Fraction(1, 2) for q in steep.jump_quotients())
     out.append(_check("steep-jump-quotients", quot_ok, "1/2 at every jump point", str(quot_ok)))
     ramp_ok = all(
         schedule.slopes[k] <= schedule.ramp_bound(k) for k in range(len(schedule.levels))

@@ -17,7 +17,14 @@ from laakso import oracle, verify
 from laakso.constructions import maximality_verdict
 from laakso.core import point, wormhole_order
 from laakso.metric import distance
-from laakso.profiles import Kink, expected_kinks, profile_distance_on_line, vertical_lines
+from laakso.profiles import (
+    TWO_LEVEL_BRANCHES,
+    Kink,
+    classify_two_level,
+    expected_kinks,
+    profile_distance_on_line,
+    vertical_lines,
+)
 
 
 def _report(tag, rows, extra=""):
@@ -124,6 +131,15 @@ def test_a05_two_jump_classification(kink_rows):
     _report("A05 two-jump kinks and branch coverage", rows)
 
 
+def test_branch_pool_labels_match_classification():
+    # Branch coverage counts the seeded cases too, so a pool height that
+    # drifted into another branch could pass unnoticed; each label must be
+    # the branch its height hits, and the pool must name every branch once.
+    for label, height in verify._BRANCH_POOL:
+        assert classify_two_level(height, 1, 2)[0] == label, (label, height)
+    assert tuple(label for label, _ in verify._BRANCH_POOL) == TWO_LEVEL_BRANCHES
+
+
 def test_own_line_roof_kink_fails_v0_row(monkeypatch):
     # The own-line rule is exact: a kink at h(p) that is a roof, not a V,
     # must fail the row even though its height matches.
@@ -190,7 +206,7 @@ def test_a10_holes_classify_not_in_m():
             heights += 1
             if v.witness is not None:
                 witnesses += 1
-                assert v.witness_quotients and set(v.witness_quotients) == {Fraction(1, 2)}, (hole, s)
+                assert set(v.witness.jump_quotients()) == {Fraction(1, 2)}, (hole, s)
     print(f"[A10 maximality] PASS: {heights} heights not-in-M, {witnesses} witnesses")
     assert heights == 100 and witnesses > 0
 

@@ -355,17 +355,17 @@ def test_construction_self_checks_exit_3(monkeypatch, capsys):
         ),
         # verify_lipschitz: a sampled ratio above the declared bound
         ("laakso.constructions.SampledFunction.__post_init__", bound_zero, "sampled ratio 1 exceeds bound 0"),
-        # build_flat_nondifferentiable: jump point distance
+        # _witness, building the flat witness: jump point distance
         (
             "laakso.constructions.distance",
             lambda a, b: Fraction(0),
-            "jump point at order 1 is not at distance 2*min-gap",
+            "order-1 jump point is not at distance twice its value",
         ),
-        # build_steep_nondifferentiable: jump point distance
+        # _witness, building the steep witness: jump point distance
         (
             "laakso.constructions.distance",
             lambda a, b: distance(a, b) + (1 if a.height == steep_center else 0),
-            "order-2 jump point is not at distance twice the thin gap",
+            "order-2 jump point is not at distance twice its value",
         ),
         # build_steep_nondifferentiable: spacing of consecutive jump points
         (
@@ -378,6 +378,12 @@ def test_construction_self_checks_exit_3(monkeypatch, capsys):
             "laakso.constructions._steep_line_value",
             lambda center, sign, schedule, t: t - center + 1,
             "order-2 thin-gap line value does not match the jump value",
+        ),
+        # check_constructions: the engineered steep center has a band schedule
+        (
+            "laakso.constructions.find_band_schedule",
+            lambda *args, **kwargs: None,
+            "no band schedule at the engineered steep center",
         ),
     )
     for target, fake, message in cases:

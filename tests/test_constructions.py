@@ -57,7 +57,7 @@ def test_sampled_function_basics():
 
 def test_one_sided_jump_check_is_an_internal_error(monkeypatch):
     monkeypatch.setattr("laakso.constructions.distance", lambda a, b: F(0))
-    with pytest.raises(InternalError, match="twice the reach"):
+    with pytest.raises(InternalError, match="twice its value"):
         build_one_sided_steep(point("0", "0"), (1, 2))
 
 
@@ -365,7 +365,7 @@ def test_maximality_verdict_frozen():
     mv = maximality_verdict(point(UNBALANCED, "0"), F(3), 2, 32)
     assert mv.verdict == "not-in-M"
     assert mv.witness is not None
-    assert set(mv.witness_quotients) == {F(1, 2)}
+    assert set(mv.witness.jump_quotients()) == {F(1, 2)}
     ok = maximality_verdict(point("1/3", "0"), F(2), 2, 12)
     assert ok.verdict == "in-M-consistent" and ok.witness is None
 

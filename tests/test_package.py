@@ -79,6 +79,27 @@ def test_benchmark_tracer_counts_settled_search_vertices():
     assert 0 < tracer.counts["search_vertices"] - g.vertex_count < g.vertex_count
 
 
+def test_benchmark_tracer_sees_the_witness_layer():
+    # The witness builds share one private tail; the tracer must still see
+    # both builds, every Lipschitz pair and every difference quotient of
+    # `verify constructions`.
+    tracing = _load(TRACING, "laakso_bench_tracing")
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"laakso.{layer}")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0, "op.constructions")
+        verify.run_suite("constructions")
+        tracer.end_op()
+        metrics = tracer.metrics(1, 0)
+    finally:
+        tracer.uninstall()
+    assert metrics["constructions.witness_builds"] == 2
+    assert metrics["constructions.lipschitz_pairs"] == 934
+    assert metrics["calculus.quotient_calls"] == 26
+
+
 def test_benchmark_runs_every_verify_suite():
     # The verify-suites workload sends `laakso verify <suite>` for each name
     # in its own list; a suite renamed or added here must show up there.
