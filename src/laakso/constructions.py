@@ -106,18 +106,19 @@ class SampledFunction:
 
         The library builds its samples to respect the bound, so a ratio
         above it, or two samples at distance 0 with different values, is
-        an `InternalError`."""
+        an `InternalError`.  A pair with equal values can neither raise
+        the ratio nor break the equal-points rule, so it is not measured."""
         pts = self.samples
         worst = Fraction(0)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 a, fa = pts[i]
                 b, fb = pts[j]
+                if fa == fb:
+                    continue
                 d = distance(a, b)
                 if d == 0:
-                    if fa != fb:
-                        raise InternalError(f"equal points {a}, {b} carry different values")
-                    continue
+                    raise InternalError(f"equal points {a}, {b} carry different values")
                 worst = max(worst, abs(fa - fb) / d)
         if worst > self.lip_bound:
             raise InternalError(f"sampled ratio {worst} exceeds bound {self.lip_bound}")

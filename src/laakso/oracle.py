@@ -10,11 +10,17 @@ interval-based distance it cross-checks.
 
 Each row k carries exactly one flip mask, so the 0-edges pair every
 interior vertex with one partner and nothing else: the one search,
-`_dijkstra`, is a level-synchronous 0-1 BFS over glued pairs.  A vertex
-gets its distance when first reached, together with its partner, and is
-pushed once.  The search stops after the last level within a cutoff, or
-after the level that reaches a target, so `graph_distance` settles only the
-vertices no farther than its target.
+`_dijkstra`, is a level-synchronous 0-1 BFS over glued pairs, run on row
+bitsets.  A row's 2**m addresses are one Python int, address a at bit a,
+so one level is a few integer operations per frontier row: mask it into
+rows k - 1 and k + 1 against what is already reached, and glue what is
+new there in one step by the XOR swap ((new & M_f) << f) | ((new >> f) &
+M_f), for f the row's flip and M_f the addresses whose bit f is clear.  An
+address gets its distance when first reached, together with its partner.
+The search stops after the last level within a cutoff, or after the level
+that reaches a target, so `graph_distance` settles only the vertices no
+farther than its target.  Its result keeps the (row, bitset) pairs of each
+level and reads as one distance or None per vertex.
 
 XOR-ing every address with one mask maps the graph onto itself (flip edges
 are XORs, vertical edges keep the address), so d((k1, a1), (k2, a2)) =
@@ -26,18 +32,19 @@ cell of height 1/3**m and address depth m has mass (1/3**m) * 2**(-m), so
 the whole space has mass exactly 1 and a depth-m Cantor column has mass
 2**(-m), matching (3**(-m)) ** (DIMENSION - 1).  A ball's mass at every
 radius comes from one search about its center, cut off at the largest
-radius, and one histogram of the settled distances.
+radius, and one histogram of the settled distances, counted by popcounts
+of the search's row bitsets.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import CantorAddress, InternalError, LaaksoPoint, point_key
 
@@ -127,65 +134,132 @@ def build_level_graph(m: int) -> LevelGraph:
     if not (1 <= m <= _MAX_RESOLUTION):
         raise ValueError(f"resolution must be in 1..{_MAX_RESOLUTION}, got {m}")
     flips = [0] * (3**m + 1)
-    for k in range(1, 3**m):
-        j, n = k, m
-        while j % 3 == 0:
-            j //= 3
-            n -= 1
-        flips[k] = 1 << (n - 1)
+    for j in range(m):  # heights k / 3**m with 3**j | k have order at most m - j
+        flips[3**j : 3**m : 3**j] = [1 << (m - 1 - j)] * (3 ** (m - j) - 1)
     return LevelGraph(m, tuple(flips))
+
+
+@lru_cache(maxsize=_MAX_RESOLUTION)
+def _swap_masks(m: int) -> Dict[int, int]:
+    """flip -> M_flip, the row bitset of the addresses whose bit `flip` is
+    clear.  A row's 2**m addresses are one integer, address a at bit a; the
+    gluing XORs each address with the row's flip f, which moves the bits in
+    M_f up by f and the others down by f.  Shared by every search at
+    resolution m, so read only."""
+    full = (1 << 2**m) - 1
+    return {f: ((1 << f) - 1) * (full // ((1 << 2 * f) - 1)) for f in (1 << i for i in range(m))}
+
+
+class _Distances(Sequence):
+    """The distances one search settled, in units of 1/3**m, as a sequence
+    over vertex ids: `result[v]` is an int, or None where the search never
+    settled v.
+
+    Stored as `levels`: `levels[d]` lists the (row k, bits) the search
+    reached at distance d, bit a of `bits` set for each address a of row k
+    first reached there (a row reached from both neighbours is listed
+    twice, with disjoint bits).  Indexing scans the levels, latest first;
+    iteration expands all of them into one dense list, a byte of addresses
+    at a time, so a caller reading many entries takes `list(result)` once.
+    """
+
+    __slots__ = ("levels", "_n", "_heights")
+
+    def __init__(self, g: LevelGraph, levels: List[List[Tuple[int, int]]]):
+        self.levels = levels
+        self._n = 2**g.m
+        self._heights = g.heights
+
+    def __len__(self) -> int:
+        return self._heights * self._n
+
+    def __getitem__(self, v: int) -> Optional[int]:
+        if not 0 <= v < len(self):
+            raise IndexError(v)
+        k, a = divmod(v, self._n)
+        for d in range(len(self.levels) - 1, -1, -1):
+            for row, bits in self.levels[d]:
+                if row == k and bits >> a & 1:
+                    return d
+        return None
+
+    def __iter__(self) -> Iterator[Optional[int]]:
+        dense: List[Optional[int]] = [None] * len(self)
+        for d, level in enumerate(self.levels):
+            for k, bits in level:
+                v = k * self._n
+                while bits:
+                    for a in _BYTE_BITS[bits & 255]:
+                        dense[v + a] = d
+                    bits >>= 8
+                    v += 8
+        return iter(dense)
+
+    def count(self, value) -> int:
+        settled = [sum(bits.bit_count() for _, bits in level) for level in self.levels]
+        if value is None:
+            return len(self) - sum(settled)
+        return sum(n for d, n in enumerate(settled) if d == value)
+
+
+# The set bit positions of every byte.
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
 def _dijkstra(
     g: LevelGraph, source: int, cutoff: Optional[int] = None, target: Optional[int] = None
-) -> List[Optional[int]]:
+) -> _Distances:
     """Single-source shortest paths in units of 1/3**m, by a level-synchronous
-    0-1 BFS.
+    0-1 BFS on row bitsets.
 
-    `frontier` holds every vertex at distance d.  A vertical edge from it
-    reaches an unmarked vertex at d + 1, and its glued partner gets d + 1 in
-    the same step, since the partner's only 0-edge leads back to it; so the
-    two are marked together, each vertex is pushed once and no entry is
-    stale.  The search stops after the last level within `cutoff`, or after
-    the level that reaches `target`, so it settles exactly the vertices no
-    farther than either.  Returns one entry per vertex, None where the
-    search never settled it.
+    `open_[k]` is the bitset of the addresses of row k not yet reached, and
+    the frontier lists (row, bits) for the addresses at distance d.  One
+    level masks each frontier bitset into rows k - 1 and k + 1 (the
+    vertical edges) and glues what is new there in one step: the XOR swap
+    by the row's flip f adds each new address's partner, which gets the
+    same distance, since its only 0-edge leads back.  So every address is
+    reached once, and the reached part of a row stays closed under its
+    gluing.  The search stops after the last level within `cutoff`, or
+    after the level that reaches `target`, so it settles exactly the
+    vertices no farther than either.
     """
-    m, two_m, flips = g.m, 2**g.m, g.flips
-    vertex_count = g.vertex_count
-    dist: List[Optional[int]] = [None] * vertex_count
-    dist[source] = 0
-    frontier = [source]
-    partner = source ^ flips[source >> m]
-    if partner != source:
-        dist[partner] = 0
-        frontier.append(partner)
-    d = 0
-    while frontier and (cutoff is None or d < cutoff) and (target is None or dist[target] is None):
-        d += 1
-        reached: List[int] = []
+    m, flips = g.m, g.flips
+    top, masks = 3**m, _swap_masks(m)
+    k, a = divmod(source, 2**m)
+    bits = 1 << a | 1 << (a ^ flips[k])
+    # The closing 0 stands for the rows -1 and top + 1 alike.
+    open_ = [(1 << 2**m) - 1] * (top + 1) + [0]
+    open_[k] ^= bits
+    frontier = [(k, bits)]
+    levels = [frontier]
+    if target is not None:
+        target_row, target_address = divmod(target, 2**m)
+        target_bit = 1 << target_address
+    while frontier and (cutoff is None or len(levels) <= cutoff) and (
+        target is None or open_[target_row] & target_bit
+    ):
+        reached: List[Tuple[int, int]] = []
         push = reached.append
-        for v in frontier:  # the two vertical edges, unrolled
-            w = v - two_m
-            if w >= 0 and dist[w] is None:
-                dist[w] = d
-                push(w)
-                flip = flips[w >> m]
-                if flip:
-                    w ^= flip
-                    dist[w] = d
-                    push(w)
-            w = v + two_m
-            if w < vertex_count and dist[w] is None:
-                dist[w] = d
-                push(w)
-                flip = flips[w >> m]
-                if flip:
-                    w ^= flip
-                    dist[w] = d
-                    push(w)
+        for k, bits in frontier:  # the two vertical edges, unrolled
+            new = bits & open_[k - 1]
+            if new:
+                f = flips[k - 1]
+                if f:
+                    mask = masks[f]
+                    new |= (new & mask) << f | (new >> f) & mask
+                open_[k - 1] ^= new
+                push((k - 1, new))
+            new = bits & open_[k + 1]
+            if new:
+                f = flips[k + 1]
+                if f:
+                    mask = masks[f]
+                    new |= (new & mask) << f | (new >> f) & mask
+                open_[k + 1] ^= new
+                push((k + 1, new))
         frontier = reached
-    return dist
+        levels.append(reached)
+    return _Distances(g, levels)
 
 
 def row_distances(g: LevelGraph) -> List[List[int]]:
@@ -194,13 +268,14 @@ def row_distances(g: LevelGraph) -> List[List[int]]:
     By the address-XOR automorphism, the distance from (k1, a1) to the
     vertex v, in units of 1/3**m, is `row_distances(g)[k1][v ^ a1]`.
     """
-    return [_dijkstra(g, g.vertex(k, 0)) for k in range(g.heights)]
+    return [list(_dijkstra(g, g.vertex(k, 0))) for k in range(g.heights)]
 
 
 def graph_distance_map(g: LevelGraph, x: LaaksoPoint) -> Dict[int, Fraction]:
     """Exact distances from x to every vertex (vertex id -> Fraction)."""
     dist = _dijkstra(g, g.point_vertex(x))
-    return {v: d * g.unit for v, d in enumerate(dist) if d is not None}
+    fractions = [d * g.unit for d in range(len(dist.levels))]  # one per distance, not per vertex
+    return {v: fractions[d] for v, d in enumerate(dist) if d is not None}
 
 
 def graph_distance(g: LevelGraph, x: LaaksoPoint, y: LaaksoPoint) -> Fraction:
@@ -233,28 +308,20 @@ def total_cell_mass(g: LevelGraph) -> Fraction:
 
 def _ball_estimates(g: LevelGraph, center: LaaksoPoint, radii) -> List[MeasureEstimate]:
     """Ball masses about `center` at every radius, from one search cut off
-    at the largest radius and one histogram of settled distances.
+    at the largest radius and one histogram of settled distances: the
+    popcounts of each level's bitsets in rows k < 3**m.
 
     A cell's representative is its lower-left corner (minimum height, the
     cell's own address), so cells are the vertices of rows k < 3**m; at
     resolution m the choice moves distances by at most 2/3**m, which the
     reported spread absorbs.
     """
-    top, two_m = 3**g.m, 2**g.m
+    top = 3**g.m
     limits = [math.floor(r * top) for r in radii]  # integer d <= r * 3**m iff d <= limit
-    cutoff = max(limits)
-    source = g.point_vertex(center)
-    dist = _dijkstra(g, source, cutoff=cutoff)
-    # A settled vertex lies within `cutoff` rows of the center, since only
-    # vertical edges change the height; only those rows are read.
-    k0 = source // two_m
-    rows = islice(dist, max(0, k0 - cutoff) * two_m, min(top, k0 + cutoff + 1) * two_m)
-    histogram = Counter(rows)
-    histogram.pop(None, None)
+    levels = _dijkstra(g, g.point_vertex(center), cutoff=max(limits)).levels
+    counts = [sum(bits.bit_count() for k, bits in level if k < top) for level in levels]
     return [
-        MeasureEstimate(
-            center, r, g.m, sum(n for d, n in histogram.items() if d <= limit) * g.cell_mass
-        )
+        MeasureEstimate(center, r, g.m, sum(counts[: limit + 1]) * g.cell_mass)
         for r, limit in zip(radii, limits)
     ]
 

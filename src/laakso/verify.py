@@ -562,10 +562,10 @@ class Suite(NamedTuple):
 
 # Regularity's smallest radius 1/81 needs m >= 5 (`regularity_scan` takes
 # radii down to 1/3^(m-1)).  The upper ends bound the work before it
-# starts: on a 2-vCPU host (CPython 3.11) the oracle check takes ~0.9 s at
-# m = 3 and ~37 s at m = 4, nearly all of it the interval formula on
-# 25k and 860k pairs, and regularity ~1.4 s at m = 8, while m = 9 builds
-# a graph of ~10M vertices.
+# starts: on a 2-vCPU host (CPython 3.11) the oracle check takes ~0.5 s at
+# m = 3 and ~22 s at m = 4, nearly all of it the interval formula on
+# 25k and 860k pairs, and regularity ~0.06-0.09 s at m = 8, while m = 9
+# builds a graph of ~10M vertices.
 SUITES: Dict[str, Suite] = {
     "oracle": Suite(check_oracle, range(1, 4)),
     "kinks": Suite(check_kinks),

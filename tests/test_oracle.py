@@ -147,14 +147,17 @@ def test_distinct_grid_point_count():
         assert len(keys) == 2 ** (m - 1) * (3**m + 3)
 
 
-def _heap_dijkstra(g, source):
+def _heap_dijkstra(g, source, cutoff=None):
     """Reference search: a binary-heap Dijkstra over the same edges, built
-    from `zero_partner`, settling every vertex."""
+    from `zero_partner`, settling every vertex (every vertex within
+    `cutoff`, if one is given)."""
     two_m, top = 2**g.m, 3**g.m
     dist = [None] * g.vertex_count
     heap = [(0, source)]
     while heap:
         d, v = heapq.heappop(heap)
+        if cutoff is not None and d > cutoff:
+            break
         if dist[v] is not None:
             continue
         dist[v] = d
@@ -171,10 +174,10 @@ def test_search_matches_heap_dijkstra_at_every_cutoff():
         g = build_level_graph(m)
         for source in range(g.vertex_count):
             ref = _heap_dijkstra(g, source)
-            assert _dijkstra(g, source) == ref
+            assert list(_dijkstra(g, source)) == ref
             for cutoff in range(3**m + 1):
                 want = [d if d <= cutoff else None for d in ref]
-                assert _dijkstra(g, source, cutoff=cutoff) == want
+                assert list(_dijkstra(g, source, cutoff=cutoff)) == want
 
 
 def test_search_matches_heap_dijkstra_at_workload_resolutions():
@@ -189,11 +192,27 @@ def test_search_matches_heap_dijkstra_at_workload_resolutions():
             ref = _heap_dijkstra(g, source)
             for cutoff in (0, 1, top // 81, top // 27, top // 9, None):
                 want = [d if cutoff is None or d <= cutoff else None for d in ref]
-                assert _dijkstra(g, source, cutoff=cutoff) == want, (m, source, cutoff)
+                assert list(_dijkstra(g, source, cutoff=cutoff)) == want, (m, source, cutoff)
             for _ in range(4):
                 target = rng.randrange(g.vertex_count)
                 want = [d if d <= ref[target] else None for d in ref]
-                assert _dijkstra(g, source, target=target) == want, (m, source, target)
+                assert list(_dijkstra(g, source, target=target)) == want, (m, source, target)
+
+
+def test_search_result_reads_as_one_entry_per_vertex():
+    # Indexing, iteration and `count` of the per-level row bitsets agree
+    # with the dense reference, entry by entry.
+    g = build_level_graph(4)
+    source = g.vertex(40, 5)
+    cutoff = 9
+    want = [d if d <= cutoff else None for d in _heap_dijkstra(g, source)]
+    result = _dijkstra(g, source, cutoff=cutoff)
+    assert len(result) == g.vertex_count
+    assert [result[v] for v in range(g.vertex_count)] == list(result) == want
+    for value in (None, 0, 3, cutoff, cutoff + 1):
+        assert result.count(value) == want.count(value)
+    with pytest.raises(IndexError):
+        result[g.vertex_count]
 
 
 def test_graph_automorphisms_and_row_table():
@@ -204,7 +223,7 @@ def test_graph_automorphisms_and_row_table():
         g = build_level_graph(m)
         two_m, top = 2**m, 3**m
         vertices = range(g.vertex_count)
-        full = [_dijkstra(g, v) for v in vertices]
+        full = [list(_dijkstra(g, v)) for v in vertices]
         for mask in range(two_m):
             assert all(full[u ^ mask][v ^ mask] == full[u][v] for u in vertices for v in vertices)
         mirror = [(top - k) * two_m + a for k in range(top + 1) for a in range(two_m)]
@@ -262,3 +281,19 @@ def test_ball_measure_matches_heap_dijkstra_count():
         for r in (F(1, 27), F(2, 27), F(1, 9), F(4, 27), F(1, 3), F(1)):
             count = sum(1 for d in ref[:cells] if d <= r * 27)
             assert ball_measure(g, center, r).mass == count * g.cell_mass
+
+
+def test_ball_measure_matches_heap_dijkstra_at_scan_resolutions():
+    # The popcount histogram against per-vertex counts of the heap
+    # reference, at the resolutions and radii of the ball scans.
+    rng = random.Random(15)
+    for m, centers in ((5, 4), (6, 2)):
+        g = build_level_graph(m)
+        cells = 3**m * 2**m
+        for _ in range(centers):
+            source = rng.randrange(g.vertex_count)
+            ref = _heap_dijkstra(g, source, cutoff=3**m // 9)
+            center = g.vertex_point(source)
+            for r in (F(1, 9), F(1, 27), F(1, 81)):
+                count = sum(1 for d in ref[:cells] if d is not None and d <= r * 3**m)
+                assert ball_measure(g, center, r).mass == count * g.cell_mass, (m, source, r)
