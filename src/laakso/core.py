@@ -27,6 +27,11 @@ boundary of I, and always on the outer side of 0 and 1), which plays the
 role of an infinite gap.  Every grid lookup goes through one integer
 kernel, `_grid_index`, which needs no special case at 0 or 1.
 
+Addresses are worked on integers too: `_canonical` gives a point's
+canonical (height, address mask) without building a point.  Two points are
+the same exactly when these agree, and a path between them must jump at
+every order set in the XOR of their masks (`_orders`).
+
 `InternalError` is the one exception type every layer raises when one of its
 own invariants fails (a bug, never bad input or a failed check).
 """
@@ -34,10 +39,10 @@ own invariants fails (a bug, never bad input or a failed check).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 __all__ = [
     "CantorAddress",
@@ -71,7 +76,7 @@ class InternalError(RuntimeError):
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_BITS_RE = re.compile(r"^[01]*$")
+_BITS_RE = re.compile(r"[01]*")
 
 
 def parse_rational(text: RationalLike) -> Fraction:
@@ -112,13 +117,31 @@ class CantorAddress:
     The named point of K is sum(2 * bits[i] / 3**(i+1)), i.e. the left
     endpoint of the depth-len(bits) cell; trailing zero bits never change
     the point, only the declared depth.
+
+    `bits` is the validated wire form.  `mask` is the same address as one
+    integer, computed once, with address bit i at integer bit i - 1 (as in
+    `oracle`); flips, comparisons and level scans work on it.  Addresses
+    the library derives (flips, paddings, trims) are built from a mask and
+    a depth and skip the check of the parsed form.
     """
 
     bits: str = ""
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _BITS_RE.match(self.bits):
+        if not _BITS_RE.fullmatch(self.bits):
             raise ValueError(f"address bits must be a 0/1 string: {self.bits!r}")
+        # Base 2 is linear in the length and outside the int-string digit limit.
+        object.__setattr__(self, "mask", int(self.bits[::-1], 2) if self.bits else 0)
+
+    @classmethod
+    def _of(cls, mask: int, depth: int) -> "CantorAddress":
+        """The depth-`depth` address of `mask` (which has no bit at or past
+        `depth`), without re-checking it."""
+        address = object.__new__(cls)
+        object.__setattr__(address, "bits", _bits(mask, depth))
+        object.__setattr__(address, "mask", mask)
+        return address
 
     @property
     def depth(self) -> int:
@@ -136,26 +159,50 @@ class CantorAddress:
         """Bit n (1-indexed); zero beyond the stored depth."""
         if n < 1:
             raise ValueError("bit positions are 1-indexed")
-        if n > len(self.bits):
-            return 0
-        return int(self.bits[n - 1])
+        return self.mask >> (n - 1) & 1
 
     def padded(self, depth: int) -> "CantorAddress":
         """Same point, depth extended with zero bits to at least `depth`."""
         if depth <= len(self.bits):
             return self
-        return CantorAddress(self.bits + "0" * (depth - len(self.bits)))
+        return CantorAddress._of(self.mask, depth)
 
     def flipped(self, n: int) -> "CantorAddress":
         """Flip bit n (padding first if needed); this is the level-n jump."""
-        padded = self.padded(n)
-        b = padded.bits
-        new = b[: n - 1] + ("0" if b[n - 1] == "1" else "1") + b[n:]
-        return CantorAddress(new)
+        if n < 1:
+            raise ValueError("bit positions are 1-indexed")
+        return CantorAddress._of(self.mask ^ 1 << (n - 1), max(n, len(self.bits)))
 
     def trimmed(self) -> "CantorAddress":
         """Minimal-depth address of the same point (strip trailing zeros)."""
-        return CantorAddress(self.bits.rstrip("0"))
+        return CantorAddress._of(self.mask, self.mask.bit_length())
+
+
+def _bits(mask: int, depth: int) -> str:
+    """The 0/1 string of depth `depth` whose bit i is bit i - 1 of `mask`."""
+    return (format(mask, "b")[::-1] if mask else "").ljust(depth, "0")
+
+
+def _orders(mask: int) -> List[int]:
+    """The increasing orders n whose bit n - 1 is set in `mask`; for the
+    XOR of two canonical masks, the orders a path between them must jump.
+
+    A short mask is scanned lowest set bit first; a long one by one scan of
+    its binary string, which stays linear in its length where the integer
+    steps would each cost a pass over the whole mask."""
+    out = []
+    if mask.bit_length() > 64:
+        bits = format(mask, "b")[::-1]
+        i = bits.find("1")
+        while i >= 0:
+            out.append(i + 1)
+            i = bits.find("1", i + 1)
+        return out
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -337,6 +384,17 @@ def nearest_wormhole_gap(t: Fraction, n: int) -> Tuple[Optional[Fraction], Optio
 # ---------------------------------------------------------------------------
 
 
+def _canonical(p: LaaksoPoint) -> Tuple[Fraction, int]:
+    """p's canonical (height, mask): the address mask with bit n cleared at
+    an order-n wormhole height (a no-op when the address is shallower than
+    n).  Builds no point; `canonicalize` and `point_key` are read off it."""
+    height, mask = p.height, p.address.mask
+    if not mask or height.denominator % 3:  # no bit to clear, or off every grid
+        return height, mask
+    n = wormhole_order(height)
+    return height, mask if n is None else mask & ~(1 << (n - 1))
+
+
 def canonicalize(p: LaaksoPoint) -> LaaksoPoint:
     """The canonical representative of p's gluing class.
 
@@ -345,16 +403,16 @@ def canonicalize(p: LaaksoPoint) -> LaaksoPoint:
     coordinate).  Elsewhere this is the identity.  Idempotent, and the
     result is at distance zero from the input.
     """
-    n = wormhole_order(p.height)
-    if n is None or n > p.address.depth or p.address.bit(n) == 0:
+    height, mask = _canonical(p)
+    if mask == p.address.mask:
         return p
-    return LaaksoPoint(p.height, p.address.flipped(n))
+    return LaaksoPoint(height, CantorAddress._of(mask, p.address.depth))
 
 
 def point_key(p: LaaksoPoint):
     """A hashable key identifying p's gluing class (canonical, trimmed)."""
-    c = canonicalize(p)
-    return (c.height, c.address.trimmed().bits)
+    height, mask = _canonical(p)
+    return (height, _bits(mask, mask.bit_length()))
 
 
 def same_point(x: LaaksoPoint, y: LaaksoPoint) -> bool:

@@ -14,9 +14,11 @@ endpoint).  All minimal intervals have the same length; when several exist
 they correspond to genuinely different geodesics, which is what the
 ending-direction analysis consumes.
 
-Each pair is worked on one integer scale.  Both points are canonicalized
-once, and both heights and every grid height the pair needs are put over
-one common denominator, lcm(den h(x), den h(y)) * 3**N for N the deepest
+Each pair is worked on one integer scale.  Each point's canonical height
+and address mask are read once (`core._canonical`, which builds no point);
+the required orders are the set bits of the XOR of the two masks.  Both
+heights and every grid height the pair needs are put over one common
+denominator, lcm(den h(x), den h(y)) * 3**N for N the deepest
 required order; an order-n grid height k / 3**n is then an integer
 multiple of 3**(N - n).  The minimal-interval search, the length formula
 and the geodesic jump schedule run on those integers, through the one
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Tuple, Union
+from typing import FrozenSet, List, Optional, Tuple, Union
 
 from .core import (
     Direction,
@@ -40,8 +42,10 @@ from .core import (
     InternalError,
     LaaksoPoint,
     WormholeLevel,
+    _bits,
+    _canonical,
     _grid_index,
-    canonicalize,
+    _orders,
     format_rational,
 )
 
@@ -106,21 +110,14 @@ class GeodesicPath:
         return out
 
 
-def _levels(xs: str, ys: str) -> List[int]:
-    """Increasing bit positions where two addresses differ after zero-padding."""
-    depth = max(len(xs), len(ys))
-    pairs = zip(xs.ljust(depth, "0"), ys.ljust(depth, "0"))
-    return [i for i, (a, b) in enumerate(pairs, start=1) if a != b]
-
-
 def required_levels(x: LaaksoPoint, y: LaaksoPoint) -> FrozenSet[int]:
     """Orders at which any path from x to y must jump an odd number of times.
 
     These are the bit positions where the canonical addresses differ after
-    zero-padding to a common depth; empty exactly when x and y lie on the
-    same vertical line.
+    zero-padding to a common depth, the set bits of the XOR of their masks;
+    empty exactly when x and y lie on the same vertical line.
     """
-    return frozenset(_levels(canonicalize(x).bits, canonicalize(y).bits))
+    return frozenset(_orders(_canonical(x)[1] ^ _canonical(y)[1]))
 
 
 class _Pair:
@@ -134,29 +131,30 @@ class _Pair:
 
     The constructor takes that data as given: `levels`, the increasing
     orders where the addresses differ, and the scaled heights.  `of` builds
-    it from two points, canonicalized once, on the least such scale,
-    lcm(den h(x), den h(y)) * 3**N; a caller that already holds canonical
-    data on a scale of its own builds the pair directly.  `x` and `y` are
-    the canonical points when built by `of` (`geodesic` needs their
-    addresses), else None.
+    it from two points' canonical (height, mask) data, read once, on the
+    least such scale, lcm(den h(x), den h(y)) * 3**N; a caller that already
+    holds canonical data on a scale of its own builds the pair directly.
+    `x` and `y` are the points it was built from when built by `of`
+    (`geodesic` reads their canonical masks and address depths), else None.
     """
 
     __slots__ = ("x", "y", "levels", "den", "hx", "hy", "lo", "hi")
 
-    def __init__(self, levels: List[int], hx: int, hy: int, den: int):
-        self.x = self.y = None
-        self.levels, self.den, self.hx, self.hy = levels, den, hx, hy
-        self.lo, self.hi = min(hx, hy), max(hx, hy)
+    def __init__(
+        self, levels: List[int], hx: int, hy: int, den: int,
+        x: Optional[LaaksoPoint] = None, y: Optional[LaaksoPoint] = None,
+    ):
+        self.levels, self.den, self.hx, self.hy, self.x, self.y = levels, den, hx, hy, x, y
+        self.lo, self.hi = (hx, hy) if hx <= hy else (hy, hx)
 
     @classmethod
     def of(cls, x: LaaksoPoint, y: LaaksoPoint) -> "_Pair":
-        xc, yc = canonicalize(x), canonicalize(y)
-        levels = _levels(xc.bits, yc.bits)
-        hx, hy = xc.height, yc.height
-        den = math.lcm(hx.denominator, hy.denominator) * 3 ** (levels[-1] if levels else 0)
-        pair = cls(levels, hx.numerator * (den // hx.denominator), hy.numerator * (den // hy.denominator), den)
-        pair.x, pair.y = xc, yc
-        return pair
+        hx, mx = _canonical(x)
+        hy, my = _canonical(y)
+        levels = _orders(mx ^ my)
+        dx, dy = hx.denominator, hy.denominator
+        den = math.lcm(dx, dy) * 3 ** (levels[-1] if levels else 0)
+        return cls(levels, hx.numerator * (den // dx), hy.numerator * (den // dy), den, x, y)
 
     def search(self) -> List[Tuple[int, int]]:
         """All minimum-length intervals covering both heights and every
@@ -242,9 +240,9 @@ class _Pair:
         emitted, and its arrival address are checked before it is returned."""
         if not self.levels and self.hx == self.hy:
             return GeodesicPath(())
-        start, end = (self.y, self.x) if self.hy < self.hx else (self.x, self.y)
-        depth = max(len(self.x.bits), len(self.y.bits))
-        bits = list(start.bits.ljust(depth, "0"))
+        mx, my = _canonical(self.x)[1], _canonical(self.y)[1]
+        mask, end = (my, mx) if self.hy < self.hx else (mx, my)
+        depth = max(self.x.address.depth, self.y.address.depth)
         heights = {}  # scaled height -> Fraction, built once per height
 
         def height(v: int) -> Fraction:
@@ -261,16 +259,16 @@ class _Pair:
             pos = s
             for h, n in jumps + [(e, None)]:
                 if h != pos:
-                    events.append(Segment(height(pos), height(h), "".join(bits), direction))
+                    events.append(Segment(height(pos), height(h), _bits(mask, depth), direction))
                     length += abs(h - pos)
                     pos = h
                 if n is not None:
-                    bits[n - 1] = "1" if bits[n - 1] == "0" else "0"
+                    mask ^= 1 << (n - 1)
                     events.append(WormholeLevel(n, height(h)))
 
         if length != self.length(a, b):
             raise InternalError("synthesized path length does not match the distance")
-        if "".join(bits).rstrip("0") != end.bits.rstrip("0"):
+        if mask != end:
             raise InternalError("synthesized path does not arrive at the target address")
         return GeodesicPath(tuple(events))
 

@@ -103,24 +103,16 @@ class LevelGraph:
 
     def vertex_point(self, v: int) -> LaaksoPoint:
         k, a = divmod(v, 2**self.m)
-        bits = "".join("1" if a >> i & 1 else "0" for i in range(self.m))
-        return LaaksoPoint(Fraction(k, 3**self.m), CantorAddress(bits))
+        return LaaksoPoint(Fraction(k, 3**self.m), CantorAddress._of(a, self.m))
 
     def point_vertex(self, p: LaaksoPoint) -> int:
         """Encode a representable point; rejects anything off the grid."""
         k = p.height * 3**self.m
         if k.denominator != 1:
             raise ValueError(f"height {p.height} is not a multiple of 1/3^{self.m}")
-        bits = p.address.bits
-        if len(bits) > self.m:
-            if bits[self.m :].strip("0"):
-                raise ValueError(f"address depth {len(bits)} exceeds resolution {self.m}")
-            bits = bits[: self.m]
-        a = 0
-        for i, b in enumerate(bits):
-            if b == "1":
-                a |= 1 << i
-        return self.vertex(k.numerator, a)
+        if p.address.mask >> self.m:
+            raise ValueError(f"address depth {p.address.depth} exceeds resolution {self.m}")
+        return self.vertex(k.numerator, p.address.mask)
 
     def zero_partner(self, k: int, a: int) -> Optional[int]:
         """The address glued to `a` at height k / 3**m, if k is interior."""

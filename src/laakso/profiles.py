@@ -18,8 +18,9 @@ point), by the tie of the up and down routes, and by the pairwise ties
 between orders.  That is a handful of heights whatever the jump orders, so
 a profile costs the same at order 30 as at order 3.
 
-A line is worked on one integer scale (`_LineScale`).  p is canonicalized
-once and the orders the line requires are read off its address once; every
+A line is worked on one integer scale (`_LineScale`).  p's canonical
+height and address mask are read once (`core._canonical`), and the orders
+the line requires are the set bits of that mask XOR the line's; every
 height, candidate and distance value of the line is an integer over one
 denominator, den h(p) * 3**N * 2**8 for N the deepest involved order, so
 every apex and midpoint of the certificate below stays an integer.  Each
@@ -39,6 +40,7 @@ gap arithmetic missed is either found by the one-kink solve or raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -47,13 +49,14 @@ from .core import (
     CantorAddress,
     InternalError,
     LaaksoPoint,
+    _canonical,
     _grid_index,
-    canonicalize,
+    _orders,
     format_rational,
     nearest_wormhole_gap,
     wormhole_order,
 )
-from .metric import _levels, _Pair, distance
+from .metric import _Pair
 
 __all__ = [
     "KinkProfile",
@@ -101,22 +104,32 @@ class VerticalLine:
         return self.base_address.bits
 
 
-def vertical_lines(p: LaaksoPoint, levels: Sequence[int]) -> List[VerticalLine]:
-    """The lines reached from p by jumping once at each given order.
-
-    Orders must be distinct, increasing, and different from the wormhole
-    order of p's height (those jumps are free at p and do not change the
-    line).  A wormhole base point produces two lines per level set.
-    """
-    pc = canonicalize(p)
+def _checked_levels(height: Fraction, levels: Sequence[int]) -> Tuple[Tuple[int, ...], Optional[int]]:
+    """The jump orders as a tuple, and the wormhole order of `height` (None
+    off every grid); raises ValueError unless the orders are strictly
+    increasing, positive and different from that wormhole order."""
     levels = tuple(levels)
     if list(levels) != sorted(set(levels)):
         raise ValueError("levels must be strictly increasing")
     if any(n < 1 for n in levels):
         raise ValueError("levels must be positive")
-    w = wormhole_order(pc.height)
+    w = wormhole_order(height)
     if w is not None and w in levels:
         raise ValueError(f"level {w} is the base point's own wormhole order")
+    return levels, w
+
+
+def vertical_lines(p: LaaksoPoint, levels: Sequence[int]) -> List[VerticalLine]:
+    """The lines reached from p by jumping once at each given order.
+
+    Orders must be distinct, increasing, and different from the wormhole
+    order of p's height (those jumps are free at p and do not change the
+    line).  A wormhole base point produces two lines per level set.  A
+    line's address is p's canonical mask XOR the jumps, padded with zero
+    bits to the deepest order flipped.
+    """
+    height, mask = _canonical(p)
+    levels, w = _checked_levels(height, levels)
     if not levels:
         label = "v0"
     elif len(levels) == 1:
@@ -124,14 +137,11 @@ def vertical_lines(p: LaaksoPoint, levels: Sequence[int]) -> List[VerticalLine]:
     else:
         label = "vD:" + ",".join(str(n) for n in levels)
 
-    addr = pc.address
-    for n in levels:
-        addr = addr.flipped(n)
-    lines = [VerticalLine(addr, label, levels, 0)]
+    mask ^= sum(1 << (n - 1) for n in levels)  # one jump per (distinct) order
+    depth = max(p.address.depth, levels[-1] if levels else 0)
+    lines = [VerticalLine(CantorAddress._of(mask, depth), label, levels, 0)]
     if w is not None:
-        other = pc.address.flipped(w)
-        for n in levels:
-            other = other.flipped(n)
+        other = CantorAddress._of(mask ^ 1 << (w - 1), max(depth, w))
         lines.append(VerticalLine(other, label, levels, 1))
     return lines
 
@@ -276,8 +286,8 @@ def _assemble(line: VerticalLine, v: Callable[[int], int], breaks: List[int], de
 
 
 class _LineScale:
-    """The distance from a canonical point p to a vertical line, with every
-    height on one integer scale.
+    """The distance from a point p to a vertical line, with every height on
+    one integer scale.
 
     `den` is den h(p) * 3**N * 2**_MAX_SUBDIVISION, N the deepest involved
     order: it holds 0, 1, h(p) (`hp` on the scale) and every candidate
@@ -288,19 +298,21 @@ class _LineScale:
 
     __slots__ = ("levels", "involved", "den", "hp", "_values")
 
-    def __init__(self, pc: LaaksoPoint, line: VerticalLine):
-        # The orders a path from p to the line must jump at.  Heights on the
-        # line are not canonicalized: at an order-n wormhole height t the two
+    def __init__(self, p: LaaksoPoint, line: VerticalLine):
+        # The orders a path from p to the line must jump at: the set bits of
+        # p's canonical mask XOR the line's.  Heights on the line are not
+        # canonicalized: at an order-n wormhole height t the two
         # representatives differ only in whether n is required, and t itself
         # meets the order-n requirement, so `_Pair.search` returns the same
         # intervals for either.
-        self.levels = _levels(pc.bits, line.bits)
-        w = wormhole_order(pc.height)
+        height, mask = _canonical(p)
+        self.levels = _orders(mask ^ line.base_address.mask)
+        w = wormhole_order(height)
         involved = set(line.levels) | set(self.levels) | ({w} if w is not None else set())
         self.involved = sorted(involved)
         order = self.involved[-1] if involved else 0
-        self.den = pc.height.denominator * 3**order * 2**_MAX_SUBDIVISION
-        self.hp = pc.height.numerator * (self.den // pc.height.denominator)
+        self.den = height.denominator * 3**order * 2**_MAX_SUBDIVISION
+        self.hp = height.numerator * (self.den // height.denominator)
         self._values: Dict[int, int] = {}
 
     def value(self, t: int) -> int:
@@ -335,7 +347,7 @@ class _LineScale:
 
 def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
     """Exact profile of t -> d(p, [t, line.bits]) over [0, 1]."""
-    scale = _LineScale(canonicalize(p), line)
+    scale = _LineScale(p, line)
     return _assemble(line, scale.value, scale.candidates(), scale.den)
 
 
@@ -446,13 +458,13 @@ def expected_kinks(p: LaaksoPoint, line: VerticalLine) -> List[Fraction]:
     level sets are rejected, since their profiles reduce to two-jump ones
     (`parallel_reduction`).
     """
-    pc = canonicalize(p)
+    h = p.height
     if len(line.levels) == 0:
-        return [pc.height] if 0 < pc.height < 1 else []
+        return [h] if 0 < h < 1 else []
     if len(line.levels) == 1:
-        return _expected_single(pc.height, line.levels[0])
+        return _expected_single(h, line.levels[0])
     if len(line.levels) == 2:
-        return classify_two_level(pc.height, *line.levels)[1]
+        return classify_two_level(h, *line.levels)[1]
     raise ValueError("closed forms cover at most two levels; use parallel_reduction")
 
 
@@ -461,19 +473,29 @@ def parallel_reduction(
 ) -> Tuple[Fraction, Fraction]:
     """Distance values at height t on the full line (all listed jump orders)
     and on the line of the first two orders only; the two are equal because
-    deeper jumps can be threaded through any two-order geodesic for free."""
+    deeper jumps can be threaded through any two-order geodesic for free.
+
+    Both are read on one integer scale, den h(p) * den t * 3**N for N the
+    deepest order, by one interval search each.  From p's canonical mask the
+    line of `levels` differs exactly in those orders (canonicalizing [t,
+    line] at a wormhole t would only drop an order t itself meets, see
+    `_LineScale`), so the orders are the levels themselves."""
     levels = tuple(levels)
     if len(levels) < 3:
         raise ValueError("need at least three levels; two-level lines stand alone")
     t = Fraction(t)
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")
-    pc = canonicalize(p)
-    full = vertical_lines(pc, levels)[0]
-    two = vertical_lines(pc, levels[:2])[0]
-    value_full = distance(pc, LaaksoPoint(t, full.base_address))
-    value_two = distance(pc, LaaksoPoint(t, two.base_address))
-    return value_full, value_two
+    height = p.height
+    levels, _ = _checked_levels(height, levels)
+    den = math.lcm(height.denominator, t.denominator) * 3 ** levels[-1]
+    hp = height.numerator * (den // height.denominator)
+    ht = t.numerator * (den // t.denominator)
+    values = []
+    for orders in (list(levels), list(levels[:2])):
+        pair = _Pair(orders, hp, ht, den)
+        values.append(Fraction(pair.length(*pair.search()[0]), den))
+    return values[0], values[1]
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +520,12 @@ def census_records(p: LaaksoPoint, max_level: int) -> List[Tuple[Fraction, str, 
     contributes h(p) unless it is a boundary height, where it has no kink."""
     if not (1 <= max_level <= _MAX_CENSUS_LEVEL):
         raise ValueError(f"max_level must be in 1..{_MAX_CENSUS_LEVEL}")
-    pc = canonicalize(p)
     records: List[Tuple[Fraction, str, str]] = [
-        (h, "v0", "min") for h in expected_kinks(pc, vertical_lines(pc, ())[0])
+        (h, "v0", "min") for h in expected_kinks(p, vertical_lines(p, ())[0])
     ]
-    for levels in census_level_sets(pc, max_level):
-        line = vertical_lines(pc, levels)[0]
-        heights = expected_kinks(pc, line)
+    for levels in census_level_sets(p, max_level):
+        line = vertical_lines(p, levels)[0]
+        heights = expected_kinks(p, line)
         for i, h in enumerate(heights):
             records.append((h, line.label, "min" if i % 2 == 0 else "max"))
     records.sort(key=lambda r: (r[0], r[1]))

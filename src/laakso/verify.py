@@ -28,14 +28,16 @@ from .core import (
     Direction,
     InternalError,
     LaaksoPoint,
+    _canonical,
+    _orders,
     canonicalize,
     format_rational,
     point,
-    point_key,
     same_point,
     wormhole_order,
 )
 from .metric import (
+    _Pair,
     distance,
     geodesic_endings,
     minimal_height_intervals,
@@ -47,6 +49,7 @@ from .profiles import (
     classify_two_level,
     expected_kinks,
     nondiff_height_census,
+    parallel_reduction,
     profile_distance_on_line,
     vertical_lines,
 )
@@ -106,19 +109,21 @@ def _oracle_mismatches(
     pairs `pairs(vertex_count)` yields: (distance mismatches, pairs whose
     zero graph distance disagrees with canonical equality, pairs).  The
     graph side is one search per row, read through the address-XOR
-    automorphism (`oracle.row_distances`); canonical equality compares one
-    `point_key` per vertex."""
+    automorphism (`oracle.row_distances`).  The formula side reads each
+    vertex's (row, canonical mask) once and runs one `_Pair` search per
+    pair on the graph's scale 3**m; canonical equality is equality of that
+    per-vertex data."""
     g = oracle.build_level_graph(m)
     rows, two_m, top = oracle.row_distances(g), 2**m, 3**m
-    pts = [g.vertex_point(v) for v in range(g.vertex_count)]
-    keys = [point_key(p) for p in pts]
+    canon = [(v // two_m, _canonical(g.vertex_point(v))[1]) for v in range(g.vertex_count)]
     mismatches = zero_mismatches = total = 0
     for i, j in pairs(g.vertex_count):
-        ki, ai = divmod(i, two_m)
-        gd = rows[ki][j ^ ai]
+        (ki, ci), (kj, cj) = canon[i], canon[j]
+        gd = rows[ki][j ^ (i % two_m)]
+        pair = _Pair(_orders(ci ^ cj), ki, kj, top)
         total += 1
-        mismatches += distance(pts[i], pts[j]) * top != gd
-        zero_mismatches += (gd == 0) != (keys[i] == keys[j])
+        mismatches += pair.length(*pair.search()[0]) != gd
+        zero_mismatches += (gd == 0) != (canon[i] == canon[j])
     return mismatches, zero_mismatches, total
 
 
@@ -313,8 +318,6 @@ def check_kinks(seed: int = 3) -> List[Check]:
 def check_parallel(seed: int = 4) -> List[Check]:
     """Full-line against two-level values on 1000 seeded lines of three or
     four jump orders up to 6."""
-    from .profiles import parallel_reduction
-
     rng = random.Random(seed)
     bad = 0
     for _ in range(1000):
@@ -561,11 +564,12 @@ class Suite(NamedTuple):
 
 
 # Regularity's smallest radius 1/81 needs m >= 5 (`regularity_scan` takes
-# radii down to 1/3^(m-1)).  The upper ends bound the work before it
-# starts: on a 2-vCPU host (CPython 3.11) the oracle check takes ~0.5 s at
-# m = 3 and ~22 s at m = 4, nearly all of it the interval formula on
-# 25k and 860k pairs, and regularity ~0.06-0.09 s at m = 8, while m = 9
-# builds a graph of ~10M vertices.
+# radii down to 1/3^(m-1)), and its top is the level graph's resolution cap
+# (`oracle._MAX_RESOLUTION`).  The upper ends bound the work before it
+# starts.  On a 2-vCPU host (CPython 3.11), best of 5 in process:
+# `oracle --depth 3` takes ~0.10 s, most of it one interval search for
+# each of 25k pairs, so m = 4 (860k pairs) would take ~3.9 s; `regularity
+# --depth 8` takes ~0.05 s.
 SUITES: Dict[str, Suite] = {
     "oracle": Suite(check_oracle, range(1, 4)),
     "kinks": Suite(check_kinks),

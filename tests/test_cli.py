@@ -46,6 +46,9 @@ def test_distance_identity_and_malformed(capsys):
     assert code == 2 and "bad point" in err
     code, _, err = run(capsys, "distance", "--x", "1/2:02", "--y", "1/2:1")
     assert code == 2
+    for bits in ("01\n", "1_0", "0b1", " 1"):
+        code, out, err = run(capsys, "distance", "--x", f"1/2:{bits}", "--y", "1/2:1")
+        assert code == 2 and not out and "bad point" in err, bits
 
 
 def test_profile_command(capsys):

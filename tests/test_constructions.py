@@ -337,18 +337,21 @@ def test_porosity_certificate_checks_both_bounds(monkeypatch):
 
 def test_check_porosity_sample_heights(monkeypatch):
     # The heights check_porosity certifies are exactly
-    # anchor + hole_width * i / (N + 1), i = 1..N, in order.
+    # anchor + hole_width * i / (N + 1), i = 1..N, in order: with anchor =
+    # a / b and hole_width = p / q, the i-th is (a*q*1001 + p*b*i) / (b*q*1001)
+    # on the hole's scale, compared with num / den by cross-multiplying.
     seen = []
-    monkeypatch.setattr(
-        PorosityWitness, "certify", lambda w, nums, den: seen.append((w, [F(n, den) for n in nums]))
-    )
+    monkeypatch.setattr(PorosityWitness, "certify", lambda w, nums, den: seen.append((w, list(nums), den)))
     for seed in range(8):
         seen.clear()
         rows = check_porosity(seed=seed)
         assert all(r.passed for r in rows)
         assert len(seen) == 20
-        for w, heights in seen:
-            assert heights == [w.anchor + w.hole_width * F(i, 1001) for i in range(1, 1001)]
+        for w, nums, den in seen:
+            a, b = w.anchor.numerator, w.anchor.denominator
+            p, q = w.hole_width.numerator, w.hole_width.denominator
+            scale = b * q * 1001
+            assert [n * scale for n in nums] == [(a * q * 1001 + p * b * i) * den for i in range(1, 1001)]
 
 
 def test_porosity_witness_validation():

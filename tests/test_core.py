@@ -1,4 +1,6 @@
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +12,9 @@ from laakso.core import (
     HeightInterval,
     LaaksoPoint,
     WormholeLevel,
+    _canonical,
     _grid_index,
+    _orders,
     canonicalize,
     enumerate_wormhole_heights,
     format_rational,
@@ -18,6 +22,7 @@ from laakso.core import (
     nearest_wormhole_gap,
     parse_rational,
     point,
+    point_key,
     point_to_json,
     same_point,
     wormhole_above,
@@ -258,12 +263,19 @@ def test_point_json_roundtrip():
 def test_point_and_address_validation():
     with pytest.raises(ValueError):
         point("3/2", "0")
-    with pytest.raises(ValueError):
-        CantorAddress("012")
+    # Only 0/1 strings parse: int()'s prefixes, separators and whitespace
+    # never reach the mask.
+    for bits in ("012", "01\n", " 01", "0b1", "1_0", "1 0", "\uff11"):
+        with pytest.raises(ValueError):
+            CantorAddress(bits)
     assert CantorAddress("01").value() == F(2, 9)
     assert CantorAddress("01").flipped(1).bits == "11"
     assert CantorAddress("01").flipped(3).bits == "011"
     assert CantorAddress("0100").trimmed().bits == "01"
+    assert CantorAddress("1").flipped(3).bits == "101"
+    assert CantorAddress("").flipped(1).bits == "1"
+    with pytest.raises(ValueError):
+        CantorAddress("01").flipped(0)
 
 
 def test_wormhole_level_validation():
@@ -300,3 +312,107 @@ def test_gap_ratio_probe_validation():
         gap_ratio_probe(F(1, 2), F(1, 2), 1, 4)
     with pytest.raises(ValueError):
         gap_ratio_probe(F(1, 2), F(2), 3, 2)
+
+
+# ---------------------------------------------------------------------------
+# The integer canonical form.
+# ---------------------------------------------------------------------------
+
+
+def _reference_canonical(p):
+    """Canonical height and trimmed bits, on strings alone: clear bit n at
+    an order-n wormhole height, then strip trailing zeros."""
+    bits = p.address.bits
+    n = wormhole_order(p.height)
+    if n is not None and n <= len(bits) and bits[n - 1] == "1":
+        bits = bits[: n - 1] + "0" + bits[n:]
+    return p.height, bits.rstrip("0")
+
+
+def _trimmed(mask):
+    return format(mask, "b")[::-1] if mask else ""
+
+
+def _assert_canonical_form(p):
+    height, mask = _canonical(p)
+    c = canonicalize(p)
+    assert (height, _trimmed(mask)) == _reference_canonical(p)
+    assert (c.height, c.address.bits.rstrip("0")) == _reference_canonical(p)
+    assert c.address.depth == p.address.depth and c.address.mask == mask
+    assert point_key(p) == _reference_canonical(p)
+
+
+def test_canonical_form_on_every_vertex():
+    # Every grid point k / 3**m with an m-bit address, m <= 4.
+    for m in range(1, 5):
+        for k in range(3**m + 1):
+            for a in range(2**m):
+                _assert_canonical_form(LaaksoPoint(F(k, 3**m), CantorAddress(format(a, f"0{m}b"))))
+
+
+@st.composite
+def _wormhole_points(draw):
+    """A point at an order-n wormhole height whose address has bit n set,
+    bit n clear, no bit n (shallower than n), or no bits at all."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 3**n - 1).filter(lambda k: k % 3))
+    bits = draw(st.text("01", max_size=10))
+    case = draw(st.sampled_from(["set", "clear", "shallow", "empty"]))
+    if case in ("set", "clear"):
+        bits = bits.ljust(n, "0")
+        bits = bits[: n - 1] + ("1" if case == "set" else "0") + bits[n:]
+    elif case == "shallow":
+        bits = bits[: n - 1]
+    else:
+        bits = ""
+    return LaaksoPoint(F(k, 3**n), CantorAddress(bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_wormhole_points(), points))
+@example(point("1/3", "1"))
+@example(point("1/3", ""))
+@example(point("2/9", "0"))
+@example(point("2/9", "01"))
+@example(point("0", "1"))
+@example(point("1", "11"))
+def test_canonical_form_matches_string_reference(p):
+    _assert_canonical_form(p)
+
+
+@contextmanager
+def _decimal_digit_limit(digits):
+    """Lower the int-string digit limit (where the interpreter has one), so
+    a decimal conversion of a long integer raises."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+def test_long_address_round_trips_in_base_2():
+    rng = random.Random(16)
+    bits = "".join(rng.choice("01") for _ in range(100_000))
+    other = "".join(rng.choice("01") for _ in range(99_990))
+    with _decimal_digit_limit(640):
+        a, b = CantorAddress(bits), CantorAddress(other)
+        assert a.mask.bit_length() == len(bits.rstrip("0"))
+        assert a.bits == bits and a.trimmed().bits == bits.rstrip("0")
+        assert CantorAddress._of(a.mask, a.depth) == a
+        assert a.flipped(100_003).bits == bits + "001"
+        assert a.flipped(1).bits == ("0" if bits[0] == "1" else "1") + bits[1:]
+        padded = other.ljust(len(bits), "0")
+        assert _orders(a.mask ^ b.mask) == [i for i, (x, y) in enumerate(zip(bits, padded), 1) if x != y]
+        assert point_key(LaaksoPoint(F(1, 3), a)) == (F(1, 3), ("0" + bits[1:]).rstrip("0"))
+
+
+def test_orders_scan_short_and_long_masks():
+    rng = random.Random(4)
+    for width in (0, 1, 5, 63, 64, 65, 200):
+        mask = rng.getrandbits(width) if width else 0
+        bits = _trimmed(mask)
+        assert _orders(mask) == [i for i, b in enumerate(bits, 1) if b == "1"]

@@ -13,6 +13,8 @@ from laakso.core import (
     HeightInterval,
     LaaksoPoint,
     WormholeLevel,
+    _canonical,
+    _orders,
     canonicalize,
     point,
     same_point,
@@ -23,6 +25,7 @@ from laakso.core import (
 from laakso.metric import (
     GeodesicPath,
     Segment,
+    _Pair,
     distance,
     geodesic_endings,
     minimal_height_intervals,
@@ -325,3 +328,32 @@ def test_distance_invariant_under_height_reflection(x, y):
         return LaaksoPoint(1 - p.height, p.address)
 
     assert distance(flip(x), flip(y)) == distance(x, y)
+
+
+@st.composite
+def _grid_vertex_pairs(draw):
+    """Two vertices (row k, address a) of the level-m graph, m <= 4; the
+    second is sometimes the first's glued partner (same row, the address
+    bit of the row's wormhole order flipped)."""
+    m = draw(st.integers(1, 4))
+    top, two_m = 3**m, 2**m
+    k1, a1 = draw(st.integers(0, top)), draw(st.integers(0, two_m - 1))
+    if 0 < k1 < top and draw(st.booleans()):
+        k2, a2 = k1, a1 ^ 1 << (wormhole_order(F(k1, top)) - 1)
+    else:
+        k2, a2 = draw(st.integers(0, top)), draw(st.integers(0, two_m - 1))
+    return m, (k1, a1), (k2, a2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_vertex_pairs())
+def test_pair_from_vertex_data_equals_distance(case):
+    # The formula side of the oracle check: one (row, canonical mask) per
+    # vertex, one `_Pair` on the graph's scale 3**m per pair.
+    m, (k1, a1), (k2, a2) = case
+    top = 3**m
+    x, y = (LaaksoPoint(F(k, top), CantorAddress(format(a, f"0{m}b")[::-1])) for k, a in ((k1, a1), (k2, a2)))
+    cx, cy = _canonical(x)[1], _canonical(y)[1]
+    pair = _Pair(_orders(cx ^ cy), k1, k2, top)
+    assert F(pair.length(*pair.search()[0]), top) == distance(x, y)
+    assert ((k1, cx) == (k2, cy)) == same_point(x, y)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laakso.core import (
+    CantorAddress,
     InternalError,
     LaaksoPoint,
     canonicalize,
@@ -166,6 +167,53 @@ def test_parallel_reduction():
         assert full == two
     with pytest.raises(ValueError):
         parallel_reduction(p, (1, 2), F(1, 2))
+    bad = [
+        ("2/5", (2, 1, 3), F(1, 2)),  # not increasing
+        ("2/5", (1, 2, 2, 3), F(1, 2)),  # repeated
+        ("2/5", (0, 1, 2), F(1, 2)),  # not positive
+        ("2/5", (-1, 1, 2), F(1, 2)),
+        ("1/3", (1, 2, 3), F(1, 2)),  # the base point's own wormhole order
+        ("4/9", (1, 2, 3), F(1, 2)),
+        ("2/5", (1, 2, 3), F(-1, 2)),  # t outside [0, 1]
+        ("2/5", (1, 2, 3), F(3, 2)),
+    ]
+    for h, levels, t in bad:
+        with pytest.raises(ValueError):
+            parallel_reduction(point(h, "01"), levels, t)
+
+
+_reduction_heights = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.integers(1, 6).flatmap(lambda n: st.integers(0, 3**n).map(lambda k: F(k, 3**n))),
+    st.fractions(min_value=0, max_value=1, max_denominator=100),
+)
+
+
+@st.composite
+def _reduction_cases(draw):
+    """A base point (wormhole heights and glued representatives included),
+    three or four jump orders up to 7 avoiding its own, and a height t."""
+    h = draw(_reduction_heights)
+    p = LaaksoPoint(h, CantorAddress(draw(st.text("01", max_size=5))))
+    w = wormhole_order(h)
+    pool = [n for n in range(1, 8) if n != w]
+    levels = tuple(sorted(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=4, unique=True))))
+    return p, levels, draw(_reduction_heights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reduction_cases())
+@example((point("1/3", "1"), (2, 3, 4), F(1, 9)))  # wormhole base, glued input
+@example((point("1/2", "0"), (1, 2, 3), F(1, 3)))  # t on the grid of a jump order
+@example((point("4/9", "01"), (1, 3, 5), F(5, 9)))
+@example((point("0", "1"), (1, 2, 3), F(1)))
+def test_parallel_reduction_equals_public_distance(case):
+    p, levels, t = case
+    pc = canonicalize(p)
+    full, two = parallel_reduction(p, levels, t)
+    assert full == distance(pc, LaaksoPoint(t, vertical_lines(pc, levels)[0].base_address))
+    assert two == distance(pc, LaaksoPoint(t, vertical_lines(pc, levels[:2])[0].base_address))
+    assert full == two
 
 
 def test_profile_on_three_level_line_matches_two_level():
