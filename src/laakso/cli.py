@@ -238,8 +238,8 @@ def cmd_distance(args) -> int:
     ivs = pair.search()
     intervals = [pair.interval(*iv) for iv in ivs]
     payload = {
-        "x": point_to_json(canonicalize(x)),
-        "y": point_to_json(canonicalize(y)),
+        "x": point_to_json(pair.x),
+        "y": point_to_json(pair.y),
         "distance": format_rational(pair.distance(*ivs[0])),
         "intervals": [[format_rational(iv.a), format_rational(iv.b)] for iv in intervals],
         "geodesics": [pair.geodesic(*iv).to_json() for iv in ivs],

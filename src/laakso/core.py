@@ -27,10 +27,11 @@ boundary of I, and always on the outer side of 0 and 1), which plays the
 role of an infinite gap.  Every grid lookup goes through one integer
 kernel, `_grid_index`, which needs no special case at 0 or 1.
 
-Addresses are worked on integers too: `_canonical` gives a point's
-canonical (height, address mask) without building a point.  Two points are
-the same exactly when these agree, and a path between them must jump at
-every order set in the XOR of their masks (`_orders`).
+Addresses are worked on integers too: each carries its bits as one integer
+mask, and `canonicalize` clears a bit of it, building a point only when a
+bit is cleared.  Two points are the same exactly when their canonical
+heights and masks agree, and a path between them must jump at every order
+set in the XOR of their canonical masks (`_orders`).
 
 `InternalError` is the one exception type every layer raises when one of its
 own invariants fails (a bug, never bad input or a failed check).
@@ -183,25 +184,20 @@ def _bits(mask: int, depth: int) -> str:
     return (format(mask, "b")[::-1] if mask else "").ljust(depth, "0")
 
 
+# The orders 1..8 of the set bits of each byte value.
+_BYTE_ORDERS = [tuple(i + 1 for i in range(8) if b >> i & 1) for b in range(256)]
+
+
 def _orders(mask: int) -> List[int]:
     """The increasing orders n whose bit n - 1 is set in `mask`; for the
     XOR of two canonical masks, the orders a path between them must jump.
-
-    A short mask is scanned lowest set bit first; a long one by one scan of
-    its binary string, which stays linear in its length where the integer
-    steps would each cost a pass over the whole mask."""
+    One pass over the mask's bytes, linear in its length."""
     out = []
-    if mask.bit_length() > 64:
-        bits = format(mask, "b")[::-1]
-        i = bits.find("1")
-        while i >= 0:
-            out.append(i + 1)
-            i = bits.find("1", i + 1)
-        return out
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        for n in _BYTE_ORDERS[byte]:
+            out.append(base + n)
+        base += 8
     return out
 
 
@@ -384,35 +380,29 @@ def nearest_wormhole_gap(t: Fraction, n: int) -> Tuple[Optional[Fraction], Optio
 # ---------------------------------------------------------------------------
 
 
-def _canonical(p: LaaksoPoint) -> Tuple[Fraction, int]:
-    """p's canonical (height, mask): the address mask with bit n cleared at
-    an order-n wormhole height (a no-op when the address is shallower than
-    n).  Builds no point; `canonicalize` and `point_key` are read off it."""
-    height, mask = p.height, p.address.mask
-    if not mask or height.denominator % 3:  # no bit to clear, or off every grid
-        return height, mask
-    n = wormhole_order(height)
-    return height, mask if n is None else mask & ~(1 << (n - 1))
-
-
 def canonicalize(p: LaaksoPoint) -> LaaksoPoint:
     """The canonical representative of p's gluing class.
 
     At a wormhole height of order n the two representatives differ exactly
     in address bit n; the canonical one has bit n = 0 (the smaller Cantor
-    coordinate).  Elsewhere this is the identity.  Idempotent, and the
-    result is at distance zero from the input.
+    coordinate).  Elsewhere this is the identity: p itself is returned, and
+    a point is built only when bit n is cleared, by an XOR of the address
+    mask.  Idempotent, and the result is at distance zero from the input.
     """
-    height, mask = _canonical(p)
-    if mask == p.address.mask:
+    mask = p.address.mask
+    if not mask:  # no bit to clear
         return p
-    return LaaksoPoint(height, CantorAddress._of(mask, p.address.depth))
+    n = wormhole_order(p.height)
+    if n is None or not mask >> (n - 1) & 1:
+        return p
+    return LaaksoPoint(p.height, CantorAddress._of(mask ^ 1 << (n - 1), p.address.depth))
 
 
 def point_key(p: LaaksoPoint):
     """A hashable key identifying p's gluing class (canonical, trimmed)."""
-    height, mask = _canonical(p)
-    return (height, _bits(mask, mask.bit_length()))
+    c = canonicalize(p)
+    mask = c.address.mask
+    return (c.height, _bits(mask, mask.bit_length()))
 
 
 def same_point(x: LaaksoPoint, y: LaaksoPoint) -> bool:

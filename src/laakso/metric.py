@@ -14,12 +14,11 @@ endpoint).  All minimal intervals have the same length; when several exist
 they correspond to genuinely different geodesics, which is what the
 ending-direction analysis consumes.
 
-Each pair is worked on one integer scale.  Each point's canonical height
-and address mask are read once (`core._canonical`, which builds no point);
-the required orders are the set bits of the XOR of the two masks.  Both
-heights and every grid height the pair needs are put over one common
-denominator, lcm(den h(x), den h(y)) * 3**N for N the deepest
-required order; an order-n grid height k / 3**n is then an integer
+Each pair is worked on one integer scale.  Both points are canonicalized
+once, and the required orders are the set bits of the XOR of their
+address masks.  Both heights and every grid height the pair needs are put
+over one common denominator, lcm(den h(x), den h(y)) * 3**N for N the
+deepest required order; an order-n grid height k / 3**n is then an integer
 multiple of 3**(N - n).  The minimal-interval search, the length formula
 and the geodesic jump schedule run on those integers, through the one
 grid-index kernel `core._grid_index`.  `Fraction`s are built only for the
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Tuple, Union
+from typing import FrozenSet, List, Sequence, Tuple, Union
 
 from .core import (
     Direction,
@@ -43,9 +42,9 @@ from .core import (
     LaaksoPoint,
     WormholeLevel,
     _bits,
-    _canonical,
     _grid_index,
     _orders,
+    canonicalize,
     format_rational,
 )
 
@@ -117,7 +116,7 @@ def required_levels(x: LaaksoPoint, y: LaaksoPoint) -> FrozenSet[int]:
     zero-padding to a common depth, the set bits of the XOR of their masks;
     empty exactly when x and y lie on the same vertical line.
     """
-    return frozenset(_orders(_canonical(x)[1] ^ _canonical(y)[1]))
+    return frozenset(_orders(canonicalize(x).address.mask ^ canonicalize(y).address.mask))
 
 
 class _Pair:
@@ -130,31 +129,41 @@ class _Pair:
     the larger.  Intervals are integer pairs (a, b) on the same scale.
 
     The constructor takes that data as given: `levels`, the increasing
-    orders where the addresses differ, and the scaled heights.  `of` builds
-    it from two points' canonical (height, mask) data, read once, on the
-    least such scale, lcm(den h(x), den h(y)) * 3**N; a caller that already
-    holds canonical data on a scale of its own builds the pair directly.
-    `x` and `y` are the points it was built from when built by `of`
-    (`geodesic` reads their canonical masks and address depths), else None.
+    orders where the addresses differ, and the scaled heights.  `on_scale`
+    puts two `Fraction` heights on the least such scale, lcm(den hx,
+    den hy) * 3**N, and `of` builds the pair of two points, canonicalized
+    once; a caller that already holds canonical data on a scale of its own
+    builds the pair directly.  `x` and `y` are the canonical points when
+    built by `of` (`geodesic` needs their addresses), else None.
     """
 
     __slots__ = ("x", "y", "levels", "den", "hx", "hy", "lo", "hi")
 
-    def __init__(
-        self, levels: List[int], hx: int, hy: int, den: int,
-        x: Optional[LaaksoPoint] = None, y: Optional[LaaksoPoint] = None,
-    ):
-        self.levels, self.den, self.hx, self.hy, self.x, self.y = levels, den, hx, hy, x, y
-        self.lo, self.hi = (hx, hy) if hx <= hy else (hy, hx)
+    def __init__(self, levels: Sequence[int], hx: int, hy: int, den: int):
+        self.x = self.y = None
+        self.levels = levels
+        self.den = den
+        self.hx = hx
+        self.hy = hy
+        if hx <= hy:
+            self.lo, self.hi = hx, hy
+        else:
+            self.lo, self.hi = hy, hx
+
+    @classmethod
+    def on_scale(cls, levels: Sequence[int], hx: Fraction, hy: Fraction) -> "_Pair":
+        dx, dy = hx.denominator, hy.denominator
+        den = math.lcm(dx, dy)
+        if levels:
+            den *= 3 ** levels[-1]
+        return cls(levels, hx.numerator * (den // dx), hy.numerator * (den // dy), den)
 
     @classmethod
     def of(cls, x: LaaksoPoint, y: LaaksoPoint) -> "_Pair":
-        hx, mx = _canonical(x)
-        hy, my = _canonical(y)
-        levels = _orders(mx ^ my)
-        dx, dy = hx.denominator, hy.denominator
-        den = math.lcm(dx, dy) * 3 ** (levels[-1] if levels else 0)
-        return cls(levels, hx.numerator * (den // dx), hy.numerator * (den // dy), den, x, y)
+        x, y = canonicalize(x), canonicalize(y)
+        pair = cls.on_scale(_orders(x.address.mask ^ y.address.mask), x.height, y.height)
+        pair.x, pair.y = x, y
+        return pair
 
     def search(self) -> List[Tuple[int, int]]:
         """All minimum-length intervals covering both heights and every
@@ -240,9 +249,9 @@ class _Pair:
         emitted, and its arrival address are checked before it is returned."""
         if not self.levels and self.hx == self.hy:
             return GeodesicPath(())
-        mx, my = _canonical(self.x)[1], _canonical(self.y)[1]
-        mask, end = (my, mx) if self.hy < self.hx else (mx, my)
-        depth = max(self.x.address.depth, self.y.address.depth)
+        start, end = (self.y, self.x) if self.hy < self.hx else (self.x, self.y)
+        mask = start.address.mask
+        depth = max(start.address.depth, end.address.depth)
         heights = {}  # scaled height -> Fraction, built once per height
 
         def height(v: int) -> Fraction:
@@ -268,7 +277,7 @@ class _Pair:
 
         if length != self.length(a, b):
             raise InternalError("synthesized path length does not match the distance")
-        if mask != end:
+        if mask != end.address.mask:
             raise InternalError("synthesized path does not arrive at the target address")
         return GeodesicPath(tuple(events))
 

@@ -18,12 +18,12 @@ point), by the tie of the up and down routes, and by the pairwise ties
 between orders.  That is a handful of heights whatever the jump orders, so
 a profile costs the same at order 30 as at order 3.
 
-A line is worked on one integer scale (`_LineScale`).  p's canonical
-height and address mask are read once (`core._canonical`), and the orders
-the line requires are the set bits of that mask XOR the line's; every
-height, candidate and distance value of the line is an integer over one
-denominator, den h(p) * 3**N * 2**8 for N the deepest involved order, so
-every apex and midpoint of the certificate below stays an integer.  Each
+A line is worked on one integer scale (`_LineScale`).  p is canonicalized
+once, and the orders the line requires are the set bits of its address
+mask XOR the line's; every height, candidate and distance value of the
+line is an integer over one denominator, den h(p) * 3**N * 2**8 for N the
+deepest involved order, so every apex and midpoint of the certificate
+below stays an integer.  Each
 evaluation is one `metric._Pair.search` on that scale, and `Fraction`s are
 built only for the returned `Piece` and `Kink` fields.
 
@@ -40,7 +40,6 @@ gap arithmetic missed is either found by the one-kink solve or raises
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -49,9 +48,9 @@ from .core import (
     CantorAddress,
     InternalError,
     LaaksoPoint,
-    _canonical,
     _grid_index,
     _orders,
+    canonicalize,
     format_rational,
     nearest_wormhole_gap,
     wormhole_order,
@@ -128,8 +127,8 @@ def vertical_lines(p: LaaksoPoint, levels: Sequence[int]) -> List[VerticalLine]:
     line's address is p's canonical mask XOR the jumps, padded with zero
     bits to the deepest order flipped.
     """
-    height, mask = _canonical(p)
-    levels, w = _checked_levels(height, levels)
+    pc = canonicalize(p)
+    levels, w = _checked_levels(pc.height, levels)
     if not levels:
         label = "v0"
     elif len(levels) == 1:
@@ -137,7 +136,7 @@ def vertical_lines(p: LaaksoPoint, levels: Sequence[int]) -> List[VerticalLine]:
     else:
         label = "vD:" + ",".join(str(n) for n in levels)
 
-    mask ^= sum(1 << (n - 1) for n in levels)  # one jump per (distinct) order
+    mask = pc.address.mask ^ sum(1 << (n - 1) for n in levels)  # one jump per (distinct) order
     depth = max(p.address.depth, levels[-1] if levels else 0)
     lines = [VerticalLine(CantorAddress._of(mask, depth), label, levels, 0)]
     if w is not None:
@@ -286,8 +285,8 @@ def _assemble(line: VerticalLine, v: Callable[[int], int], breaks: List[int], de
 
 
 class _LineScale:
-    """The distance from a point p to a vertical line, with every height on
-    one integer scale.
+    """The distance from a canonical point p to a vertical line, with every
+    height on one integer scale.
 
     `den` is den h(p) * 3**N * 2**_MAX_SUBDIVISION, N the deepest involved
     order: it holds 0, 1, h(p) (`hp` on the scale) and every candidate
@@ -298,15 +297,15 @@ class _LineScale:
 
     __slots__ = ("levels", "involved", "den", "hp", "_values")
 
-    def __init__(self, p: LaaksoPoint, line: VerticalLine):
-        # The orders a path from p to the line must jump at: the set bits of
-        # p's canonical mask XOR the line's.  Heights on the line are not
+    def __init__(self, pc: LaaksoPoint, line: VerticalLine):
+        # The orders a path from pc to the line must jump at: the set bits of
+        # the XOR of their address masks.  Heights on the line are not
         # canonicalized: at an order-n wormhole height t the two
         # representatives differ only in whether n is required, and t itself
         # meets the order-n requirement, so `_Pair.search` returns the same
         # intervals for either.
-        height, mask = _canonical(p)
-        self.levels = _orders(mask ^ line.base_address.mask)
+        height = pc.height
+        self.levels = _orders(pc.address.mask ^ line.base_address.mask)
         w = wormhole_order(height)
         involved = set(line.levels) | set(self.levels) | ({w} if w is not None else set())
         self.involved = sorted(involved)
@@ -347,7 +346,7 @@ class _LineScale:
 
 def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
     """Exact profile of t -> d(p, [t, line.bits]) over [0, 1]."""
-    scale = _LineScale(p, line)
+    scale = _LineScale(canonicalize(p), line)
     return _assemble(line, scale.value, scale.candidates(), scale.den)
 
 
@@ -475,27 +474,21 @@ def parallel_reduction(
     and on the line of the first two orders only; the two are equal because
     deeper jumps can be threaded through any two-order geodesic for free.
 
-    Both are read on one integer scale, den h(p) * den t * 3**N for N the
-    deepest order, by one interval search each.  From p's canonical mask the
-    line of `levels` differs exactly in those orders (canonicalizing [t,
-    line] at a wormhole t would only drop an order t itself meets, see
-    `_LineScale`), so the orders are the levels themselves."""
+    Both are read on the full line's least scale (`_Pair.on_scale`), by one
+    interval search each.  From p's canonical mask the line of `levels`
+    differs exactly in those orders (canonicalizing [t, line] at a wormhole
+    t would only drop an order t itself meets, see `_LineScale`), so the
+    orders are the levels themselves."""
     levels = tuple(levels)
     if len(levels) < 3:
         raise ValueError("need at least three levels; two-level lines stand alone")
     t = Fraction(t)
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")
-    height = p.height
-    levels, _ = _checked_levels(height, levels)
-    den = math.lcm(height.denominator, t.denominator) * 3 ** levels[-1]
-    hp = height.numerator * (den // height.denominator)
-    ht = t.numerator * (den // t.denominator)
-    values = []
-    for orders in (list(levels), list(levels[:2])):
-        pair = _Pair(orders, hp, ht, den)
-        values.append(Fraction(pair.length(*pair.search()[0]), den))
-    return values[0], values[1]
+    levels, _ = _checked_levels(p.height, levels)
+    full = _Pair.on_scale(levels, p.height, t)
+    two = _Pair(levels[:2], full.hx, full.hy, full.den)
+    return full.distance(*full.search()[0]), two.distance(*two.search()[0])
 
 
 # ---------------------------------------------------------------------------

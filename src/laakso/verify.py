@@ -28,7 +28,6 @@ from .core import (
     Direction,
     InternalError,
     LaaksoPoint,
-    _canonical,
     _orders,
     canonicalize,
     format_rational,
@@ -115,7 +114,7 @@ def _oracle_mismatches(
     per-vertex data."""
     g = oracle.build_level_graph(m)
     rows, two_m, top = oracle.row_distances(g), 2**m, 3**m
-    canon = [(v // two_m, _canonical(g.vertex_point(v))[1]) for v in range(g.vertex_count)]
+    canon = [(v // two_m, canonicalize(g.vertex_point(v)).address.mask) for v in range(g.vertex_count)]
     mismatches = zero_mismatches = total = 0
     for i, j in pairs(g.vertex_count):
         (ki, ci), (kj, cj) = canon[i], canon[j]
@@ -567,8 +566,8 @@ class Suite(NamedTuple):
 # radii down to 1/3^(m-1)), and its top is the level graph's resolution cap
 # (`oracle._MAX_RESOLUTION`).  The upper ends bound the work before it
 # starts.  On a 2-vCPU host (CPython 3.11), best of 5 in process:
-# `oracle --depth 3` takes ~0.10 s, most of it one interval search for
-# each of 25k pairs, so m = 4 (860k pairs) would take ~3.9 s; `regularity
+# `oracle --depth 3` takes ~0.12 s, most of it one interval search for
+# each of 25k pairs, so m = 4 (860k pairs) would take ~3.8 s; `regularity
 # --depth 8` takes ~0.05 s.
 SUITES: Dict[str, Suite] = {
     "oracle": Suite(check_oracle, range(1, 4)),

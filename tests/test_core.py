@@ -12,7 +12,6 @@ from laakso.core import (
     HeightInterval,
     LaaksoPoint,
     WormholeLevel,
-    _canonical,
     _grid_index,
     _orders,
     canonicalize,
@@ -334,11 +333,11 @@ def _trimmed(mask):
 
 
 def _assert_canonical_form(p):
-    height, mask = _canonical(p)
     c = canonicalize(p)
-    assert (height, _trimmed(mask)) == _reference_canonical(p)
+    assert (c.height, _trimmed(c.address.mask)) == _reference_canonical(p)
     assert (c.height, c.address.bits.rstrip("0")) == _reference_canonical(p)
-    assert c.address.depth == p.address.depth and c.address.mask == mask
+    assert c.address.depth == p.address.depth
+    assert (c is p) == (c.address.mask == p.address.mask)
     assert point_key(p) == _reference_canonical(p)
 
 
@@ -412,7 +411,7 @@ def test_long_address_round_trips_in_base_2():
 
 def test_orders_scan_short_and_long_masks():
     rng = random.Random(4)
-    for width in (0, 1, 5, 63, 64, 65, 200):
+    for width in (0, 1, 5, 7, 8, 9, 16, 63, 64, 65, 200):
         mask = rng.getrandbits(width) if width else 0
         bits = _trimmed(mask)
         assert _orders(mask) == [i for i, b in enumerate(bits, 1) if b == "1"]

@@ -13,7 +13,6 @@ from laakso.core import (
     HeightInterval,
     LaaksoPoint,
     WormholeLevel,
-    _canonical,
     _orders,
     canonicalize,
     point,
@@ -353,7 +352,7 @@ def test_pair_from_vertex_data_equals_distance(case):
     m, (k1, a1), (k2, a2) = case
     top = 3**m
     x, y = (LaaksoPoint(F(k, top), CantorAddress(format(a, f"0{m}b")[::-1])) for k, a in ((k1, a1), (k2, a2)))
-    cx, cy = _canonical(x)[1], _canonical(y)[1]
+    cx, cy = canonicalize(x).address.mask, canonicalize(y).address.mask
     pair = _Pair(_orders(cx ^ cy), k1, k2, top)
     assert F(pair.length(*pair.search()[0]), top) == distance(x, y)
     assert ((k1, cx) == (k2, cy)) == same_point(x, y)

@@ -127,6 +127,15 @@ def test_wormhole_base_point_two_lines():
         vertical_lines(p, (1,))  # the base point's own wormhole order
 
 
+def test_vertical_lines_depend_only_on_the_glued_point():
+    # Both representatives of a glued point give the same lines, branch by
+    # branch: each line is read off the canonical address.
+    for h, bits, levels in (("1/3", "1", (2,)), ("2/9", "01", (1, 3)), ("5/27", "0011", (2, 4, 5))):
+        p = point(h, bits)
+        assert canonicalize(p) != p
+        assert vertical_lines(p, levels) == vertical_lines(canonicalize(p), levels)
+
+
 def test_vertical_lines_validation():
     p = point("1/2", "0")
     assert vertical_lines(p, ())[0].label == "v0"
