@@ -24,7 +24,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from .core import (
     LaaksoPoint,
     canonicalize,
-    format_rational,
     parse_rational,
     point_key,
     same_point,
@@ -46,27 +45,21 @@ __all__ = [
 @dataclass(frozen=True)
 class PointFunction:
     """A real-valued function on the space, evaluated through canonical
-    representatives so gluing is respected by construction.
-
-    `lip_bound` is a declared (not verified) Lipschitz constant, used by
-    checks that need one.
-    """
+    representatives so gluing is respected by construction."""
 
     raw: Callable[[LaaksoPoint], Fraction]
-    lip_bound: Optional[Fraction] = None
-    name: str = ""
 
     def __call__(self, p: LaaksoPoint) -> Fraction:
         return self.raw(canonicalize(p))
 
     @classmethod
     def height(cls) -> "PointFunction":
-        return cls(lambda p: p.height, lip_bound=Fraction(1), name="height")
+        return cls(lambda p: p.height)
 
     @classmethod
     def distance_to(cls, p: LaaksoPoint) -> "PointFunction":
         pc = canonicalize(p)
-        return cls(lambda y: distance(y, pc), lip_bound=Fraction(1), name="d_p")
+        return cls(lambda y: distance(y, pc))
 
 
 def triadic_schedule(k0: int, k1: int) -> List[Fraction]:
@@ -109,18 +102,6 @@ class DerivativeReport:
     value: Optional[Fraction]
     left_limit: Optional[Fraction]
     right_limit: Optional[Fraction]
-    scales: Tuple[Fraction, ...]
-
-    def to_json(self) -> dict:
-        fmt = lambda v: None if v is None else format_rational(v)
-        return {
-            "point": {"h": format_rational(self.point.height), "bits": self.point.address.bits},
-            "verdict": self.verdict,
-            "value": fmt(self.value),
-            "left": fmt(self.left_limit),
-            "right": fmt(self.right_limit),
-            "scales": [format_rational(s) for s in self.scales],
-        }
 
 
 def _branch_quotients(f, base: LaaksoPoint, steps: Sequence[Fraction]) -> List[Fraction]:
@@ -165,7 +146,7 @@ def directional_derivative(
             raise ValueError("no probe step stays inside the unit interval")
         est = _settle(qs, tol)
         verdict = "exists" if est is not None else "divergent"
-        return DerivativeReport(xc, verdict, est, est, est, tuple(steps))
+        return DerivativeReport(xc, verdict, est, est, est)
 
     left = xc  # canonical representative, smaller Cantor coordinate
     right = LaaksoPoint(xc.height, xc.address.flipped(order))
@@ -175,10 +156,10 @@ def directional_derivative(
     est_l = _settle(ql, tol)
     est_r = _settle(qr, tol)
     if est_all is not None:
-        return DerivativeReport(xc, "exists", est_all, est_l, est_r, tuple(steps))
+        return DerivativeReport(xc, "exists", est_all, est_l, est_r)
     if est_l is not None and est_r is not None:
-        return DerivativeReport(xc, "split", None, est_l, est_r, tuple(steps))
-    return DerivativeReport(xc, "divergent", None, est_l, est_r, tuple(steps))
+        return DerivativeReport(xc, "split", None, est_l, est_r)
+    return DerivativeReport(xc, "divergent", None, est_l, est_r)
 
 
 @dataclass(frozen=True)
@@ -187,15 +168,6 @@ class ProbeReport:
 
     sup_ratio: Fraction
     worst_witness: LaaksoPoint
-
-    def to_json(self) -> dict:
-        return {
-            "sup_ratio": format_rational(self.sup_ratio),
-            "worst_witness": {
-                "h": format_rational(self.worst_witness.height),
-                "bits": self.worst_witness.address.bits,
-            },
-        }
 
 
 def differentiability_probe(

@@ -47,7 +47,6 @@ from .core import (
     nearest_wormhole_gap,
     parse_rational,
     point_key,
-    point_to_json,
     wormhole_above,
     wormhole_below,
     wormhole_order,
@@ -95,12 +94,6 @@ class SampledFunction:
             raise KeyError(f"{p} is not a sample point")
         return self._table[key]
 
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def points(self) -> List[LaaksoPoint]:
-        return [p for p, _ in self.samples]
-
     def verify_lipschitz(self) -> Fraction:
         """Max of |f(a) - f(b)| / d(a, b) over sample pairs (exact).
 
@@ -124,20 +117,11 @@ class SampledFunction:
             raise InternalError(f"sampled ratio {worst} exceeds bound {self.lip_bound}")
         return worst
 
-    def to_json(self) -> dict:
-        return {
-            "lip_bound": format_rational(self.lip_bound),
-            "samples": [
-                {"point": point_to_json(p), "value": format_rational(v)}
-                for p, v in self.samples
-            ],
-        }
-
 
 def as_point_function(f: SampledFunction) -> PointFunction:
     """Wrap a sampled function for the calculus module; evaluation is
     restricted to sample points (exact values only)."""
-    return PointFunction(f.value_at, lip_bound=f.lip_bound, name="sampled")
+    return PointFunction(f.value_at)
 
 
 def sparse_ternary_height(exponents: Sequence[int], tail: Optional[Fraction] = None) -> Fraction:

@@ -122,8 +122,8 @@ class CantorAddress:
     `bits` is the validated wire form.  `mask` is the same address as one
     integer, computed once, with address bit i at integer bit i - 1 (as in
     `oracle`); flips, comparisons and level scans work on it.  Addresses
-    the library derives (flips, paddings, trims) are built from a mask and
-    a depth and skip the check of the parsed form.
+    the library derives (flips) are built from a mask and a depth and skip
+    the check of the parsed form.
     """
 
     bits: str = ""
@@ -148,35 +148,11 @@ class CantorAddress:
     def depth(self) -> int:
         return len(self.bits)
 
-    def value(self) -> Fraction:
-        """The Cantor point named by this address."""
-        total = Fraction(0)
-        for i, b in enumerate(self.bits, start=1):
-            if b == "1":
-                total += Fraction(2, 3**i)
-        return total
-
-    def bit(self, n: int) -> int:
-        """Bit n (1-indexed); zero beyond the stored depth."""
-        if n < 1:
-            raise ValueError("bit positions are 1-indexed")
-        return self.mask >> (n - 1) & 1
-
-    def padded(self, depth: int) -> "CantorAddress":
-        """Same point, depth extended with zero bits to at least `depth`."""
-        if depth <= len(self.bits):
-            return self
-        return CantorAddress._of(self.mask, depth)
-
     def flipped(self, n: int) -> "CantorAddress":
         """Flip bit n (padding first if needed); this is the level-n jump."""
         if n < 1:
             raise ValueError("bit positions are 1-indexed")
         return CantorAddress._of(self.mask ^ 1 << (n - 1), max(n, len(self.bits)))
-
-    def trimmed(self) -> "CantorAddress":
-        """Minimal-depth address of the same point (strip trailing zeros)."""
-        return CantorAddress._of(self.mask, self.mask.bit_length())
 
 
 def _bits(mask: int, depth: int) -> str:
@@ -184,8 +160,8 @@ def _bits(mask: int, depth: int) -> str:
     return (format(mask, "b")[::-1] if mask else "").ljust(depth, "0")
 
 
-# The orders 1..8 of the set bits of each byte value.
-_BYTE_ORDERS = [tuple(i + 1 for i in range(8) if b >> i & 1) for b in range(256)]
+# The positions 0..7 of the set bits of each byte value.
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
 def _orders(mask: int) -> List[int]:
@@ -193,10 +169,10 @@ def _orders(mask: int) -> List[int]:
     XOR of two canonical masks, the orders a path between them must jump.
     One pass over the mask's bytes, linear in its length."""
     out = []
-    base = 0
+    base = 1
     for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
-        for n in _BYTE_ORDERS[byte]:
-            out.append(base + n)
+        for i in _BYTE_BITS[byte]:
+            out.append(base + i)
         base += 8
     return out
 
@@ -428,8 +404,6 @@ class GapRatioVerdict:
 
     consistent: bool
     violated_at: Optional[int]
-    start_level: int
-    depth: int
 
     @property
     def verdict(self) -> str:
@@ -453,5 +427,5 @@ def gap_ratio_probe(t: Fraction, bound: Fraction, start_level: int, depth: int) 
     for n in range(start_level, depth + 1):
         up, down = nearest_wormhole_gap(t, n)
         if up is None or down is None or up > bound * down or down > bound * up:
-            return GapRatioVerdict(False, n, start_level, depth)
-    return GapRatioVerdict(True, None, start_level, depth)
+            return GapRatioVerdict(False, n)
+    return GapRatioVerdict(True, None)

@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import CantorAddress, InternalError, LaaksoPoint, point_key
+from .core import _BYTE_BITS, CantorAddress, InternalError, LaaksoPoint, point_key
 
 __all__ = [
     "DIMENSION",
@@ -122,7 +122,7 @@ class LevelGraph:
 
 
 def build_level_graph(m: int) -> LevelGraph:
-    """Construct the level-m graph; m is capped to keep memory sane."""
+    """Construct the level-m graph; the cap on m bounds the work before it starts."""
     if not (1 <= m <= _MAX_RESOLUTION):
         raise ValueError(f"resolution must be in 1..{_MAX_RESOLUTION}, got {m}")
     flips = [0] * (3**m + 1)
@@ -192,10 +192,6 @@ class _Distances(Sequence):
         if value is None:
             return len(self) - sum(settled)
         return sum(n for d, n in enumerate(settled) if d == value)
-
-
-# The set bit positions of every byte.
-_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
 def _dijkstra(

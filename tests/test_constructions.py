@@ -61,13 +61,6 @@ def test_one_sided_jump_check_is_an_internal_error(monkeypatch):
         build_one_sided_steep(point("0", "0"), (1, 2))
 
 
-def test_sampled_function_json():
-    fn = SampledFunction(((point("1/4", "0"), F(0)), (point("3/4", "0"), F(1, 4))), F(1))
-    payload = fn.to_json()
-    assert payload["lip_bound"] == "1"
-    assert payload["samples"][0] == {"point": {"h": "1/4", "bits": "0"}, "value": "0"}
-
-
 def test_flat_witness_frozen():
     x = point("1/2", "0")
     steps = triadic_schedule(1, 6)

@@ -183,7 +183,7 @@ def test_noncanonical_inputs_are_tolerated():
 def _reference_levels(x, y):
     xb, yb = canonicalize(x).address, canonicalize(y).address
     depth = max(xb.depth, yb.depth)
-    xs, ys = xb.padded(depth).bits, yb.padded(depth).bits
+    xs, ys = xb.bits.ljust(depth, "0"), yb.bits.ljust(depth, "0")
     return frozenset(i + 1 for i in range(depth) if xs[i] != ys[i])
 
 
@@ -237,7 +237,7 @@ def _reference_geodesic(x, y, interval):
                 scheduled.setdefault(idx, []).append((cand, n))
                 break
     events = []
-    bits = start.address.padded(depth)
+    bits = CantorAddress(start.bits.ljust(depth, "0"))
     for idx, (s, e) in enumerate(phases):
         if s == e:
             continue

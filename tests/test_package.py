@@ -27,6 +27,30 @@ def test_every_package_import_resolves():
     assert [name for name in names if not hasattr(laakso, name)] == []
 
 
+# Imports kept on purpose: perfbench's tracer self-test checks that its
+# tracer rebinds `laakso.cli.distance` along with `laakso.metric.distance`.
+_KEPT_IMPORTS = {"cli": {"distance"}}
+
+
+def test_no_module_imports_unused_names():
+    # No linter is installed; this catches the imports a deletion leaves behind.
+    unused = []
+    for path in sorted(Path(laakso.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept = _KEPT_IMPORTS.get(path.stem, set())
+        unused += [(path.stem, name) for name in sorted(imported - used - kept)]
+    assert unused == []
+
+
 def _load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
