@@ -2,10 +2,18 @@
 
 Subcommands: distance, profile, reduce, census, verify.  Points are written
 h:bits with h an exact "p/q" rational and bits a 0/1 string (possibly
-empty), e.g. 1/2:0 or 4/9:01.  Every numeric field in JSON/CSV output is an
-exact "p/q" string except fields explicitly named "ratio"/"spread", which
-are floating point for reporting only.  Identical invocations produce
-byte-identical output; randomized suites are pinned by --seed.
+empty), e.g. 1/2:0 or 4/9:01.  Every number in argv is written in ASCII
+digits 0-9: integers with an optional leading "-", rationals with an
+optional sign; "_" and other scripts' digits are usage errors.
+
+`distance`, `profile` and `reduce` print JSON, indented by 2 spaces, keys
+sorted, non-ASCII characters as \\uXXXX escapes, one trailing newline; its
+values are exact "p/q" strings, ints, booleans and null, never floats
+(`_json_dumps`, the one JSON writer).  `census` and `verify` print CSV, whose
+numeric fields are exact "p/q" strings except the `verify` fields named
+"ratio"/"spread", which are floating point for reporting only.  Identical
+invocations produce byte-identical output; randomized suites are pinned by
+--seed.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3
 internal error (an invariant of the library failed, `core.InternalError`).
@@ -28,12 +36,12 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
 from . import verify as verify_mod
@@ -103,11 +111,26 @@ def _checked_orders(levels: Tuple[int, ...], text: str) -> Tuple[int, ...]:
     return levels
 
 
+# The one integer grammar of argv: `int` alone also takes spaces, "+", "_"
+# and every Unicode decimal digit.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    try:
+        if _INTEGER.fullmatch(text):
+            return int(text)
+    except ValueError:  # past the integer-string digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _levels(text: str) -> Tuple[int, ...]:
     try:
-        return _checked_orders(tuple(int(x) for x in text.split(",")), text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad level list {text!r}") from exc
+        levels = tuple(_integer(x) for x in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"bad level list {text!r}") from None
+    return _checked_orders(levels, text)
 
 
 _LINE_SPEC = re.compile(
@@ -225,7 +248,48 @@ def _emit(*outputs: Tuple[str, Optional[str]]) -> None:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte, on
+    the CLI's closed output schema: str, int, bool, None, and lists and
+    str-keyed dicts of these, subclasses written as `json` writes them.
+    Anything else, a float, a tuple or a non-str key included, raises
+    TypeError.  (CPython's `json` writes indented text in pure Python.)"""
+    return _text(obj, "\n") + "\n"
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _text(o, indent: str) -> str:
+    """The JSON text of o; its inner lines start with indent + 2 spaces."""
+    kind = type(o)
+    if kind is str:
+        return encode_basestring_ascii(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is list:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_text(v, inner) for v in o]) + indent + "]"
+    if kind is dict:
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [encode_basestring_ascii(k) + ": " + _text(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if o is None or o is True or o is False:
+        return _LITERALS[o]
+    # A subclass: `json` writes it through its base type's protocol.
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, list):
+        return _text(list(o) if o else [], indent)
+    if isinstance(o, dict):
+        return _text(dict(o.items()) if o else {}, indent)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def cmd_distance(args) -> int:
@@ -367,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: height, source_line, kink_type.",
     )
     ce.add_argument("--p", required=True, type=_point, help="base point as h:bits")
-    ce.add_argument("--max-level", type=int, default=4)
+    ce.add_argument("--max-level", type=_integer, default=4)
     ce.add_argument("--out", default=None)
     ce.set_defaults(func=cmd_census)
 
@@ -380,11 +444,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ve.add_argument("suite", choices=verify_mod.SUITES, metavar="suite", help="|".join(verify_mod.SUITES))
     ve.add_argument(
         "--depth",
-        type=int,
+        type=_integer,
         default=None,
         help="grid resolution m (oracle and regularity suites only)",
     )
-    ve.add_argument("--seed", type=int, default=None, help="pin randomized pools")
+    ve.add_argument("--seed", type=_integer, default=None, help="pin randomized pools")
     ve.add_argument("--out", default=None)
     ve.set_defaults(func=cmd_verify)
 

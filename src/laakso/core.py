@@ -76,7 +76,7 @@ class InternalError(RuntimeError):
     failed check.  The CLI reports it with exit code 3."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 _BITS_RE = re.compile(r"[01]*")
 
 

@@ -1,5 +1,8 @@
 import argparse
+import collections
 import contextlib
+import enum
+import hashlib
 import io
 import json
 import os
@@ -16,7 +19,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import laakso
-from laakso import metric
+from laakso import cli, metric
 from laakso.cli import main
 from laakso.core import HeightInterval, InternalError, point
 
@@ -155,6 +158,93 @@ def test_distance_determinism(capsys):
     _, out1, _ = run(capsys, "distance", "--x", "4/9:00", "--y", "4/9:11")
     _, out2, _ = run(capsys, "distance", "--x", "4/9:00", "--y", "4/9:11")
     assert out1 == out2
+
+
+# sha256 of stdout, recorded before `cli._json_dumps` stopped calling `json`:
+# JSON layout is part of the output contract, and `json.loads` ignores it.
+_PINNED_STDOUT = {
+    "distance --x 1/2:01 --y 1/2:10": "56ddbe816cf1041dd93a9ab4b7be575d7dd4222e77665d11a24196e162cf0b5e",
+    "distance --x 1/3:1 --y 2/3:01": "2406ed95e55d5c4325ceb3a3d042bed9be8797ed88d5f3e99803d06190550bf6",
+    "distance --x 1/2:0 --y 1/2:0": "fb5564946cf915771a301e8b637c60c2c384ff076d11ef41d5931e9a4dc6e8bf",
+    "profile --p 1/2:0 --line v0": "daa36ea715221bf2b7e42ecb3345e28d9eb297c897e1453da4fc0942d0cdfa2f",
+    "profile --p 2/5:0 --line vN:2": "07450fbf10d73c4af6e26690ad546b1cc93f3474cc0fdb73440e9109834a42c8",
+    "profile --p 2/5:01 --line vD:1,3": "f97fe66884bf0d97787334a2fb014ca27bae86b953b77cded823d1a2951cb19e",
+    "profile --p 0:0 --line v0": "e8a135cc23aea11049aaaf6e20349a426693c2c662386e90cc9f8a15c2bf771b",
+    "profile --p 0:0 --line v1": "32383d1fd04b27834441e85794374c77b703d9e93317e0e9997cd91ce36b27b4",
+    "profile --p 1/3:0 --line v2": "67198f2fb82a16e4bb6660034f5b26165fff5ef1d5a51c83c448f3ac1281cf3f",
+    "reduce --p 2/5:0 --levels 1,2,3 --t 1/2": "0d4c26a7b748fa3772b7074f03c9701407837acefa3c83f620d4a11c61586f98",
+}
+
+
+def test_stdout_bytes_are_pinned(capsys):
+    # Two geodesics; a glued point; equal points (one empty geodesic); the
+    # base point's own line, one- and two-order lines, a line with no kink
+    # (p = 0:0 on v0) and the two branches at a wormhole; a reduction.
+    for command, sha in _PINNED_STDOUT.items():
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha, command
+    payload = json.loads(run(capsys, *"distance --x 1/2:0 --y 1/2:0".split())[1])
+    assert payload["geodesics"] == [[]]
+    payload = json.loads(run(capsys, *"profile --p 0:0 --line v0".split())[1])
+    assert payload["lines"][0]["profile"]["kinks"] == []
+
+
+_json_strings = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", "/", "\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff"]),
+    ),
+    max_size=6,
+)
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(max_value=-1),
+        st.integers(min_value=2**64, max_value=2**200),
+        _json_strings,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.just(""), _json_strings), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example({"": [], "a": {}, "b": [None, True, False, 2**64 + 1, -5, "\x00\"\\\u00e9\U0001f600\ud800"]})
+@given(_json_values)
+def test_json_emitter_writes_what_json_writes(obj):
+    assert cli._json_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_emitter_refuses_what_the_schema_lacks():
+    for obj in (1.5, Fraction(1, 2), {1}, {1: "a"}, {"a": [0.0]}, [float("nan")], (1, 2)):
+        with pytest.raises(TypeError):
+            cli._json_dumps(obj)
+
+
+def test_json_emitter_writes_subclasses_as_json_does():
+    # `json` writes a subclass of str, int, list or dict through its base
+    # type's protocol, whatever it overrides.
+    class Text(str):
+        def __str__(self):
+            return "other"
+
+    class Number(int):
+        def __repr__(self):
+            return "other"
+
+    class Items(list):
+        def __iter__(self):
+            return iter([Number(1), Text("x")])
+
+    objs = (Text("k\u00e9y"), Number(-3), enum.IntEnum("E", "A")(1), Items([9]), Items(),
+            collections.OrderedDict([("b", Items([0])), (Text("a"), {})]), {"a": [True, Number(0)]})
+    for obj in objs:
+        assert cli._json_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n", obj
 
 
 def test_output_file(tmp_path, capsys):
@@ -517,6 +607,36 @@ def test_argparse_errors_are_one_line(capsys):
         assert err == f"error: {message}\n", argv
 
 
+def test_argv_numbers_are_ascii_digits(capsys):
+    # `int` and `Fraction` also take "_" and every Unicode decimal digit;
+    # argv takes ASCII digits only, as --line always did.
+    for argv, message in (
+        (("reduce", "--p", "1/2:0", "--levels", "1,2,1_0", "--t", "1/2"),
+         "argument --levels: bad level list '1,2,1_0'"),
+        (("reduce", "--p", "1/2:0", "--levels", "1,2,\u0663", "--t", "1/2"),
+         "argument --levels: bad level list '1,2,\u0663'"),
+        (("census", "--p", "1/2:0", "--max-level", "1_2"), "argument --max-level: invalid int value: '1_2'"),
+        (("verify", "regularity", "--depth", "\u0665"), "argument --depth: invalid int value: '\u0665'"),
+        (("verify", "kinks", "--seed", "\uff11"), "argument --seed: invalid int value: '\uff11'"),
+        (("verify", "kinks", "--seed", " 1"), "argument --seed: invalid int value: ' 1'"),
+        (("distance", "--x", "\u0661/2:0", "--y", "1/2:0"),
+         "argument --x: bad point '\u0661/2:0': not an exact p/q rational: '\u0661/2'"),
+        (("reduce", "--p", "1/2:0", "--levels", "1,2,3", "--t", "1/\u0662"),
+         "argument --t: not an exact p/q rational: '1/\u0662'"),
+        (("profile", "--p", "1/2:0", "--line", "vD:1,\u0663"), "argument --line: bad line spec 'vD:1,\u0663'"),
+        (("verify", "kinks", "--seed", "9" * 5000), f"argument --seed: invalid int value: '{'9' * 5000}'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: {message}\n", argv
+    # A leading minus still reads where it did.
+    code, _, err = run(capsys, "verify", "regularity", "--depth", "-1")
+    assert code == 2 and err == "error: --depth of suite 'regularity' must be in 5..8, got -1\n"
+    assert run(capsys, "verify", "kinks", "--seed", "-1")[0] == 0
+    assert run(capsys, "census", "--p", "1/2:0", "--max-level", "2")[0] == 0
+    assert run(capsys, "reduce", "--p", "1/2:0", "--levels", "1,2,10", "--t", "1/2")[0] == 0
+
+
 def test_profile_very_deep_order_line(capsys):
     start = time.monotonic()
     code, out, _ = run(capsys, "profile", "--p", "1/2:0", "--line", "vD:1,30000")
@@ -730,13 +850,27 @@ def test_printable_order_bound_holds_at_a_low_digit_limit(height, bits, first, s
         assert json.loads(out)["lines"][0]["pass"] is True
 
 
+def _respelled(n: int, zero: str) -> str:
+    """n with an underscore (zero "_") or in the digits counted from `zero`:
+    text `int` reads as a number and argv must refuse."""
+    if zero == "_":
+        return f"{n}_0"
+    return str(n).translate({ord("0") + i: ord(zero) + i for i in range(10)})
+
+
+def _spelled(ints):
+    """Integers as argv text, now and then respelled past the ASCII grammar."""
+    respelled = st.builds(_respelled, ints, st.sampled_from(["_", "\u0660", "\u0966", "\uff10"]))
+    return st.one_of(ints.map(str), ints.map(str), ints.map(str), ints.map(str), respelled)
+
+
 _valid_heights = st.fractions(min_value=0, max_value=1, max_denominator=30).map(
     lambda h: f"{h.numerator}/{h.denominator}"
 )
 _fuzz_heights = st.one_of(
     _valid_heights,
     _valid_heights,
-    st.builds(lambda p, q: f"{p}/{q}", st.integers(-2, 30), st.integers(0, 30)),
+    st.builds(lambda p, q: f"{p}/{q}", _spelled(st.integers(-2, 30)), _spelled(st.integers(0, 30))),
     st.sampled_from(["0", "1", "1/3", "2/9", "0.5", "x", "", "1/" + "3" * 5000]),
 )
 _fuzz_points = st.builds(
@@ -748,13 +882,14 @@ _fuzz_points = st.builds(
 _fuzz_orders = st.one_of(
     st.integers(1, 14), st.integers(-1, 14), st.integers(9005, 9015), st.integers(10**5 - 2, 10**12)
 )
+_fuzz_order_text = _spelled(_fuzz_orders)
 _fuzz_lines = st.one_of(
     st.just("v0"),
-    st.builds("vN:{}".format, _fuzz_orders),
-    st.builds("v{}".format, _fuzz_orders),
-    st.builds("vD:{},{}".format, _fuzz_orders, _fuzz_orders),
+    st.builds("vN:{}".format, _fuzz_order_text),
+    st.builds("v{}".format, _fuzz_order_text),
+    st.builds("vD:{},{}".format, _fuzz_order_text, _fuzz_order_text),
     st.builds(lambda n, k: f"vD:{n},{n + k}", _fuzz_orders, _fuzz_orders),
-    st.builds("vD:{},{},{}".format, _fuzz_orders, _fuzz_orders, _fuzz_orders),
+    st.builds("vD:{},{},{}".format, _fuzz_order_text, _fuzz_order_text, _fuzz_order_text),
     st.text("vND:0123456789,", max_size=8),
 )
 _fuzz_argv = st.one_of(
@@ -766,7 +901,7 @@ _fuzz_argv = st.one_of(
         _fuzz_points,
         st.just("--levels"),
         st.one_of(
-            st.lists(_fuzz_orders, max_size=4),
+            st.lists(_fuzz_order_text, max_size=4),
             st.lists(st.integers(1, 14), min_size=3, max_size=4, unique=True).map(sorted),
         ).map(lambda ns: ",".join(map(str, ns))),
         st.just("--t"),
@@ -774,13 +909,13 @@ _fuzz_argv = st.one_of(
     ),
     st.tuples(
         st.just("census"), st.just("--p"), _fuzz_points, st.just("--max-level"),
-        st.integers(-1, 14).map(str),
+        _spelled(st.integers(-1, 14)),
     ),
     st.builds(
         lambda suite, depth, seed: ("verify", suite) + depth + seed,
         st.sampled_from(["oracle", "kinks", "constructions", "porosity", "regularity", "parallel", "x"]),
-        st.one_of(st.just(()), st.integers(-1, 10).map(lambda d: ("--depth", str(d)))),
-        st.one_of(st.just(()), st.integers(0, 40).map(lambda s: ("--seed", str(s)))),
+        st.one_of(st.just(()), _spelled(st.integers(-1, 10)).map(lambda d: ("--depth", d))),
+        st.one_of(st.just(()), _spelled(st.integers(0, 40)).map(lambda s: ("--seed", s))),
     ),
     st.lists(
         st.sampled_from(["distance", "profile", "verify", "--x", "--p", "--line", "1/2:0", "v1", "--depth", "-h"]),
@@ -799,5 +934,7 @@ def test_cli_fuzz_total_input_contract(argv):
     assert code in (0, 1, 2), (argv, err)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    if any("_" in arg or not arg.isascii() for arg in argv):  # only respelled numbers have them
+        assert code == 2, (argv, err)
     assert "Traceback" not in err
     assert elapsed < 5, (argv, elapsed)

@@ -51,6 +51,20 @@ def test_no_module_imports_unused_names():
     assert unused == []
 
 
+def test_one_json_writer():
+    # `cli._json_dumps` writes every JSON text the package prints; `json`'s
+    # own writer formats indented text in pure Python at twice the cost.
+    writers = []
+    for path in sorted(Path(laakso.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
+                if isinstance(node.value, ast.Name) and node.value.id == "json":
+                    writers.append((path.stem, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                writers += [(path.stem, node.lineno) for a in node.names if a.name in ("dump", "dumps")]
+    assert writers == []
+
+
 def _load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
