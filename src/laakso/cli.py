@@ -22,8 +22,8 @@ argparse is the only parser: every flag is read by a `type=` converter or
 `error:` line naming the flag at fault.  Every argument that sets a scale
 is bounded before any work: the jump orders of profile --line and reduce
 --levels by their converters, verify --depth by the depths
-`verify.SUITES` lists, census --max-level by the library, and the size of
-every printed answer by `_check_printable`.
+`verify.SUITES` lists, census --max-level by its converter, and the size
+of every printed answer by `_check_printable`.
 
 A --line spec is one of v0 (the base point's own line), v<N>, vN:<N> or
 v<N>:<N> (one jump at order N), or vD:<N>,<M>[,...] (one jump at each of
@@ -54,11 +54,13 @@ from .core import (
     parse_rational,
     point,
     point_to_json,
+    wormhole_order,
 )
 # `distance` stays bound here: perfbench/selftest.py checks that its tracer
 # rebinds `laakso.cli.distance` along with `laakso.metric.distance`.
 from .metric import _Pair, distance  # noqa: F401
 from .profiles import (
+    _MAX_CENSUS_LEVEL,
     census_records,
     expected_kinks,
     parallel_reduction,
@@ -89,11 +91,14 @@ def _point(text: str) -> LaaksoPoint:
         raise argparse.ArgumentTypeError(f"bad point {text!r}: {exc}") from exc
 
 
-def _rational(text: str) -> Fraction:
+def _height(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        t = parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not 0 <= t <= 1:
+        raise argparse.ArgumentTypeError(f"height {text!r} outside [0, 1]")
+    return t
 
 
 # A line at jump order n carries an n-bit address and grid arithmetic on
@@ -123,6 +128,13 @@ def _integer(text: str) -> int:
     except ValueError:  # past the integer-string digit limit
         pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _census_level(text: str) -> int:
+    level = _integer(text)
+    if not 1 <= level <= _MAX_CENSUS_LEVEL:
+        raise argparse.ArgumentTypeError(f"must be in 1..{_MAX_CENSUS_LEVEL}, got {level}")
+    return level
 
 
 def _levels(text: str) -> Tuple[int, ...]:
@@ -156,6 +168,14 @@ def _line(spec: str) -> Tuple[int, ...]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad line spec {spec!r}") from exc
     return _checked_orders(levels, spec)
+
+
+def _check_free_orders(flag: str, p: LaaksoPoint, levels: Tuple[int, ...]) -> None:
+    """Refuse a jump at the wormhole order of p's height, free at p, naming
+    the flag; the library refuses it too, for its own callers."""
+    w = wormhole_order(p.height)
+    if w in levels:
+        raise UsageError(f"argument {flag}: level {w} is the base point's own wormhole order")
 
 
 def _binding_order(p: LaaksoPoint, levels: Tuple[int, ...]) -> int:
@@ -316,9 +336,10 @@ def cmd_profile(args) -> int:
     p, levels = args.p, args.line
     if len(levels) >= 3:
         raise UsageError(
-            "profiles cover at most two jump levels; use the `reduce` subcommand "
+            "argument --line: profiles cover at most two jump levels; use the `reduce` subcommand "
             "to compare deeper lines against their two-level reduction"
         )
+    _check_free_orders("--line", p, levels)
     if levels:
         _check_printable("--line", p.height.denominator, _binding_order(p, levels))
     lines = vertical_lines(p, levels)
@@ -353,6 +374,9 @@ def _suffixed(path: str, suffix: str) -> str:
 
 def cmd_reduce(args) -> int:
     p, levels, t = args.p, args.levels, args.t
+    if len(levels) < 3:
+        raise UsageError("argument --levels: need at least three levels; two-level lines stand alone")
+    _check_free_orders("--levels", p, levels)
     # Deeper jumps thread through a geodesic of the first two orders for
     # free, so both printed values are those of the first-two-order line.
     den = math.lcm(p.height.denominator, t.denominator)
@@ -421,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rd = sub.add_parser("reduce", help="compare a deep line with its two-level reduction")
     rd.add_argument("--p", required=True, type=_point, help="base point as h:bits")
     rd.add_argument("--levels", required=True, type=_levels, help="comma list of >=3 jump levels")
-    rd.add_argument("--t", required=True, type=_rational, help="height as p/q")
+    rd.add_argument("--t", required=True, type=_height, help="height as p/q")
     rd.add_argument("--out", default=None)
     rd.set_defaults(func=cmd_reduce)
 
@@ -431,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: height, source_line, kink_type.",
     )
     ce.add_argument("--p", required=True, type=_point, help="base point as h:bits")
-    ce.add_argument("--max-level", type=_integer, default=4)
+    ce.add_argument("--max-level", type=_census_level, default=4)
     ce.add_argument("--out", default=None)
     ce.set_defaults(func=cmd_census)
 

@@ -114,12 +114,6 @@ class LevelGraph:
             raise ValueError(f"address depth {p.address.depth} exceeds resolution {self.m}")
         return self.vertex(k.numerator, p.address.mask)
 
-    def zero_partner(self, k: int, a: int) -> Optional[int]:
-        """The address glued to `a` at height k / 3**m, if k is interior."""
-        if not (0 < k < 3**self.m):
-            return None
-        return a ^ self.flips[k]
-
 
 def build_level_graph(m: int) -> LevelGraph:
     """Construct the level-m graph; the cap on m bounds the work before it starts."""

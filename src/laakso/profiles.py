@@ -21,21 +21,18 @@ a profile costs the same at order 30 as at order 3.
 A line is worked on one integer scale (`_LineScale`).  p is canonicalized
 once, and the orders the line requires are the set bits of its address
 mask XOR the line's; every height, candidate and distance value of the
-line is an integer over one denominator, den h(p) * 3**N * 2**8 for N the
-deepest involved order, so every apex and midpoint of the certificate
-below stays an integer.  Each
-evaluation is one `metric._Pair.search` on that scale, and `Fraction`s are
-built only for the returned `Piece` and `Kink` fields.
+line is an integer over one denominator, den h(p) * 3**N for N the deepest
+involved order.  Each evaluation is one `metric._Pair.search` on that
+scale, and `Fraction`s are built only for the returned `Piece` and `Kink`
+fields.
 
-Each gap between consecutive candidates is then certified linear: since
-the profile is 1-Lipschitz, |v(t1) - v(t0)| == t1 - t0 forces the profile
-to be a slope +-1 line on all of [t0, t1].  Where the certificate fails, a
-single interior kink is solved for exactly (the two candidate apexes of a
-one-kink shape are determined by the endpoint values) and validated by one
-more evaluation; only genuinely multi-kink gaps recurse.  The certificate,
-not the candidate set, is what makes the profile exact: a breakpoint the
-gap arithmetic missed is either found by the one-kink solve or raises
-`ProfileLinearityError`, never a silent wrong answer.
+The profile is evaluated once at each candidate, and each gap between
+consecutive candidates is then certified linear: since the profile is
+1-Lipschitz, |v(t1) - v(t0)| == t1 - t0 forces it to be a slope +-1 line
+on all of [t0, t1].  The certificate, not the candidate set, is what makes
+the profile exact: a gap that fails it means the gap arithmetic missed a
+breakpoint, and raises `ProfileLinearityError`, never a silent wrong
+answer.
 """
 
 from __future__ import annotations
@@ -75,12 +72,9 @@ __all__ = [
     "VerticalLine",
 ]
 
-_MAX_SUBDIVISION = 8
-
-
 class ProfileLinearityError(InternalError):
-    """Linearity verification failed after maximal subdivision; this signals
-    a missed breakpoint candidate (an internal error, not bad input)."""
+    """A gap between consecutive candidates is not linear; this signals a
+    missed breakpoint candidate (an internal error, not bad input)."""
 
 
 @dataclass(frozen=True)
@@ -219,68 +213,25 @@ class KinkProfile:
         }
 
 
-def _half(num: int) -> int:
-    """num / 2 on a line's scale, which keeps every halving even (see
-    `_LineScale`); an odd numerator is a broken invariant.  Messages name
-    no numerator: at deep orders it may be past the printable digit limit."""
-    if num & 1:
-        raise InternalError("odd numerator halved on a line's integer scale")
-    return num >> 1
-
-
-def _certify(
-    v: Callable[[int], int],
-    t0: int,
-    v0: int,
-    t1: int,
-    v1: int,
-    depth: int,
-    pieces: List[Tuple[int, int, int]],
-) -> None:
-    dv = v1 - v0
-    dt = t1 - t0
-    if dv == dt:
-        pieces.append((t0, t1, 1))
-        return
-    if dv == -dt:
-        pieces.append((t0, t1, -1))
-        return
-    if depth >= _MAX_SUBDIVISION:
-        raise ProfileLinearityError(
-            f"no linear certificate on a gap of the line after {depth} subdivisions"
-        )
-    # Try a single interior kink; its apex is forced by the endpoint values.
-    for s0 in (1, -1):
-        tau = _half(t0 + t1 + s0 * dv)
-        if t0 < tau < t1 and v(tau) == v0 + s0 * (tau - t0):
-            _certify(v, t0, v0, tau, v(tau), depth + 1, pieces)
-            _certify(v, tau, v(tau), t1, v1, depth + 1, pieces)
-            return
-    mid = _half(t0 + t1)
-    vm = v(mid)
-    _certify(v, t0, v0, mid, vm, depth + 1, pieces)
-    _certify(v, mid, vm, t1, v1, depth + 1, pieces)
-
-
 def _assemble(line: VerticalLine, v: Callable[[int], int], breaks: List[int], den: int) -> KinkProfile:
-    """Certify every gap between consecutive breaks (heights times `den`),
-    merge runs of one slope, and build the profile's `Fraction`s."""
-    raw: List[Tuple[int, int, int]] = []
-    for t0, t1 in zip(breaks, breaks[1:]):
-        _certify(v, t0, v(t0), t1, v(t1), 0, raw)
-    merged: List[Tuple[int, int, int]] = []
-    for lo, hi, slope in raw:
-        if merged and merged[-1][2] == slope and merged[-1][1] == lo:
-            merged[-1] = (merged[-1][0], hi, slope)
+    """Evaluate v once at each break (heights times `den`), certify every gap
+    between consecutive breaks linear, merge runs of one slope, and build
+    the profile's `Fraction`s."""
+    values = [v(t) for t in breaks]
+    runs: List[Tuple[int, int, int, int]] = []  # (lo, v(lo), hi, slope)
+    for t0, v0, t1, v1 in zip(breaks, values, breaks[1:], values[1:]):
+        if abs(v1 - v0) != t1 - t0:
+            raise ProfileLinearityError("a gap between consecutive candidates of the line is not linear")
+        slope = 1 if v1 > v0 else -1
+        if runs and runs[-1][3] == slope:
+            runs[-1] = runs[-1][:2] + (t1, slope)
         else:
-            merged.append((lo, hi, slope))
+            runs.append((t0, v0, t1, slope))
     pieces = tuple(
-        Piece(Fraction(lo, den), Fraction(hi, den), slope, Fraction(v(lo) - slope * lo, den))
-        for lo, hi, slope in merged
+        Piece(Fraction(lo, den), Fraction(hi, den), slope, Fraction(vlo - slope * lo, den))
+        for lo, vlo, hi, slope in runs
     )
-    kinks = tuple(
-        Kink(b.lo, a.slope, b.slope) for a, b in zip(pieces, pieces[1:]) if a.slope != b.slope
-    )
+    kinks = tuple(Kink(b.lo, a.slope, b.slope) for a, b in zip(pieces, pieces[1:]))
     return KinkProfile(line, pieces, kinks)
 
 
@@ -288,14 +239,12 @@ class _LineScale:
     """The distance from a canonical point p to a vertical line, with every
     height on one integer scale.
 
-    `den` is den h(p) * 3**N * 2**_MAX_SUBDIVISION, N the deepest involved
-    order: it holds 0, 1, h(p) (`hp` on the scale) and every candidate
-    breakpoint, and the distance values there.  Each of the at most
-    _MAX_SUBDIVISION nested halvings of `_certify` takes one factor 2, so
-    every apex and midpoint stays an integer.
+    `den` is den h(p) * 3**N, N the deepest involved order (the rule of
+    `metric._Pair.on_scale`): it holds 0, 1, h(p) (`hp` on the scale) and
+    every candidate breakpoint, and the distance values there.
     """
 
-    __slots__ = ("levels", "involved", "den", "hp", "_values")
+    __slots__ = ("levels", "involved", "den", "hp")
 
     def __init__(self, pc: LaaksoPoint, line: VerticalLine):
         # The orders a path from pc to the line must jump at: the set bits of
@@ -310,16 +259,13 @@ class _LineScale:
         involved = set(line.levels) | set(self.levels) | ({w} if w is not None else set())
         self.involved = sorted(involved)
         order = self.involved[-1] if involved else 0
-        self.den = height.denominator * 3**order * 2**_MAX_SUBDIVISION
-        self.hp = height.numerator * (self.den // height.denominator)
-        self._values: Dict[int, int] = {}
+        self.den = height.denominator * 3**order
+        self.hp = height.numerator * 3**order
 
     def value(self, t: int) -> int:
         """d(p, [t / den, line]) times den, by one interval search."""
-        if t not in self._values:
-            pair = _Pair(self.levels, self.hp, t, self.den)
-            self._values[t] = pair.length(*pair.search()[0])
-        return self._values[t]
+        pair = _Pair(self.levels, self.hp, t, self.den)
+        return pair.length(*pair.search()[0])
 
     def candidates(self) -> List[int]:
         """The sorted candidate breakpoints: 0, 1 and h(p), and h(p) shifted

@@ -566,8 +566,8 @@ class Suite(NamedTuple):
 # radii down to 1/3^(m-1)), and its top is the level graph's resolution cap
 # (`oracle._MAX_RESOLUTION`).  The upper ends bound the work before it
 # starts.  On a 2-vCPU host (CPython 3.11), best of 5 in process:
-# `oracle --depth 3` takes ~0.12 s, most of it one interval search for
-# each of 25k pairs, so m = 4 (860k pairs) would take ~3.8 s; `regularity
+# `oracle --depth 3` takes ~0.09 s, most of it one interval search for
+# each of 25k pairs, so m = 4 (860k pairs) would take ~3 s; `regularity
 # --depth 8` takes ~0.05 s.
 SUITES: Dict[str, Suite] = {
     "oracle": Suite(check_oracle, range(1, 4)),

@@ -33,11 +33,11 @@ def test_vertex_counts():
 
 def test_zero_edges_m1():
     g = build_level_graph(1)
-    glued = {F(k, 3) for k in range(1, 3) if g.zero_partner(k, 0) is not None}
+    glued = {F(k, 3) for k in range(0, 4) if g.flips[k]}
     assert glued == {F(1, 3), F(2, 3)}
     # every interior height carries a gluing at m=2 (orders 1 and 2 combined)
     g2 = build_level_graph(2)
-    assert all(g2.zero_partner(k, 0) is not None for k in range(1, 9))
+    assert all(g2.flips[k] for k in range(1, 9)) and g2.flips[0] == g2.flips[9] == 0
     # 3/9 has wormhole order 1 and 4/9 order 2: their gluings flip bits 1 and 2
     assert g2.flips[3] == 1 << 0 and g2.flips[4] == 1 << 1
 
@@ -148,9 +148,9 @@ def test_distinct_grid_point_count():
 
 
 def _heap_dijkstra(g, source, cutoff=None):
-    """Reference search: a binary-heap Dijkstra over the same edges, built
-    from `zero_partner`, settling every vertex (every vertex within
-    `cutoff`, if one is given)."""
+    """Reference search: a binary-heap Dijkstra over the same edges, the
+    0-edge of each interior row read from `flips`, settling every vertex
+    (every vertex within `cutoff`, if one is given)."""
     two_m, top = 2**g.m, 3**g.m
     dist = [None] * g.vertex_count
     heap = [(0, source)]
@@ -162,9 +162,11 @@ def _heap_dijkstra(g, source, cutoff=None):
             continue
         dist[v] = d
         k, a = divmod(v, two_m)
-        edges = [(k - 1, a, 1), (k + 1, a, 1), (k, g.zero_partner(k, a), 0)]
+        edges = [(k - 1, a, 1), (k + 1, a, 1)]
+        if 0 < k < top:
+            edges.append((k, a ^ g.flips[k], 0))
         for kw, aw, weight in edges:
-            if 0 <= kw <= top and aw is not None and dist[kw * two_m + aw] is None:
+            if 0 <= kw <= top and dist[kw * two_m + aw] is None:
                 heapq.heappush(heap, (d + weight, kw * two_m + aw))
     return dist
 

@@ -16,14 +16,15 @@ from laakso.core import (
     point,
     wormhole_order,
 )
-from laakso.metric import distance, required_levels
+from laakso.metric import _Pair, distance, required_levels
 from laakso.profiles import (
     TWO_LEVEL_BRANCHES,
     Kink,
     KinkProfile,
     Piece,
     ProfileLinearityError,
-    _certify,
+    VerticalLine,
+    _assemble,
     _LineScale,
     census_records,
     classify_two_level,
@@ -265,44 +266,18 @@ def test_census_heights_confirmed_by_profiles():
 
 
 def test_linearity_failure_signals_internal_error():
-    # a profile evaluator that is not piecewise slope +-1 cannot be
-    # certified; the solver reports it instead of emitting a wrong profile.
-    # [0, 1/2] on the integer scale 2**12, which keeps every halving even.
-    def v(t):
-        return t * t
-
+    # A gap whose end values are not one slope +-1 line apart cannot be
+    # certified; the assembler reports it instead of emitting a wrong
+    # profile.  On the scale 8: a V at 3 given as one gap (a missed
+    # breakpoint), and an evaluator that is not piecewise slope +-1.
+    line = vertical_lines(point("1/2", "0"), ())[0]
+    prof = _assemble(line, lambda t: abs(t - 3), [0, 3, 8], 8)
+    assert prof.kinks == (Kink(F(3, 8), -1, 1),)
     with pytest.raises(ProfileLinearityError):
-        _certify(v, 0, v(0), 2**11, v(2**11), 0, [])
-
-
-def test_certify_solves_interior_kinks():
-    # Profiles of the space certify every candidate gap at once, so the
-    # one-kink solve and the midpoint split run here on a synthetic line:
-    # distance to {1000, 3000} on [0, 4096] has a V at 1000 and at 3000
-    # and a roof at 2000, none of them a break given to the certificate.
-    def v(t):
-        return min(abs(t - 1000), abs(t - 3000))
-
-    pieces = []
-    _certify(v, 0, v(0), 4096, v(4096), 0, pieces)
-    merged = []
-    for lo, hi, slope in pieces:
-        if merged and merged[-1][2] == slope:
-            lo = merged.pop()[0]
-        merged.append((lo, hi, slope))
-    assert merged == [(0, 1000, -1), (1000, 2000, 1), (2000, 3000, -1), (3000, 4096, 1)]
-    # one kink: solved from the end values in one step
-    pieces = []
-    _certify(v, 0, v(0), 2000, v(2000), 0, pieces)
-    assert pieces == [(0, 1000, -1), (1000, 2000, 1)]
-
-
-def test_odd_halving_on_line_scale_is_internal_error():
-    # A flat evaluator on [0, 1] certifies neither slope, and its apexes
-    # (0 + 1 +- 0) / 2 are off the scale: the halving refuses to floor.
-    with pytest.raises(InternalError, match="odd numerator") as raised:
-        _certify(lambda t: 0, 0, 0, 1, 0, 0, [])
-    assert not isinstance(raised.value, ProfileLinearityError)
+        _assemble(line, lambda t: abs(t - 3), [0, 8], 8)
+    with pytest.raises(ProfileLinearityError):
+        _assemble(line, lambda t: t * t, [0, 1, 2, 8], 8)
+    assert issubclass(ProfileLinearityError, InternalError)
 
 
 @st.composite
@@ -402,6 +377,42 @@ def _reference_profile(p, line):
     return KinkProfile(line, tuple(pieces), tuple(kinks))
 
 
+def _deep_height(rng):
+    """A base height the shallow draws miss: within j / (2 * 3**m) of a grid
+    point k / 3**n, sparse ternary (a few nonzero digits down to 3**-15),
+    or a wormhole of order up to 15."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        n = rng.randint(1, 12)
+        m = rng.randint(n, 15)
+        h = F(rng.randint(0, 3**n), 3**n) + F(rng.choice([-1, 1]) * rng.randint(1, 2), 2 * 3**m)
+        return min(max(h, F(0)), F(1))
+    if kind == 1:
+        return sum(F(rng.randint(1, 2), 3**e) for e in rng.sample(range(1, 16), rng.randint(1, 3)))
+    n = rng.randint(1, 15)
+    k = rng.randrange(1, 3**n)
+    return F(k + (k % 3 == 0), 3**n)
+
+
+def _deep_cases(rng, count):
+    """Base points at `_deep_height`s with addresses of up to 16 bits, each
+    with a line built straight from an arbitrary address of up to 16 bits
+    (many required orders, no jump orders named) or with the lines of up
+    to three jump orders up to 15."""
+    cases = []
+    while len(cases) < count:
+        h = _deep_height(rng)
+        p = point(h, "".join(rng.choice("01") for _ in range(rng.randint(0, 16))))
+        if rng.random() < 0.5:
+            bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 16)))
+            cases.append((p, VerticalLine(CantorAddress(bits), "addr", ())))
+        else:
+            usable = [n for n in range(1, 16) if n != wormhole_order(h)]
+            levels = tuple(sorted(rng.sample(usable, rng.randint(0, 3))))
+            cases += [(p, line) for line in vertical_lines(p, levels)]
+    return cases
+
+
 def test_profiles_equal_fraction_reference():
     rng = random.Random(12)
     cases = []
@@ -420,8 +431,33 @@ def test_profiles_equal_fraction_reference():
         levels = tuple(sorted(rng.sample(usable, rng.choice([0, 1, 1, 2, 2, 3]))))
         cases += [(p, line) for line in vertical_lines(p, levels)]
     assert {line.branch for _, line in cases} == {0, 1}
+    cases += _deep_cases(random.Random(13), 400)
     for p, line in cases:
         assert profile_distance_on_line(p, line) == _reference_profile(p, line), (p, line)
+
+
+def test_one_search_per_candidate(monkeypatch):
+    # The profile evaluates the distance once at each candidate and at no
+    # other height: no value is read twice and no gap is subdivided.
+    calls = []
+    search = _Pair.search
+
+    def counted(pair):
+        calls.append(pair.hy)
+        return search(pair)
+
+    monkeypatch.setattr(_Pair, "search", counted)
+    rng = random.Random(14)
+    cases = _deep_cases(rng, 150)
+    for h in ("1/2", "13/20", "1/3", "0", "1", "4/9"):
+        p = point(h, "01")
+        usable = [n for n in range(1, 6) if n != wormhole_order(p.height)]
+        for k in range(3):
+            cases += [(p, line) for levels in combinations(usable, k) for line in vertical_lines(p, levels)]
+    for p, line in cases:
+        calls.clear()
+        profile_distance_on_line(p, line)
+        assert sorted(calls) == _LineScale(canonicalize(p), line).candidates(), (p, line)
 
 
 def test_svg_output():
