@@ -23,14 +23,21 @@ Porosity of the balanced-height set is certified hole by hole: next to any
 wormhole height of a deep enough order, an explicit interval is produced on
 which the down gap is tiny and the up gap is large, violating any fixed
 ratio bound.  The certificate works in integers on one scale per hole: the
-sampled heights share one denominator D, both grid indices of every height
-come from the grid kernel `core._grid_index`, both gaps are checked against
-the hole's bounds over 3**order * D, and the exact gaps are recorded as
+sampled heights share one denominator D, the grid kernel `core._grid_index`
+is asked for both grid indices once per grid cell the heights fall in (a
+hole lies in one), both gaps of every height are checked against the
+hole's bounds over 3**order * D, and the exact gaps are recorded as
 numerators on that scale, turned into "p/q" strings only for JSON.
+
+The pairwise Lipschitz check works the same way: each sample is
+canonicalized once and its value put on one common denominator, and each
+pair is one integer interval search of `metric._Pair`; the worst ratio is
+kept as an integer pair, and one `Fraction` is built at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -39,6 +46,7 @@ from .core import (
     Direction,
     LaaksoPoint,
     _grid_index,
+    _orders,
     canonicalize,
     format_rational,
     gap_ratio_probe,
@@ -52,7 +60,7 @@ from .core import (
     wormhole_order,
 )
 from .calculus import PointFunction
-from .metric import distance
+from .metric import _Pair, distance
 
 __all__ = [
     "BandSchedule",
@@ -100,19 +108,32 @@ class SampledFunction:
         The library builds its samples to respect the bound, so a ratio
         above it, or two samples at distance 0 with different values, is
         an `InternalError`.  A pair with equal values can neither raise
-        the ratio nor break the equal-points rule, so it is not measured."""
-        pts = self.samples
-        worst = Fraction(0)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                a, fa = pts[i]
-                b, fb = pts[j]
-                if fa == fb:
+        the ratio nor break the equal-points rule, so it is not measured.
+
+        Each sample is canonicalized once and its value put over the one
+        common denominator V of all values.  A pair is then one integer
+        search on its own scale D (`metric._Pair`): with the path length L
+        over D, its ratio is |v_a - v_b| * D / (L * V), and the worst one is
+        kept as an integer pair by cross-multiplication; one `Fraction` is
+        built at the end."""
+        scale = math.lcm(*(value.denominator for _, value in self.samples))
+        data = []
+        for p, value in self.samples:
+            c = canonicalize(p)
+            data.append((p, c.address.mask, c.height, value.numerator * (scale // value.denominator)))
+        worst_num, worst_den = 0, 1
+        for i, (a, mask_a, h_a, va) in enumerate(data):
+            for b, mask_b, h_b, vb in data[i + 1 :]:
+                if va == vb:
                     continue
-                d = distance(a, b)
-                if d == 0:
+                pair = _Pair.on_scale(_orders(mask_a ^ mask_b), h_a, h_b)
+                length = pair.length(*pair.search()[0])
+                if length == 0:
                     raise InternalError(f"equal points {a}, {b} carry different values")
-                worst = max(worst, abs(fa - fb) / d)
+                num = abs(va - vb) * pair.den
+                if num * worst_den > worst_num * length:
+                    worst_num, worst_den = num, length
+        worst = Fraction(worst_num, worst_den * scale)
         if worst > self.lip_bound:
             raise InternalError(f"sampled ratio {worst} exceeds bound {self.lip_bound}")
         return worst
@@ -495,10 +516,15 @@ class PorosityWitness:
         """Exact per-height certificates (num, down, up) for the heights
         num / den, one per height, in the integer form of `Certificate`.
 
-        Both grid indices of every height come from the grid kernel, and
-        both gaps are compared with the hole's bounds on the scale
-        3**order * den, all in integers.  Raises ValueError for a height
-        outside the hole and RuntimeError if any inequality fails.
+        Between two consecutive order-n wormhole heights both grid indices
+        are constant, so the grid kernel runs once per such cell the
+        heights fall in: a height strictly inside the open cell of the last
+        lookup reuses both of its indices; a height outside it, or after a
+        lookup made exactly on a grid height, is looked up again.  Every
+        height still gets its own down and up gaps, each compared with the
+        hole's bounds on the scale 3**order * den, all in integers.  Raises
+        ValueError for a height outside the hole and RuntimeError if any
+        inequality fails.
         """
         if den < 1:
             raise ValueError("the heights' denominator must be positive")
@@ -514,16 +540,30 @@ class PorosityWitness:
         # over top * den.
         lp, lq = self.lam.numerator, self.lam.denominator
         down_cap, up_floor = lp * den, (lq - lp) * den
+        # The grid heights below and above the last lookup (ceil None: no
+        # wormhole above), over top * den, hold on the open cell
+        # (floor, cell_top); it is empty until a lookup off the grid.
+        floor = cell_top = 0
+        ceil = None
         records = []
         for num in nums:
             if not lo < num < hi:
                 raise ValueError(f"{Fraction(num, den)} is outside the hole")
             scaled = num * top
-            below = _grid_index(top, scaled, den, False, True)
-            above = _grid_index(top, scaled, den, True, True)
-            down = None if below is None else scaled - below * den
-            up = None if above is None else above * den - scaled
-            if down is None or down * lq > down_cap or (up is not None and up * lq < up_floor):
+            if not floor < scaled < cell_top:
+                below = _grid_index(top, scaled, den, False, True)
+                above = _grid_index(top, scaled, den, True, True)
+                if below is None:
+                    raise RuntimeError(f"hole certificate failed at {Fraction(num, den)}")
+                floor = below * den
+                ceil = None if above is None else above * den
+                if scaled % den == 0:  # on a grid height: the lookup holds there only
+                    cell_top = floor
+                else:
+                    cell_top = top * den if ceil is None else ceil
+            down = scaled - floor
+            up = None if ceil is None else ceil - scaled
+            if down * lq > down_cap or (up is not None and up * lq < up_floor):
                 raise RuntimeError(f"hole certificate failed at {Fraction(num, den)}")
             records.append((num, down, up))
         return records

@@ -438,8 +438,6 @@ def _porosity_cases(seed: int) -> List[Tuple[cons.PorosityWitness, Fraction]]:
     out = []
     for _ in range(20):
         bound = Fraction(rng.randint(3, 12), rng.randint(1, 2))
-        if bound <= 1:
-            bound += 1
         start = rng.randint(1, 3)
         t0 = _random_height(rng)
         delta = Fraction(1, rng.randint(5, 400))

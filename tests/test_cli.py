@@ -173,13 +173,16 @@ _PINNED_STDOUT = {
     "profile --p 0:0 --line v1": "32383d1fd04b27834441e85794374c77b703d9e93317e0e9997cd91ce36b27b4",
     "profile --p 1/3:0 --line v2": "67198f2fb82a16e4bb6660034f5b26165fff5ef1d5a51c83c448f3ac1281cf3f",
     "reduce --p 2/5:0 --levels 1,2,3 --t 1/2": "0d4c26a7b748fa3772b7074f03c9701407837acefa3c83f620d4a11c61586f98",
+    "verify constructions": "1728debbe977e83d00d0f454357bff3b4ff512ab3e004dd04b0d5160903d971e",
+    "verify porosity --seed 0": "1b5ff368baeaaa06a3daff27e25f7e8ef573d1d7fd032c21c5998085b5d1776d",
 }
 
 
 def test_stdout_bytes_are_pinned(capsys):
     # Two geodesics; a glued point; equal points (one empty geodesic); the
     # base point's own line, one- and two-order lines, a line with no kink
-    # (p = 0:0 on v0) and the two branches at a wormhole; a reduction.
+    # (p = 0:0 on v0) and the two branches at a wormhole; a reduction; the
+    # sampled Lipschitz ratios of both witnesses and a porosity round.
     for command, sha in _PINNED_STDOUT.items():
         code, out, _ = run(capsys, *command.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha, command
@@ -439,13 +442,14 @@ def test_construction_self_checks_exit_3(monkeypatch, capsys):
         post_init(self)
         object.__setattr__(self, "lip_bound", Fraction(0))
 
+    class LevelPair(metric._Pair):
+        # Every pair at two different heights reads as length 0.
+        def length(self, a, b):
+            return super().length(a, b) if self.hx == self.hy else 0
+
     cases = (
         # verify_lipschitz: samples at distance 0 with different values
-        (
-            "laakso.constructions.distance",
-            lambda a, b: distance(a, b) if a.height == b.height else Fraction(0),
-            "equal points ",
-        ),
+        ("laakso.constructions._Pair", LevelPair, "equal points "),
         # verify_lipschitz: a sampled ratio above the declared bound
         ("laakso.constructions.SampledFunction.__post_init__", bound_zero, "sampled ratio 1 exceeds bound 0"),
         # _witness, building the flat witness: jump point distance

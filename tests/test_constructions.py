@@ -1,8 +1,10 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+import laakso.constructions as cons
 from laakso.calculus import difference_quotient, directional_derivative, triadic_schedule
 from laakso.constructions import (
     BandSchedule,
@@ -20,13 +22,15 @@ from laakso.constructions import (
 from laakso.core import (
     Direction,
     InternalError,
+    _grid_index,
     format_rational,
     nearest_wormhole_gap,
     point,
+    point_key,
     wormhole_order,
 )
 from laakso.metric import distance
-from laakso.verify import _porosity_cases, check_porosity
+from laakso.verify import ENGINEERED_MIRROR, _porosity_cases, check_porosity
 
 UNBALANCED = sparse_ternary_height((2, 4, 8, 16, 32), tail=F(1, 2 * 3**34))
 MIRROR = 1 - UNBALANCED
@@ -53,6 +57,94 @@ def test_sampled_function_basics():
         bad.verify_lipschitz()
     with pytest.raises(ValueError):
         SampledFunction(((a, F(0)), (a, F(1))), F(1))
+
+
+def _lipschitz_per_pair(fn):
+    """The reference for `verify_lipschitz`: every pair with different
+    values measured by `metric.distance`, the ratios kept as Fractions."""
+    pts = fn.samples
+    worst = F(0)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            a, fa = pts[i]
+            b, fb = pts[j]
+            if fa == fb:
+                continue
+            d = distance(a, b)
+            if d == 0:
+                raise InternalError(f"equal points {a}, {b} carry different values")
+            worst = max(worst, abs(fa - fb) / d)
+    if worst > fn.lip_bound:
+        raise InternalError(f"sampled ratio {worst} exceeds bound {fn.lip_bound}")
+    return worst
+
+
+def _outcome(check, *args):
+    """What `check(*args)` returns, or the type and message it raises."""
+    try:
+        return check(*args)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+def _construction_witnesses():
+    """The flat and steep witnesses `verify constructions` builds."""
+    flat = build_flat_nondifferentiable(point("1/2", "0"), 1, 6, probe_offsets=triadic_schedule(2, 8))
+    center = point(ENGINEERED_MIRROR, "0")
+    schedule = find_band_schedule(center.height, Direction.UP, max_level=20)
+    steep = build_steep_nondifferentiable(center, schedule, probe_offsets=[F(1, 3**k) for k in range(3, 12)])
+    return flat, steep
+
+
+def _seeded_function(seed):
+    """About 20 samples on small heights and short addresses, values drawn
+    from six (so many pairs carry equal values), and at wormhole heights
+    the glued point written through both of its addresses, one value."""
+    rng = random.Random(seed)
+    values = [F(0), F(1, 7), F(1, 3), F(2, 5), F(-1, 2), F(1)]
+    table = {}
+    samples = []
+    for _ in range(12):
+        bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+        value = rng.choice(values)
+        if rng.random() < 0.5:
+            n = rng.randint(1, 4)
+            height = F(rng.choice([k for k in range(1, 3**n) if k % 3]), 3**n)
+            bits = bits.ljust(n, "0")
+            points = [point(height, bits[: n - 1] + b + bits[n:]) for b in "01"]
+        else:
+            den = rng.randint(1, 12)
+            points = [point(F(rng.randint(0, den), den), bits)]
+        for p in points:
+            samples.append((p, table.setdefault(point_key(p), value)))
+    return SampledFunction(tuple(samples), rng.choice([F(1, 2), F(1), F(10**6)]))
+
+
+def test_verify_lipschitz_matches_pairwise_distances():
+    # Differential check of the per-sample integer pairs against the
+    # Fraction ratios of metric.distance: equal results or the same error.
+    flat, steep = _construction_witnesses()
+    seeded = [_seeded_function(seed) for seed in range(8)]
+    outcomes = []
+    for fn in [flat.function, steep.function] + seeded:
+        outcomes.append(_outcome(fn.verify_lipschitz))
+        assert outcomes[-1] == _outcome(_lipschitz_per_pair, fn)
+    assert outcomes[:2] == [1, 1]
+    assert {type(o) for o in outcomes[2:]} == {F, tuple}  # some pass, some exceed
+    # The seeded samples hold glued points written through both addresses.
+    for fn in seeded:
+        samples = [p for p, _ in fn.samples]
+        assert any(a != b and point_key(a) == point_key(b) for a, b in zip(samples, samples[1:]))
+
+
+def test_verify_lipschitz_canonicalizes_each_sample_once(monkeypatch):
+    seen = []
+    canonicalize = cons.canonicalize
+    monkeypatch.setattr("laakso.constructions.canonicalize", lambda p: seen.append(p) or canonicalize(p))
+    for fn in [w.function for w in _construction_witnesses()] + [_seeded_function(0)]:
+        seen.clear()
+        _outcome(fn.verify_lipschitz)
+        assert seen == [p for p, _ in fn.samples]
 
 
 def test_one_sided_jump_check_is_an_internal_error(monkeypatch):
@@ -326,6 +418,74 @@ def test_porosity_certificate_checks_both_bounds(monkeypatch):
         else:
             with pytest.raises(RuntimeError, match="hole certificate failed"):
                 w.certify([num], den)
+
+
+def _certify_per_height(w, nums, den):
+    """The reference for `PorosityWitness.certify`: both grid indices of
+    every height looked up in the grid kernel."""
+    if den < 1:
+        raise ValueError("the heights' denominator must be positive")
+    top = 3**w.order
+    a, b = w.anchor.numerator, w.anchor.denominator
+    p, q = w.hole_width.numerator, w.hole_width.denominator
+    lo = a * den // b
+    hi = -(-(a * q + p * b) * den // (b * q))
+    lp, lq = w.lam.numerator, w.lam.denominator
+    down_cap, up_floor = lp * den, (lq - lp) * den
+    records = []
+    for num in nums:
+        if not lo < num < hi:
+            raise ValueError(f"{F(num, den)} is outside the hole")
+        scaled = num * top
+        below = _grid_index(top, scaled, den, False, True)
+        above = _grid_index(top, scaled, den, True, True)
+        down = None if below is None else scaled - below * den
+        up = None if above is None else above * den - scaled
+        if down is None or down * lq > down_cap or (up is not None and up * lq < up_floor):
+            raise RuntimeError(f"hole certificate failed at {F(num, den)}")
+        records.append((num, down, up))
+    return records
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_porosity_certificate_per_cell_matches_per_height(seed):
+    # Differential check of the one-lookup-per-cell loop against the
+    # per-height loop: the seeded holes of check_porosity and the hole above
+    # 26/27 (no upper wormhole), each with its heights in order and
+    # shuffled; widened to lam = 5/2, so the heights cross grid heights and
+    # land on some (of 199 samples, the 80th and 160th; the 40th and 120th
+    # once moved); and moved half a grid step off its anchor, alone and
+    # widened.
+    rng = random.Random(seed)
+    holes = [w for w, _ in _porosity_cases(seed)]
+    holes.append(porosity_witness(F(2), 1, F(26, 27), F(1, 10)))
+    on_wormhole = 0
+    for w in holes:
+        moved = replace(w, anchor=w.anchor + F(1, 2 * 3**w.order))
+        for hole, count in ((w, 1000), (replace(w, lam=F(5, 2)), 199), (moved, 199),
+                            (replace(moved, lam=F(5, 2)), 199)):
+            nums, den = hole.samples(count)
+            shuffled = list(nums)
+            rng.shuffle(shuffled)
+            for heights in (nums, shuffled):
+                expected = _outcome(_certify_per_height, hole, heights, den)
+                assert _outcome(hole.certify, heights, den) == expected
+            top = 3**hole.order
+            on_wormhole += sum(num * top % den == 0 and wormhole_order(F(num, den)) == hole.order
+                               for num in nums)
+    assert on_wormhole
+
+
+def test_certify_looks_up_once_per_grid_cell(monkeypatch):
+    # Every hole check_porosity certifies lies inside one grid cell, so its
+    # 1000 heights cost one lookup on each side.
+    calls = []
+    kernel = cons._grid_index
+    monkeypatch.setattr("laakso.constructions._grid_index", lambda *args: calls.append(args) or kernel(*args))
+    for seed in range(8):
+        calls.clear()
+        assert all(r.passed for r in check_porosity(seed=seed))
+        assert len(calls) == 40
 
 
 def test_check_porosity_sample_heights(monkeypatch):
