@@ -37,8 +37,10 @@ answer.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -164,6 +166,9 @@ class Kink:
         return "min" if self.left_slope < self.right_slope else "max"
 
 
+_piece_hi = attrgetter("hi")
+
+
 @dataclass(frozen=True)
 class KinkProfile:
     line: VerticalLine
@@ -177,13 +182,18 @@ class KinkProfile:
         raise ValueError(f"{t} outside [0, 1]")
 
     def slopes_at(self, t: Fraction) -> Tuple[Optional[int], Optional[int]]:
-        """One-sided slopes (left, right) at t; None beyond the domain edge."""
-        left = right = None
-        for piece in self.pieces:
-            if piece.lo < t <= piece.hi:
-                left = piece.slope
-            if piece.lo <= t < piece.hi:
-                right = piece.slope
+        """One-sided slopes (left, right) at t; None beyond the domain edge.
+
+        The pieces are sorted and contiguous (each `hi` is the next `lo`), so
+        the piece ending at or after t and the one ending after t are found
+        by bisecting the `hi`s: the left slope is the first's if it starts
+        before t, the right slope the second's if it starts at or before t.
+        """
+        pieces = self.pieces
+        i = bisect_left(pieces, t, key=_piece_hi)
+        j = bisect_right(pieces, t, lo=i, key=_piece_hi)
+        left = pieces[i].slope if i < len(pieces) and pieces[i].lo < t else None
+        right = pieces[j].slope if j < len(pieces) and pieces[j].lo <= t else None
         return left, right
 
     def kink_heights(self) -> List[Fraction]:
@@ -413,6 +423,17 @@ def expected_kinks(p: LaaksoPoint, line: VerticalLine) -> List[Fraction]:
     raise ValueError("closed forms cover at most two levels; use parallel_reduction")
 
 
+def _reduction_lengths(h: Fraction, levels: Tuple[int, ...], t: Fraction) -> Tuple[int, int, int]:
+    """(full, two, den): the distances from a point at height h to height t
+    on the line of the jump orders `levels` and on the line of its first two
+    orders, as integers over `den`, the full line's least scale
+    (`_Pair.on_scale`), by one interval search each.  The arguments are
+    taken as valid (`parallel_reduction` checks them)."""
+    full = _Pair.on_scale(levels, h, t)
+    two = _Pair(levels[:2], full.hx, full.hy, full.den)
+    return full.length(*full.search()[0]), two.length(*two.search()[0]), full.den
+
+
 def parallel_reduction(
     p: LaaksoPoint, levels: Sequence[int], t: Fraction
 ) -> Tuple[Fraction, Fraction]:
@@ -420,11 +441,11 @@ def parallel_reduction(
     and on the line of the first two orders only; the two are equal because
     deeper jumps can be threaded through any two-order geodesic for free.
 
-    Both are read on the full line's least scale (`_Pair.on_scale`), by one
-    interval search each.  From p's canonical mask the line of `levels`
-    differs exactly in those orders (canonicalizing [t, line] at a wormhole
-    t would only drop an order t itself meets, see `_LineScale`), so the
-    orders are the levels themselves."""
+    Both are read on the full line's least scale by `_reduction_lengths`.
+    From p's canonical mask the line of `levels` differs exactly in those
+    orders (canonicalizing [t, line] at a wormhole t would only drop an
+    order t itself meets, see `_LineScale`), so the orders are the levels
+    themselves."""
     levels = tuple(levels)
     if len(levels) < 3:
         raise ValueError("need at least three levels; two-level lines stand alone")
@@ -432,9 +453,8 @@ def parallel_reduction(
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")
     levels, _ = _checked_levels(p.height, levels)
-    full = _Pair.on_scale(levels, p.height, t)
-    two = _Pair(levels[:2], full.hx, full.hy, full.den)
-    return full.distance(*full.search()[0]), two.distance(*two.search()[0])
+    full, two, den = _reduction_lengths(p.height, levels, t)
+    return Fraction(full, den), Fraction(two, den)
 
 
 # ---------------------------------------------------------------------------

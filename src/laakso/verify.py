@@ -44,11 +44,11 @@ from .metric import (
 )
 from .profiles import (
     TWO_LEVEL_BRANCHES,
+    _reduction_lengths,
     census_level_sets,
     classify_two_level,
     expected_kinks,
     nondiff_height_census,
-    parallel_reduction,
     profile_distance_on_line,
     vertical_lines,
 )
@@ -91,14 +91,27 @@ def _random_height(rng: random.Random) -> Fraction:
 
 
 def _random_point(rng: random.Random, max_depth: int = 4) -> LaaksoPoint:
+    """A point at a random address of depth 0..max_depth, one
+    `rng.choice("01")` per bit from the first, and a `_random_height`."""
     depth = rng.randint(0, max_depth)
-    bits = "".join(rng.choice("01") for _ in range(depth))
-    return LaaksoPoint(_random_height(rng), CantorAddress(bits))
+    mask = 0
+    for i in range(depth):
+        if rng.choice("01") == "1":
+            mask |= 1 << i
+    return LaaksoPoint(_random_height(rng), CantorAddress._of(mask, depth))
 
 
 # ---------------------------------------------------------------------------
 # Oracle equivalence.
 # ---------------------------------------------------------------------------
+
+
+def _grid_formula(top: int, kx: int, ky: int, xor: int) -> int:
+    """The interval-formula distance, times `top` = 3**m, between the points
+    at heights kx / top and ky / top whose canonical masks differ by `xor`
+    (bits below m), by one `_Pair` search on the graph's scale."""
+    pair = _Pair(_orders(xor), kx, ky, top)
+    return pair.length(*pair.search()[0])
 
 
 def _oracle_mismatches(
@@ -108,20 +121,27 @@ def _oracle_mismatches(
     pairs `pairs(vertex_count)` yields: (distance mismatches, pairs whose
     zero graph distance disagrees with canonical equality, pairs).  The
     graph side is one search per row, read through the address-XOR
-    automorphism (`oracle.row_distances`).  The formula side reads each
-    vertex's (row, canonical mask) once and runs one `_Pair` search per
-    pair on the graph's scale 3**m; canonical equality is equality of that
-    per-vertex data."""
+    automorphism (`oracle.row_distances`), and one table read per pair.
+    The formula side reads each vertex's (row, canonical mask) once.  On
+    the graph's scale 3**m the formula is a function of the two rows and
+    the XOR of the two masks alone (`_grid_formula`), so it runs once per
+    distinct (row, row, XOR) and every pair with that input reads the
+    length back.  Canonical equality is equality of the per-vertex data,
+    checked per pair."""
     g = oracle.build_level_graph(m)
     rows, two_m, top = oracle.row_distances(g), 2**m, 3**m
     canon = [(v // two_m, canonicalize(g.vertex_point(v)).address.mask) for v in range(g.vertex_count)]
+    lengths: Dict[Tuple[int, int, int], int] = {}
     mismatches = zero_mismatches = total = 0
     for i, j in pairs(g.vertex_count):
         (ki, ci), (kj, cj) = canon[i], canon[j]
         gd = rows[ki][j ^ (i % two_m)]
-        pair = _Pair(_orders(ci ^ cj), ki, kj, top)
+        key = (ki, kj, ci ^ cj)
+        length = lengths.get(key)
+        if length is None:
+            length = lengths[key] = _grid_formula(top, *key)
         total += 1
-        mismatches += pair.length(*pair.search()[0]) != gd
+        mismatches += length != gd
         zero_mismatches += (gd == 0) != (canon[i] == canon[j])
     return mismatches, zero_mismatches, total
 
@@ -260,13 +280,19 @@ def check_kinks(seed: int = 3) -> List[Check]:
     roof_total = v_total = follow_bad = 0
     for p, levels in cases:
         family, hp = len(levels), canonicalize(p).height
+        lines = vertical_lines(p, levels)
+        # The closed form depends on h(p) and the levels only, so one list
+        # serves every line of the case.
         if family == 2:
-            hits[classify_two_level(hp, *levels)[0]] += 1
-        for line in vertical_lines(p, levels):
+            branch, expected = classify_two_level(hp, *levels)
+            hits[branch] += 1
+        elif family == 1:
+            expected = expected_kinks(p, lines[0])
+        for line in lines:
             profiles[family] += 1
             profile = profile_distance_on_line(p, line)
             if family:
-                ok = profile.kink_heights() == expected_kinks(p, line)
+                ok = profile.kink_heights() == expected
             else:  # the own line: exactly one kink, a V at h(p)
                 found = [(k.height, k.left_slope, k.right_slope) for k in profile.kinks]
                 ok = found == [(hp, -1, 1)]
@@ -316,7 +342,10 @@ def check_kinks(seed: int = 3) -> List[Check]:
 
 def check_parallel(seed: int = 4) -> List[Check]:
     """Full-line against two-level values on 1000 seeded lines of three or
-    four jump orders up to 6."""
+    four jump orders up to 6.  The drawn levels are valid by construction
+    (increasing, and none is the wormhole order of h(p)), and the two values
+    are compared as integer lengths on the full line's scale
+    (`profiles._reduction_lengths`, the core of `parallel_reduction`)."""
     rng = random.Random(seed)
     bad = 0
     for _ in range(1000):
@@ -326,7 +355,7 @@ def check_parallel(seed: int = 4) -> List[Check]:
         size = rng.randint(3, min(4, len(pool)))
         levels = tuple(sorted(rng.sample(pool, size)))
         t = _random_height(rng)
-        full, two = parallel_reduction(p, levels, t)
+        full, two, _ = _reduction_lengths(p.height, levels, t)
         if full != two:
             bad += 1
     return [_check("parallel-values", bad == 0, "full == two-level", f"{bad}/1000 bad")]
@@ -564,9 +593,10 @@ class Suite(NamedTuple):
 # radii down to 1/3^(m-1)), and its top is the level graph's resolution cap
 # (`oracle._MAX_RESOLUTION`).  The upper ends bound the work before it
 # starts.  On a 2-vCPU host (CPython 3.11), best of 5 in process:
-# `oracle --depth 3` takes ~0.09 s, most of it one interval search for
-# each of 25k pairs, so m = 4 (860k pairs) would take ~3 s; `regularity
-# --depth 8` takes ~0.05 s.
+# `oracle --depth 3` takes ~0.04 s, one interval search for each of the
+# 2466 distinct (row, row, XOR) inputs of its 25k pairs plus a few table
+# reads per pair; m = 4 (860k pairs, 41k distinct inputs) takes ~0.7 s,
+# most of it the per-pair reads; `regularity --depth 8` takes ~0.04 s.
 SUITES: Dict[str, Suite] = {
     "oracle": Suite(check_oracle, range(1, 4)),
     "kinks": Suite(check_kinks),

@@ -67,11 +67,15 @@ def test_suite_checks_take_only_seed_and_depth():
 
 
 def test_a01_oracle_equivalence():
+    """Every vertex pair of the level-3 graph and 500 seeded pairs at
+    level 4."""
     start = time.monotonic()
-    rows = verify.check_oracle(m=2, seed=1)
+    rows = verify.check_oracle(m=3, seed=1)
     elapsed = time.monotonic() - start
     _report("A01 oracle equivalence", rows, extra=f"{elapsed:.1f}s")
-    (deeper,) = _named(rows, "oracle-random-pairs-m3")
+    (every,) = _named(rows, "oracle-all-pairs-m3")
+    assert every.actual == "0/24976"
+    (deeper,) = _named(rows, "oracle-random-pairs-m4")
     assert deeper.actual.endswith("/500")
     assert elapsed < 60
 

@@ -175,6 +175,10 @@ _PINNED_STDOUT = {
     "reduce --p 2/5:0 --levels 1,2,3 --t 1/2": "0d4c26a7b748fa3772b7074f03c9701407837acefa3c83f620d4a11c61586f98",
     "verify constructions": "1728debbe977e83d00d0f454357bff3b4ff512ab3e004dd04b0d5160903d971e",
     "verify porosity --seed 0": "1b5ff368baeaaa06a3daff27e25f7e8ef573d1d7fd032c21c5998085b5d1776d",
+    "verify parallel": "0188ad187eceea25b566cd529d727f35ac5c69429befdfd08e5063c07a7e0ef2",
+    "verify kinks": "f72f2eea19dac3a52b07b98c0fc0d5fd702f9e31357f05eb54785130303d7ce9",
+    "verify oracle": "88f497da464d6e91464744f10e7c27acb126db8c60ed75620f7317f2ad8ac4ad",
+    "verify oracle --depth 3": "b8f6b134710241db514bc814119a8fb1d6b3ac59b8428b190cdf12a98736fb97",
 }
 
 
@@ -182,7 +186,8 @@ def test_stdout_bytes_are_pinned(capsys):
     # Two geodesics; a glued point; equal points (one empty geodesic); the
     # base point's own line, one- and two-order lines, a line with no kink
     # (p = 0:0 on v0) and the two branches at a wormhole; a reduction; the
-    # sampled Lipschitz ratios of both witnesses and a porosity round.
+    # sampled Lipschitz ratios of both witnesses and a porosity round; the
+    # parallel and kinks suites, and the oracle suite at depths 2 and 3.
     for command, sha in _PINNED_STDOUT.items():
         code, out, _ = run(capsys, *command.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha, command

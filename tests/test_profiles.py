@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from laakso import verify
 from laakso.core import (
     CantorAddress,
     InternalError,
@@ -458,6 +459,39 @@ def test_one_search_per_candidate(monkeypatch):
         calls.clear()
         profile_distance_on_line(p, line)
         assert sorted(calls) == _LineScale(canonicalize(p), line).candidates(), (p, line)
+
+
+def _slopes_by_scan(profile, t):
+    """The one-sided slopes at t by a scan of every piece."""
+    left = right = None
+    for piece in profile.pieces:
+        if piece.lo < t <= piece.hi:
+            left = piece.slope
+        if piece.lo <= t < piece.hi:
+            right = piece.slope
+    return left, right
+
+
+def test_slopes_at_equals_linear_scan(monkeypatch):
+    # The profiles of the kinks suite's cases and of arbitrary deep lines,
+    # read at every piece end, every piece midpoint, the domain ends and
+    # outside the domain.
+    profiles = []
+
+    def recorded(p, line):
+        profiles.append(profile_distance_on_line(p, line))
+        return profiles[-1]
+
+    monkeypatch.setattr(verify, "profile_distance_on_line", recorded)
+    verify.check_kinks(seed=3)
+    profiles += [profile_distance_on_line(p, line) for p, line in _deep_cases(random.Random(15), 200)]
+    assert len(profiles) >= 300
+    for profile in profiles:
+        heights = {F(0), F(1), F(-1, 3), F(4, 3), F(-1), F(2)}
+        for piece in profile.pieces:
+            heights |= {piece.lo, piece.hi, (piece.lo + piece.hi) / 2}
+        for t in heights:
+            assert profile.slopes_at(t) == _slopes_by_scan(profile, t), (profile.line, t)
 
 
 def test_svg_output():
