@@ -33,7 +33,6 @@ from .metric import (
     distance,
     geodesic_endings,
     minimal_height_intervals,
-    required_levels,
     synthesize_geodesic,
 )
 from .oracle import (

@@ -55,7 +55,6 @@ __all__ = [
     "distance",
     "geodesic_endings",
     "minimal_height_intervals",
-    "required_levels",
     "synthesize_geodesic",
 ]
 
@@ -107,16 +106,6 @@ class GeodesicPath:
             else:
                 out.append({"jump": e.order, "at": format_rational(e.height)})
         return out
-
-
-def required_levels(x: LaaksoPoint, y: LaaksoPoint) -> FrozenSet[int]:
-    """Orders at which any path from x to y must jump an odd number of times.
-
-    These are the bit positions where the canonical addresses differ after
-    zero-padding to a common depth, the set bits of the XOR of their masks;
-    empty exactly when x and y lie on the same vertical line.
-    """
-    return frozenset(_orders(canonicalize(x).address.mask ^ canonicalize(y).address.mask))
 
 
 class _Pair:

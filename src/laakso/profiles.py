@@ -11,18 +11,17 @@ differentiable, and lines needing three or more jumps add no new heights
 (their profiles coincide with two-jump profiles, see `parallel_reduction`).
 
 Profiling is verification based.  Candidate breakpoints come from gap
-arithmetic alone: the ends 0 and 1, h(p), and h(p) shifted by the order-n
-gaps above and below it for each involved order n (two lookups of the grid
-kernel `core._grid_index`, which needs no special case at a boundary base
-point), by the tie of the up and down routes, and by the pairwise ties
-between orders.  That is a handful of heights whatever the jump orders, so
-a profile costs the same at order 30 as at order 3.
+arithmetic alone: the ends 0 and 1, h(p), and for each order n the line
+requires the order-n wormhole heights h(p) + u_n and h(p) - d_n nearest
+above and below h(p) (two lookups of the grid kernel `core._grid_index`)
+and their tie h(p) + u_n - d_n.  That is at most 3 per required order and
+3 more, so a profile costs the same at order 30 as at order 3.
 
 A line is worked on one integer scale (`_LineScale`).  p is canonicalized
 once, and the orders the line requires are the set bits of its address
 mask XOR the line's; every height, candidate and distance value of the
 line is an integer over one denominator, den h(p) * 3**N for N the deepest
-involved order.  Each evaluation is one `metric._Pair.search` on that
+required order.  Each evaluation is one `metric._Pair.search` on that
 scale, and `Fraction`s are built only for the returned `Piece` and `Kink`
 fields.
 
@@ -41,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import (
     CantorAddress,
@@ -249,26 +248,35 @@ class _LineScale:
     """The distance from a canonical point p to a vertical line, with every
     height on one integer scale.
 
-    `den` is den h(p) * 3**N, N the deepest involved order (the rule of
-    `metric._Pair.on_scale`): it holds 0, 1, h(p) (`hp` on the scale) and
-    every candidate breakpoint, and the distance values there.
+    `levels` are the orders the line requires, the set bits of p's
+    canonical mask XOR the line's.  `den` is den h(p) * 3**N, N the deepest
+    of them (the rule of `metric._Pair.on_scale`): it holds 0, 1, h(p)
+    (`hp` on the scale), every candidate and the distance values there.
+
+    Why the candidates suffice.  The distance depends on the required
+    orders alone, so no other order (a jump order of a hand-built line,
+    p's wormhole order w) adds a breakpoint; w is no constraint even when
+    required, since every interval holds h(p), which is on its grid.  An
+    interval holding wormholes x1, x2 of the two smallest constraining
+    orders n1 < n2 reaches |x1 - x2| >= 3**-n2 past x1, and x1 +- 3**-n has
+    order n for every n > n1, so the profile is that of at most two orders
+    (the parallel reduction), whose closed-form kinks (`classify_two_level`)
+    are all candidates.  No closed form lists a pairwise tie h(p) + a - b
+    of gaps of two orders; that the closed forms are complete is checked
+    (A3-A5, A14, A15), not proved here, and a missed breakpoint raises
+    `ProfileLinearityError` in `_assemble`, never a wrong profile.
     """
 
-    __slots__ = ("levels", "involved", "den", "hp")
+    __slots__ = ("levels", "den", "hp")
 
     def __init__(self, pc: LaaksoPoint, line: VerticalLine):
-        # The orders a path from pc to the line must jump at: the set bits of
-        # the XOR of their address masks.  Heights on the line are not
-        # canonicalized: at an order-n wormhole height t the two
-        # representatives differ only in whether n is required, and t itself
-        # meets the order-n requirement, so `_Pair.search` returns the same
-        # intervals for either.
+        # Heights on the line are not canonicalized: at an order-n wormhole
+        # height t the two representatives differ only in whether n is
+        # required, and t itself meets the order-n requirement, so
+        # `_Pair.search` returns the same intervals for either.
         height = pc.height
         self.levels = _orders(pc.address.mask ^ line.base_address.mask)
-        w = wormhole_order(height)
-        involved = set(line.levels) | set(self.levels) | ({w} if w is not None else set())
-        self.involved = sorted(involved)
-        order = self.involved[-1] if involved else 0
+        order = self.levels[-1] if self.levels else 0
         self.den = height.denominator * 3**order
         self.hp = height.numerator * 3**order
 
@@ -278,26 +286,20 @@ class _LineScale:
         return pair.length(*pair.search()[0])
 
     def candidates(self) -> List[int]:
-        """The sorted candidate breakpoints: 0, 1 and h(p), and h(p) shifted
-        by the order-n gaps above and below it for each involved order n,
-        by their tie, and by the pairwise ties between orders."""
+        """The sorted candidate breakpoints: 0, 1 and h(p), and for each
+        required order n the order-n wormhole heights nearest above and
+        below h(p) and their tie."""
         den, hp = self.den, self.hp
-        offsets: List[int] = []
-        reach: Dict[int, List[int]] = {}  # signed offsets to the order-n neighbours
-        for n in self.involved:
+        breaks = {0, den, hp}
+        for n in self.levels:
             top = 3**n
             step = den // top
             nearest = (_grid_index(top, hp, step, up, True) for up in (True, False))
-            reach[n] = [k * step - hp for k in nearest if k is not None]
-            offsets += reach[n]
-            if len(reach[n]) == 2:
-                offsets.append(reach[n][0] + reach[n][1])  # tie of the down and up routes
-        # Tie heights between pairs of involved orders (roof kinks of two-jump
-        # lines fall here when one order resolves down and the other up).
-        for i, n in enumerate(self.involved):
-            for m in self.involved[i + 1 :]:
-                offsets += [a - b for a in reach[n] for b in reach[m]]
-        return sorted({0, den, hp} | {hp + off for off in offsets if 0 <= hp + off <= den})
+            near = [k * step for k in nearest if k is not None]
+            breaks.update(near)
+            if len(near) == 2:
+                breaks.add(near[0] + near[1] - hp)  # h(p) + u_n - d_n, the tie of the two routes
+        return sorted(breaks)
 
 
 def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:

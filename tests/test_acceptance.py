@@ -1,4 +1,4 @@
-"""Acceptance checklist (A1..A14, see README) run at its pinned scales.
+"""Acceptance checklist (A1..A15, see README) run at its pinned scales.
 
 Each test prints one pass/fail line; exact tolerances throughout (the only
 non-exact thresholds are the documented empirical ones: the ball-growth
@@ -7,9 +7,11 @@ spread bound and the suite runtime caps).
 
 import dataclasses
 import inspect
+import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -279,3 +281,81 @@ def test_a14_deep_order_kinks():
     )
     _report("A14 deep-order kinks", [row], extra=f"{elapsed:.1f}s")
     assert elapsed < 5
+
+
+def _graph_line_cases(g, max_jumps, count=None, seed=0):
+    """(vertex, base point, line) for base points at vertices of the level
+    graph `g` and lines of up to `max_jumps` jump orders <= g.m, both
+    branches: every vertex with every level set and branch, or `count`
+    seeded draws of one each.  Every such line is a column of the graph."""
+    def usable(p):
+        return [n for n in range(1, g.m + 1) if n != wormhole_order(p.height)]
+
+    if count is None:
+        for v in range(g.vertex_count):
+            p = g.vertex_point(v)
+            for k in range(max_jumps + 1):
+                for levels in combinations(usable(p), k):
+                    yield from ((v, p, line) for line in vertical_lines(p, levels))
+        return
+    rng = random.Random(seed)
+    for _ in range(count):
+        v = rng.randrange(g.vertex_count)
+        p = g.vertex_point(v)
+        levels = sorted(rng.sample(usable(p), rng.randint(0, max_jumps)))
+        yield v, p, rng.choice(vertical_lines(p, levels))
+
+
+def _profile_disagrees_with_graph(profile, column):
+    """Whether the profile disagrees with `column`, the graph distances to
+    its line at the heights j / top, j = 0..top, in units of 1 / top.
+
+    Every piece is read on that scale, walked in order with the column.
+    Where the graph steps by +-1 on both sides of j, j / top is a kink
+    exactly when the steps differ, with them as its slopes; a cell where
+    the graph steps by 0 must hold a kink strictly inside it."""
+    top = len(column) - 1
+    values = [None] * (top + 1)
+    for piece in profile.pieces:
+        offset, den = (piece.offset * top).as_integer_ratio()
+        for j in range(math.ceil(piece.lo * top), math.floor(piece.hi * top) + 1):
+            values[j] = piece.slope * j + offset if den == 1 else Fraction(offset, den)
+    if values != column:
+        return True
+    at_grid, inside = {}, set()
+    for kink in profile.kinks:
+        j, r = divmod(kink.height.numerator * top, kink.height.denominator)
+        if r:
+            inside.add(j)
+        else:
+            at_grid[j] = (kink.left_slope, kink.right_slope)
+    steps = [b - a for a, b in zip(column, column[1:])]
+    for j, (left, right) in enumerate(zip(steps, steps[1:]), 1):
+        if left and right and at_grid.get(j) != ((left, right) if left != right else None):
+            return True
+    return any(not step and j not in inside for j, step in enumerate(steps))
+
+
+def test_a15_graph_side_profiles():
+    """Profiles against the level graph, which shares no code with the
+    interval formula, the gap kernel or `profiles`: every vertex of the
+    level-3 graph with every line of at most two jumps (both branches), and
+    200 seeded vertex and line cases of up to three jumps at level 4."""
+    start = time.monotonic()
+    rows = []
+    for m, cases in ((3, dict(max_jumps=2)), (4, dict(max_jumps=3, count=200, seed=15))):
+        g = oracle.build_level_graph(m)
+        table = oracle.row_distances(g)
+        top, width = 3**m, 2**m
+        profiles = bad = 0
+        for v, p, line in _graph_line_cases(g, **cases):
+            k, a = divmod(v, width)
+            dist, z = table[k], line.base_address.mask ^ a
+            column = [dist[j * width + z] for j in range(top + 1)]
+            profiles += 1
+            bad += _profile_disagrees_with_graph(profile_distance_on_line(p, line), column)
+        rows.append(verify.Check(f"graph-profiles-m{m}", bad == 0, "0 mismatches", f"{bad}/{profiles}"))
+    elapsed = time.monotonic() - start
+    _report("A15 graph-side profiles", rows, extra=f"{elapsed:.2f}s")
+    assert rows[1].actual.endswith("/200")
+    assert elapsed < 10

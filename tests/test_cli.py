@@ -172,6 +172,10 @@ _PINNED_STDOUT = {
     "profile --p 0:0 --line v0": "e8a135cc23aea11049aaaf6e20349a426693c2c662386e90cc9f8a15c2bf771b",
     "profile --p 0:0 --line v1": "32383d1fd04b27834441e85794374c77b703d9e93317e0e9997cd91ce36b27b4",
     "profile --p 1/3:0 --line v2": "67198f2fb82a16e4bb6660034f5b26165fff5ef1d5a51c83c448f3ac1281cf3f",
+    "profile --p 1/3:01 --line vD:2,3": "d23bb98044e40e6f0d415d3a015e56698c76482af758f03a6f0b3911c89d3314",
+    "profile --p 1:1 --line vD:1,2": "6c3bc98c65413d4609dbf6e4c5181abbdf6c2a5d80cba04767e230d0556952dd",
+    "profile --p 4/9:1 --line vD:1,3": "eea141cbe4a2be3173cad1781b8dfbedb1f8062018a99b050ca8925f25fe28c6",
+    "profile --p 2/5:0 --line vD:1,40": "aa15f480ff9fdb206820ae910351039c8fb9cc30e5ccf76d394df148d9d1a863",
     "reduce --p 2/5:0 --levels 1,2,3 --t 1/2": "0d4c26a7b748fa3772b7074f03c9701407837acefa3c83f620d4a11c61586f98",
     "verify constructions": "1728debbe977e83d00d0f454357bff3b4ff512ab3e004dd04b0d5160903d971e",
     "verify porosity --seed 0": "1b5ff368baeaaa06a3daff27e25f7e8ef573d1d7fd032c21c5998085b5d1776d",
@@ -185,9 +189,12 @@ _PINNED_STDOUT = {
 def test_stdout_bytes_are_pinned(capsys):
     # Two geodesics; a glued point; equal points (one empty geodesic); the
     # base point's own line, one- and two-order lines, a line with no kink
-    # (p = 0:0 on v0) and the two branches at a wormhole; a reduction; the
-    # sampled Lipschitz ratios of both witnesses and a porosity round; the
-    # parallel and kinks suites, and the oracle suite at depths 2 and 3.
+    # (p = 0:0 on v0), the two branches at a wormhole (one of them requiring
+    # the base point's own wormhole order), a boundary base point, a
+    # two-order line at an order-2 wormhole and an order-40 line; a
+    # reduction; the sampled Lipschitz ratios of both witnesses and a
+    # porosity round; the parallel and kinks suites, and the oracle suite at
+    # depths 2 and 3.
     for command, sha in _PINNED_STDOUT.items():
         code, out, _ = run(capsys, *command.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha, command

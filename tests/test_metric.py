@@ -28,7 +28,6 @@ from laakso.metric import (
     distance,
     geodesic_endings,
     minimal_height_intervals,
-    required_levels,
     synthesize_geodesic,
 )
 
@@ -42,14 +41,6 @@ def _pool(n, seed, max_depth=4):
         bits = "".join(rng.choice("01") for _ in range(rng.randint(0, max_depth)))
         out.append(LaaksoPoint(min(h, F(1)), CantorAddress(bits)))
     return out
-
-
-def test_required_levels_examples():
-    assert required_levels(point("1/2", "0"), point("1/2", "1")) == {1}
-    assert required_levels(point("1/4", "00"), point("1/4", "11")) == {1, 2}
-    assert required_levels(point("1/2", "10"), point("1/2", "1")) == frozenset()
-    # canonicalization at a wormhole height removes the glued bit
-    assert required_levels(point("1/3", "1"), point("1/2", "0")) == frozenset()
 
 
 def test_minimal_intervals_examples():
@@ -153,7 +144,7 @@ def test_geodesic_structure_random():
             assert changes <= 2
             # each required order jumped exactly once
             orders = sorted(j.order for j in path.jumps)
-            assert orders == sorted(required_levels(x, y))
+            assert orders == sorted(_reference_levels(x, y))
 
 
 def test_geodesic_endings_examples():
@@ -297,7 +288,7 @@ def _points(draw):
 def test_integer_kernel_matches_fraction_reference(x, y):
     ivs = minimal_height_intervals(x, y)
     assert ivs == _reference_intervals(x, y)
-    assert required_levels(x, y) == _reference_levels(x, y)
+    assert _Pair.of(x, y).levels == sorted(_reference_levels(x, y))
     assert distance(x, y) == _reference_distance(x, y)
     for iv in ivs:
         assert synthesize_geodesic(x, y, iv).events == _reference_geodesic(x, y, iv).events

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laakso import verify
+from laakso import oracle, verify
 from laakso.core import (
     CantorAddress,
     InternalError,
     LaaksoPoint,
+    _grid_index,
+    _orders,
     canonicalize,
     nearest_wormhole_gap,
     point,
     wormhole_order,
 )
-from laakso.metric import _Pair, distance, required_levels
+from laakso.metric import _Pair, distance
 from laakso.profiles import (
     TWO_LEVEL_BRANCHES,
     Kink,
@@ -36,6 +38,7 @@ from laakso.profiles import (
     profile_to_svg,
     vertical_lines,
 )
+from test_acceptance import _graph_line_cases
 
 
 def _profile(p, levels, branch=0):
@@ -312,7 +315,7 @@ def test_line_values_equal_public_distance(case, data):
         dv = scale.value(t1) - scale.value(t0)
         heights |= {(t0 + t1) // 2, (t0 + t1 + dv) // 2, (t0 + t1 - dv) // 2}
     bits = line.bits
-    for n in scale.involved:
+    for n in scale.levels:
         if n <= len(bits) and bits[n - 1] == "1":
             step = den // 3**n
             heights |= {k * step for k in range(1, 3**n) if k % 3}
@@ -334,7 +337,7 @@ def _reference_profile(p, line):
             values[key] = distance(pc, LaaksoPoint(t, line.base_address))
         return values[key]
 
-    orders = set(line.levels) | required_levels(pc, LaaksoPoint(pc.height, line.base_address))
+    orders = set(line.levels) | set(_orders(pc.address.mask ^ line.base_address.mask))
     if wormhole_order(pc.height) is not None:
         orders.add(wormhole_order(pc.height))
     reach = {}
@@ -437,6 +440,50 @@ def test_profiles_equal_fraction_reference():
         assert profile_distance_on_line(p, line) == _reference_profile(p, line), (p, line)
 
 
+def _old_rule_profile(p, line):
+    """The profile on the earlier candidate rule, kept as the reference for
+    the rule of required orders alone: every order that is required, a jump
+    order of the line or p's wormhole order gives its up, down and tie
+    candidates, and every pair of them the ties h(p) + a - b of their gaps;
+    evaluated and certified by the same `_assemble`."""
+    pc = canonicalize(p)
+    levels = _orders(pc.address.mask ^ line.base_address.mask)
+    w = wormhole_order(pc.height)
+    involved = sorted(set(line.levels) | set(levels) | ({w} if w is not None else set()))
+    den = pc.height.denominator * 3 ** (involved[-1] if involved else 0)
+    hp = pc.height.numerator * (den // pc.height.denominator)
+    reach = {}
+    for n in involved:
+        step = den // 3**n
+        nearest = (_grid_index(3**n, hp, step, up, True) for up in (True, False))
+        reach[n] = [k * step - hp for k in nearest if k is not None]
+    offsets = [g for gaps in reach.values() for g in gaps]
+    offsets += [sum(gaps) for gaps in reach.values() if len(gaps) == 2]
+    offsets += [a - b for n, m in combinations(involved, 2) for a in reach[n] for b in reach[m]]
+    breaks = sorted({0, den, hp} | {hp + off for off in offsets if 0 <= hp + off <= den})
+
+    def value(t):
+        pair = _Pair(levels, hp, t, den)
+        return pair.length(*pair.search()[0])
+
+    return _assemble(line, value, breaks, den)
+
+
+def test_required_order_candidates_equal_old_rule():
+    # Every case of the graph-side acceptance check (A15), then deep cases
+    # of seeds 1000..1019 for as long as the budget lasts, at least 1000.
+    cases = [(p, line) for _, p, line in _graph_line_cases(oracle.build_level_graph(3), 2)]
+    cases += [(p, line) for _, p, line in _graph_line_cases(oracle.build_level_graph(4), 3, 200, 15)]
+    for p, line in cases:
+        assert profile_distance_on_line(p, line) == _old_rule_profile(p, line), (p, line)
+    drawn, deadline = 0, time.monotonic() + 1.5
+    for p, line in (case for seed in range(1000, 1020) for case in _deep_cases(random.Random(seed), 2000)):
+        if drawn >= 1000 and time.monotonic() > deadline:
+            break
+        assert profile_distance_on_line(p, line) == _old_rule_profile(p, line), (p, line)
+        drawn += 1
+
+
 def test_one_search_per_candidate(monkeypatch):
     # The profile evaluates the distance once at each candidate and at no
     # other height: no value is read twice and no gap is subdivided.
@@ -458,7 +505,9 @@ def test_one_search_per_candidate(monkeypatch):
     for p, line in cases:
         calls.clear()
         profile_distance_on_line(p, line)
-        assert sorted(calls) == _LineScale(canonicalize(p), line).candidates(), (p, line)
+        scale = _LineScale(canonicalize(p), line)
+        assert sorted(calls) == scale.candidates(), (p, line)
+        assert len(calls) <= 3 * len(scale.levels) + 3, (p, line)
 
 
 def _slopes_by_scan(profile, t):
