@@ -97,7 +97,6 @@ class DerivativeReport:
     both carry the single estimate.
     """
 
-    point: LaaksoPoint
     verdict: str
     value: Optional[Fraction]
     left_limit: Optional[Fraction]
@@ -146,7 +145,7 @@ def directional_derivative(
             raise ValueError("no probe step stays inside the unit interval")
         est = _settle(qs, tol)
         verdict = "exists" if est is not None else "divergent"
-        return DerivativeReport(xc, verdict, est, est, est)
+        return DerivativeReport(verdict, est, est, est)
 
     left = xc  # canonical representative, smaller Cantor coordinate
     right = LaaksoPoint(xc.height, xc.address.flipped(order))
@@ -156,10 +155,10 @@ def directional_derivative(
     est_l = _settle(ql, tol)
     est_r = _settle(qr, tol)
     if est_all is not None:
-        return DerivativeReport(xc, "exists", est_all, est_l, est_r)
+        return DerivativeReport("exists", est_all, est_l, est_r)
     if est_l is not None and est_r is not None:
-        return DerivativeReport(xc, "split", None, est_l, est_r)
-    return DerivativeReport(xc, "divergent", None, est_l, est_r)
+        return DerivativeReport("split", None, est_l, est_r)
+    return DerivativeReport("divergent", None, est_l, est_r)
 
 
 @dataclass(frozen=True)

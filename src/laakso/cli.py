@@ -9,11 +9,11 @@ optional sign; "_" and other scripts' digits are usage errors.
 `distance`, `profile` and `reduce` print JSON, indented by 2 spaces, keys
 sorted, non-ASCII characters as \\uXXXX escapes, one trailing newline; its
 values are exact "p/q" strings, ints, booleans and null, never floats
-(`_json_dumps`, the one JSON writer).  `census` and `verify` print CSV, whose
-numeric fields are exact "p/q" strings except the `verify` fields named
-"ratio"/"spread", which are floating point for reporting only.  Identical
-invocations produce byte-identical output; randomized suites are pinned by
---seed.
+(`_json_dumps`, the one JSON writer, refuses any other value, subclasses
+of these included).  `census` and `verify` print CSV, whose numeric fields
+are exact "p/q" strings except the `verify` fields named "ratio"/"spread",
+which are floating point for reporting only.  Identical invocations produce
+byte-identical output; randomized suites are pinned by --seed.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3
 internal error (an invariant of the library failed, `core.InternalError`).
@@ -270,8 +270,8 @@ def _emit(*outputs: Tuple[str, Optional[str]]) -> None:
 def _json_dumps(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte, on
     the CLI's closed output schema: str, int, bool, None, and lists and
-    str-keyed dicts of these, subclasses written as `json` writes them.
-    Anything else, a float, a tuple or a non-str key included, raises
+    str-keyed dicts of these.  Anything else, a float, a tuple, a non-str
+    key or a subclass of str, int, list or dict as a value included, raises
     TypeError.  (CPython's `json` writes indented text in pure Python.)"""
     return _text(obj, "\n") + "\n"
 
@@ -300,15 +300,6 @@ def _text(o, indent: str) -> str:
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if o is None or o is True or o is False:
         return _LITERALS[o]
-    # A subclass: `json` writes it through its base type's protocol.
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, list):
-        return _text(list(o) if o else [], indent)
-    if isinstance(o, dict):
-        return _text(dict(o.items()) if o else {}, indent)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 

@@ -27,7 +27,7 @@ sampled heights share one denominator D, the grid kernel `core._grid_index`
 is asked for both grid indices once per grid cell the heights fall in (a
 hole lies in one), both gaps of every height are checked against the
 hole's bounds over 3**order * D, and the exact gaps are recorded as
-numerators on that scale, turned into "p/q" strings only for JSON.
+numerators on that scale.
 
 The pairwise Lipschitz check works the same way: each sample is
 canonicalized once and its value put on one common denominator, and each
@@ -48,7 +48,6 @@ from .core import (
     _grid_index,
     _orders,
     canonicalize,
-    format_rational,
     gap_ratio_probe,
     GapRatioVerdict,
     InternalError,
@@ -493,18 +492,13 @@ class PorosityWitness:
     def hole_width(self) -> Fraction:
         return self.lam / 3**self.order
 
-    @property
-    def gap_bounds(self) -> Tuple[Fraction, Fraction]:
-        """(lam / 3**order, (1 - lam) / 3**order): the largest down gap and
-        the smallest up gap the hole allows."""
-        top = 3**self.order
-        return self.lam / top, (1 - self.lam) / top
-
     def samples(self, count: int) -> Tuple[range, int]:
         """The heights anchor + hole_width * i / (count + 1), i = 1..count, as
         numerators over their common denominator D: with anchor = a / b and
         hole_width = p / q, D = b * q * (count + 1) and the i-th numerator is
-        a * q * (count + 1) + p * b * i."""
+        a * q * (count + 1) + p * b * i.  Requires count >= 1."""
+        if count < 1:
+            raise ValueError("need at least one sample")
         a, b = self.anchor.numerator, self.anchor.denominator
         width = self.hole_width
         p, q = width.numerator, width.denominator
@@ -568,38 +562,10 @@ class PorosityWitness:
             records.append((num, down, up))
         return records
 
-    def to_json(
-        self, certified: Optional[List[Certificate]] = None, den: Optional[int] = None
-    ) -> dict:
-        """The hole, and with `certified` the records `certify` returned for
-        heights over `den`, every number an exact "p/q" string."""
-        out = {
-            "bound": format_rational(self.bound),
-            "start_level": self.start_level,
-            "t0": format_rational(self.t0),
-            "lambda": format_rational(self.lam),
-            "order": self.order,
-            "hole": [format_rational(self.anchor), format_rational(self.anchor + self.hole_width)],
-        }
-        if certified is not None:
-            down_bound, up_bound = (format_rational(b) for b in self.gap_bounds)
-            gap_den = 3**self.order * den
-            out["certified"] = [
-                {
-                    "s": format_rational(Fraction(num, den)),
-                    "down_gap": format_rational(Fraction(down, gap_den)),
-                    "up_gap": "inf" if up is None else format_rational(Fraction(up, gap_den)),
-                    "down_bound": down_bound,
-                    "up_bound": up_bound,
-                }
-                for num, down, up in certified
-            ]
-        return out
-
 
 def porosity_witness(bound, start_level: int, t0, delta) -> PorosityWitness:
     """A hole of relative width lam / 2 within distance 2/3**n of t0, for
-    some order n with 2/3**n below delta; always exists.
+    some order n > start_level >= 1 with 2/3**n below delta; always exists.
 
     lam is 1 / (bound + 2), which satisfies both lam < 1/2 and the ratio
     requirement (1 - lam) / lam = bound + 1 > bound.
@@ -609,6 +575,8 @@ def porosity_witness(bound, start_level: int, t0, delta) -> PorosityWitness:
     delta = parse_rational(delta)
     if bound <= 1:
         raise ValueError("ratio bound must exceed 1")
+    if start_level < 1:
+        raise ValueError("need start_level >= 1")
     if not (0 < t0 < 1):
         raise ValueError("t0 must be interior")
     if delta <= 0:
@@ -648,7 +616,6 @@ class MaximalityVerdict:
     exactly 1/2 at its jump points.
     """
 
-    point: LaaksoPoint
     probe: GapRatioVerdict
     witness: Optional[Witness]
 
@@ -675,7 +642,7 @@ def maximality_verdict(
     bound = parse_rational(bound)
     probe = gap_ratio_probe(xc.height, bound, start_level, depth)
     if probe.consistent:
-        return MaximalityVerdict(xc, probe, None)
+        return MaximalityVerdict(probe, None)
 
     n = probe.violated_at
     up, down = nearest_wormhole_gap(xc.height, n)
@@ -695,4 +662,4 @@ def maximality_verdict(
             schedule = find_band_schedule(xc.height, other, start_level=start_level, max_level=limit)
         if schedule is not None:
             witness = build_steep_nondifferentiable(xc, schedule)
-    return MaximalityVerdict(xc, probe, witness)
+    return MaximalityVerdict(probe, witness)

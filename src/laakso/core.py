@@ -81,11 +81,14 @@ _BITS_RE = re.compile(r"[01]*")
 
 
 def parse_rational(text: RationalLike) -> Fraction:
-    """Parse an exact rational written as "p/q" or "p" (no decimals)."""
+    """Parse an exact rational written as "p/q" or "p" (no decimals); a
+    Fraction or int is taken as is, any other type (a float) is a TypeError."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
+    if not isinstance(text, str):
+        raise TypeError(f"expected a Fraction, int or str rational, got {type(text).__name__}")
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not an exact p/q rational: {text!r}")
@@ -195,10 +198,6 @@ class LaaksoPoint:
             raise ValueError(f"height {self.height} outside [0, 1]")
         if isinstance(self.address, str):
             object.__setattr__(self, "address", CantorAddress(self.address))
-
-    @property
-    def bits(self) -> str:
-        return self.address.bits
 
 
 def point(height: RationalLike, bits: str = "") -> LaaksoPoint:
@@ -404,10 +403,6 @@ class GapRatioVerdict:
 
     consistent: bool
     violated_at: Optional[int]
-
-    @property
-    def verdict(self) -> str:
-        return "consistent" if self.consistent else f"violated-at({self.violated_at})"
 
 
 def gap_ratio_probe(t: Fraction, bound: Fraction, start_level: int, depth: int) -> GapRatioVerdict:

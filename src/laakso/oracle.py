@@ -324,9 +324,9 @@ class RegularityReport:
 def regularity_scan(m: int, sample: int, radii, seed: int = 0) -> RegularityReport:
     """Ball-growth ratios at `sample` random grid centers and each radius.
 
-    Radii must lie in [1/3**(m-1), 1/3], and `sample` may not exceed the
-    2**(m-1) * (3**m + 3) distinct grid points (two unglued columns of 2**m
-    at heights 0 and 1, 2**(m-1) glued classes at each interior height).
+    Radii must lie in [1/3**(m-1), 1/3], and `sample` in [0, N] for the
+    N = 2**(m-1) * (3**m + 3) distinct grid points (two unglued columns of
+    2**m at heights 0 and 1, 2**(m-1) glued classes at each interior height).
     Output is sorted by center and radius and is fully determined by the
     seed.
     """
@@ -337,9 +337,11 @@ def regularity_scan(m: int, sample: int, radii, seed: int = 0) -> RegularityRepo
         if not (floor_r <= r <= Fraction(1, 3)):
             raise ValueError(f"radius {r} outside [1/3^{m - 1}, 1/3]")
     distinct = 2 ** (m - 1) * (3**m + 3)
+    if sample < 0:
+        raise ValueError(f"sample {sample} is negative")
     if sample > distinct:
         raise ValueError(f"sample {sample} exceeds the {distinct} distinct grid points at m={m}")
-    if not radii or sample <= 0:
+    if not radii or sample == 0:
         return RegularityReport((), None)
     rng = random.Random(seed)
     centers = []

@@ -51,6 +51,7 @@ from .core import (
     canonicalize,
     format_rational,
     nearest_wormhole_gap,
+    parse_rational,
     wormhole_order,
 )
 from .metric import _Pair
@@ -451,7 +452,7 @@ def parallel_reduction(
     levels = tuple(levels)
     if len(levels) < 3:
         raise ValueError("need at least three levels; two-level lines stand alone")
-    t = Fraction(t)
+    t = parse_rational(t)
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")
     levels, _ = _checked_levels(p.height, levels)

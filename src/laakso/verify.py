@@ -80,10 +80,6 @@ class Check:
         return [self.name, "pass" if self.passed else "FAIL", self.expected, self.actual]
 
 
-def _check(name: str, passed: bool, expected: str, actual: str) -> Check:
-    return Check(name, bool(passed), expected, actual)
-
-
 def _random_height(rng: random.Random) -> Fraction:
     den = rng.randint(2, 81)
     num = rng.randint(1, den - 1)
@@ -161,14 +157,14 @@ def check_oracle(m: int = 2, seed: int = 1) -> List[Check]:
         m + 1, lambda n: ((rng.randrange(n), rng.randrange(n)) for _ in range(500))
     )
     return [
-        _check(f"oracle-all-pairs-m{m}", mismatches == 0, "0 mismatches", f"{mismatches}/{total}"),
-        _check(
+        Check(f"oracle-all-pairs-m{m}", mismatches == 0, "0 mismatches", f"{mismatches}/{total}"),
+        Check(
             f"oracle-zero-classes-m{m}",
             zero_mismatches == 0,
             "zero distance iff same point",
             f"{zero_mismatches} mismatches",
         ),
-        _check(
+        Check(
             f"oracle-random-pairs-m{m + 1}",
             random_mismatches == 0,
             "0 mismatches",
@@ -211,14 +207,14 @@ def check_geodesic_laws(seed: int = 2) -> List[Check]:
                         bad_jump_bound += 1
                         break
     return [
-        _check("intervals-equal-length", bad_lengths == 0, "0 unequal", f"{bad_lengths}/1000"),
-        _check(
+        Check("intervals-equal-length", bad_lengths == 0, "0 unequal", f"{bad_lengths}/1000"),
+        Check(
             "geodesic-length-equals-distance",
             bad_geodesics == 0,
             "0 mismatches",
             f"{bad_geodesics}/{checked_paths}",
         ),
-        _check(
+        Check(
             "low-order-jump-bound",
             bad_jump_bound == 0,
             "<=1 low jump on short geodesics",
@@ -313,20 +309,20 @@ def check_kinks(seed: int = 3) -> List[Check]:
                 follow_bad += slopes != (1, -1)
     missed = [b for b, c in hits.items() if c == 0]
     return [
-        _check("v0-single-kink", bad[0] == 0, "1 kink at h(p), slopes (-1,+1)", f"{bad[0]} bad"),
-        _check(
+        Check("v0-single-kink", bad[0] == 0, "1 kink at h(p), slopes (-1,+1)", f"{bad[0]} bad"),
+        Check(
             "single-jump-kinks", bad[1] == 0, "profile == closed form", f"{bad[1]}/{profiles[1]} bad"
         ),
-        _check(
+        Check(
             "two-level-kinks", bad[2] == 0, "profile == closed form", f"{bad[2]}/{profiles[2]} bad"
         ),
-        _check(
+        Check(
             "two-level-branch-coverage",
             not missed,
             "all branches hit: " + ",".join(TWO_LEVEL_BRANCHES),
             "hits " + ",".join(f"{b}={c}" for b, c in sorted(hits.items())),
         ),
-        _check(
+        Check(
             "double-geodesic-endings",
             follow_bad == 0,
             "roof kinks end both ways, V kinks unit slopes",
@@ -358,7 +354,7 @@ def check_parallel(seed: int = 4) -> List[Check]:
         full, two, _ = _reduction_lengths(p.height, levels, t)
         if full != two:
             bad += 1
-    return [_check("parallel-values", bad == 0, "full == two-level", f"{bad}/1000 bad")]
+    return [Check("parallel-values", bad == 0, "full == two-level", f"{bad}/1000 bad")]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +382,7 @@ def check_constructions(seed: Optional[int] = None) -> List[Check]:
     f = cons.as_point_function(flat.function)
     report = directional_derivative(f, x, schedule_steps)
     out.append(
-        _check(
+        Check(
             "flat-derivative-zero",
             report.verdict == "exists" and report.value == 0,
             "exists(0)",
@@ -396,7 +392,7 @@ def check_constructions(seed: Optional[int] = None) -> List[Check]:
     probe = differentiability_probe(f, x, 0, flat.jump_points)
     quot_ok = all(q == Fraction(1, 2) for q in flat.jump_quotients())
     out.append(
-        _check(
+        Check(
             "flat-jump-quotients",
             quot_ok and probe.sup_ratio == Fraction(1, 2),
             "1/2 at every jump point",
@@ -404,7 +400,7 @@ def check_constructions(seed: Optional[int] = None) -> List[Check]:
         )
     )
     out.append(
-        _check(
+        Check(
             "flat-lipschitz",
             flat.sampled_ratio <= 1,
             "pairwise ratio <= 1",
@@ -425,7 +421,7 @@ def check_constructions(seed: Optional[int] = None) -> List[Check]:
         if t <= schedule.thin[0]
     ]
     out.append(
-        _check(
+        Check(
             "steep-upper-quotient-one",
             all(q == 1 for q in upper),
             "all +side quotients == 1",
@@ -433,12 +429,12 @@ def check_constructions(seed: Optional[int] = None) -> List[Check]:
         )
     )
     quot_ok = all(q == Fraction(1, 2) for q in steep.jump_quotients())
-    out.append(_check("steep-jump-quotients", quot_ok, "1/2 at every jump point", str(quot_ok)))
+    out.append(Check("steep-jump-quotients", quot_ok, "1/2 at every jump point", str(quot_ok)))
     ramp_ok = all(
         schedule.slopes[k] <= schedule.ramp_bound(k) for k in range(len(schedule.levels))
     )
     out.append(
-        _check(
+        Check(
             "steep-ramp-bounds",
             ramp_ok,
             "every band slope within its ramp bound",
@@ -446,7 +442,7 @@ def check_constructions(seed: Optional[int] = None) -> List[Check]:
         )
     )
     out.append(
-        _check(
+        Check(
             "steep-lipschitz",
             steep.sampled_ratio <= 1,
             "pairwise ratio <= 1",
@@ -490,7 +486,7 @@ def check_porosity(seed: int = 5) -> List[Check]:
         if abs(witness.anchor - witness.t0) >= Fraction(2, 3**witness.order):
             bad += 1
     return [
-        _check(
+        Check(
             "porosity-hole-certificates",
             bad == 0,
             "20 holes x 1000 samples certified",
@@ -512,13 +508,13 @@ def check_regularity(m: int = 6, seed: int = 6) -> List[Check]:
     g = oracle.build_level_graph(m)
     total = oracle.total_cell_mass(g)
     return [
-        _check(
+        Check(
             "regularity-spread",
             report.spread is not None and report.spread <= 100,
             "max/min ratio <= 100",
             f"{report.spread:.6g}",
         ),
-        _check("total-cell-mass", total == 1, "1", format_rational(total)),
+        Check("total-cell-mass", total == 1, "1", format_rational(total)),
     ]
 
 
@@ -529,9 +525,9 @@ def check_regularity(m: int = 6, seed: int = 6) -> List[Check]:
 
 def check_census(seed: int = 7) -> List[Check]:
     """The census up to order 4 is finite, every census height shows up as
-    a profiled kink on its source line, and sampled non-census heights on
-    probed lines have matching one-sided slopes; at 1/2:0 and two seeded
-    points."""
+    a profiled kink on its source line, and on every probed line `distance`
+    is linear between consecutive kinks and the ends 0 and 1; at 1/2:0 and
+    two seeded points."""
     rng = random.Random(seed)
     pts = [point("1/2", "0")]
     for _ in range(2):
@@ -552,22 +548,21 @@ def check_census(seed: int = 7) -> List[Check]:
                     bad_confirm += 1
                 if set(expected_kinks(pc, line)) - kinks:
                     bad_confirm += 1
+                # d is 1-Lipschitz along the line, so |d(b) - d(a)| = b - a
+                # makes it linear on all of [a, b]: no kink between kinks.
                 heights = sorted(kinks | {Fraction(0), Fraction(1)})
+                d = {t: distance(pc, LaaksoPoint(t, line.base_address)) for t in heights}
                 for a, b in zip(heights, heights[1:]):
-                    mid = (a + b) / 2
-                    if mid in census_set:
-                        continue
-                    left, right = profile.slopes_at(mid)
-                    if left != right:
+                    if abs(d[b] - d[a]) != b - a:
                         bad_smooth += 1
     return [
-        _check(
+        Check(
             "census-confirmed-by-profiles",
             bad_confirm == 0,
             "every census height is a profiled kink on its line",
             f"{bad_confirm} bad over {total_heights} heights",
         ),
-        _check(
+        Check(
             "non-census-heights-smooth",
             bad_smooth == 0,
             "matching one-sided slopes off the census",

@@ -82,11 +82,13 @@ def test_a01_oracle_equivalence():
     assert elapsed < 60
 
 
-def test_a01_oracle_random_pairs_m7():
+@pytest.mark.parametrize("m, seed", [(7, 71), (8, 81)], ids=["m7", "m8"])
+def test_a01_oracle_random_pairs(m, seed):
     """Seeded random vertex pairs at the deepest resolution the suite uses
-    for balls, each answered by an early-exit search."""
-    g = oracle.build_level_graph(7)
-    rng = random.Random(71)
+    for balls (m = 7) and at the oracle's deepest (m = 8, 1.68M vertices),
+    each answered by an early-exit search."""
+    g = oracle.build_level_graph(m)
+    rng = random.Random(seed)
     start = time.monotonic()
     bad = 0
     for _ in range(10):
@@ -95,26 +97,8 @@ def test_a01_oracle_random_pairs_m7():
         if oracle.graph_distance(g, x, y) != distance(x, y):
             bad += 1
     elapsed = time.monotonic() - start
-    row = verify.Check("oracle-random-pairs-m7", bad == 0, "0 mismatches", f"{bad}/10")
-    _report("A01 oracle random pairs m7", [row], extra=f"{elapsed:.1f}s")
-    assert elapsed < 60
-
-
-def test_a01_oracle_random_pairs_m8():
-    """Seeded random vertex pairs at the oracle's deepest resolution
-    (1.68M vertices), each answered by an early-exit search."""
-    g = oracle.build_level_graph(8)
-    rng = random.Random(81)
-    start = time.monotonic()
-    bad = 0
-    for _ in range(10):
-        x = g.vertex_point(rng.randrange(g.vertex_count))
-        y = g.vertex_point(rng.randrange(g.vertex_count))
-        if oracle.graph_distance(g, x, y) != distance(x, y):
-            bad += 1
-    elapsed = time.monotonic() - start
-    row = verify.Check("oracle-random-pairs-m8", bad == 0, "0 mismatches", f"{bad}/10")
-    _report("A01 oracle random pairs m8", [row], extra=f"{elapsed:.1f}s")
+    row = verify.Check(f"oracle-random-pairs-m{m}", bad == 0, "0 mismatches", f"{bad}/10")
+    _report(f"A01 oracle random pairs m{m}", [row], extra=f"{elapsed:.1f}s")
     assert elapsed < 60
 
 

@@ -32,6 +32,8 @@ def test_difference_quotient_height_and_constant():
         difference_quotient(h, x, F(0))
     with pytest.raises(ValueError):
         difference_quotient(h, x, F(2, 3))  # leaves [0, 1]
+    with pytest.raises(TypeError, match="float"):
+        difference_quotient(h, x, 0.5)
 
 
 def test_difference_quotient_distance_to_self():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import laakso
 from laakso import cli, metric
 from laakso.cli import main
-from laakso.core import HeightInterval, InternalError, point
+from laakso.core import Direction, HeightInterval, InternalError, point
 
 SRC = Path(laakso.__file__).resolve().parent.parent
 
@@ -236,30 +236,23 @@ def test_json_emitter_writes_what_json_writes(obj):
 
 
 def test_json_emitter_refuses_what_the_schema_lacks():
-    for obj in (1.5, Fraction(1, 2), {1}, {1: "a"}, {"a": [0.0]}, [float("nan")], (1, 2)):
-        with pytest.raises(TypeError):
-            cli._json_dumps(obj)
-
-
-def test_json_emitter_writes_subclasses_as_json_does():
-    # `json` writes a subclass of str, int, list or dict through its base
-    # type's protocol, whatever it overrides.
+    # A subclass of str, int, list or dict is refused too, nested or not,
+    # whatever it overrides: no payload holds one.
     class Text(str):
-        def __str__(self):
-            return "other"
+        pass
 
     class Number(int):
-        def __repr__(self):
-            return "other"
+        pass
 
     class Items(list):
-        def __iter__(self):
-            return iter([Number(1), Text("x")])
+        pass
 
-    objs = (Text("k\u00e9y"), Number(-3), enum.IntEnum("E", "A")(1), Items([9]), Items(),
-            collections.OrderedDict([("b", Items([0])), (Text("a"), {})]), {"a": [True, Number(0)]})
-    for obj in objs:
-        assert cli._json_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n", obj
+    for obj in (1.5, Fraction(1, 2), {1}, {1: "a"}, {"a": [0.0]}, [float("nan")], (1, 2),
+                Text("k\u00e9y"), Number(-3), enum.IntEnum("E", "A")(1), Direction.UP,
+                Items([9]), Items(), collections.OrderedDict([("b", [0])]),
+                {"a": [True, Number(0)]}, [{"b": Items()}]):
+        with pytest.raises(TypeError):
+            cli._json_dumps(obj)
 
 
 def test_output_file(tmp_path, capsys):

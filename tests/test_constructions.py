@@ -23,7 +23,6 @@ from laakso.core import (
     Direction,
     InternalError,
     _grid_index,
-    format_rational,
     nearest_wormhole_gap,
     point,
     point_key,
@@ -314,13 +313,13 @@ def test_porosity_witness_frozen():
     assert (1 - w.lam) / w.lam > w.bound
     assert w.order == 3 and F(2, 3**w.order) < F(1, 10)
     assert abs(w.anchor - F(1, 3)) < F(2, 3**w.order)
-    assert w.gap_bounds == (w.lam / 27, (1 - w.lam) / 27)
+    unit = F(1, 3**w.order)
+    assert (w.lam * unit, (1 - w.lam) * unit) == (F(1, 108), F(1, 36))
     samples = [w.anchor + w.hole_width * F(i, 11) for i in range(1, 11)]
     nums, den = w.samples(10)
     assert [F(num, den) for num in nums] == samples
     records = w.certify(nums, den)
     assert len(records) == 10
-    unit = F(1, 3**w.order)
     for s, record in zip(samples, records):
         rs, down, up = _read_record(w, den, record)
         assert rs == s
@@ -328,19 +327,18 @@ def test_porosity_witness_frozen():
         assert down <= w.lam * unit
         assert up >= (1 - w.lam) * unit
         assert up / down > w.bound  # hence outside the balanced set
-    json_cert = w.to_json(records, den)
-    assert json_cert["order"] == 3 and len(json_cert["certified"]) == 10
-    first = json_cert["certified"][0]
-    _, down0, up0 = _read_record(w, den, records[0])
-    assert first["s"] == format_rational(samples[0])
-    assert first["down_gap"] == format_rational(down0)
-    assert first["up_gap"] == format_rational(up0)
-    assert first["down_bound"] == "1/108" and first["up_bound"] == "1/36"
+    # The integer records themselves: each height's numerator and its gaps
+    # on the scale 3**order * den.
+    scale = 3**w.order * den
+    assert records == [
+        (num, down * scale, up * scale)
+        for num, (up, down) in zip(nums, (nearest_wormhole_gap(s, w.order) for s in samples))
+    ]
 
 
 def test_porosity_certificate_without_upper_wormhole():
     # 26/27 is the topmost order-3 wormhole, so the hole above it has no
-    # order-3 wormhole on its upper side: the up gap is None, "inf" in JSON
+    # order-3 wormhole on its upper side: the up gap is None
     w = porosity_witness(F(2), 1, F(26, 27), F(1, 10))
     assert w.order == 3 and w.anchor == F(26, 27)
     s = w.anchor + w.hole_width / 2
@@ -348,40 +346,28 @@ def test_porosity_certificate_without_upper_wormhole():
     ((_, down, up),) = [_read_record(w, s.denominator, r) for r in records]
     assert up is None
     assert down == F(1, 216)
-    (record,) = w.to_json(records, s.denominator)["certified"]
-    assert record["up_gap"] == "inf"
-    assert record["down_gap"] == "1/216"
+    # s = 209/216, and the down gap is 27 over 3**3 * 216
+    assert records == [(209, 27, None)]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 5, 7])
 def test_porosity_certificate_matches_gap_query(seed):
     # Differential check of the integer certificate against the Fraction gap
     # query, on the seeded holes check_porosity certifies and on the hole
-    # above 26/27, which has no upper wormhole.  The JSON strings are those
-    # the Fraction records formatted.
+    # above 26/27, which has no upper wormhole.  Every Fraction gap also
+    # meets the hole's bounds lam / 3**order and (1 - lam) / 3**order.
     holes = [w for w, _ in _porosity_cases(seed)]
     holes.append(porosity_witness(F(2), 1, F(26, 27), F(1, 10)))
     for w in holes:
         nums, den = w.samples(100)
         records = w.certify(nums, den)
         assert len(records) == len(nums)
-        expected = []
+        down_bound, up_bound = w.lam / 3**w.order, (1 - w.lam) / 3**w.order
         for num, record in zip(nums, records):
             s = F(num, den)
-            fractions = (s, *reversed(nearest_wormhole_gap(s, w.order)))
-            assert _read_record(w, den, record) == fractions
-            expected.append(fractions)
-        down_bound, up_bound = (format_rational(b) for b in w.gap_bounds)
-        assert w.to_json(records, den)["certified"] == [
-            {
-                "s": format_rational(s),
-                "down_gap": format_rational(down),
-                "up_gap": "inf" if up is None else format_rational(up),
-                "down_bound": down_bound,
-                "up_bound": up_bound,
-            }
-            for s, down, up in expected
-        ]
+            up, down = nearest_wormhole_gap(s, w.order)
+            assert _read_record(w, den, record) == (s, down, up)
+            assert down <= down_bound and (up is None or up >= up_bound)
 
 
 def test_porosity_certificate_rejects_off_grid_anchor():
@@ -402,8 +388,8 @@ def test_porosity_certificate_checks_both_bounds(monkeypatch):
     # misreported index sits exactly the given gap away from s, so it need
     # not be an integer.
     w = porosity_witness(F(2), 1, F(1, 3), F(1, 10))
-    down_bound, up_bound = w.gap_bounds
     top = 3**w.order
+    down_bound, up_bound = w.lam / top, (1 - w.lam) / top
     s = w.anchor + w.hole_width / 2
     num, den = s.numerator, s.denominator
     for down, up in ((down_bound, up_bound), (down_bound + F(1, 10**9), up_bound),
@@ -512,9 +498,15 @@ def test_porosity_witness_validation():
         porosity_witness(F(1), 1, F(1, 3), F(1, 10))
     with pytest.raises(ValueError):
         porosity_witness(F(2), 1, F(0), F(1, 10))
+    for start in (0, -3):  # orders start at 1, as in gap_ratio_probe
+        with pytest.raises(ValueError, match="start_level"):
+            porosity_witness(F(3), start, F(1, 3), F(1, 10))
     w = porosity_witness(F(2), 1, F(1, 3), F(1, 10))
     with pytest.raises(ValueError):
         w.certify([w.anchor.numerator], w.anchor.denominator)  # boundary is not inside the open hole
+    for count in (0, -1):  # -1 would give the denominator 0
+        with pytest.raises(ValueError, match="at least one sample"):
+            w.samples(count)
 
 
 def test_maximality_verdict_frozen():

@@ -51,6 +51,12 @@ def test_rational_parse_format():
         parse_rational("1e-3")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    # Only Fraction, int and str are read; a float is refused, not rounded.
+    for bad in (0.5, 0.1, None, b"1/2", [1]):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            parse_rational(bad)
+    with pytest.raises(TypeError, match="float"):
+        wormhole_order(0.5)
 
 
 def test_enumerate_wormhole_heights():
@@ -284,12 +290,20 @@ def test_wormhole_level_validation():
 
 
 def test_gap_ratio_probe_examples():
-    assert gap_ratio_probe(F(1, 3), F(2), 2, 12).consistent
-    assert gap_ratio_probe(F(1, 2), F(1), 1, 8).consistent  # exact up/down symmetry
+    for t, bound, start, depth in ((F(1, 3), F(2), 2, 12), (F(1, 2), F(1), 1, 8)):
+        verdict = gap_ratio_probe(t, bound, start, depth)  # 1/2: exact up/down symmetry
+        assert verdict.consistent and verdict.violated_at is None
     t = sparse_ternary_height((2, 4, 8, 16, 32))
     verdict = gap_ratio_probe(t, F(3), 2, 32)
-    assert not verdict.consistent and verdict.violated_at <= 32
-    assert verdict.verdict == f"violated-at({verdict.violated_at})"
+    n = verdict.violated_at
+    assert not verdict.consistent and 2 <= n <= 32
+
+    def balanced(k):
+        up, down = nearest_wormhole_gap(t, k)
+        return up is not None and down is not None and up <= 3 * down and down <= 3 * up
+
+    # violated_at is the first probed order whose gaps break the bound
+    assert all(balanced(k) for k in range(2, n)) and not balanced(n)
 
 
 def test_gap_ratio_probe_violation_persists():

@@ -228,7 +228,7 @@ def _reference_geodesic(x, y, interval):
                 scheduled.setdefault(idx, []).append((cand, n))
                 break
     events = []
-    bits = CantorAddress(start.bits.ljust(depth, "0"))
+    bits = CantorAddress(start.address.bits.ljust(depth, "0"))
     for idx, (s, e) in enumerate(phases):
         if s == e:
             continue
@@ -298,7 +298,7 @@ def test_integer_kernel_matches_fraction_reference(x, y):
 
 def _xor(p, mask):
     depth = max(p.address.depth, len(mask))
-    bits = zip(p.bits.ljust(depth, "0"), mask.ljust(depth, "0"))
+    bits = zip(p.address.bits.ljust(depth, "0"), mask.ljust(depth, "0"))
     return LaaksoPoint(p.height, CantorAddress("".join("1" if a != b else "0" for a, b in bits)))
 
 

@@ -138,6 +138,10 @@ def test_regularity_scan_sample_limit():
     assert len(regularity_scan(2, 24, [F(1, 3)]).estimates) == 24
     with pytest.raises(ValueError):
         regularity_scan(2, 25, [F(1, 3)])
+    assert regularity_scan(2, 0, [F(1, 3)]).estimates == ()
+    for radii in ([F(1, 9), F(1, 27)], []):
+        with pytest.raises(ValueError, match="negative"):
+            regularity_scan(5, -1, radii)
 
 
 def test_distinct_grid_point_count():

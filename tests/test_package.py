@@ -51,6 +51,33 @@ def test_no_module_imports_unused_names():
     assert unused == []
 
 
+def test_every_private_name_is_referenced():
+    # A module-level private function, class or constant that no code of
+    # the package reads is left over from a cut: only tests could still
+    # call it.  A reference is a name read or an attribute of that name,
+    # anywhere in the package.
+    defined, used = [], set()
+    for path in sorted(Path(laakso.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(path.stem, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    assert [(stem, name) for stem, name in defined if name not in used] == []
+
+
 def test_one_json_writer():
     # `cli._json_dumps` writes every JSON text the package prints; `json`'s
     # own writer formats indented text in pure Python at twice the cost.

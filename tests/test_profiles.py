@@ -194,6 +194,11 @@ def test_parallel_reduction():
     for h, levels, t in bad:
         with pytest.raises(ValueError):
             parallel_reduction(point(h, "01"), levels, t)
+    # t is read as an exact rational: "p/q" text is taken, a float refused.
+    assert parallel_reduction(p, (1, 2, 3), "2/5") == parallel_reduction(p, (1, 2, 3), F(2, 5))
+    for t in (0.5, 0.1):
+        with pytest.raises(TypeError, match="float"):
+            parallel_reduction(p, (1, 2, 3), t)
 
 
 _reduction_heights = st.one_of(
