@@ -236,8 +236,8 @@ def test_json_emitter_writes_what_json_writes(obj):
 
 
 def test_json_emitter_refuses_what_the_schema_lacks():
-    # A subclass of str, int, list or dict is refused too, nested or not,
-    # whatever it overrides: no payload holds one.
+    # A value of a str, int, list or dict subclass is refused too, nested
+    # or not: no payload holds one.
     class Text(str):
         pass
 
