@@ -17,13 +17,16 @@ byte-identical output; randomized suites are pinned by --seed.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3
 internal error (an invariant of the library failed, `core.InternalError`).
-argparse is the only parser: every flag is read by a `type=` converter or
-`choices=`, and every usage error, argparse's own included, is one
-`error:` line naming the flag at fault.  Every argument that sets a scale
-is bounded before any work: the jump orders of profile --line and reduce
---levels by their converters, verify --depth by the depths
-`verify.SUITES` lists, census --max-level by its converter, and the size
-of every printed answer by `_check_printable`.
+argparse is the only parser, declared once in `_build_parser`: `main` hands
+an argv that starts with a subcommand name straight to that subcommand's
+parser (one argparse pass), and the top-level parser reads only an argv
+that does not (none, --help, an unknown name, a flag first).  Every flag
+is read by a `type=` converter or `choices=`, and every usage error,
+argparse's own included, is one `error:` line naming the flag at fault.
+Every argument that sets a scale is bounded before any work: the jump
+orders of profile --line and reduce --levels by their converters, verify
+--depth by the depths `verify.SUITES` lists, census --max-level by its
+converter, and the size of every printed answer by `_check_printable`.
 
 A --line spec is one of v0 (the base point's own line), v<N>, vN:<N> or
 v<N>:<N> (one jump at order N), or vD:<N>,<M>[,...] (one jump at each of
@@ -42,7 +45,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import verify as verify_mod
 from .core import (
@@ -412,7 +415,8 @@ def cmd_verify(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and its subcommands' parsers by name."""
     parser = _Parser(
         prog="laakso",
         description="Exact computation on Laakso space: distances, geodesics, "
@@ -467,15 +471,21 @@ def _build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--out", default=None)
     ve.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+# The top-level parser has no option but -h, and its subcommand action hands
+# every string after the name to the subcommand's parser, so that parser
+# alone reads such an argv to the same namespace (less `command`, which
+# nothing reads) and the same errors, in one pass instead of two.
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _PARSER.parse_args(argv)
+        command = _COMMANDS.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
         return args.func(args)
     except SystemExit:  # only --help exits: the parser raises UsageError
         return 0

@@ -76,7 +76,7 @@ class InternalError(RuntimeError):
     failed check.  The CLI reports it with exit code 3."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _BITS_RE = re.compile(r"[01]*")
 
 
@@ -90,18 +90,25 @@ def parse_rational(text: RationalLike) -> Fraction:
     if not isinstance(text, str):
         raise TypeError(f"expected a Fraction, int or str rational, got {type(text).__name__}")
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"not an exact p/q rational: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    num, den = match.groups()
+    # int() raises the ValueError of the integer-string digit limit
+    numerator = int(num)
+    if den is None:
+        return Fraction(numerator)
+    denominator = int(den)
+    if not denominator:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def format_rational(q: RationalLike) -> str:
-    """Render a rational as "p/q", or plain "p" for integers."""
+    """Render a rational as "p/q", or plain "p" for integers; a float is a
+    TypeError, as in `parse_rational`."""
     if not isinstance(q, Fraction):
-        q = Fraction(q)
+        q = parse_rational(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

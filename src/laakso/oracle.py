@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import _BYTE_BITS, CantorAddress, InternalError, LaaksoPoint, point_key
+from .core import _BYTE_BITS, CantorAddress, InternalError, LaaksoPoint, parse_rational, point_key
 
 __all__ = [
     "DIMENSION",
@@ -309,7 +309,9 @@ def _ball_estimates(g: LevelGraph, center: LaaksoPoint, radii) -> List[MeasureEs
 
 
 def ball_measure(g: LevelGraph, center: LaaksoPoint, r: Fraction) -> MeasureEstimate:
-    """Mass of the cells whose representative lies within distance r."""
+    """Mass of the cells whose representative lies within distance r (an
+    exact rational; a float is a TypeError)."""
+    r = parse_rational(r)
     if not (g.unit <= r <= 1):
         raise ValueError(f"radius must lie in [1/3^{g.m}, 1], got {r}")
     return _ball_estimates(g, center, [r])[0]
@@ -324,14 +326,15 @@ class RegularityReport:
 def regularity_scan(m: int, sample: int, radii, seed: int = 0) -> RegularityReport:
     """Ball-growth ratios at `sample` random grid centers and each radius.
 
-    Radii must lie in [1/3**(m-1), 1/3], and `sample` in [0, N] for the
-    N = 2**(m-1) * (3**m + 3) distinct grid points (two unglued columns of
-    2**m at heights 0 and 1, 2**(m-1) glued classes at each interior height).
+    Radii are exact rationals (a float is a TypeError) in [1/3**(m-1), 1/3],
+    and `sample` lies in [0, N] for the N = 2**(m-1) * (3**m + 3) distinct
+    grid points (two unglued columns of 2**m at heights 0 and 1, 2**(m-1)
+    glued classes at each interior height).
     Output is sorted by center and radius and is fully determined by the
     seed.
     """
     g = build_level_graph(m)
-    radii = [Fraction(r) for r in radii]
+    radii = [parse_rational(r) for r in radii]
     floor_r = Fraction(1, 3 ** (m - 1))
     for r in radii:
         if not (floor_r <= r <= Fraction(1, 3)):

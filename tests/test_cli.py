@@ -597,20 +597,23 @@ def test_unprintable_height_denominator_is_one_usage_error(monkeypatch, capsys):
         )
 
 
+_ARGPARSE_ERRORS = (
+    (("distance", "--x", "1/2:0"), "the following arguments are required: --y"),
+    (("verify", "oracle", "--depth", "x"), "argument --depth: invalid int value: 'x'"),
+    (("verify", "oracle", "--seed", "x"), "argument --seed: invalid int value: 'x'"),
+    (("nonsense",), "argument command: invalid choice: 'nonsense' (choose from "
+     "'distance', 'profile', 'reduce', 'census', 'verify')"),
+    (("verify", "x"), "argument suite: invalid choice: 'x' (choose from 'oracle', 'kinks', "
+     "'constructions', 'porosity', 'regularity', 'parallel')"),
+    ((), "the following arguments are required: command"),
+    (("distance", "--x", "1/2:0", "--y", "1/2:1", "--z", "1"), "unrecognized arguments: --z 1"),
+    (("reduce", "--p", "1/2:0", "--levels", "1,2,3", "--t", "1/0"), "argument --t: zero denominator in '1/0'"),
+    (("census", "--p", "0.5:0"), "argument --p: bad point '0.5:0': not an exact p/q rational: '0.5'"),
+)
+
+
 def test_argparse_errors_are_one_line(capsys):
-    for argv, message in (
-        (("distance", "--x", "1/2:0"), "the following arguments are required: --y"),
-        (("verify", "oracle", "--depth", "x"), "argument --depth: invalid int value: 'x'"),
-        (("verify", "oracle", "--seed", "x"), "argument --seed: invalid int value: 'x'"),
-        (("nonsense",), "argument command: invalid choice: 'nonsense' (choose from "
-         "'distance', 'profile', 'reduce', 'census', 'verify')"),
-        (("verify", "x"), "argument suite: invalid choice: 'x' (choose from 'oracle', 'kinks', "
-         "'constructions', 'porosity', 'regularity', 'parallel')"),
-        ((), "the following arguments are required: command"),
-        (("distance", "--x", "1/2:0", "--y", "1/2:1", "--z", "1"), "unrecognized arguments: --z 1"),
-        (("reduce", "--p", "1/2:0", "--levels", "1,2,3", "--t", "1/0"), "argument --t: zero denominator in '1/0'"),
-        (("census", "--p", "0.5:0"), "argument --p: bad point '0.5:0': not an exact p/q rational: '0.5'"),
-    ):
+    for argv, message in _ARGPARSE_ERRORS:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == f"error: {message}\n", argv
@@ -680,10 +683,10 @@ def test_profile_very_deep_order_line(capsys):
     assert elapsed < 2
 
 
-def _call(argv):
+def _call(argv, entry=main):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        code = entry(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -713,7 +716,7 @@ def test_main_is_reentrant(tmp_path, monkeypatch):
         profile,
         ("census", "--p", "1/2:0", "--max-level", "2"),
         ("reduce", "--p", "2/5:0", "--levels", "1,2,3", "--t", "1/2"),
-        ("verify", "oracle", "--depth", "4"),
+        ("verify", "oracle", "--depth", "5"),
         ("verify", "regularity", "--depth", "5", "--seed", "3"),
         to_stdout,
         profile,
@@ -760,8 +763,8 @@ def test_verify_depth_bounds_before_any_work(monkeypatch, capsys):
 
     monkeypatch.setattr("laakso.oracle.build_level_graph", refuse)
     for suite, depth, accepted in (
-        ("oracle", "4", "1..3"),
-        ("oracle", "0", "1..3"),
+        ("oracle", "5", "1..4"),
+        ("oracle", "0", "1..4"),
         ("regularity", "9", "5..8"),
         ("regularity", "2", "5..8"),
         ("regularity", "4", "5..8"),
@@ -971,3 +974,74 @@ def test_cli_fuzz_total_input_contract(argv):
         assert code == 2, (argv, err)
     assert "Traceback" not in err
     assert elapsed < 5, (argv, elapsed)
+
+
+def _two_pass_main(argv):
+    """`main` as it read argv before the dispatch: the top-level parser reads
+    every argv, and its subcommand action hands the rest to the
+    subcommand's parser, a second pass."""
+    try:
+        args = cli._PARSER.parse_args(argv)
+        return args.func(args)
+    except SystemExit:
+        return 0
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+
+
+_DISPATCH_CORPUS = (
+    (),
+    ("-h",),
+    ("--help",),
+    ("nonsense",),
+    ("--x", "1/2:0"),
+    ("distance", "-h"),
+    ("verify", "--help"),
+    ("distance", "--x", "1/2:0", "--y", "-h"),
+    ("distance", "--", "--x"),
+    ("",),
+    ("dist", "--x", "1/2:0", "--y", "2/3:1"),
+    ("verif", "porosity"),
+) + tuple(argv for argv, _ in _ARGPARSE_ERRORS)
+
+
+def test_dispatch_matches_two_pass_parse_on_corpus():
+    for argv in _DISPATCH_CORPUS:
+        assert _call(argv) == _call(argv, _two_pass_main), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fuzz_argv)
+def test_dispatch_matches_two_pass_parse(argv):
+    assert _call(argv) == _call(argv, _two_pass_main), argv
+
+
+def test_one_argparse_pass_per_subcommand(monkeypatch):
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv, want in (
+        (("distance", "--x", "1/2:0", "--y", "2/3:1"), ["laakso distance"]),
+        (("profile", "--p", "1/2:0", "--line", "v1"), ["laakso profile"]),
+        (("reduce", "--p", "2/5:0", "--levels", "1,2,3", "--t", "1/2"), ["laakso reduce"]),
+        (("census", "--p", "1/2:0", "--max-level", "2"), ["laakso census"]),
+        (("verify", "porosity"), ["laakso verify"]),
+        ((), ["laakso"]),
+        (("--help",), ["laakso"]),
+    ):
+        passes.clear()
+        code, _, _ = _call(argv)
+        assert code == (0 if argv else 2) and passes == want, argv
+    # The reference reads a subcommand's argv twice.
+    passes.clear()
+    _call(("verify", "porosity"), _two_pass_main)
+    assert passes == ["laakso", "laakso verify"]

@@ -55,6 +55,8 @@ def test_rational_parse_format():
     for bad in (0.5, 0.1, None, b"1/2", [1]):
         with pytest.raises(TypeError, match=type(bad).__name__):
             parse_rational(bad)
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            format_rational(bad)
     with pytest.raises(TypeError, match="float"):
         wormhole_order(0.5)
 
@@ -427,3 +429,39 @@ def test_orders_scan_short_and_long_masks():
         mask = rng.getrandbits(width) if width else 0
         bits = _trimmed(mask)
         assert _orders(mask) == [i for i, b in enumerate(bits, 1) if b == "1"]
+
+
+_rational_texts = st.builds(
+    lambda pad, sign, num, den, tail: pad + sign + num + den + tail,
+    st.sampled_from(["", " ", "\t", "\n "]),
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(st.from_regex(r"[0-9]{1,8}", fullmatch=True), st.sampled_from(["0", "00", "007"])),
+    st.one_of(
+        st.just(""),
+        st.from_regex(r"/[0-9]{1,8}", fullmatch=True),
+        st.sampled_from(["/0", "/000", "/1", "/010"]),
+    ),
+    st.sampled_from(["", " ", "\n", " \t"]),
+)
+
+
+@given(_rational_texts)
+@example("1/" + "3" * 5000)
+@example("3" * 5000 + "/0")
+@example("-0/5")
+def test_parse_rational_matches_fraction(text):
+    """One match of the grammar reads what `Fraction(text)` reads, and fails
+    as it does: a zero denominator and the integer-string digit limit."""
+    try:
+        want = F(text)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="^zero denominator in "):
+            parse_rational(text)
+        return
+    except ValueError as exc:  # past the digit limit
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == str(exc)
+        return
+    got = parse_rational(text)
+    assert type(got) is F and (got.numerator, got.denominator) == (want.numerator, want.denominator)

@@ -118,6 +118,10 @@ def test_ball_measure_bounds_and_monotonicity():
     assert ball_measure(g, center, F(1)).mass == 1  # whole space
     with pytest.raises(ValueError):
         ball_measure(g, center, F(1, 3**6))
+    # A radius is an exact rational; a float is refused, not rounded.
+    assert ball_measure(g, center, "1/9") == est
+    with pytest.raises(TypeError, match="float"):
+        ball_measure(g, center, 0.1)
 
 
 def test_regularity_scan_shape_and_determinism():
@@ -131,6 +135,8 @@ def test_regularity_scan_shape_and_determinism():
     assert keys == sorted(keys)
     with pytest.raises(ValueError):
         regularity_scan(4, 3, [F(1, 2)])
+    with pytest.raises(TypeError, match="float"):
+        regularity_scan(5, 2, [0.1])
 
 
 def test_regularity_scan_sample_limit():
