@@ -95,10 +95,7 @@ def parse_rational(text: RationalLike) -> Fraction:
         raise ValueError(f"not an exact p/q rational: {text!r}")
     num, den = match.groups()
     # int() raises the ValueError of the integer-string digit limit
-    numerator = int(num)
-    if den is None:
-        return Fraction(numerator)
-    denominator = int(den)
+    numerator, denominator = int(num), int(den or "1")
     if not denominator:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(numerator, denominator)
