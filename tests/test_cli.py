@@ -166,6 +166,10 @@ _PINNED_STDOUT = {
     "distance --x 1/2:01 --y 1/2:10": "56ddbe816cf1041dd93a9ab4b7be575d7dd4222e77665d11a24196e162cf0b5e",
     "distance --x 1/3:1 --y 2/3:01": "2406ed95e55d5c4325ceb3a3d042bed9be8797ed88d5f3e99803d06190550bf6",
     "distance --x 1/2:0 --y 1/2:0": "fb5564946cf915771a301e8b637c60c2c384ff076d11ef41d5931e9a4dc6e8bf",
+    "distance --x 1/3:0 --y 1/3:1": "8f95ca401666cb35f3b1fd50fba6be1550cbe0751bca73835d04fbb19d56a70c",
+    "distance --x 0: --y 1:1": "d9b373467cc243bd1ce8e8f2b11ff2c1143718a180afef6c60c55699c3fe827f",
+    "distance --x 1/2: --y 1/2:0000000001": "98bb0f44f0125b77e50285a1f43cda8aa8364b3c7f6083cc68aaa81eb4d35520",
+    "distance --x 1/3:01 --y 1/3:1": "7b10c767495f2a3de8c662645eec9805012d64e9b27ae2a962932ec8b358e0ee",
     "profile --p 1/2:0 --line v0": "daa36ea715221bf2b7e42ecb3345e28d9eb297c897e1453da4fc0942d0cdfa2f",
     "profile --p 2/5:0 --line vN:2": "07450fbf10d73c4af6e26690ad546b1cc93f3474cc0fdb73440e9109834a42c8",
     "profile --p 2/5:01 --line vD:1,3": "f97fe66884bf0d97787334a2fb014ca27bae86b953b77cded823d1a2951cb19e",
@@ -187,12 +191,14 @@ _PINNED_STDOUT = {
 
 
 def test_stdout_bytes_are_pinned(capsys):
-    # Two geodesics; a glued point; equal points (one empty geodesic); the
-    # base point's own line, one- and two-order lines, a line with no kink
-    # (p = 0:0 on v0), the two branches at a wormhole (one of them requiring
-    # the base point's own wormhole order), a boundary base point, a
-    # two-order line at an order-2 wormhole and an order-40 line; a
-    # reduction; the sampled Lipschitz ratios of both witnesses and a
+    # Two geodesics; a glued point; equal points (one empty geodesic); both
+    # representatives of one glued point (distance 0); the boundary heights
+    # 0 and 1; an order-10 jump; a glued point against an address deeper
+    # than its wormhole order; the base point's own line, one- and two-order
+    # lines, a line with no kink (p = 0:0 on v0), the two branches at a
+    # wormhole (one of them requiring the base point's own wormhole order),
+    # a boundary base point, a two-order line at an order-2 wormhole and an
+    # order-40 line; a reduction; the sampled Lipschitz ratios of both witnesses and a
     # porosity round; the parallel and kinks suites, and the oracle suite at
     # depths 2 and 3.
     for command, sha in _PINNED_STDOUT.items():
