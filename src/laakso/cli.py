@@ -51,6 +51,7 @@ from . import verify as verify_mod
 from .core import (
     InternalError,
     LaaksoPoint,
+    _format_ratio,
     canonicalize,
     format_rational,
     nearest_wormhole_gap,
@@ -313,14 +314,26 @@ def cmd_distance(args) -> int:
     pair = _Pair.of(x, y)
     den = math.lcm(x.height.denominator, y.height.denominator)
     _check_printable("--x/--y", den, pair.levels[-1] if pair.levels else 0)
-    ivs = pair.search()
-    intervals = [pair.interval(*iv) for iv in ivs]
+    # Every height and the distance are printed off the pair's scale.
+    den = pair.den
+    ivs = pair.intervals()
+    geodesics = []
+    for iv in ivs:
+        events = []
+        for event in pair.trace(*iv):
+            if len(event) == 3:
+                s, e, bits = event
+                events.append({"seg": [_format_ratio(s, den), _format_ratio(e, den)], "bits": bits})
+            else:
+                n, h = event
+                events.append({"jump": n, "at": _format_ratio(h, den)})
+        geodesics.append(events)
     payload = {
         "x": point_to_json(pair.x),
         "y": point_to_json(pair.y),
-        "distance": format_rational(pair.distance(*ivs[0])),
-        "intervals": [[format_rational(iv.a), format_rational(iv.b)] for iv in intervals],
-        "geodesics": [pair.geodesic(*iv).to_json() for iv in ivs],
+        "distance": _format_ratio(pair.length(*ivs[0]), den),
+        "intervals": [[_format_ratio(a, den), _format_ratio(b, den)] for a, b in ivs],
+        "geodesics": geodesics,
     }
     _emit((_json_dumps(payload), args.out))
     return 0

@@ -39,6 +39,7 @@ own invariants fails (a bug, never bad input or a failed check).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -106,9 +107,17 @@ def format_rational(q: RationalLike) -> str:
     TypeError, as in `parse_rational`."""
     if not isinstance(q, Fraction):
         q = parse_rational(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _format_ratio(q.numerator, q.denominator)
+
+
+def _format_ratio(v: int, den: int) -> str:
+    """Render v / den (den > 0) as `format_rational` does, in lowest terms
+    by one gcd, without building a Fraction: the one "p/q" writer of the
+    package, for callers that hold heights as integers on a scale."""
+    g = math.gcd(v, den)
+    if g == den:
+        return str(v // den)
+    return f"{v // g}/{den // g}"
 
 
 class Direction(str, Enum):

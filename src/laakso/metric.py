@@ -21,11 +21,19 @@ over one common denominator, lcm(den h(x), den h(y)) * 3**N for N the
 deepest required order; an order-n grid height k / 3**n is then an integer
 multiple of 3**(N - n).  The minimal-interval search, the length formula
 and the geodesic jump schedule run on those integers, through the one
-grid-index kernel `core._grid_index`.  `Fraction`s are built only for the
-values returned: intervals, segments, jumps and the distance.  A caller
-holding many pairs on one scale of its own (`profiles` holds every height
-of a vertical line over one denominator) builds each `_Pair` from its
-integers directly, without canonicalizing again.
+grid-index kernel `core._grid_index`.  The geodesic is synthesized once,
+by `_Pair.trace`: an integer event list (segments and jumps on the pair's
+scale) that checks every jump against its order's grid, the summed length
+against the distance and the arrival address against the far point's.
+`synthesize_geodesic` builds its `Segment` and `WormholeLevel` objects from
+that checked trace, and `Fraction`s are built only for the values the
+public functions return.  `laakso distance` reads its intervals, its
+distance and every geodesic straight off the pair's integers and prints
+them by `core._format_ratio`: a reply builds no `Fraction`, interval or
+path object.  A caller holding many pairs on one scale of its own
+(`profiles` holds every height of a vertical line over one denominator)
+builds each `_Pair` from its integers directly, without canonicalizing
+again.
 """
 
 from __future__ import annotations
@@ -42,10 +50,10 @@ from .core import (
     LaaksoPoint,
     WormholeLevel,
     _bits,
+    _format_ratio,
     _grid_index,
     _orders,
     canonicalize,
-    format_rational,
 )
 
 __all__ = [
@@ -97,15 +105,6 @@ class GeodesicPath:
     @property
     def length(self) -> Fraction:
         return sum((s.length for s in self.segments), Fraction(0))
-
-    def to_json(self) -> list:
-        out = []
-        for e in self.events:
-            if isinstance(e, Segment):
-                out.append({"seg": [format_rational(e.start), format_rational(e.end)], "bits": e.bits})
-            else:
-                out.append({"jump": e.order, "at": format_rational(e.height)})
-        return out
 
 
 class _Pair:
@@ -192,6 +191,18 @@ class _Pair:
         best = min(b - a for a, b in results)
         return sorted(iv for iv in results if iv[1] - iv[0] == best)
 
+    def intervals(self) -> List[Tuple[int, int]]:
+        """`search`'s intervals, each checked to lie in [0, 1]."""
+        den = self.den
+        ivs = self.search()
+        for a, b in ivs:
+            if not 0 <= a <= b <= den:
+                raise InternalError(
+                    f"minimal interval [{_format_ratio(a, den)}, {_format_ratio(b, den)}] "
+                    "is not an interval inside [0, 1]; invalid state"
+                )
+        return ivs
+
     def interval(self, a: int, b: int) -> HeightInterval:
         return HeightInterval(Fraction(a, self.den), Fraction(b, self.den))
 
@@ -232,16 +243,52 @@ class _Pair:
             jumps.sort(reverse=s > e)
         return phases
 
-    def geodesic(self, a: int, b: int) -> "GeodesicPath":
-        """The canonical geodesic over the minimal interval [a, b]; see
-        `synthesize_geodesic`.  The path's length, summed over the segments
-        emitted, and its arrival address are checked before it is returned."""
+    def trace(self, a: int, b: int) -> List[tuple]:
+        """The canonical geodesic over the minimal interval [a, b] (see
+        `synthesize_geodesic`) on this pair's scale, as events in path
+        order: a segment as (start, end, bits), a jump as (order, height).
+
+        Each phase of `schedule` is cut at its jumps, and each jump flips
+        its order's bit of the address.  Before the trace is returned,
+        every jump is checked to lie on its own order's grid, the segments'
+        lengths to sum to `length(a, b)`, and the path to arrive at the far
+        point's address; `geodesic` and the CLI's `distance` reply both
+        read this one checked trace.
+        """
         if not self.levels and self.hx == self.hy:
-            return GeodesicPath(())
+            return []
+        den = self.den
         start, end = (self.y, self.x) if self.hy < self.hx else (self.x, self.y)
         mask = start.address.mask
         depth = max(start.address.depth, end.address.depth)
-        heights = {}  # scaled height -> Fraction, built once per height
+        events: List[tuple] = []
+        length = 0
+        for s, e, jumps in self.schedule(a, b):
+            pos = s
+            for h, n in jumps:
+                step = den // 3**n
+                if not (0 < h < den and h % step == 0 and h // step % 3):
+                    raise InternalError(f"synthesized jump at {_format_ratio(h, den)} is off the order-{n} grid")
+                if h != pos:
+                    events.append((pos, h, _bits(mask, depth)))
+                    length += abs(h - pos)
+                    pos = h
+                mask ^= 1 << (n - 1)
+                events.append((n, h))
+            if e != pos:
+                events.append((pos, e, _bits(mask, depth)))
+                length += abs(e - pos)
+
+        if length != self.length(a, b):
+            raise InternalError("synthesized path length does not match the distance")
+        if mask != end.address.mask:
+            raise InternalError("synthesized path does not arrive at the target address")
+        return events
+
+    def geodesic(self, a: int, b: int) -> "GeodesicPath":
+        """`trace` over [a, b] as a `GeodesicPath`, one `Fraction` per
+        distinct height."""
+        heights = {}  # scaled height -> Fraction
 
         def height(v: int) -> Fraction:
             if v not in heights:
@@ -249,25 +296,13 @@ class _Pair:
             return heights[v]
 
         events: List[PathEvent] = []
-        length = 0
-        for s, e, jumps in self.schedule(a, b):
-            if s == e:
-                continue
-            direction = Direction.DOWN if s > e else Direction.UP
-            pos = s
-            for h, n in jumps + [(e, None)]:
-                if h != pos:
-                    events.append(Segment(height(pos), height(h), _bits(mask, depth), direction))
-                    length += abs(h - pos)
-                    pos = h
-                if n is not None:
-                    mask ^= 1 << (n - 1)
-                    events.append(WormholeLevel(n, height(h)))
-
-        if length != self.length(a, b):
-            raise InternalError("synthesized path length does not match the distance")
-        if mask != end.address.mask:
-            raise InternalError("synthesized path does not arrive at the target address")
+        for event in self.trace(a, b):
+            if len(event) == 3:
+                s, e, bits = event
+                events.append(Segment(height(s), height(e), bits, Direction.DOWN if s > e else Direction.UP))
+            else:
+                n, h = event
+                events.append(WormholeLevel(n, height(h)))
         return GeodesicPath(tuple(events))
 
 
@@ -276,7 +311,7 @@ def minimal_height_intervals(x: LaaksoPoint, y: LaaksoPoint) -> List[HeightInter
     wormhole order, in increasing order; they all have one length (see
     `_Pair.search`)."""
     pair = _Pair.of(x, y)
-    return [pair.interval(a, b) for a, b in pair.search()]
+    return [pair.interval(a, b) for a, b in pair.intervals()]
 
 
 def distance(x: LaaksoPoint, y: LaaksoPoint) -> Fraction:
@@ -295,7 +330,7 @@ def synthesize_geodesic(x: LaaksoPoint, y: LaaksoPoint, interval: HeightInterval
     any other valid jump schedule has the same length.
     """
     pair = _Pair.of(x, y)
-    for a, b in pair.search():
+    for a, b in pair.intervals():
         if pair.interval(a, b) == interval:
             return pair.geodesic(a, b)
     raise ValueError(f"[{interval.a}, {interval.b}] is not a minimal height interval")

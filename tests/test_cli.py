@@ -21,7 +21,16 @@ from hypothesis import strategies as st
 import laakso
 from laakso import cli, metric
 from laakso.cli import main
-from laakso.core import Direction, HeightInterval, InternalError, point
+from laakso.core import (
+    Direction,
+    HeightInterval,
+    InternalError,
+    canonicalize,
+    format_rational,
+    point,
+    point_to_json,
+    wormhole_order,
+)
 
 SRC = Path(laakso.__file__).resolve().parent.parent
 
@@ -208,6 +217,109 @@ def test_stdout_bytes_are_pinned(capsys):
     assert payload["geodesics"] == [[]]
     payload = json.loads(run(capsys, *"profile --p 0:0 --line v0".split())[1])
     assert payload["lines"][0]["profile"]["kinks"] == []
+
+
+def _reference_reply(x, y):
+    """The `distance` reply built from the library's objects: intervals,
+    geodesics and distance as `Fraction`s, each printed by
+    `format_rational`, the whole by the standard `json` module."""
+    intervals = metric.minimal_height_intervals(x, y)
+    geodesics = []
+    for iv in intervals:
+        events = []
+        for e in metric.synthesize_geodesic(x, y, iv).events:
+            if isinstance(e, metric.Segment):
+                events.append({"seg": [format_rational(e.start), format_rational(e.end)], "bits": e.bits})
+            else:
+                events.append({"jump": e.order, "at": format_rational(e.height)})
+        geodesics.append(events)
+    payload = {
+        "x": point_to_json(canonicalize(x)),
+        "y": point_to_json(canonicalize(y)),
+        "distance": format_rational(metric.distance(x, y)),
+        "intervals": [[format_rational(iv.a), format_rational(iv.b)] for iv in intervals],
+        "geodesics": geodesics,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_reply_heights = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+    st.integers(1, 6).flatmap(lambda n: st.integers(0, 3**n).map(lambda k: Fraction(k, 3**n))),
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+)
+
+
+# k / 3**n with 3 not dividing k: wormhole heights of orders 1..6.
+_wormhole_heights = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.integers(0, 3 ** (n - 1) - 1), st.sampled_from([1, 2])).map(
+        lambda jr: Fraction(3 * jr[0] + jr[1], 3**n)
+    )
+)
+
+
+@st.composite
+def _reply_pairs(draw):
+    """Two points: unrelated; equal; the two representatives of a glued
+    point; or one height with addresses differing in one bit (two minimal
+    intervals at 1/2).  Addresses run up to depth 10, past the order of a
+    triadic height."""
+    kind = draw(st.sampled_from(["free", "equal", "glued", "flip"]))
+    if kind == "glued":
+        h = draw(_wormhole_heights)
+    elif kind == "flip":
+        h = draw(st.one_of(st.just(Fraction(1, 2)), _reply_heights))
+    else:
+        h = draw(_reply_heights)
+    bits = draw(st.text("01", max_size=10))
+    n = wormhole_order(h)
+    if kind == "free":
+        other = (draw(_reply_heights), draw(st.text("01", max_size=10)))
+    elif kind == "equal":
+        other = (h, bits)
+    else:
+        m = n if kind == "glued" else draw(st.integers(1, 10))
+        padded = bits.ljust(m, "0")
+        other = (h, padded[: m - 1] + "10"[int(padded[m - 1])] + padded[m:])
+    event(kind)
+    return (h, bits), other
+
+
+@settings(max_examples=300, deadline=None)
+@example(((Fraction(1, 2), "0"), (Fraction(1, 2), "1")))
+@example(((Fraction(1, 3), "0"), (Fraction(1, 3), "1")))
+@example(((Fraction(0), ""), (Fraction(1), "1")))
+@example(((Fraction(1, 3), "01"), (Fraction(1, 3), "1")))
+@given(_reply_pairs())
+def test_distance_reply_matches_the_object_path(pair):
+    # The reply is printed off the pair's integer scale; the library's
+    # objects, printed by `format_rational` and `json`, must read the same.
+    (hx, bx), (hy, by) = pair
+    x, y = point(hx, bx), point(hy, by)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["distance", "--x", f"{format_rational(hx)}:{bx}", "--y", f"{format_rational(hy)}:{by}"])
+    assert code == 0
+    assert out.getvalue() == _reference_reply(x, y)
+    event(f"{len(metric.minimal_height_intervals(x, y))} interval(s)")
+
+
+def test_distance_reply_builds_no_fraction_interval_or_path(monkeypatch, capsys):
+    # With the object types `metric` builds made to raise, every pinned
+    # `distance` reply still prints the same bytes: the reply is read off
+    # the pair's integers alone.
+    commands = [command for command in _PINNED_STDOUT if command.startswith("distance ")]
+    replies = {command: run(capsys, *command.split()) for command in commands}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an object was built for a distance reply")
+
+    for name in ("Fraction", "HeightInterval", "Segment", "WormholeLevel", "GeodesicPath"):
+        monkeypatch.setattr(metric, name, refuse)
+    with pytest.raises(AssertionError):
+        metric.minimal_height_intervals(point("1/2", "0"), point("1/2", "1"))
+    for command in commands:
+        assert run(capsys, *command.split()) == replies[command], command
 
 
 _json_strings = st.text(
@@ -535,6 +647,41 @@ def test_geodesic_length_check_exits_3(monkeypatch, capsys):
     assert err == "internal error: synthesized path length does not match the distance\n"
     with pytest.raises(InternalError, match="length does not match"):
         metric.synthesize_geodesic(point("1/2", "0"), point("1/2", "1"), HeightInterval(Fraction(1, 2), Fraction(2, 3)))
+
+
+def test_off_grid_jump_exits_3(monkeypatch, capsys):
+    # Each jump moved one unit up the pair's scale: 1/3 becomes 1/2 and
+    # 2/3 becomes 5/6, heights on no order-1 grid.  Over the first interval
+    # the length and the arrival address still check out, so only the grid
+    # test catches it.
+    schedule = metric._Pair.schedule
+
+    def shifted(self, a, b):
+        return [(s, e, [(h + 1, n) for h, n in jumps]) for s, e, jumps in schedule(self, a, b)]
+
+    monkeypatch.setattr(metric._Pair, "schedule", shifted)
+    code, out, err = run(capsys, "distance", "--x", "1/2:0", "--y", "1/2:1")
+    assert code == 3 and out == ""
+    assert err == "internal error: synthesized jump at 1/2 is off the order-1 grid\n"
+    with pytest.raises(InternalError, match="5/6 is off the order-1 grid"):
+        metric.synthesize_geodesic(point("1/2", "0"), point("1/2", "1"), HeightInterval(Fraction(1, 2), Fraction(2, 3)))
+
+
+def test_interval_outside_unit_range_exits_3(monkeypatch, capsys):
+    # Every searched interval stretched one unit past 1 on the pair's scale.
+    search = metric._Pair.search
+
+    def stretched(self):
+        return [(a, b + self.den) for a, b in search(self)]
+
+    monkeypatch.setattr(metric._Pair, "search", stretched)
+    code, out, err = run(capsys, "distance", "--x", "1/2:0", "--y", "1/2:1")
+    assert code == 3 and out == ""
+    assert err == "internal error: minimal interval [1/3, 3/2] is not an interval inside [0, 1]; invalid state\n"
+    with pytest.raises(InternalError, match="is not an interval inside"):
+        metric.synthesize_geodesic(point("1/2", "0"), point("1/2", "1"), HeightInterval(Fraction(1, 3), Fraction(1, 2)))
+    with pytest.raises(InternalError, match="is not an interval inside"):
+        metric.minimal_height_intervals(point("1/2", "0"), point("1/2", "1"))
 
 
 def test_distance_unprintable_order_is_usage_error(monkeypatch, capsys):
