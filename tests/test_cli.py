@@ -207,9 +207,9 @@ def test_stdout_bytes_are_pinned(capsys):
     # lines, a line with no kink (p = 0:0 on v0), the two branches at a
     # wormhole (one of them requiring the base point's own wormhole order),
     # a boundary base point, a two-order line at an order-2 wormhole and an
-    # order-40 line; a reduction; the sampled Lipschitz ratios of both witnesses and a
-    # porosity round; the parallel and kinks suites, and the oracle suite at
-    # depths 2 and 3.
+    # order-40 line; a reduction; the sampled Lipschitz ratios of both
+    # witnesses and a porosity round; the parallel and kinks suites, and the
+    # oracle suite at depths 2 and 3.
     for command, sha in _PINNED_STDOUT.items():
         code, out, _ = run(capsys, *command.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha, command
@@ -668,7 +668,8 @@ def test_off_grid_jump_exits_3(monkeypatch, capsys):
 
 
 def test_interval_outside_unit_range_exits_3(monkeypatch, capsys):
-    # Every searched interval stretched one unit past 1 on the pair's scale.
+    # The top of every searched interval raised by 1 (by den on the pair's
+    # scale), past the top of [0, 1].
     search = metric._Pair.search
 
     def stretched(self):
