@@ -54,7 +54,6 @@ from .core import (
     _format_ratio,
     canonicalize,
     format_rational,
-    nearest_wormhole_gap,
     parse_rational,
     point,
     point_to_json,
@@ -65,8 +64,9 @@ from .core import (
 from .metric import _Pair, distance  # noqa: F401
 from .profiles import (
     _MAX_CENSUS_LEVEL,
+    _closed_form,
+    _gaps,
     census_records,
-    expected_kinks,
     parallel_reduction,
     profile_distance_on_line,
     profile_to_svg,
@@ -188,12 +188,14 @@ def _binding_order(p: LaaksoPoint, levels: Tuple[int, ...]) -> int:
     order-`levels[0]` wormhole, so it is at least as long as the smaller
     order-`levels[0]` gap g at h(p); a deeper order M binds only if
     g < 2/3**M, since its grid (spacing at most 2/3**M) meets every longer
-    interval."""
-    g = min(gap for gap in nearest_wormhole_gap(p.height, levels[0]) if gap is not None)
-    order = levels[0]
+    interval.  The gaps are read as integers over den h(p) * 3**levels[0]."""
+    n = levels[0]
+    den = p.height.denominator * 3**n
+    g = min(gap for gap in _gaps(p.height.numerator * 3**n, den, n) if gap is not None)
+    order = n
     for m in levels[1:]:
-        # g < 2/3**m is impossible once 3**m > 2**m >= 2 * den(g).
-        if m < (2 * g.denominator).bit_length() and 3**m * g.numerator < 2 * g.denominator:
+        # g / den < 2/3**m is impossible once 3**m > 2**m >= 2 * den.
+        if m < (2 * den).bit_length() and 3**m * g < 2 * den:
             order = m
     return order
 
@@ -350,21 +352,21 @@ def cmd_profile(args) -> int:
     if levels:
         _check_printable("--line", p.height.denominator, _binding_order(p, levels))
     lines = vertical_lines(p, levels)
+    profiles = [profile_distance_on_line(p, line) for line in lines]
+    # One closed form serves every line: it depends on h(p) and the levels.
+    _, den, closed = _closed_form(p.height, levels)
+    expected = [_format_ratio(v, den) for v in closed]
     results = []
     svgs = []
     ok = True
-    for line in lines:
-        profile = profile_distance_on_line(p, line)
-        expected = expected_kinks(p, line)
-        match = profile.kink_heights() == expected
+    for line, profile in zip(lines, profiles):
+        # The kinks are the inner run starts, over profile.den; v / den is
+        # kink k / profile.den exactly when v * profile.den == k * den, so a
+        # closed-form height off the profile's scale matches no kink.
+        kinks = [run[0] for run in profile.runs[1:]]
+        match = len(kinks) == len(closed) and all(v * profile.den == k * den for v, k in zip(closed, kinks))
         ok = ok and match
-        results.append(
-            {
-                "profile": profile.to_json(),
-                "expected_kinks": [format_rational(h) for h in expected],
-                "pass": match,
-            }
-        )
+        results.append({"profile": profile.to_json(), "expected_kinks": expected, "pass": match})
         if args.svg:
             suffix = f".{line.branch}" if len(lines) > 1 else ""
             path = args.svg if not suffix else _suffixed(args.svg, suffix)

@@ -19,11 +19,17 @@ and their tie h(p) + u_n - d_n.  That is at most 3 per required order and
 
 A line is worked on one integer scale (`_LineScale`).  p is canonicalized
 once, and the orders the line requires are the set bits of its address
-mask XOR the line's; every height, candidate and distance value of the
-line is an integer over one denominator, den h(p) * 3**N for N the deepest
-required order.  Each evaluation is one `metric._Pair.search` on that
-scale, and `Fraction`s are built only for the returned `Piece` and `Kink`
-fields.
+mask XOR the line's, less p's own wormhole order (free at p); every
+height, candidate and distance value of the line is an integer over one
+denominator, den h(p) * 3**N for N the deepest required order.  Each
+evaluation is one `metric._Pair.search` on that scale, and the returned
+`KinkProfile` keeps the certified runs as those integers: its `Piece` and
+`Kink` `Fraction`s are views built only when a library caller reads them,
+and `laakso profile` prints the runs by `core._format_ratio`.  The closed
+forms are worked the same way: one private core (`_closed_form`) gives
+their kink heights as integers over den h * 3**N from grid-kernel gaps, and
+`expected_kinks`, `classify_two_level` and `census_records` are its
+`Fraction` views.
 
 The profile is evaluated once at each candidate, and each gap between
 consecutive candidates is then certified linear: since the profile is
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -46,11 +53,11 @@ from .core import (
     CantorAddress,
     InternalError,
     LaaksoPoint,
+    _format_ratio,
     _grid_index,
     _orders,
     canonicalize,
     format_rational,
-    nearest_wormhole_gap,
     parse_rational,
     wormhole_order,
 )
@@ -114,6 +121,15 @@ def _checked_levels(height: Fraction, levels: Sequence[int]) -> Tuple[Tuple[int,
     return levels, w
 
 
+def _label(levels: Tuple[int, ...]) -> str:
+    """The line's name: v0, v<N> for one jump order, vD:<N>,<M>,... for more."""
+    if not levels:
+        return "v0"
+    if len(levels) == 1:
+        return f"v{levels[0]}"
+    return "vD:" + ",".join(str(n) for n in levels)
+
+
 def vertical_lines(p: LaaksoPoint, levels: Sequence[int]) -> List[VerticalLine]:
     """The lines reached from p by jumping once at each given order.
 
@@ -125,13 +141,7 @@ def vertical_lines(p: LaaksoPoint, levels: Sequence[int]) -> List[VerticalLine]:
     """
     pc = canonicalize(p)
     levels, w = _checked_levels(pc.height, levels)
-    if not levels:
-        label = "v0"
-    elif len(levels) == 1:
-        label = f"v{levels[0]}"
-    else:
-        label = "vD:" + ",".join(str(n) for n in levels)
-
+    label = _label(levels)
     mask = pc.address.mask ^ sum(1 << (n - 1) for n in levels)  # one jump per (distinct) order
     depth = max(p.address.depth, levels[-1] if levels else 0)
     lines = [VerticalLine(CantorAddress._of(mask, depth), label, levels, 0)]
@@ -154,6 +164,11 @@ class Piece:
         return self.slope * t + self.offset
 
 
+def _kind(left_slope: int, right_slope: int) -> str:
+    """"min" for a V (-1 then +1), "max" for a roof (+1 then -1)."""
+    return "min" if left_slope < right_slope else "max"
+
+
 @dataclass(frozen=True)
 class Kink:
     height: Fraction
@@ -162,18 +177,49 @@ class Kink:
 
     @property
     def kind(self) -> str:
-        """"min" for a V (-1 then +1), "max" for a roof (+1 then -1)."""
-        return "min" if self.left_slope < self.right_slope else "max"
+        return _kind(self.left_slope, self.right_slope)
 
 
 _piece_hi = attrgetter("hi")
 
+_Run = Tuple[int, int, int, int]  # (lo, v(lo), hi, slope), heights and values times den
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class KinkProfile:
+    """The certified profile of a line: its maximal linear runs, sorted
+    and contiguous, as integers over `den`; consecutive runs differ in
+    slope, so every inner run start is a kink.
+
+    `pieces` and `kinks` are the runs' `Fraction` views, built the first
+    time they are read.  Two profiles are equal when their lines, pieces
+    and kinks are, whatever their `den`s.
+    """
+
     line: VerticalLine
-    pieces: Tuple[Piece, ...]
-    kinks: Tuple[Kink, ...]
+    den: int
+    runs: Tuple[_Run, ...]
+
+    @cached_property
+    def pieces(self) -> Tuple[Piece, ...]:
+        den = self.den
+        return tuple(
+            Piece(Fraction(lo, den), Fraction(hi, den), slope, Fraction(vlo - slope * lo, den))
+            for lo, vlo, hi, slope in self.runs
+        )
+
+    @cached_property
+    def kinks(self) -> Tuple[Kink, ...]:
+        pieces = self.pieces
+        return tuple(Kink(b.lo, a.slope, b.slope) for a, b in zip(pieces, pieces[1:]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KinkProfile):
+            return NotImplemented
+        return (self.line, self.pieces, self.kinks) == (other.line, other.pieces, other.kinks)
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.pieces, self.kinks))
 
     def value_at(self, t: Fraction) -> Fraction:
         for piece in self.pieces:
@@ -200,35 +246,31 @@ class KinkProfile:
         return [k.height for k in self.kinks]
 
     def to_json(self) -> dict:
+        """The wire form, written straight from the runs."""
+        den, runs = self.den, self.runs
         return {
             "line": {"label": self.line.label, "bits": self.line.bits, "branch": self.line.branch},
             "pieces": [
                 {
-                    "lo": format_rational(p.lo),
-                    "hi": format_rational(p.hi),
-                    "slope": p.slope,
-                    "offset": format_rational(p.offset),
+                    "lo": _format_ratio(lo, den),
+                    "hi": _format_ratio(hi, den),
+                    "slope": slope,
+                    "offset": _format_ratio(vlo - slope * lo, den),
                 }
-                for p in self.pieces
+                for lo, vlo, hi, slope in runs
             ],
             "kinks": [
-                {
-                    "h": format_rational(k.height),
-                    "left": k.left_slope,
-                    "right": k.right_slope,
-                    "kind": k.kind,
-                }
-                for k in self.kinks
+                {"h": _format_ratio(b[0], den), "left": a[3], "right": b[3], "kind": _kind(a[3], b[3])}
+                for a, b in zip(runs, runs[1:])
             ],
         }
 
 
 def _assemble(line: VerticalLine, v: Callable[[int], int], breaks: List[int], den: int) -> KinkProfile:
     """Evaluate v once at each break (heights times `den`), certify every gap
-    between consecutive breaks linear, merge runs of one slope, and build
-    the profile's `Fraction`s."""
+    between consecutive breaks linear, and merge runs of one slope."""
     values = [v(t) for t in breaks]
-    runs: List[Tuple[int, int, int, int]] = []  # (lo, v(lo), hi, slope)
+    runs: List[_Run] = []
     for t0, v0, t1, v1 in zip(breaks, values, breaks[1:], values[1:]):
         if abs(v1 - v0) != t1 - t0:
             raise ProfileLinearityError("a gap between consecutive candidates of the line is not linear")
@@ -237,12 +279,7 @@ def _assemble(line: VerticalLine, v: Callable[[int], int], breaks: List[int], de
             runs[-1] = runs[-1][:2] + (t1, slope)
         else:
             runs.append((t0, v0, t1, slope))
-    pieces = tuple(
-        Piece(Fraction(lo, den), Fraction(hi, den), slope, Fraction(vlo - slope * lo, den))
-        for lo, vlo, hi, slope in runs
-    )
-    kinks = tuple(Kink(b.lo, a.slope, b.slope) for a, b in zip(pieces, pieces[1:]))
-    return KinkProfile(line, pieces, kinks)
+    return KinkProfile(line, den, tuple(runs))
 
 
 class _LineScale:
@@ -250,22 +287,26 @@ class _LineScale:
     height on one integer scale.
 
     `levels` are the orders the line requires, the set bits of p's
-    canonical mask XOR the line's.  `den` is den h(p) * 3**N, N the deepest
-    of them (the rule of `metric._Pair.on_scale`): it holds 0, 1, h(p)
-    (`hp` on the scale), every candidate and the distance values there.
+    canonical mask XOR the line's, less p's own wormhole order w.  `den`
+    is den h(p) * 3**N, N the deepest of them (the rule of
+    `metric._Pair.on_scale`): it holds 0, 1, h(p) (`hp` on the scale),
+    every candidate and the distance values there.
+
+    Why w is left out.  Every interval the search considers holds h(p),
+    which is on w's grid, so w never constrains it, required or not; left
+    in, it would only deepen the scale and spend candidates.
 
     Why the candidates suffice.  The distance depends on the required
-    orders alone, so no other order (a jump order of a hand-built line,
-    p's wormhole order w) adds a breakpoint; w is no constraint even when
-    required, since every interval holds h(p), which is on its grid.  An
-    interval holding wormholes x1, x2 of the two smallest constraining
-    orders n1 < n2 reaches |x1 - x2| >= 3**-n2 past x1, and x1 +- 3**-n has
-    order n for every n > n1, so the profile is that of at most two orders
-    (the parallel reduction), whose closed-form kinks (`classify_two_level`)
-    are all candidates.  No closed form lists a pairwise tie h(p) + a - b
-    of gaps of two orders; that the closed forms are complete is checked
-    (A3-A5, A14, A15), not proved here, and a missed breakpoint raises
-    `ProfileLinearityError` in `_assemble`, never a wrong profile.
+    orders alone, so no other order (a jump order of a hand-built line)
+    adds a breakpoint.  An interval holding wormholes x1, x2 of the two
+    smallest constraining orders n1 < n2 reaches |x1 - x2| >= 3**-n2 past
+    x1, and x1 +- 3**-n has order n for every n > n1, so the profile is
+    that of at most two orders (the parallel reduction), whose closed-form
+    kinks (`classify_two_level`) are all candidates.  No closed form lists
+    a pairwise tie h(p) + a - b of gaps of two orders; that the closed
+    forms are complete is checked (A3-A5, A14, A15), not proved here, and
+    a missed breakpoint raises `ProfileLinearityError` in `_assemble`,
+    never a wrong profile.
     """
 
     __slots__ = ("levels", "den", "hp")
@@ -276,7 +317,11 @@ class _LineScale:
         # required, and t itself meets the order-n requirement, so
         # `_Pair.search` returns the same intervals for either.
         height = pc.height
-        self.levels = _orders(pc.address.mask ^ line.base_address.mask)
+        mask = pc.address.mask ^ line.base_address.mask
+        w = wormhole_order(height)
+        if w is not None:
+            mask &= ~(1 << (w - 1))
+        self.levels = _orders(mask)
         order = self.levels[-1] if self.levels else 0
         self.den = height.denominator * 3**order
         self.hp = height.numerator * 3**order
@@ -289,17 +334,11 @@ class _LineScale:
     def candidates(self) -> List[int]:
         """The sorted candidate breakpoints: 0, 1 and h(p), and for each
         required order n the order-n wormhole heights nearest above and
-        below h(p) and their tie."""
+        below h(p) and their tie, the single-jump closed form of order n."""
         den, hp = self.den, self.hp
         breaks = {0, den, hp}
         for n in self.levels:
-            top = 3**n
-            step = den // top
-            nearest = (_grid_index(top, hp, step, up, True) for up in (True, False))
-            near = [k * step for k in nearest if k is not None]
-            breaks.update(near)
-            if len(near) == 2:
-                breaks.add(near[0] + near[1] - hp)  # h(p) + u_n - d_n, the tie of the two routes
+            breaks.update(_single(hp, *_gaps(hp, den, n)))
         return sorted(breaks)
 
 
@@ -319,16 +358,29 @@ class ImpossibleGapConfiguration(InternalError):
     one means the closed-form case analysis disagrees with the arithmetic."""
 
 
-def _expected_single(p1: Fraction, n: int) -> List[Fraction]:
-    up, down = nearest_wormhole_gap(p1, n)
-    if up is not None and down is not None:
-        tie = up - down  # height where down-route and up-route tie
-        return sorted([p1 - down, p1 + tie, p1 + up])
-    if up is not None:
-        return [p1 + up]
-    if down is not None:
-        return [p1 - down]
-    raise ImpossibleGapConfiguration(f"order {n} has no wormhole on either side of {p1}")
+def _gaps(hp: int, den: int, n: int) -> Tuple[Optional[int], Optional[int]]:
+    """(up, down): the distances from hp / den to the strictly nearest
+    order-n wormhole heights above and below it, times den (a multiple of
+    3**n), None for a side with none; `nearest_wormhole_gap` on a scale."""
+    top = 3**n
+    step = den // top
+    above = _grid_index(top, hp, step, True, True)
+    below = _grid_index(top, hp, step, False, True)
+    return (
+        None if above is None else above * step - hp,
+        None if below is None else hp - below * step,
+    )
+
+
+def _single(hp: int, up: Optional[int], down: Optional[int]) -> List[int]:
+    """The single-jump kinks at hp from its gaps of one order, increasing:
+    the wormhole below, the tie h + up - down of the two routes and the
+    wormhole above, or the one wormhole of a one-sided grid."""
+    if up is None:
+        return [] if down is None else [hp - down]
+    if down is None:
+        return [hp + up]
+    return [hp - down, hp + up - down, hp + up]
 
 
 TWO_LEVEL_BRANCHES = (
@@ -344,6 +396,81 @@ TWO_LEVEL_BRANCHES = (
 )
 
 
+def _closed_form(h: Fraction, levels: Sequence[int]) -> Tuple[Optional[str], int, List[int]]:
+    """The closed-form kinks of the line of jump orders `levels` (none, one,
+    or two increasing ones) from a base point at height h in [0, 1]:
+    the two-level branch label (None for fewer levels), den = den h * 3**N
+    for N the deepest order, and the kink heights as increasing integers
+    over den.  See `classify_two_level` for the two-level branches."""
+    num, den = h.numerator, h.denominator
+    if not levels:
+        return None, den, [num] if 0 < num < den else []
+    if len(levels) == 2 and not 1 <= levels[0] < levels[1]:
+        raise ValueError("need two orders with n < m")
+    if not 0 <= num <= den:
+        raise ValueError(f"gap queries need t in [0, 1], got {h}")
+    scale = 3 ** levels[-1]
+    hp, den = num * scale, den * scale
+    if len(levels) == 1:
+        heights = _single(hp, *_gaps(hp, den, levels[0]))
+        if not heights:
+            raise ImpossibleGapConfiguration(f"order {levels[0]} has no wormhole on either side of {h}")
+        return None, den, heights
+
+    un, dn = _gaps(hp, den, levels[0])
+    um, dm = _gaps(hp, den, levels[1])
+    if dm is None and dn is not None:
+        raise ImpossibleGapConfiguration("order-m grid reaches lower than order-n grid")
+    if um is None and un is not None:
+        raise ImpossibleGapConfiguration("order-m grid reaches higher than order-n grid")
+
+    if dn is None and dm is None:
+        if not (um < un):
+            raise ImpossibleGapConfiguration("below the whole grid the finer gap is smaller")
+        return "deg-low-both", den, [hp + un]
+    if dn is None:
+        if un > um:
+            return "deg-low-far", den, [hp + un]
+        heights = [hp - dm, hp, hp + un, hp + um - dm, hp + um]
+        if heights != sorted(heights):
+            raise ImpossibleGapConfiguration("five-kink list out of order")
+        return "deg-low-near", den, heights
+    if un is None and um is None:
+        if not (dm < dn):
+            raise ImpossibleGapConfiguration("above the whole grid the finer gap is smaller")
+        return "deg-high-both", den, [hp - dn]
+    if un is None:
+        if dn > dm:
+            return "deg-high-far", den, [hp - dn]
+        heights = sorted([hp - dm, hp + um - dm, hp - dn, hp, hp + um])
+        return "deg-high-near", den, heights
+
+    # All four gaps finite.
+    tie_n = un - dn
+    tie_m = um - dm
+    if dm < dn and um < un:
+        return "nested", den, _single(hp, un, dn)
+    if dm < dn and un < um:
+        heights = [hp - dn, hp + tie_n, hp - dm, hp, hp + un, hp + tie_m, hp + um]
+        if heights != sorted(heights):
+            raise ImpossibleGapConfiguration("seven-kink list out of order")
+        return "straddle-up", den, heights
+    if dn < dm and um < un:
+        heights = [hp - dm, hp + tie_m, hp - dn, hp, hp + um, hp + tie_n, hp + un]
+        if heights != sorted(heights):
+            raise ImpossibleGapConfiguration("seven-kink list out of order")
+        return "straddle-down", den, heights
+    raise ImpossibleGapConfiguration(
+        "both order-m neighbours strictly outside the order-n window"
+    )
+
+
+def _closed_heights(h: Fraction, levels: Sequence[int]) -> Tuple[Optional[str], List[Fraction]]:
+    """`_closed_form` with its heights as `Fraction`s."""
+    branch, den, heights = _closed_form(h, levels)
+    return branch, [Fraction(v, den) for v in heights]
+
+
 def classify_two_level(p1: Fraction, n: int, m: int) -> Tuple[str, List[Fraction]]:
     """Branch label and closed-form kink heights for a two-jump line.
 
@@ -356,56 +483,14 @@ def classify_two_level(p1: Fraction, n: int, m: int) -> Tuple[str, List[Fraction
       outside (7 kinks, the two tie heights on both sides plus p1 itself).
     - "deg-low-*": no order-n wormhole below p1 (1 or 5 kinks); mirrored
       "deg-high-*" when there is none above.
+
+    p1 is a `Fraction` or an int; any other type is a TypeError.
     """
     if not (1 <= n < m):
         raise ValueError("need two orders with n < m")
-    un, dn = nearest_wormhole_gap(p1, n)
-    um, dm = nearest_wormhole_gap(p1, m)
-
-    if dm is None and dn is not None:
-        raise ImpossibleGapConfiguration("order-m grid reaches lower than order-n grid")
-    if um is None and un is not None:
-        raise ImpossibleGapConfiguration("order-m grid reaches higher than order-n grid")
-
-    if dn is None and dm is None:
-        if not (um < un):
-            raise ImpossibleGapConfiguration("below the whole grid the finer gap is smaller")
-        return "deg-low-both", [p1 + un]
-    if dn is None:
-        if un > um:
-            return "deg-low-far", [p1 + un]
-        heights = [p1 - dm, p1, p1 + un, p1 + um - dm, p1 + um]
-        if heights != sorted(heights):
-            raise ImpossibleGapConfiguration("five-kink list out of order")
-        return "deg-low-near", heights
-    if un is None and um is None:
-        if not (dm < dn):
-            raise ImpossibleGapConfiguration("above the whole grid the finer gap is smaller")
-        return "deg-high-both", [p1 - dn]
-    if un is None:
-        if dn > dm:
-            return "deg-high-far", [p1 - dn]
-        heights = sorted([p1 - dm, p1 + um - dm, p1 - dn, p1, p1 + um])
-        return "deg-high-near", heights
-
-    # All four gaps finite.
-    tie_n = un - dn
-    tie_m = um - dm
-    if dm < dn and um < un:
-        return "nested", _expected_single(p1, n)
-    if dm < dn and un < um:
-        heights = [p1 - dn, p1 + tie_n, p1 - dm, p1, p1 + un, p1 + tie_m, p1 + um]
-        if heights != sorted(heights):
-            raise ImpossibleGapConfiguration("seven-kink list out of order")
-        return "straddle-up", heights
-    if dn < dm and um < un:
-        heights = [p1 - dm, p1 + tie_m, p1 - dn, p1, p1 + um, p1 + tie_n, p1 + un]
-        if heights != sorted(heights):
-            raise ImpossibleGapConfiguration("seven-kink list out of order")
-        return "straddle-down", heights
-    raise ImpossibleGapConfiguration(
-        "both order-m neighbours strictly outside the order-n window"
-    )
+    if isinstance(p1, str):
+        raise TypeError("expected a Fraction or int height, got str")
+    return _closed_heights(parse_rational(p1), (n, m))
 
 
 def expected_kinks(p: LaaksoPoint, line: VerticalLine) -> List[Fraction]:
@@ -416,14 +501,9 @@ def expected_kinks(p: LaaksoPoint, line: VerticalLine) -> List[Fraction]:
     level sets are rejected, since their profiles reduce to two-jump ones
     (`parallel_reduction`).
     """
-    h = p.height
-    if len(line.levels) == 0:
-        return [h] if 0 < h < 1 else []
-    if len(line.levels) == 1:
-        return _expected_single(h, line.levels[0])
-    if len(line.levels) == 2:
-        return classify_two_level(h, *line.levels)[1]
-    raise ValueError("closed forms cover at most two levels; use parallel_reduction")
+    if len(line.levels) > 2:
+        raise ValueError("closed forms cover at most two levels; use parallel_reduction")
+    return _closed_heights(p.height, line.levels)[1]
 
 
 def _reduction_lengths(h: Fraction, levels: Tuple[int, ...], t: Fraction) -> Tuple[int, int, int]:
@@ -482,14 +562,12 @@ def census_records(p: LaaksoPoint, max_level: int) -> List[Tuple[Fraction, str, 
     contributes h(p) unless it is a boundary height, where it has no kink."""
     if not (1 <= max_level <= _MAX_CENSUS_LEVEL):
         raise ValueError(f"max_level must be in 1..{_MAX_CENSUS_LEVEL}")
-    records: List[Tuple[Fraction, str, str]] = [
-        (h, "v0", "min") for h in expected_kinks(p, vertical_lines(p, ())[0])
-    ]
-    for levels in census_level_sets(p, max_level):
-        line = vertical_lines(p, levels)[0]
-        heights = expected_kinks(p, line)
-        for i, h in enumerate(heights):
-            records.append((h, line.label, "min" if i % 2 == 0 else "max"))
+    h = p.height
+    records: List[Tuple[Fraction, str, str]] = []
+    for levels in [()] + census_level_sets(p, max_level):
+        label = _label(levels)
+        for i, height in enumerate(_closed_heights(h, levels)[1]):
+            records.append((height, label, "min" if i % 2 == 0 else "max"))
     records.sort(key=lambda r: (r[0], r[1]))
     return records
 

@@ -19,7 +19,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import laakso
-from laakso import cli, metric
+from laakso import cli, metric, profiles
 from laakso.cli import main
 from laakso.core import (
     Direction,
@@ -27,10 +27,12 @@ from laakso.core import (
     InternalError,
     canonicalize,
     format_rational,
+    nearest_wormhole_gap,
     point,
     point_to_json,
     wormhole_order,
 )
+from laakso.profiles import expected_kinks, profile_distance_on_line, vertical_lines
 
 SRC = Path(laakso.__file__).resolve().parent.parent
 
@@ -322,6 +324,109 @@ def test_distance_reply_builds_no_fraction_interval_or_path(monkeypatch, capsys)
         assert run(capsys, *command.split()) == replies[command], command
 
 
+def _reference_profile_reply(p, levels):
+    """The `profile` reply built from the library's objects: each line's
+    pieces and kinks and `expected_kinks` as `Fraction`s, each printed by
+    `format_rational`, the whole by the standard `json` module."""
+    results = []
+    ok = True
+    for line in vertical_lines(p, levels):
+        profile = profile_distance_on_line(p, line)
+        expected = expected_kinks(p, line)
+        match = profile.kink_heights() == expected
+        ok = ok and match
+        pieces = [
+            {"lo": format_rational(x.lo), "hi": format_rational(x.hi), "slope": x.slope, "offset": format_rational(x.offset)}
+            for x in profile.pieces
+        ]
+        kinks = [
+            {"h": format_rational(k.height), "left": k.left_slope, "right": k.right_slope, "kind": k.kind}
+            for k in profile.kinks
+        ]
+        results.append(
+            {
+                "profile": {
+                    "line": {"label": line.label, "bits": line.bits, "branch": line.branch},
+                    "pieces": pieces,
+                    "kinks": kinks,
+                },
+                "expected_kinks": [format_rational(h) for h in expected],
+                "pass": match,
+            }
+        )
+    payload = {"p": point_to_json(canonicalize(p)), "lines": results}
+    return (0 if ok else 1), json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def _profile_requests(draw):
+    """A base point, at a wormhole height (two lines, one per branch) or
+    not, boundary heights included, with up to two jump orders up to 8
+    that avoid its own wormhole order."""
+    h = draw(st.one_of(_wormhole_heights, _reply_heights))
+    bits = draw(st.text("01", max_size=8))
+    w = wormhole_order(h)
+    orders = [n for n in range(1, 9) if n != w]
+    levels = tuple(sorted(draw(st.lists(st.sampled_from(orders), max_size=2, unique=True))))
+    event("wormhole base point" if w else "no wormhole at h(p)")
+    return point(h, bits), levels
+
+
+@settings(max_examples=200, deadline=None)
+@example((point("1/3", "1"), (2,)))
+@example((point("0", ""), (1, 2)))
+@example((point("1", "1"), ()))
+@example((point("13/20", "0"), (1, 2)))
+@given(_profile_requests())
+def test_profile_reply_matches_the_object_path(request):
+    # The reply is printed off the line's integer scale; the library's
+    # `Fraction` views, printed by `format_rational` and `json`, must read
+    # the same.
+    p, levels = request
+    spec = "vD:" + ",".join(map(str, levels)) if len(levels) == 2 else f"v{levels[0] if levels else 0}"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["profile", "--p", f"{format_rational(p.height)}:{p.address.bits}", "--line", spec])
+    assert (code, out.getvalue()) == _reference_profile_reply(p, levels)
+
+
+def test_profile_reply_builds_no_fraction_piece_or_kink(monkeypatch, capsys):
+    # With the object types `profiles` builds made to raise, every pinned
+    # `profile` reply still prints the same bytes: pieces, kinks and the
+    # closed-form kinks are read off integers alone.
+    commands = [command for command in _PINNED_STDOUT if command.startswith("profile ")]
+    replies = {command: run(capsys, *command.split()) for command in commands}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an object was built for a profile reply")
+
+    for name in ("Fraction", "Piece", "Kink"):
+        monkeypatch.setattr(profiles, name, refuse)
+    p = point("1/2", "0")
+    with pytest.raises(AssertionError):
+        profile_distance_on_line(p, vertical_lines(p, (1,))[0]).pieces
+    for command in commands:
+        assert run(capsys, *command.split()) == replies[command], command
+
+
+def test_closed_form_off_the_profile_scale_is_a_mismatch(monkeypatch, capsys):
+    # The profile of v1 at 1/2 lives on the scale 6.  A closed-form height
+    # whose denominator does not divide 6 is no kink of it: the line fails
+    # (exit 1), and nothing is raised.  Heights on the scale 6 written over
+    # 12 are the same kinks and pass.
+    argv = ("profile", "--p", "1/2:0", "--line", "v1")
+    for planted, code, passed, expected in (
+        ((None, 7, [1]), 1, False, ["1/7"]),
+        ((None, 12, [4, 5, 8]), 1, False, ["1/3", "5/12", "2/3"]),
+        ((None, 12, [4, 6, 8]), 0, True, ["1/3", "1/2", "2/3"]),
+    ):
+        monkeypatch.setattr(cli, "_closed_form", lambda h, levels, planted=planted: planted)
+        got, out, err = run(capsys, *argv)
+        (entry,) = json.loads(out)["lines"]
+        assert (got, err, entry["pass"], entry["expected_kinks"]) == (code, "", passed, expected)
+        assert [k["h"] for k in entry["profile"]["kinks"]] == ["1/3", "1/2", "2/3"]
+
+
 _json_strings = st.text(
     st.one_of(
         st.characters(),
@@ -507,7 +612,7 @@ def test_internal_invariant_failures_exit_3(monkeypatch, capsys):
 
     for name, exc in (
         ("profile_distance_on_line", ProfileLinearityError("no linear certificate")),
-        ("expected_kinks", ImpossibleGapConfiguration("five-kink list out of order")),
+        ("_closed_form", ImpossibleGapConfiguration("five-kink list out of order")),
     ):
 
         def boom(*args, exc=exc):
@@ -1011,6 +1116,30 @@ def test_printable_bound_counts_only_binding_orders():
             assert json.loads(out)["lines"][0]["pass"] is True
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _binding_order_in_fractions(p, levels):
+    """`cli._binding_order` on the public gap query, in `Fraction`s; kept
+    as the reference for the integer gaps."""
+    g = min(gap for gap in nearest_wormhole_gap(p.height, levels[0]) if gap is not None)
+    order = levels[0]
+    for m in levels[1:]:
+        if m < (2 * g.denominator).bit_length() and 3**m * g.numerator < 2 * g.denominator:
+            order = m
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@example(Fraction(27, 329), (1335, 1337))
+@example(Fraction(14, 17), (1337, 1340))
+@example(Fraction(0), (1, 2, 3))
+@given(
+    st.one_of(_profile_heights, _wormhole_heights),
+    st.lists(st.one_of(st.integers(1, 12), st.integers(1300, 1345)), min_size=1, max_size=3, unique=True),
+)
+def test_binding_order_equals_fraction_rule(height, levels):
+    p, levels = point(height, "0"), tuple(sorted(levels))
+    assert cli._binding_order(p, levels) == _binding_order_in_fractions(p, levels)
 
 
 @settings(max_examples=120, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laakso import oracle, verify
+from laakso import oracle, profiles, verify
 from laakso.core import (
     CantorAddress,
     InternalError,
@@ -22,6 +22,7 @@ from laakso.core import (
 from laakso.metric import _Pair, distance
 from laakso.profiles import (
     TWO_LEVEL_BRANCHES,
+    ImpossibleGapConfiguration,
     Kink,
     KinkProfile,
     Piece,
@@ -29,6 +30,7 @@ from laakso.profiles import (
     VerticalLine,
     _assemble,
     _LineScale,
+    census_level_sets,
     census_records,
     classify_two_level,
     expected_kinks,
@@ -274,6 +276,178 @@ def test_census_heights_confirmed_by_profiles():
     assert confirmed == census
 
 
+def _reference_single(p1, n, gaps=nearest_wormhole_gap):
+    """The single-jump closed form in `Fraction`s, from the public gap
+    query; kept as the reference for the integer core."""
+    up, down = gaps(p1, n)
+    if up is not None and down is not None:
+        return sorted([p1 - down, p1 + (up - down), p1 + up])
+    if up is not None:
+        return [p1 + up]
+    if down is not None:
+        return [p1 - down]
+    raise ImpossibleGapConfiguration(f"order {n} has no wormhole on either side of {p1}")
+
+
+def _reference_two_level(p1, n, m, gaps=nearest_wormhole_gap):
+    """`classify_two_level` in `Fraction`s, from the public gap query; kept
+    as the reference for the integer core."""
+    if not (1 <= n < m):
+        raise ValueError("need two orders with n < m")
+    un, dn = gaps(p1, n)
+    um, dm = gaps(p1, m)
+    if dm is None and dn is not None:
+        raise ImpossibleGapConfiguration("order-m grid reaches lower than order-n grid")
+    if um is None and un is not None:
+        raise ImpossibleGapConfiguration("order-m grid reaches higher than order-n grid")
+    if dn is None and dm is None:
+        if not (um < un):
+            raise ImpossibleGapConfiguration("below the whole grid the finer gap is smaller")
+        return "deg-low-both", [p1 + un]
+    if dn is None:
+        if un > um:
+            return "deg-low-far", [p1 + un]
+        heights = [p1 - dm, p1, p1 + un, p1 + um - dm, p1 + um]
+        if heights != sorted(heights):
+            raise ImpossibleGapConfiguration("five-kink list out of order")
+        return "deg-low-near", heights
+    if un is None and um is None:
+        if not (dm < dn):
+            raise ImpossibleGapConfiguration("above the whole grid the finer gap is smaller")
+        return "deg-high-both", [p1 - dn]
+    if un is None:
+        if dn > dm:
+            return "deg-high-far", [p1 - dn]
+        return "deg-high-near", sorted([p1 - dm, p1 + um - dm, p1 - dn, p1, p1 + um])
+    if dm < dn and um < un:
+        return "nested", _reference_single(p1, n, gaps)
+    if dm < dn and un < um:
+        heights = [p1 - dn, p1 + un - dn, p1 - dm, p1, p1 + un, p1 + um - dm, p1 + um]
+        if heights != sorted(heights):
+            raise ImpossibleGapConfiguration("seven-kink list out of order")
+        return "straddle-up", heights
+    if dn < dm and um < un:
+        heights = [p1 - dm, p1 + um - dm, p1 - dn, p1, p1 + um, p1 + un - dn, p1 + un]
+        if heights != sorted(heights):
+            raise ImpossibleGapConfiguration("seven-kink list out of order")
+        return "straddle-down", heights
+    raise ImpossibleGapConfiguration("both order-m neighbours strictly outside the order-n window")
+
+
+def _reference_census(p, max_level):
+    """`census_records` over the reference closed forms and the lines'
+    labels."""
+    h = p.height
+    records = [(h, "v0", "min")] if 0 < h < 1 else []
+    for levels in census_level_sets(p, max_level):
+        label = vertical_lines(p, levels)[0].label
+        heights = _reference_single(h, *levels) if len(levels) == 1 else _reference_two_level(h, *levels)[1]
+        records += [(x, label, "min" if i % 2 == 0 else "max") for i, x in enumerate(heights)]
+    return sorted(records, key=lambda r: (r[0], r[1]))
+
+
+def _closed_form_heights(rng):
+    """0, 1, a wormhole of every order up to 15 (its least and greatest and
+    one drawn), and `_deep_height`s and small-denominator heights."""
+    heights = [F(0), F(1)]
+    for n in range(1, 16):
+        k = rng.randrange(1, 3**n)
+        heights += [F(1, 3**n), F(3**n - 1, 3**n), F(k + (k % 3 == 0), 3**n)]
+    heights += [_deep_height(rng) for _ in range(60)]
+    heights += [F(rng.randint(0, d), d) for d in rng.choices([2, 4, 5, 7, 10, 20, 36, 54], k=30)]
+    return heights
+
+
+def test_closed_forms_equal_fraction_reference():
+    # One- and two-order lines of every order up to 15 at every height of
+    # `_closed_form_heights`; every branch is reached.
+    hits = set()
+    for h in _closed_form_heights(random.Random(16)):
+        p = point(h, "0")
+        w = wormhole_order(h)
+        assert expected_kinks(p, vertical_lines(p, ())[0]) == ([h] if 0 < h < 1 else [])
+        orders = [n for n in range(1, 16) if n != w]
+        for n in orders:
+            assert expected_kinks(p, vertical_lines(p, (n,))[0]) == _reference_single(h, n), (h, n)
+        for n, m in combinations(orders, 2):
+            branch, heights = classify_two_level(h, n, m)
+            assert (branch, heights) == _reference_two_level(h, n, m), (h, n, m)
+            assert expected_kinks(p, vertical_lines(p, (n, m))[0]) == heights
+            hits.add(branch)
+    assert hits == set(TWO_LEVEL_BRANCHES)
+
+
+def test_closed_form_arguments_as_before():
+    # An int height is taken, a float or a str refused, orders checked first.
+    for p1, n, m in ((0, 1, 2), (1, 1, 3), (True, 2, 5)):
+        assert classify_two_level(p1, n, m) == _reference_two_level(p1, n, m)
+    for p1 in (0.5, "1/2", "0", None):
+        for f in (classify_two_level, _reference_two_level):
+            with pytest.raises(TypeError):
+                f(p1, 1, 2)
+    for p1, n, m in ((F(1, 2), 2, 1), (F(1, 2), 0, 2), (0.5, 2, 2), (F(3, 2), 1, 2), (F(-1, 2), 1, 2)):
+        with pytest.raises(ValueError) as new:
+            classify_two_level(p1, n, m)
+        with pytest.raises(ValueError) as old:
+            _reference_two_level(p1, n, m)
+        assert str(new.value) == str(old.value)
+    line = VerticalLine(CantorAddress("1"), "v0?", (0,))
+    with pytest.raises(ValueError, match="order must be a positive integer"):
+        expected_kinks(point("1/2", ""), line)
+
+
+# Planted gap configurations the grid rules out, as integers (up_n, down_n,
+# up_m, down_m) over the two-level scale of h = 1/2 at orders (1, 2): 18.
+_IMPOSSIBLE_GAPS = (
+    (3, None, 4, None),  # below the whole grid, the finer gap not smaller
+    (4, 2, 3, None),  # the order-m grid reaches lower
+    (2, 1, None, 1),  # the order-m grid reaches higher
+    (None, 1, None, 2),  # above the whole grid, the finer gap not smaller
+    (2, None, 3, 2),  # five kinks out of order
+    (5, 3, 6, 1),  # seven kinks out of order (straddle-up)
+    (6, 1, 5, 3),  # seven kinks out of order (straddle-down)
+    (2, 1, 3, 4),  # both order-m neighbours outside
+    (4, None, 3, None),  # realizable: deg-low-both
+)
+
+
+def test_impossible_configurations_raise_as_before(monkeypatch):
+    # The integer core meets each planted configuration with the same
+    # exception and message as the `Fraction` reference.
+    h, den = F(1, 2), 18
+    for planted in _IMPOSSIBLE_GAPS:
+        un, dn, um, dm = planted
+        gaps = {1: (un, dn), 2: (um, dm)}
+        monkeypatch.setattr(profiles, "_gaps", lambda hp, den_, n: gaps[n])
+
+        def fractions(p1, n):
+            return tuple(None if g is None else F(g, den) for g in gaps[n])
+
+        results = []
+        for f in (classify_two_level, lambda p1, n, m: _reference_two_level(p1, n, m, fractions)):
+            try:
+                results.append(f(h, 1, 2))
+            except ImpossibleGapConfiguration as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], planted
+    monkeypatch.setattr(profiles, "_gaps", lambda hp, den_, n: (None, None))
+    with pytest.raises(ImpossibleGapConfiguration) as new:
+        expected_kinks(point("1/2", "0"), vertical_lines(point("1/2", "0"), (3,))[0])
+    with pytest.raises(ImpossibleGapConfiguration) as old:
+        _reference_single(h, 3, lambda p1, n: (None, None))
+    assert str(new.value) == str(old.value) == "order 3 has no wormhole on either side of 1/2"
+
+
+def test_census_records_equal_fraction_reference():
+    rng = random.Random(17)
+    for h in [F(0), F(1), F(1, 2), F(1, 3), F(4, 9), F(2, 5)] + [_deep_height(rng) for _ in range(6)]:
+        p = point(h, "01")
+        for max_level in (1, 4, 7):
+            assert census_records(p, max_level) == _reference_census(p, max_level), (h, max_level)
+    p = point("13/20", "0")
+    assert census_records(p, 12) == _reference_census(p, 12)
+
+
 def test_linearity_failure_signals_internal_error():
     # A gap whose end values are not one slope +-1 line apart cannot be
     # certified; the assembler reports it instead of emitting a wrong
@@ -287,6 +461,24 @@ def test_linearity_failure_signals_internal_error():
     with pytest.raises(ProfileLinearityError):
         _assemble(line, lambda t: t * t, [0, 1, 2, 8], 8)
     assert issubclass(ProfileLinearityError, InternalError)
+
+
+def test_profile_views_are_lazy_and_equal_across_scales():
+    # A profile keeps its runs as integers; its `Fraction` views are built
+    # on first read, and profiles on different scales are equal when their
+    # lines, pieces and kinks are.
+    line = vertical_lines(point("1/2", "0"), ())[0]
+    a = _assemble(line, lambda t: abs(t - 3), [0, 3, 8], 8)
+    b = _assemble(line, lambda t: abs(t - 6), [0, 6, 16], 16)
+    assert (a.den, a.runs) == (8, ((0, 3, 3, -1), (3, 0, 8, 1)))
+    assert "pieces" not in vars(a) and "kinks" not in vars(a)
+    assert a.to_json() == b.to_json()
+    assert "pieces" not in vars(a) and "kinks" not in vars(a)
+    assert a == b and hash(a) == hash(b) and a.runs != b.runs
+    assert a.pieces == (Piece(F(0), F(3, 8), -1, F(3, 8)), Piece(F(3, 8), F(1), 1, F(-3, 8)))
+    assert a.kinks == (Kink(F(3, 8), -1, 1),)
+    assert a != _assemble(line, lambda t: abs(t - 4), [0, 4, 8], 8)
+    assert a != KinkProfile(vertical_lines(point("1/2", "0"), (1,))[0], 8, a.runs)
 
 
 @st.composite
@@ -332,7 +524,8 @@ def test_line_values_equal_public_distance(case, data):
 
 def _reference_profile(p, line):
     """The profile rebuilt in `Fraction`s on public `distance`: candidates
-    from `nearest_wormhole_gap`, then the same certificate and merge."""
+    from `nearest_wormhole_gap`, then the same certificate and merge; its
+    (line, pieces, kinks)."""
     pc = canonicalize(p)
     values = {}  # keyed by (numerator, denominator): hashing a Fraction is slow
 
@@ -383,7 +576,7 @@ def _reference_profile(p, line):
         else:
             pieces.append(Piece(lo, hi, slope, v(lo) - slope * lo))
     kinks = [Kink(b.lo, a.slope, b.slope) for a, b in zip(pieces, pieces[1:]) if a.slope != b.slope]
-    return KinkProfile(line, tuple(pieces), tuple(kinks))
+    return line, tuple(pieces), tuple(kinks)
 
 
 def _deep_height(rng):
@@ -442,7 +635,8 @@ def test_profiles_equal_fraction_reference():
     assert {line.branch for _, line in cases} == {0, 1}
     cases += _deep_cases(random.Random(13), 400)
     for p, line in cases:
-        assert profile_distance_on_line(p, line) == _reference_profile(p, line), (p, line)
+        profile = profile_distance_on_line(p, line)
+        assert (profile.line, profile.pieces, profile.kinks) == _reference_profile(p, line), (p, line)
 
 
 def _old_rule_profile(p, line):
@@ -486,6 +680,53 @@ def test_required_order_candidates_equal_old_rule():
         if drawn >= 1000 and time.monotonic() > deadline:
             break
         assert profile_distance_on_line(p, line) == _old_rule_profile(p, line), (p, line)
+        drawn += 1
+
+
+def _own_order_rule_profile(p, line):
+    """The profile on the rule that also spends candidates on p's own
+    wormhole order w when the line requires it (branch 1 of a wormhole base
+    point), kept as the reference for the rule without w: every required
+    order, w included, sets the scale and gives its up, down and tie
+    candidates; evaluated and certified by the same `_assemble`."""
+    pc = canonicalize(p)
+    levels = _orders(pc.address.mask ^ line.base_address.mask)
+    den = pc.height.denominator * 3 ** (levels[-1] if levels else 0)
+    hp = pc.height.numerator * (den // pc.height.denominator)
+    breaks = {0, den, hp}
+    for n in levels:
+        step = den // 3**n
+        near = [k * step for k in (_grid_index(3**n, hp, step, up, True) for up in (True, False)) if k is not None]
+        breaks.update(near)
+        if len(near) == 2:
+            breaks.add(near[0] + near[1] - hp)
+
+    def value(t):
+        pair = _Pair(levels, hp, t, den)
+        return pair.length(*pair.search()[0])
+
+    return _assemble(line, value, sorted(breaks), den)
+
+
+def test_candidates_without_own_order_equal_old_rule():
+    # Every case of the graph-side acceptance check (A15), then deep cases
+    # of seeds 1000..1019 for as long as the budget lasts, at least 1000.
+    cases = [(p, line) for _, p, line in _graph_line_cases(oracle.build_level_graph(3), 2)]
+    cases += [(p, line) for _, p, line in _graph_line_cases(oracle.build_level_graph(4), 3, 200, 15)]
+    own = 0
+    for p, line in cases:
+        assert profile_distance_on_line(p, line) == _own_order_rule_profile(p, line), (p, line)
+        pc = canonicalize(p)
+        w = wormhole_order(pc.height)
+        if w in _orders(pc.address.mask ^ line.base_address.mask):
+            assert w not in _LineScale(pc, line).levels, (p, line)
+            own += 1
+    assert own
+    drawn, deadline = 0, time.monotonic() + 1.5
+    for p, line in (case for seed in range(1000, 1020) for case in _deep_cases(random.Random(seed), 2000)):
+        if drawn >= 1000 and time.monotonic() > deadline:
+            break
+        assert profile_distance_on_line(p, line) == _own_order_rule_profile(p, line), (p, line)
         drawn += 1
 
 
