@@ -16,7 +16,8 @@ which are floating point for reporting only.  Identical invocations produce
 byte-identical output; randomized suites are pinned by --seed.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3
-internal error (an invariant of the library failed, `core.InternalError`).
+internal error (an invariant of the library failed, `core.InternalError`;
+in `verify`, whose inputs are all checked first, any `ValueError` too).
 argparse is the only parser, declared once in `_build_parser`: `main` hands
 an argv that starts with a subcommand name straight to that subcommand's
 parser (one argparse pass), and the top-level parser reads only an argv
@@ -66,6 +67,7 @@ from .profiles import (
     _MAX_CENSUS_LEVEL,
     _closed_form,
     _gaps,
+    _matches_closed_form,
     census_records,
     parallel_reduction,
     profile_distance_on_line,
@@ -360,11 +362,7 @@ def cmd_profile(args) -> int:
     svgs = []
     ok = True
     for line, profile in zip(lines, profiles):
-        # The kinks are the inner run starts, over profile.den; v / den is
-        # kink k / profile.den exactly when v * profile.den == k * den, so a
-        # closed-form height off the profile's scale matches no kink.
-        kinks = [run[0] for run in profile.runs[1:]]
-        match = len(kinks) == len(closed) and all(v * profile.den == k * den for v, k in zip(closed, kinks))
+        match = _matches_closed_form(profile, den, closed)
         ok = ok and match
         results.append({"profile": profile.to_json(), "expected_kinks": expected, "pass": match})
         if args.svg:
@@ -420,7 +418,10 @@ def cmd_verify(args) -> int:
         if not depths:
             raise UsageError(f"suite {args.suite!r} has no grid resolution to set with --depth")
         raise UsageError(f"--depth of suite {args.suite!r} must be in {depths[0]}..{depths[-1]}, got {args.depth}")
-    checks = verify_mod.run_suite(args.suite, depth=args.depth, seed=args.seed)
+    try:
+        checks = verify_mod.run_suite(args.suite, depth=args.depth, seed=args.seed)
+    except ValueError as exc:  # every input was checked above: the library is at fault
+        raise InternalError(str(exc)) from exc
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["check", "status", "expected", "actual"])

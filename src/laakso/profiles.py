@@ -27,9 +27,9 @@ evaluation is one `metric._Pair.search` on that scale, and the returned
 `Kink` `Fraction`s are views built only when a library caller reads them,
 and `laakso profile` prints the runs by `core._format_ratio`.  The closed
 forms are worked the same way: one private core (`_closed_form`) gives
-their kink heights as integers over den h * 3**N from grid-kernel gaps, and
+their kink heights as integers over den h * 3**N from grid-kernel gaps,
 `expected_kinks`, `classify_two_level` and `census_records` are its
-`Fraction` views.
+`Fraction` views, and `_matches_closed_form` checks a profile against it.
 
 The profile is evaluated once at each candidate, and each gap between
 consecutive candidates is then certified linear: since the profile is
@@ -181,6 +181,7 @@ class Kink:
 
 
 _piece_hi = attrgetter("hi")
+_KINDS = ("min", "max")  # closed-form kink i is a _KINDS[i % 2]: they alternate from a V
 
 _Run = Tuple[int, int, int, int]  # (lo, v(lo), hi, slope), heights and values times den
 
@@ -465,6 +466,17 @@ def _closed_form(h: Fraction, levels: Sequence[int]) -> Tuple[Optional[str], int
     )
 
 
+def _matches_closed_form(profile: KinkProfile, den: int, heights: Sequence[int]) -> bool:
+    """Whether the profile has exactly the closed-form kinks: kink i (where
+    run i + 1 starts) at heights[i] / den, read on the profile's scale so a
+    height off it matches no kink, and of kind `_KINDS[i % 2]`."""
+    runs = profile.runs
+    return len(runs) == len(heights) + 1 and all(
+        v * profile.den == b[0] * den and _kind(a[3], b[3]) == _KINDS[i % 2]
+        for i, (v, a, b) in enumerate(zip(heights, runs, runs[1:]))
+    )
+
+
 def _closed_heights(h: Fraction, levels: Sequence[int]) -> Tuple[Optional[str], List[Fraction]]:
     """`_closed_form` with its heights as `Fraction`s."""
     branch, den, heights = _closed_form(h, levels)
@@ -557,8 +569,8 @@ def census_level_sets(p: LaaksoPoint, max_level: int) -> List[Tuple[int, ...]]:
 
 def census_records(p: LaaksoPoint, max_level: int) -> List[Tuple[Fraction, str, str]]:
     """(height, source line label, kink kind) over all lines with levels up
-    to max_level.  Kinds alternate min, max, min, ... within each closed-form
-    list, which the profile verification cross-checks.  The own line
+    to max_level.  Kinds alternate min, max, ... in each closed-form list,
+    as the one profile check `_matches_closed_form` requires.  The own line
     contributes h(p) unless it is a boundary height, where it has no kink."""
     if not (1 <= max_level <= _MAX_CENSUS_LEVEL):
         raise ValueError(f"max_level must be in 1..{_MAX_CENSUS_LEVEL}")
@@ -567,7 +579,7 @@ def census_records(p: LaaksoPoint, max_level: int) -> List[Tuple[Fraction, str, 
     for levels in [()] + census_level_sets(p, max_level):
         label = _label(levels)
         for i, height in enumerate(_closed_heights(h, levels)[1]):
-            records.append((height, label, "min" if i % 2 == 0 else "max"))
+            records.append((height, label, _KINDS[i % 2]))
     records.sort(key=lambda r: (r[0], r[1]))
     return records
 

@@ -44,10 +44,10 @@ from .metric import (
 )
 from .profiles import (
     TWO_LEVEL_BRANCHES,
+    _closed_form,
+    _matches_closed_form,
     _reduction_lengths,
     census_level_sets,
-    classify_two_level,
-    expected_kinks,
     nondiff_height_census,
     profile_distance_on_line,
     vertical_lines,
@@ -251,10 +251,10 @@ _BRANCH_POOL: Tuple[Tuple[str, Fraction], ...] = (
 
 
 def check_kinks(seed: int = 3) -> List[Check]:
-    """Profiles against closed-form kink lists on the three line families,
-    with per-branch coverage of the two-level case analysis and the
-    double-geodesic follow-ups on every kink found: roof kinks admit both
-    geodesic endings, V kinks have unit one-sided slopes.
+    """Profiles against closed-form kinks (`profiles._matches_closed_form`:
+    heights and kinds) on the three line families, with per-branch coverage
+    of the two-level case analysis, and double-geodesic follow-ups on every
+    kink found: roof kinks admit both geodesic endings, V kinks unit slopes.
 
     The families are 20 seeded points on their own lines, 50 seeded
     one-jump lines, and the branch pool plus 25 seeded two-jump lines."""
@@ -275,24 +275,16 @@ def check_kinks(seed: int = 3) -> List[Check]:
     profiles, bad = [0, 0, 0], [0, 0, 0]  # per family, by jump count
     roof_total = v_total = follow_bad = 0
     for p, levels in cases:
-        family, hp = len(levels), canonicalize(p).height
-        lines = vertical_lines(p, levels)
+        family = len(levels)
         # The closed form depends on h(p) and the levels only, so one list
-        # serves every line of the case.
-        if family == 2:
-            branch, expected = classify_two_level(hp, *levels)
+        # serves every line of the case; the own line's is [h(p)].
+        branch, den, closed = _closed_form(p.height, levels)
+        if branch is not None:
             hits[branch] += 1
-        elif family == 1:
-            expected = expected_kinks(p, lines[0])
-        for line in lines:
+        for line in vertical_lines(p, levels):
             profiles[family] += 1
             profile = profile_distance_on_line(p, line)
-            if family:
-                ok = profile.kink_heights() == expected
-            else:  # the own line: exactly one kink, a V at h(p)
-                found = [(k.height, k.left_slope, k.right_slope) for k in profile.kinks]
-                ok = found == [(hp, -1, 1)]
-            bad[family] += not ok
+            bad[family] += not _matches_closed_form(profile, den, closed)
             for kink in profile.kinks:
                 slopes = profile.slopes_at(kink.height)
                 if kink.kind == "min":
@@ -524,10 +516,10 @@ def check_regularity(m: int = 6, seed: int = 6) -> List[Check]:
 
 
 def check_census(seed: int = 7) -> List[Check]:
-    """The census up to order 4 is finite, every census height shows up as
-    a profiled kink on its source line, and on every probed line `distance`
-    is linear between consecutive kinks and the ends 0 and 1; at 1/2:0 and
-    two seeded points."""
+    """The census up to order 4 is finite, each line's profile passes the
+    closed-form check (`profiles._matches_closed_form`) with no kink off the
+    census, and `distance` is linear between consecutive kinks and the ends
+    0 and 1 of every probed line; at 1/2:0 and two seeded points."""
     rng = random.Random(seed)
     pts = [point("1/2", "0")]
     for _ in range(2):
@@ -541,13 +533,11 @@ def check_census(seed: int = 7) -> List[Check]:
         total_heights += len(census)
         census_set = set(census)
         for levels in [()] + census_level_sets(pc, 4):
+            _, den, closed = _closed_form(pc.height, levels)
             for line in vertical_lines(pc, levels):
                 profile = profile_distance_on_line(pc, line)
                 kinks = set(profile.kink_heights())
-                if not kinks <= census_set:
-                    bad_confirm += 1
-                if set(expected_kinks(pc, line)) - kinks:
-                    bad_confirm += 1
+                bad_confirm += not (kinks <= census_set and _matches_closed_form(profile, den, closed))
                 # d is 1-Lipschitz along the line, so |d(b) - d(a)| = b - a
                 # makes it linear on all of [a, b]: no kink between kinks.
                 heights = sorted(kinks | {Fraction(0), Fraction(1)})

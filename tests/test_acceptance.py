@@ -5,6 +5,7 @@ non-exact thresholds are the documented empirical ones: the ball-growth
 spread bound and the suite runtime caps).
 """
 
+import dataclasses
 import inspect
 import math
 import random
@@ -20,7 +21,6 @@ from laakso.core import point, wormhole_order
 from laakso.metric import distance
 from laakso.profiles import (
     TWO_LEVEL_BRANCHES,
-    Kink,
     classify_two_level,
     expected_kinks,
     profile_distance_on_line,
@@ -136,10 +136,9 @@ def test_own_line_roof_kink_fails_v0_row(monkeypatch):
         profile = profile_distance_on_line(p, line)
         if line.levels:
             return profile
-        # `kinks` is a cached view of the certified runs: plant the roofs in
-        # its cache, where every later read of the view finds them.
-        vars(profile)["kinks"] = tuple(Kink(k.height, 1, -1) for k in profile.kinks)
-        return profile
+        # Plant the roofs in the certified runs, which every check reads:
+        # negated slopes keep every kink's height and swap its kind.
+        return dataclasses.replace(profile, runs=tuple(run[:3] + (-run[3],) for run in profile.runs))
 
     monkeypatch.setattr("laakso.verify.profile_distance_on_line", roofed)
     rows = {r.name: r for r in verify.check_kinks(seed=3)}

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import contextlib
+import dataclasses
 import enum
 import hashlib
 import io
@@ -19,7 +20,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import laakso
-from laakso import cli, metric, profiles
+from laakso import cli, metric, profiles, verify
 from laakso.cli import main
 from laakso.core import (
     Direction,
@@ -198,6 +199,9 @@ _PINNED_STDOUT = {
     "verify kinks": "f72f2eea19dac3a52b07b98c0fc0d5fd702f9e31357f05eb54785130303d7ce9",
     "verify oracle": "88f497da464d6e91464744f10e7c27acb126db8c60ed75620f7317f2ad8ac4ad",
     "verify oracle --depth 3": "b8f6b134710241db514bc814119a8fb1d6b3ac59b8428b190cdf12a98736fb97",
+    "census --p 1/2:0 --max-level 4": "e9e4410fabe1c27eac770879d5e377f26cfe65fdd9ff68260bc92559f3bd5a0e",
+    "census --p 1:0 --max-level 2": "4b58dfeccd3ed0e5cc6a07444758a5914d48c8ddbc2a9bba266f724558b0c57b",
+    "census --p 1/3:1 --max-level 3": "14dc17216c019b07f73c4c81fd2f45090016cbfd4b9d05610ae9128a44d00d5c",
 }
 
 
@@ -210,8 +214,9 @@ def test_stdout_bytes_are_pinned(capsys):
     # wormhole (one of them requiring the base point's own wormhole order),
     # a boundary base point, a two-order line at an order-2 wormhole and an
     # order-40 line; a reduction; the sampled Lipschitz ratios of both
-    # witnesses and a porosity round; the parallel and kinks suites, and the
-    # oracle suite at depths 2 and 3.
+    # witnesses and a porosity round; the parallel and kinks suites, the
+    # oracle suite at depths 2 and 3; censuses at 1/2, at the boundary
+    # height 1 and at a wormhole that skips its own order.
     for command, sha in _PINNED_STDOUT.items():
         code, out, _ = run(capsys, *command.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha, command
@@ -327,13 +332,16 @@ def test_distance_reply_builds_no_fraction_interval_or_path(monkeypatch, capsys)
 def _reference_profile_reply(p, levels):
     """The `profile` reply built from the library's objects: each line's
     pieces and kinks and `expected_kinks` as `Fraction`s, each printed by
-    `format_rational`, the whole by the standard `json` module."""
+    `format_rational`, the whole by the standard `json` module; a line
+    passes when its kink heights are `expected_kinks` and its kinds
+    alternate from "min"."""
     results = []
     ok = True
     for line in vertical_lines(p, levels):
         profile = profile_distance_on_line(p, line)
         expected = expected_kinks(p, line)
-        match = profile.kink_heights() == expected
+        kinds = [k.kind for k in profile.kinks]
+        match = profile.kink_heights() == expected and kinds == [("min", "max")[i % 2] for i in range(len(kinds))]
         ok = ok and match
         pieces = [
             {"lo": format_rational(x.lo), "hi": format_rational(x.hi), "slope": x.slope, "offset": format_rational(x.offset)}
@@ -658,7 +666,7 @@ def test_porosity_certificate_failure_is_a_check_failure(monkeypatch, capsys):
 def test_construction_self_checks_exit_3(monkeypatch, capsys):
     # Each self-check of the witness builds is an invariant, not a check
     # result: `verify constructions` reports it as one internal error line.
-    from laakso.constructions import SampledFunction
+    from laakso.constructions import BandSchedule, SampledFunction
     from laakso.core import point
     from laakso.metric import distance
     from laakso.verify import ENGINEERED_MIRROR
@@ -669,6 +677,14 @@ def test_construction_self_checks_exit_3(monkeypatch, capsys):
     def bound_zero(self):
         post_init(self)
         object.__setattr__(self, "lip_bound", Fraction(0))
+
+    ramp_bound, ramp_calls = BandSchedule.ramp_bound, collections.Counter()
+
+    def lowered_on_second_call(self, k):
+        # The bound of band k read 10**-9 lower the second time: the slope
+        # `find_band_schedule` set to it exceeds it when it validates.
+        ramp_calls[k] += 1
+        return ramp_bound(self, k) - (Fraction(1, 10**9) if ramp_calls[k] == 2 else 0)
 
     class LevelPair(metric._Pair):
         # Every pair at two different heights reads as length 0.
@@ -710,12 +726,44 @@ def test_construction_self_checks_exit_3(monkeypatch, capsys):
             lambda *args, **kwargs: None,
             "no band schedule at the engineered steep center",
         ),
+        # find_band_schedule: a schedule it built fails its own validation,
+        # a ValueError raised inside the suite
+        ("laakso.constructions.BandSchedule.ramp_bound", lowered_on_second_call, "band slope 0 exceeds its ramp bound"),
     )
     for target, fake, message in cases:
         monkeypatch.setattr(target, fake)
         code, out, err = run(capsys, "verify", "constructions")
         assert code == 3 and out == "", message
         assert err.startswith("internal error: " + message) and err.count("\n") == 1
+        monkeypatch.undo()
+
+
+def test_planted_kink_faults_fail_their_rows_with_exit_1(monkeypatch, capsys):
+    # One closed-form check serves `profile`'s `pass`, the kink rows of
+    # `verify kinks` and A13's census row.  Kink 0 of every closed form
+    # moved one unit of its scale up, or every profile's slopes negated
+    # (each kink's height kept, its kind swapped), fails each of them as a
+    # failed check (exit 1), never as an internal error.
+    def moved(h, levels):
+        branch, den, heights = profiles._closed_form(h, levels)
+        return branch, den, [v + (i == 0) for i, v in enumerate(heights)]
+
+    def negated(p, line):
+        profile = profile_distance_on_line(p, line)
+        return dataclasses.replace(profile, runs=tuple(run[:3] + (-run[3],) for run in profile.runs))
+
+    for name, fake in (("_closed_form", moved), ("profile_distance_on_line", negated)):
+        monkeypatch.setattr(cli, name, fake)
+        monkeypatch.setattr(verify, name, fake)
+        for spec in ("v0", "v1", "vD:1,3"):
+            code, out, err = run(capsys, "profile", "--p", "2/5:0", "--line", spec)
+            assert (code, err) == (1, "") and not json.loads(out)["lines"][0]["pass"], (name, spec)
+        code, out, err = run(capsys, "verify", "kinks")
+        status = dict(line.split(",")[:2] for line in out.splitlines()[1:])
+        assert (code, err) == (1, ""), name
+        assert [status[row] for row in ("v0-single-kink", "single-jump-kinks", "two-level-kinks")] == ["FAIL"] * 3, name
+        census = {row.name: row.passed for row in verify.check_census(seed=7)}
+        assert not census["census-confirmed-by-profiles"], name
         monkeypatch.undo()
 
 

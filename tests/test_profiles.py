@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import random
 import time
 from fractions import Fraction as F
@@ -728,6 +730,50 @@ def test_candidates_without_own_order_equal_old_rule():
             break
         assert profile_distance_on_line(p, line) == _own_order_rule_profile(p, line), (p, line)
         drawn += 1
+
+
+def _alternating(kinds):
+    """Whether the kinds read min, max, min, ...: closed-form kinks alternate from a V."""
+    return all(kind == ("min", "max")[i % 2] for i, kind in enumerate(kinds))
+
+
+def test_closed_form_check_equals_fraction_comparison():
+    # The one closed-form check against the `Fraction` views: heights by
+    # `kink_heights() == expected_kinks(...)`, kinds read off `kinks`.  Each
+    # line of A15's enumeration and of 100 deep cases per seed 1000..1019 is
+    # held, as profiled and with its slopes negated (kinds swapped), against
+    # the closed form of its first two required orders (its profile is
+    # theirs, the parallel reduction), that form with kink 0 moved one unit
+    # of its scale up, and that form with its last kink dropped.
+    cases = [(p, line) for _, p, line in _graph_line_cases(oracle.build_level_graph(3), 2)]
+    cases += [(p, line) for _, p, line in _graph_line_cases(oracle.build_level_graph(4), 3, 200, 15)]
+    cases += [case for seed in range(1000, 1020) for case in _deep_cases(random.Random(seed), 100)]
+    verdicts, kinked = collections.Counter(), 0
+    for p, line in cases:
+        levels = _LineScale(canonicalize(p), line).levels[:2]
+        profile = profile_distance_on_line(p, line)
+        negated = dataclasses.replace(profile, runs=tuple(run[:3] + (-run[3],) for run in profile.runs))
+        _, den, closed = profiles._closed_form(p.height, levels)
+        expected = expected_kinks(p, dataclasses.replace(line, levels=levels))
+        forms = {"closed": (closed, expected)}
+        if closed:
+            forms["moved"] = ([closed[0] + 1] + closed[1:], [expected[0] + F(1, den)] + expected[1:])
+            forms["dropped"] = (closed[:-1], expected[:-1])
+            kinked += 1
+        for side, prof in (("profiled", profile), ("negated", negated)):
+            for form, (heights, fractions) in forms.items():
+                by_views = prof.kink_heights() == fractions and _alternating(k.kind for k in prof.kinks)
+                assert profiles._matches_closed_form(prof, den, heights) == by_views, (p, line, side, form)
+                verdicts[side, form, by_views] += 1
+    # Every line matches its closed form as profiled, and fails it wherever
+    # it has a kink once either side is planted.
+    assert kinked > len(cases) // 2
+    assert verdicts == {
+        ("profiled", "closed", True): len(cases),
+        ("negated", "closed", True): len(cases) - kinked,
+        ("negated", "closed", False): kinked,
+        **{(side, form, False): kinked for side in ("profiled", "negated") for form in ("moved", "dropped")},
+    }
 
 
 def test_one_search_per_candidate(monkeypatch):
