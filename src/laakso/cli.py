@@ -8,12 +8,14 @@ optional sign; "_" and other scripts' digits are usage errors.
 
 `distance`, `profile` and `reduce` print JSON, indented by 2 spaces, keys
 sorted, non-ASCII characters as \\uXXXX escapes, one trailing newline; its
-values are exact "p/q" strings, ints, booleans and null, never floats
-(`_json_dumps`, the one JSON writer, refuses any other value, subclasses
-of these included).  `census` and `verify` print CSV, whose numeric fields
-are exact "p/q" strings except the `verify` fields named "ratio"/"spread",
-which are floating point for reporting only.  Identical invocations produce
-byte-identical output; randomized suites are pinned by --seed.
+values are exact "p/q" strings, ints, booleans and null, never floats.
+`_json_dumps` writes the `profile` and `reduce` replies and refuses any
+other value, subclasses of these included; `cmd_distance` writes its
+reply in the same layout from fixed format strings.  `census` and
+`verify` print CSV, whose numeric fields are exact "p/q" strings except
+the `verify` fields named "ratio"/"spread", which are floating point for
+reporting only.  Identical invocations produce byte-identical output;
+randomized suites are pinned by --seed.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3
 internal error (an invariant of the library failed, `core.InternalError`;
@@ -311,6 +313,21 @@ def _text(o, indent: str) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+# The `distance` reply in `_json_dumps`'s layout, written straight from the
+# pair's integers: one `%` format per event, interval and point.  Every
+# string is the library's own (bits are 0/1, heights digits, "-" and "/"),
+# so none needs a JSON escape.
+_SEGMENT = (
+    '\n      {\n        "bits": "%s",\n        "seg": [\n          "%s",\n          "%s"\n        ]\n      }'
+)
+_JUMP = '\n      {\n        "at": "%s",\n        "jump": %d\n      }'
+_INTERVAL = '\n    [\n      "%s",\n      "%s"\n    ]'
+_POINT = '{\n    "bits": "%s",\n    "h": "%s"\n  }'
+_DISTANCE_REPLY = (
+    '{\n  "distance": "%s",\n  "geodesics": [%s\n  ],\n  "intervals": [%s\n  ],\n  "x": %s,\n  "y": %s\n}\n'
+)
+
+
 def cmd_distance(args) -> int:
     x, y = args.x, args.y
     # The deepest address bit where x and y differ is the deepest order a
@@ -322,24 +339,22 @@ def cmd_distance(args) -> int:
     den = pair.den
     ivs = pair.intervals()
     geodesics = []
-    for iv in ivs:
-        events = []
-        for event in pair.trace(*iv):
-            if len(event) == 3:
-                s, e, bits = event
-                events.append({"seg": [_format_ratio(s, den), _format_ratio(e, den)], "bits": bits})
-            else:
-                n, h = event
-                events.append({"jump": n, "at": _format_ratio(h, den)})
-        geodesics.append(events)
-    payload = {
-        "x": point_to_json(pair.x),
-        "y": point_to_json(pair.y),
-        "distance": _format_ratio(pair.length(*ivs[0]), den),
-        "intervals": [[_format_ratio(a, den), _format_ratio(b, den)] for a, b in ivs],
-        "geodesics": geodesics,
-    }
-    _emit((_json_dumps(payload), args.out))
+    for a, b in ivs:
+        events = [
+            _SEGMENT % (event[2], _format_ratio(event[0], den), _format_ratio(event[1], den))
+            if len(event) == 3
+            else _JUMP % (_format_ratio(event[1], den), event[0])
+            for event in pair.trace(a, b)
+        ]
+        geodesics.append("\n    [" + ",".join(events) + "\n    ]" if events else "\n    []")
+    text = _DISTANCE_REPLY % (
+        _format_ratio(pair.length(*ivs[0]), den),
+        ",".join(geodesics),
+        ",".join([_INTERVAL % (_format_ratio(a, den), _format_ratio(b, den)) for a, b in ivs]),
+        _POINT % (pair.x.address.bits, _format_ratio(pair.hx, den)),
+        _POINT % (pair.y.address.bits, _format_ratio(pair.hy, den)),
+    )
+    _emit((text, args.out))
     return 0
 
 

@@ -518,8 +518,9 @@ def check_regularity(m: int = 6, seed: int = 6) -> List[Check]:
 def check_census(seed: int = 7) -> List[Check]:
     """The census up to order 4 is finite, each line's profile passes the
     closed-form check (`profiles._matches_closed_form`) with no kink off the
-    census, and `distance` is linear between consecutive kinks and the ends
-    0 and 1 of every probed line; at 1/2:0 and two seeded points."""
+    census, every census height is a kink of some profiled line, and
+    `distance` is linear between consecutive kinks and the ends 0 and 1 of
+    every probed line; at 1/2:0 and two seeded points."""
     rng = random.Random(seed)
     pts = [point("1/2", "0")]
     for _ in range(2):
@@ -532,11 +533,13 @@ def check_census(seed: int = 7) -> List[Check]:
         census = nondiff_height_census(pc, 4)
         total_heights += len(census)
         census_set = set(census)
+        profiled = set()
         for levels in [()] + census_level_sets(pc, 4):
             _, den, closed = _closed_form(pc.height, levels)
             for line in vertical_lines(pc, levels):
                 profile = profile_distance_on_line(pc, line)
                 kinks = set(profile.kink_heights())
+                profiled |= kinks
                 bad_confirm += not (kinks <= census_set and _matches_closed_form(profile, den, closed))
                 # d is 1-Lipschitz along the line, so |d(b) - d(a)| = b - a
                 # makes it linear on all of [a, b]: no kink between kinks.
@@ -545,6 +548,7 @@ def check_census(seed: int = 7) -> List[Check]:
                 for a, b in zip(heights, heights[1:]):
                     if abs(d[b] - d[a]) != b - a:
                         bad_smooth += 1
+        bad_confirm += len(census_set - profiled)
     return [
         Check(
             "census-confirmed-by-profiles",

@@ -182,6 +182,8 @@ _PINNED_STDOUT = {
     "distance --x 0: --y 1:1": "d9b373467cc243bd1ce8e8f2b11ff2c1143718a180afef6c60c55699c3fe827f",
     "distance --x 1/2: --y 1/2:0000000001": "98bb0f44f0125b77e50285a1f43cda8aa8364b3c7f6083cc68aaa81eb4d35520",
     "distance --x 1/3:01 --y 1/3:1": "7b10c767495f2a3de8c662645eec9805012d64e9b27ae2a962932ec8b358e0ee",
+    "distance --x 1/3:0 --y 1/2:1": "9f4ce1c740c52bc74c2c4ec4c700507fc355fdfca19446955646c832af09bf21",
+    "distance --x 1/3:01 --y 4/9:0": "4fb5667f62138c21063f121d640352cd9bd673fe1c5b1c6cd8d5d4f2953049ff",
     "profile --p 1/2:0 --line v0": "daa36ea715221bf2b7e42ecb3345e28d9eb297c897e1453da4fc0942d0cdfa2f",
     "profile --p 2/5:0 --line vN:2": "07450fbf10d73c4af6e26690ad546b1cc93f3474cc0fdb73440e9109834a42c8",
     "profile --p 2/5:01 --line vD:1,3": "f97fe66884bf0d97787334a2fb014ca27bae86b953b77cded823d1a2951cb19e",
@@ -209,10 +211,12 @@ def test_stdout_bytes_are_pinned(capsys):
     # Two geodesics; a glued point; equal points (one empty geodesic); both
     # representatives of one glued point (distance 0); the boundary heights
     # 0 and 1; an order-10 jump; a glued point against an address deeper
-    # than its wormhole order; the base point's own line, one- and two-order
-    # lines, a line with no kink (p = 0:0 on v0), the two branches at a
-    # wormhole (one of them requiring the base point's own wormhole order),
-    # a boundary base point, a two-order line at an order-2 wormhole and an
+    # than its wormhole order; a geodesic that starts with a jump at x's
+    # height (1/3:0 to 1/2:1) and one that ends with a jump at y's (1/3:01
+    # to 4/9:0); the base point's own line, one- and two-order lines, a
+    # line with no kink (p = 0:0 on v0), the two branches at a wormhole
+    # (one of them requiring the base point's own wormhole order), a
+    # boundary base point, a two-order line at an order-2 wormhole and an
     # order-40 line; a reduction; the sampled Lipschitz ratios of both
     # witnesses and a porosity round; the parallel and kinks suites, the
     # oracle suite at depths 2 and 3; censuses at 1/2, at the boundary
@@ -297,6 +301,8 @@ def _reply_pairs(draw):
 @example(((Fraction(1, 3), "0"), (Fraction(1, 3), "1")))
 @example(((Fraction(0), ""), (Fraction(1), "1")))
 @example(((Fraction(1, 3), "01"), (Fraction(1, 3), "1")))
+@example(((Fraction(1, 3), "0"), (Fraction(1, 2), "1")))
+@example(((Fraction(1, 3), "01"), (Fraction(4, 9), "0")))
 @given(_reply_pairs())
 def test_distance_reply_matches_the_object_path(pair):
     # The reply is printed off the pair's integer scale; the library's
@@ -312,9 +318,10 @@ def test_distance_reply_matches_the_object_path(pair):
 
 
 def test_distance_reply_builds_no_fraction_interval_or_path(monkeypatch, capsys):
-    # With the object types `metric` builds made to raise, every pinned
-    # `distance` reply still prints the same bytes: the reply is read off
-    # the pair's integers alone.
+    # With the object types `metric` builds, the JSON writer and the point
+    # writer made to raise, every pinned `distance` reply still prints the
+    # same bytes: the reply is written off the pair's integers alone, in its
+    # own layout.  A `profile` reply, which goes through both writers, fails.
     commands = [command for command in _PINNED_STDOUT if command.startswith("distance ")]
     replies = {command: run(capsys, *command.split()) for command in commands}
 
@@ -323,8 +330,12 @@ def test_distance_reply_builds_no_fraction_interval_or_path(monkeypatch, capsys)
 
     for name in ("Fraction", "HeightInterval", "Segment", "WormholeLevel", "GeodesicPath"):
         monkeypatch.setattr(metric, name, refuse)
+    monkeypatch.setattr(cli, "_json_dumps", refuse)
+    monkeypatch.setattr(cli, "point_to_json", refuse)
     with pytest.raises(AssertionError):
         metric.minimal_height_intervals(point("1/2", "0"), point("1/2", "1"))
+    with pytest.raises(AssertionError):
+        run(capsys, *"profile --p 1/2:0 --line v0".split())
     for command in commands:
         assert run(capsys, *command.split()) == replies[command], command
 
@@ -765,6 +776,17 @@ def test_planted_kink_faults_fail_their_rows_with_exit_1(monkeypatch, capsys):
         census = {row.name: row.passed for row in verify.check_census(seed=7)}
         assert not census["census-confirmed-by-profiles"], name
         monkeypatch.undo()
+
+
+def test_census_height_missing_from_every_profile_fails_its_row(monkeypatch):
+    # A census height that no profiled line has as a kink fails A13's
+    # confirmation row, as a kink off the census does.
+    census = verify.nondiff_height_census
+    monkeypatch.setattr(verify, "nondiff_height_census", lambda p, n: sorted(census(p, n) + [Fraction(1, 1000)]))
+    rows = {row.name: row for row in verify.check_census(seed=7)}
+    row = rows["census-confirmed-by-profiles"]
+    assert row.csv_row()[1] == "FAIL" and row.actual.startswith("3 bad over "), row
+    assert rows["non-census-heights-smooth"].passed
 
 
 def test_other_runtime_errors_are_not_internal_errors(monkeypatch):

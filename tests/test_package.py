@@ -79,8 +79,9 @@ def test_every_private_name_is_referenced():
 
 
 def test_one_json_writer():
-    # `cli._json_dumps` writes every JSON text the package prints; `json`'s
-    # own writer formats indented text in pure Python at twice the cost.
+    # `cli._json_dumps` writes the `profile` and `reduce` replies and
+    # `cmd_distance` its own fixed layout; no module calls `json`'s writer,
+    # which formats indented text in pure Python at twice the cost.
     writers = []
     for path in sorted(Path(laakso.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -170,3 +171,11 @@ def test_benchmark_runs_every_verify_suite():
     # in its own list; a suite renamed or added here must show up there.
     workloads = _load(PERFBENCH / "workloads.py", "laakso_bench_workloads")
     assert workloads.SUITES == tuple(verify.SUITES)
+
+
+def test_benchmark_plant_anchor_is_in_cli():
+    # perfbench/plant.py plants its known cost at one line of cli.py and
+    # refuses when that line is not there exactly once.
+    plant = _load(PERFBENCH / "plant.py", "laakso_bench_plant")
+    cli = Path(laakso.__file__).parent / "cli.py"
+    assert cli.read_text().count(plant.ANCHOR) == 1
