@@ -42,11 +42,10 @@ answer.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -180,7 +179,6 @@ class Kink:
         return _kind(self.left_slope, self.right_slope)
 
 
-_piece_hi = attrgetter("hi")
 _KINDS = ("min", "max")  # closed-form kink i is a _KINDS[i % 2]: they alternate from a V
 
 _Run = Tuple[int, int, int, int]  # (lo, v(lo), hi, slope), heights and values times den
@@ -227,21 +225,6 @@ class KinkProfile:
             if piece.lo <= t <= piece.hi:
                 return piece.value_at(t)
         raise ValueError(f"{t} outside [0, 1]")
-
-    def slopes_at(self, t: Fraction) -> Tuple[Optional[int], Optional[int]]:
-        """One-sided slopes (left, right) at t; None beyond the domain edge.
-
-        The pieces are sorted and contiguous (each `hi` is the next `lo`), so
-        the piece ending at or after t and the one ending after t are found
-        by bisecting the `hi`s: the left slope is the first's if it starts
-        before t, the right slope the second's if it starts at or before t.
-        """
-        pieces = self.pieces
-        i = bisect_left(pieces, t, key=_piece_hi)
-        j = bisect_right(pieces, t, lo=i, key=_piece_hi)
-        left = pieces[i].slope if i < len(pieces) and pieces[i].lo < t else None
-        right = pieces[j].slope if j < len(pieces) and pieces[j].lo <= t else None
-        return left, right
 
     def kink_heights(self) -> List[Fraction]:
         return [k.height for k in self.kinks]
@@ -518,15 +501,21 @@ def expected_kinks(p: LaaksoPoint, line: VerticalLine) -> List[Fraction]:
     return _closed_heights(p.height, line.levels)[1]
 
 
-def _reduction_lengths(h: Fraction, levels: Tuple[int, ...], t: Fraction) -> Tuple[int, int, int]:
+def _reduction_lengths(
+    h: Tuple[int, int], levels: Tuple[int, ...], t: Tuple[int, int]
+) -> Tuple[int, int, int]:
     """(full, two, den): the distances from a point at height h to height t
     on the line of the jump orders `levels` and on the line of its first two
-    orders, as integers over `den`, the full line's least scale
-    (`_Pair.on_scale`), by one interval search each.  The arguments are
-    taken as valid (`parallel_reduction` checks them)."""
-    full = _Pair.on_scale(levels, h, t)
-    two = _Pair(levels[:2], full.hx, full.hy, full.den)
-    return full.length(*full.search()[0]), two.length(*two.search()[0]), full.den
+    orders, as integers over `den`, by one interval search each.  Both
+    heights come as reduced (numerator, denominator) pairs, and `den` is the
+    full line's least scale, lcm(den h, den t) * 3**N for N the deepest
+    order (the rule of `_Pair.on_scale`).  The arguments are taken as valid
+    (`parallel_reduction` checks them)."""
+    (hn, hd), (tn, td) = h, t
+    den = math.lcm(hd, td) * 3 ** levels[-1]
+    hx, hy = hn * (den // hd), tn * (den // td)
+    full, two = _Pair(levels, hx, hy, den), _Pair(levels[:2], hx, hy, den)
+    return full.length(*full.search()[0]), two.length(*two.search()[0]), den
 
 
 def parallel_reduction(
@@ -536,10 +525,11 @@ def parallel_reduction(
     and on the line of the first two orders only; the two are equal because
     deeper jumps can be threaded through any two-order geodesic for free.
 
-    Both are read on the full line's least scale by `_reduction_lengths`.
-    From p's canonical mask the line of `levels` differs exactly in those
-    orders (canonicalizing [t, line] at a wormhole t would only drop an
-    order t itself meets, see `_LineScale`), so the orders are the levels
+    Both are read on the full line's least scale by `_reduction_lengths`,
+    from the numerators and denominators of h(p) and t.  From p's canonical
+    mask the line of `levels` differs exactly in those orders
+    (canonicalizing [t, line] at a wormhole t would only drop an order t
+    itself meets, see `_LineScale`), so the orders are the levels
     themselves."""
     levels = tuple(levels)
     if len(levels) < 3:
@@ -548,7 +538,8 @@ def parallel_reduction(
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")
     levels, _ = _checked_levels(p.height, levels)
-    full, two, den = _reduction_lengths(p.height, levels, t)
+    h = p.height
+    full, two, den = _reduction_lengths((h.numerator, h.denominator), levels, (t.numerator, t.denominator))
     return Fraction(full, den), Fraction(two, den)
 
 

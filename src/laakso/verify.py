@@ -10,6 +10,7 @@ randomized pools are fully determined by the seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,8 @@ from .metric import (
 )
 from .profiles import (
     TWO_LEVEL_BRANCHES,
+    KinkProfile,
+    _LineScale,
     _closed_form,
     _matches_closed_form,
     _reduction_lengths,
@@ -80,10 +83,17 @@ class Check:
         return [self.name, "pass" if self.passed else "FAIL", self.expected, self.actual]
 
 
-def _random_height(rng: random.Random) -> Fraction:
+def _random_ratio(rng: random.Random) -> Tuple[int, int]:
+    """A height in (0, 1) with denominator at most 81 before reduction, as a
+    reduced (numerator, denominator) pair."""
     den = rng.randint(2, 81)
     num = rng.randint(1, den - 1)
-    return Fraction(num, den)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _random_height(rng: random.Random) -> Fraction:
+    return Fraction(*_random_ratio(rng))
 
 
 def _random_point(rng: random.Random, max_depth: int = 4) -> LaaksoPoint:
@@ -250,14 +260,48 @@ _BRANCH_POOL: Tuple[Tuple[str, Fraction], ...] = (
 )
 
 
+def _follow_up_slopes(scale: _LineScale, profile: KinkProfile) -> List[bool]:
+    """For each kink of the profile, whether the distance itself has the
+    kink's one-sided unit slopes, (-1, +1) at a V and (+1, -1) at a roof.
+
+    The kink k and its neighbours, the previous kink (or 0) and the next (or
+    1), are the starts of the kink's two runs and the end of the second.
+    The distance is read at the half-gap points on both sides, the
+    midpoints of the two runs, one `_Pair.search` per run (a midpoint is
+    shared by the kinks at both ends of its run) on the line's orders at
+    the doubled scale 2 * den, where those points are integers, and v(k) is
+    read off the run start; `profile.den` must be a multiple of
+    `scale.den`, as it is (equal) for a profile `profile_distance_on_line`
+    returns.  The distance is 1-Lipschitz, so |d(k) - d(s)| == |k - s|
+    makes it linear on [s, k] with that slope: the slopes are checked on
+    the distance, not re-read from the runs the profile was assembled
+    from."""
+    runs, den2 = profile.runs, 2 * profile.den
+    if len(runs) < 2:
+        return []
+    levels, hp = scale.levels, scale.hp * (den2 // scale.den)
+    mids = []
+    for lo, _, hi, _ in runs:
+        pair = _Pair(levels, hp, lo + hi, den2)
+        mids.append(pair.length(*pair.search()[0]))
+    out = []
+    for (prev, _, _, left), (k, vk, nxt, right), dl, dr in zip(runs, runs[1:], mids, mids[1:]):
+        side = 1 if left < right else -1  # the right slope a V or a roof must have
+        out.append(dl - 2 * vk == side * (k - prev) and dr - 2 * vk == side * (nxt - k))
+    return out
+
+
 def check_kinks(seed: int = 3) -> List[Check]:
     """Profiles against closed-form kinks (`profiles._matches_closed_form`:
     heights and kinds) on the three line families, with per-branch coverage
     of the two-level case analysis, and double-geodesic follow-ups on every
-    kink found: roof kinks admit both geodesic endings, V kinks unit slopes.
+    kink found: each kink's one-sided unit slopes are read off the distance
+    (`_follow_up_slopes`), and roof kinks admit both geodesic endings.
 
-    The families are 20 seeded points on their own lines, 50 seeded
-    one-jump lines, and the branch pool plus 25 seeded two-jump lines."""
+    Kinks and kinds are read off each profile's integer runs; no `Piece`
+    or `Kink` view is built.  The families are 20 seeded points on their
+    own lines, 50 seeded one-jump lines, and the branch pool plus 25 seeded
+    two-jump lines."""
     rng = random.Random(seed)
     cases: List[Tuple[LaaksoPoint, Tuple[int, ...]]] = [
         (_random_profile_point(rng, ()), ()) for _ in range(20)
@@ -276,6 +320,7 @@ def check_kinks(seed: int = 3) -> List[Check]:
     roof_total = v_total = follow_bad = 0
     for p, levels in cases:
         family = len(levels)
+        pc = canonicalize(p)
         # The closed form depends on h(p) and the levels only, so one list
         # serves every line of the case; the own line's is [h(p)].
         branch, den, closed = _closed_form(p.height, levels)
@@ -285,20 +330,21 @@ def check_kinks(seed: int = 3) -> List[Check]:
             profiles[family] += 1
             profile = profile_distance_on_line(p, line)
             bad[family] += not _matches_closed_form(profile, den, closed)
-            for kink in profile.kinks:
-                slopes = profile.slopes_at(kink.height)
-                if kink.kind == "min":
+            runs = profile.runs
+            slopes = _follow_up_slopes(_LineScale(pc, line), profile)
+            for (_, _, _, left), (k, _, _, right), unit in zip(runs, runs[1:], slopes):
+                if left < right:
                     v_total += 1
-                    follow_bad += slopes != (-1, 1)
+                    follow_bad += not unit
                     continue
                 roof_total += 1
-                q = canonicalize(LaaksoPoint(kink.height, line.base_address))
+                q = canonicalize(LaaksoPoint(Fraction(k, profile.den), line.base_address))
                 if same_point(q, p):
                     follow_bad += 1
                     continue
                 both_ways = geodesic_endings(p, q) == frozenset({Direction.UP, Direction.DOWN})
                 follow_bad += not both_ways
-                follow_bad += slopes != (1, -1)
+                follow_bad += not unit
     missed = [b for b, c in hits.items() if c == 0]
     return [
         Check("v0-single-kink", bad[0] == 0, "1 kink at h(p), slopes (-1,+1)", f"{bad[0]} bad"),
@@ -327,23 +373,36 @@ def check_kinks(seed: int = 3) -> List[Check]:
 # Parallel reduction.
 # ---------------------------------------------------------------------------
 
+# The wormhole order of each reduced denominator `_random_ratio` can draw
+# that is a power of 3.
+_DRAWN_ORDERS = {3: 1, 9: 2, 27: 3, 81: 4}
+
+
+def _parallel_line(rng: random.Random) -> Tuple[Tuple[int, int], Tuple[int, ...], Tuple[int, int]]:
+    """One line of `check_parallel` as (h, levels, t), heights as reduced
+    integer pairs, by the calls `_random_point(rng, 3)`, the level draws
+    and `_random_height(rng)` make.  The address bits are drawn and
+    dropped: the reduction reads heights only."""
+    for _ in range(rng.randint(0, 3)):
+        rng.choice("01")
+    h = _random_ratio(rng)
+    w = _DRAWN_ORDERS.get(h[1])
+    pool = [n for n in range(1, 7) if n != w]
+    size = rng.randint(3, min(4, len(pool)))
+    return h, tuple(sorted(rng.sample(pool, size))), _random_ratio(rng)
+
 
 def check_parallel(seed: int = 4) -> List[Check]:
     """Full-line against two-level values on 1000 seeded lines of three or
-    four jump orders up to 6.  The drawn levels are valid by construction
-    (increasing, and none is the wormhole order of h(p)), and the two values
-    are compared as integer lengths on the full line's scale
-    (`profiles._reduction_lengths`, the core of `parallel_reduction`)."""
+    four jump orders up to 6 (`_parallel_line`).  The drawn levels are valid
+    by construction (increasing, and none is the wormhole order of h(p)),
+    and the two values are compared as integer lengths on the full line's
+    scale (`profiles._reduction_lengths`, the core of `parallel_reduction`),
+    from the heights' integer parts: no point or `Fraction` is built."""
     rng = random.Random(seed)
     bad = 0
     for _ in range(1000):
-        p = _random_point(rng, max_depth=3)
-        w = wormhole_order(p.height)
-        pool = [n for n in range(1, 7) if n != w]
-        size = rng.randint(3, min(4, len(pool)))
-        levels = tuple(sorted(rng.sample(pool, size)))
-        t = _random_height(rng)
-        full, two, _ = _reduction_lengths(p.height, levels, t)
+        full, two, _ = _reduction_lengths(*_parallel_line(rng))
         if full != two:
             bad += 1
     return [Check("parallel-values", bad == 0, "full == two-level", f"{bad}/1000 bad")]

@@ -230,6 +230,30 @@ def test_stdout_bytes_are_pinned(capsys):
     assert payload["lines"][0]["profile"]["kinks"] == []
 
 
+# sha256 of the stdout of `verify <suite> --seed 0` to `--seed 7`, joined in
+# seed order, recorded before `verify parallel` and `verify kinks` moved onto
+# integer scales: the whole acceptance gate at eight seeds per suite.
+_VERIFY_SEEDS_STDOUT = {
+    "oracle": "8d3df70143e8ec480b6fd72fa9ced4ee04c8b95533d6eab2256705ca14dafec9",
+    "kinks": "c05c060bbc700d71a191d02d3ead3cae69461a4077c1941ef33ef71ae34ed9e7",
+    "constructions": "4092c952aef943609b08a3e2aa47bcf5bc4d1944c7a02ec2cf334c2dbd1e59a7",
+    "porosity": "5e3a486c2fe038fbe54fd541e790f50be69504d5b3e48cddc9b9262b76b4b171",
+    "regularity": "a6480575838d62cb2e0b0088c305e00efe76dc0c5c08824d4ab247fc1418ad45",
+    "parallel": "9a7db0975e90788a896f45de8c66ac38a85646bd28e9232262c31d7882928fff",
+}
+
+
+def test_verify_suites_at_eight_seeds_are_pinned(capsys):
+    assert set(_VERIFY_SEEDS_STDOUT) == set(verify.SUITES)
+    for suite, sha in _VERIFY_SEEDS_STDOUT.items():
+        digest = hashlib.sha256()
+        for seed in range(8):
+            code, out, err = run(capsys, "verify", suite, "--seed", str(seed))
+            assert (code, err) == (0, ""), (suite, seed)
+            digest.update(out.encode())
+        assert digest.hexdigest() == sha, suite
+
+
 def _reference_reply(x, y):
     """The `distance` reply built from the library's objects: intervals,
     geodesics and distance as `Fraction`s, each printed by
@@ -776,6 +800,33 @@ def test_planted_kink_faults_fail_their_rows_with_exit_1(monkeypatch, capsys):
         census = {row.name: row.passed for row in verify.check_census(seed=7)}
         assert not census["census-confirmed-by-profiles"], name
         monkeypatch.undo()
+
+
+def test_v_kinks_off_the_distance_fail_a7(monkeypatch, capsys):
+    # Every profile rewritten over 2 * den with each V kink moved one unit of
+    # that scale up and the run values re-derived along the slopes; the roofs
+    # stay at their heights.  The runs still turn (-1, +1) at each moved V,
+    # so when A7 read the slopes off the runs (`KinkProfile.slopes_at`) this
+    # row read `pass` under this plant ("0 bad over 81 roofs, 191 Vs").  Read
+    # off the distance, the slopes at the moved kinks are wrong.
+    real = verify.profile_distance_on_line
+
+    def moved_vs(p, line):
+        profile = real(p, line)
+        runs = profile.runs
+        starts = [2 * run[0] + (i > 0 and runs[i - 1][3] < run[3]) for i, run in enumerate(runs)]
+        value, planted = 2 * runs[0][1], []
+        for lo, hi, run in zip(starts, starts[1:] + [2 * profile.den], runs):
+            planted.append((lo, value, hi, run[3]))
+            value += run[3] * (hi - lo)
+        return dataclasses.replace(profile, den=2 * profile.den, runs=tuple(planted))
+
+    monkeypatch.setattr(verify, "profile_distance_on_line", moved_vs)
+    code, out, err = run(capsys, "verify", "kinks")
+    rows = {line.split(",")[0]: line for line in out.splitlines()[1:]}
+    assert (code, err) == (1, "")
+    assert rows["double-geodesic-endings"].split(",")[1] == "FAIL"
+    assert rows["double-geodesic-endings"].endswith(' bad over 81 roofs, 191 Vs"')
 
 
 def test_census_height_missing_from_every_profile_fails_its_row(monkeypatch):

@@ -802,37 +802,17 @@ def test_one_search_per_candidate(monkeypatch):
         assert len(calls) <= 3 * len(scale.levels) + 3, (p, line)
 
 
-def _slopes_by_scan(profile, t):
-    """The one-sided slopes at t by a scan of every piece."""
-    left = right = None
-    for piece in profile.pieces:
-        if piece.lo < t <= piece.hi:
-            left = piece.slope
-        if piece.lo <= t < piece.hi:
-            right = piece.slope
-    return left, right
-
-
-def test_slopes_at_equals_linear_scan(monkeypatch):
-    # The profiles of the kinks suite's cases and of arbitrary deep lines,
-    # read at every piece end, every piece midpoint, the domain ends and
-    # outside the domain.
-    profiles = []
-
-    def recorded(p, line):
-        profiles.append(profile_distance_on_line(p, line))
-        return profiles[-1]
-
-    monkeypatch.setattr(verify, "profile_distance_on_line", recorded)
-    verify.check_kinks(seed=3)
-    profiles += [profile_distance_on_line(p, line) for p, line in _deep_cases(random.Random(15), 200)]
-    assert len(profiles) >= 300
-    for profile in profiles:
-        heights = {F(0), F(1), F(-1, 3), F(4, 3), F(-1), F(2)}
-        for piece in profile.pieces:
-            heights |= {piece.lo, piece.hi, (piece.lo + piece.hi) / 2}
-        for t in heights:
-            assert profile.slopes_at(t) == _slopes_by_scan(profile, t), (profile.line, t)
+def test_follow_up_slopes_hold_on_deep_lines():
+    # A7 reads each kink's one-sided slopes off the distance, halfway to
+    # its neighbours on the doubled scale; on arbitrary deep lines (orders
+    # up to 16) they are the unit slopes of the kink's kind.
+    kinks = 0
+    for p, line in _deep_cases(random.Random(15), 200):
+        profile = profile_distance_on_line(p, line)
+        slopes = verify._follow_up_slopes(_LineScale(canonicalize(p), line), profile)
+        assert len(slopes) == len(profile.runs) - 1 and all(slopes), (p, line)
+        kinks += len(slopes)
+    assert kinks >= 400
 
 
 def test_svg_output():

@@ -9,13 +9,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laakso import oracle, verify
+from laakso import oracle, profiles, verify
 from laakso.core import CantorAddress, LaaksoPoint, _orders, canonicalize, wormhole_order
 from laakso.metric import _Pair, distance
-from laakso.profiles import parallel_reduction
+from laakso.profiles import parallel_reduction, profile_distance_on_line, vertical_lines
 
 
 def _random_point_from_bits(rng, max_depth=4):
@@ -33,6 +34,34 @@ def test_random_point_draws_like_the_string_reference():
                 p, q = verify._random_point(rng, max_depth), _random_point_from_bits(ref, max_depth)
                 assert p == q and p.address.mask == q.address.mask, (seed, max_depth)
             assert rng.getstate() == ref.getstate(), (seed, max_depth)
+
+
+def _parallel_line_from_point(rng):
+    """A line of `check_parallel` as first drawn: a `_random_point` of depth
+    up to 3, levels avoiding its height's wormhole order, a `_random_height`."""
+    p = verify._random_point(rng, max_depth=3)
+    w = wormhole_order(p.height)
+    pool = [n for n in range(1, 7) if n != w]
+    size = rng.randint(3, min(4, len(pool)))
+    return p.height, tuple(sorted(rng.sample(pool, size))), verify._random_height(rng)
+
+
+def test_parallel_lines_draw_like_the_point_reference(monkeypatch):
+    # The suite draws its heights as integer pairs, with the same `rng`
+    # calls as the point-built reference, so it checks the same lines.
+    for seed in range(16):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(1000):
+            h, levels, t = verify._parallel_line(rng)
+            rh, rlevels, rt = _parallel_line_from_point(ref)
+            assert (h, levels, t) == ((rh.numerator, rh.denominator), rlevels, (rt.numerator, rt.denominator)), seed
+        assert rng.getstate() == ref.getstate(), seed
+        drawn = []
+        monkeypatch.setattr(verify, "_reduction_lengths", lambda *line: drawn.append(line) or (0, 0, 1))
+        verify.check_parallel(seed)
+        monkeypatch.undo()
+        ref = random.Random(seed)
+        assert drawn == [verify._parallel_line(ref) for _ in range(1000)], seed
 
 
 def test_parallel_reduction_equals_its_integer_core(monkeypatch):
@@ -61,8 +90,35 @@ def test_parallel_reduction_equals_its_integer_core(monkeypatch):
     monkeypatch.undo()
     assert len(drawn) == 1000
     for h, levels, t, (full, two, den) in drawn:
-        p = LaaksoPoint(h, CantorAddress(""))
-        assert parallel_reduction(p, levels, t) == (Fraction(full, den), Fraction(two, den))
+        p = LaaksoPoint(Fraction(*h), CantorAddress(""))
+        assert parallel_reduction(p, levels, Fraction(*t)) == (Fraction(full, den), Fraction(two, den))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an object was built for a verify line")
+
+
+def test_parallel_builds_no_point_or_fraction(monkeypatch):
+    # With the point and `Fraction` types made to raise in `verify`, the
+    # suite returns the same rows: heights stay integer pairs.
+    rows = {seed: verify.check_parallel(seed) for seed in range(4)}
+    for name in ("LaaksoPoint", "CantorAddress", "Fraction", "_random_point"):
+        monkeypatch.setattr(verify, name, _refuse)
+    for seed, expected in rows.items():
+        assert verify.check_parallel(seed) == expected, seed
+
+
+def test_kinks_build_no_piece_or_kink(monkeypatch):
+    # With the profile views made to raise, the suite returns the same rows:
+    # kinks, kinds and slopes are read off the integer runs and the distance.
+    rows = {seed: verify.check_kinks(seed) for seed in range(4)}
+    for name in ("Piece", "Kink"):
+        monkeypatch.setattr(profiles, name, _refuse)
+    p = LaaksoPoint(Fraction(1, 2), CantorAddress("0"))
+    with pytest.raises(AssertionError):
+        profile_distance_on_line(p, vertical_lines(p, (1,))[0]).pieces
+    for seed, expected in rows.items():
+        assert verify.check_kinks(seed) == expected, seed
 
 
 def _grid_point(data, m):
