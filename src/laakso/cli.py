@@ -55,6 +55,7 @@ from .core import (
     InternalError,
     LaaksoPoint,
     _format_ratio,
+    _gaps,
     canonicalize,
     format_rational,
     parse_rational,
@@ -68,7 +69,6 @@ from .metric import _Pair, distance  # noqa: F401
 from .profiles import (
     _MAX_CENSUS_LEVEL,
     _closed_form,
-    _gaps,
     _matches_closed_form,
     census_records,
     parallel_reduction,

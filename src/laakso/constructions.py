@@ -23,16 +23,16 @@ Porosity of the balanced-height set is certified hole by hole: next to any
 wormhole height of a deep enough order, an explicit interval is produced on
 which the down gap is tiny and the up gap is large, violating any fixed
 ratio bound.  The certificate works in integers on one scale per hole: the
-sampled heights share one denominator D, the grid kernel `core._grid_index`
-is asked for both grid indices once per grid cell the heights fall in (a
-hole lies in one), both gaps of every height are checked against the
-hole's bounds over 3**order * D, and the exact gaps are recorded as
+sampled heights share one denominator D, the gap query `core._gaps` is
+asked once per grid cell the heights fall in (a hole lies in one) for the
+grid heights on both sides, both gaps of every height are checked against
+the hole's bounds over 3**order * D, and the exact gaps are recorded as
 numerators on that scale.
 
 The pairwise Lipschitz check works the same way: each sample is
 canonicalized once and its value put on one common denominator, and each
-pair is one integer interval search of `metric._Pair`; the worst ratio is
-kept as an integer pair, and one `Fraction` is built at the end.
+pair is one integer distance read, `metric._Pair.shortest`; the worst ratio
+is kept as an integer pair, and one `Fraction` is built at the end.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .core import (
     Direction,
     LaaksoPoint,
-    _grid_index,
+    _gaps,
     _orders,
     canonicalize,
     gap_ratio_probe,
@@ -111,22 +111,22 @@ class SampledFunction:
 
         Each sample is canonicalized once and its value put over the one
         common denominator V of all values.  A pair is then one integer
-        search on its own scale D (`metric._Pair`): with the path length L
-        over D, its ratio is |v_a - v_b| * D / (L * V), and the worst one is
-        kept as an integer pair by cross-multiplication; one `Fraction` is
-        built at the end."""
+        distance read on its own scale D (`metric._Pair.shortest`): with
+        the path length L over D, its ratio is |v_a - v_b| * D / (L * V),
+        and the worst one is kept as an integer pair by cross-multiplication;
+        one `Fraction` is built at the end."""
         scale = math.lcm(*(value.denominator for _, value in self.samples))
         data = []
         for p, value in self.samples:
-            c = canonicalize(p)
-            data.append((p, c.address.mask, c.height, value.numerator * (scale // value.denominator)))
+            c, v = canonicalize(p), value.numerator * (scale // value.denominator)
+            data.append((p, c.address.mask, c.height.as_integer_ratio(), v))
         worst_num, worst_den = 0, 1
         for i, (a, mask_a, h_a, va) in enumerate(data):
             for b, mask_b, h_b, vb in data[i + 1 :]:
                 if va == vb:
                     continue
                 pair = _Pair.on_scale(_orders(mask_a ^ mask_b), h_a, h_b)
-                length = pair.length(*pair.search()[0])
+                length = pair.shortest()
                 if length == 0:
                     raise InternalError(f"equal points {a}, {b} carry different values")
                 num = abs(va - vb) * pair.den
@@ -510,15 +510,15 @@ class PorosityWitness:
         """Exact per-height certificates (num, down, up) for the heights
         num / den, one per height, in the integer form of `Certificate`.
 
-        Between two consecutive order-n wormhole heights both grid indices
-        are constant, so the grid kernel runs once per such cell the
-        heights fall in: a height strictly inside the open cell of the last
-        lookup reuses both of its indices; a height outside it, or after a
-        lookup made exactly on a grid height, is looked up again.  Every
-        height still gets its own down and up gaps, each compared with the
-        hole's bounds on the scale 3**order * den, all in integers.  Raises
-        ValueError for a height outside the hole and RuntimeError if any
-        inequality fails.
+        Between two consecutive order-n wormhole heights both neighbouring
+        grid heights are constant, so the gap query `core._gaps` runs once
+        per such cell the heights fall in, on the scale top * den: a height
+        strictly inside the open cell of the last lookup reuses both of its
+        grid heights; a height outside it, or after a lookup made exactly
+        on a grid height, is looked up again.  Every height still gets its
+        own down and up gaps, each compared with the hole's bounds on the
+        scale 3**order * den, all in integers.  Raises ValueError for a
+        height outside the hole and RuntimeError if any inequality fails.
         """
         if den < 1:
             raise ValueError("the heights' denominator must be positive")
@@ -545,12 +545,11 @@ class PorosityWitness:
                 raise ValueError(f"{Fraction(num, den)} is outside the hole")
             scaled = num * top
             if not floor < scaled < cell_top:
-                below = _grid_index(top, scaled, den, False, True)
-                above = _grid_index(top, scaled, den, True, True)
-                if below is None:
+                up, down = _gaps(scaled, top * den, self.order)
+                if down is None:
                     raise RuntimeError(f"hole certificate failed at {Fraction(num, den)}")
-                floor = below * den
-                ceil = None if above is None else above * den
+                floor = scaled - down
+                ceil = None if up is None else scaled + up
                 if scaled % den == 0:  # on a grid height: the lookup holds there only
                     cell_top = floor
                 else:

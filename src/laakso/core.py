@@ -13,19 +13,22 @@ flips bit n.  Wormhole heights of different orders never coincide, so the
 order of a triadic height is well defined.
 
 This module provides the exact rational machinery underneath everything
-else: wormhole grids, the one gap query `nearest_wormhole_gap` (the
-distances from a height to the closest wormholes of a given order above and
-below it, the quantity both the porosity and the kink results rest on),
-canonical representatives of glued points, and the gap-ratio probe that
-classifies heights by whether their up/down gaps stay within a fixed ratio
-at all probed orders ("balanced" heights; these are exactly the heights at
-which a maximal directional derivative forces differentiability).
+else: wormhole grids, the one gap query (the distances from a height to
+the closest wormholes of a given order above and below it, the quantity
+both the porosity and the kink results rest on), canonical representatives
+of glued points, and the gap-ratio probe that classifies heights by
+whether their up/down gaps stay within a fixed ratio at all probed orders
+("balanced" heights; these are exactly the heights at which a maximal
+directional derivative forces differentiability).
 
 All arithmetic is exact.  Heights and gaps are `fractions.Fraction` values;
 a gap is None when no wormhole of the order lies on that side (near the
 boundary of I, and always on the outer side of 0 and 1), which plays the
 role of an infinite gap.  Every grid lookup goes through one integer
-kernel, `_grid_index`, which needs no special case at 0 or 1.
+kernel, `_grid_index`, which needs no special case at 0 or 1, and every
+gap query through `_gaps`, its integer form (a height and its gaps times a
+denominator holding the order's grid), of which `nearest_wormhole_gap` is
+the `Fraction` view.  Outside this module only `metric` reads the kernel.
 
 Addresses are worked on integers too: each carries its bits as one integer
 mask, and `canonicalize` clears a bit of it, building a point only when a
@@ -340,6 +343,21 @@ def wormhole_order(h: Fraction) -> Optional[int]:
     return n if power == q else None
 
 
+def _gaps(num: int, den: int, n: int) -> Tuple[Optional[int], Optional[int]]:
+    """(up, down): the distances from num / den in [0, 1] to the strictly
+    nearest order-n wormhole heights above and below it, times den (a
+    multiple of 3**n), None for a side with none; the one gap query.  Two
+    lookups of `_grid_index`, each grid height read back on den's scale."""
+    top = 3**n
+    step = den // top
+    above = _grid_index(top, num, step, True, True)
+    below = _grid_index(top, num, step, False, True)
+    return (
+        None if above is None else above * step - num,
+        None if below is None else num - below * step,
+    )
+
+
 def nearest_wormhole_gap(t: Fraction, n: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:
     """Exact (up, down) distances from t in [0, 1] to the strictly nearest
     order-n wormhole heights above and below it, None (an infinite gap) for
@@ -347,20 +365,16 @@ def nearest_wormhole_gap(t: Fraction, n: int) -> Tuple[Optional[Fraction], Optio
 
     The infimum defining a gap is over strictly positive offsets, so a
     height sitting on the grid still gets positive gaps to its neighbours.
-    With t = a / b and grid index k, a gap is built as one Fraction,
-    |k * b - a * 3**n| / (3**n * b).
+    This is `_gaps` on the scale 3**n * den t, one `Fraction` per gap.
     """
     t = parse_rational(t)
     a, b = t.numerator, t.denominator
     if not (0 <= a <= b):
         raise ValueError(f"gap queries need t in [0, 1], got {t}")
     top = 3**n
-    above = _grid_index(top, a * top, b, True, True)
-    below = _grid_index(top, a * top, b, False, True)
-    return (
-        None if above is None else Fraction(above * b - a * top, top * b),
-        None if below is None else Fraction(a * top - below * b, top * b),
-    )
+    den = top * b
+    up, down = _gaps(a * top, den, n)
+    return None if up is None else Fraction(up, den), None if down is None else Fraction(down, den)
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,13 @@ class _Pair:
 
     The constructor takes that data as given: `levels`, the increasing
     orders where the addresses differ, and the scaled heights.  `on_scale`
-    puts two `Fraction` heights on the least such scale, lcm(den hx,
-    den hy) * 3**N, and `of` builds the pair of two points, canonicalized
-    once; a caller that already holds canonical data on a scale of its own
-    builds the pair directly.  `x` and `y` are the canonical points when
-    built by `of` (`geodesic` needs their addresses), else None.
+    puts two heights, given as reduced (numerator, denominator) pairs, on
+    the least such scale, lcm(den hx, den hy) * 3**N, and `of` builds the
+    pair of two points, canonicalized once; a caller that already holds
+    canonical data on a scale of its own builds the pair directly.  `x`
+    and `y` are the canonical points when built by `of` (`geodesic` needs
+    their addresses), else None.  `shortest` is the one read of the
+    distance every caller makes.
     """
 
     __slots__ = ("x", "y", "levels", "den", "hx", "hy", "lo", "hi")
@@ -139,17 +141,18 @@ class _Pair:
             self.lo, self.hi = hy, hx
 
     @classmethod
-    def on_scale(cls, levels: Sequence[int], hx: Fraction, hy: Fraction) -> "_Pair":
-        dx, dy = hx.denominator, hy.denominator
+    def on_scale(cls, levels: Sequence[int], hx: Tuple[int, int], hy: Tuple[int, int]) -> "_Pair":
+        (nx, dx), (ny, dy) = hx, hy
         den = math.lcm(dx, dy)
         if levels:
             den *= 3 ** levels[-1]
-        return cls(levels, hx.numerator * (den // dx), hy.numerator * (den // dy), den)
+        return cls(levels, nx * (den // dx), ny * (den // dy), den)
 
     @classmethod
     def of(cls, x: LaaksoPoint, y: LaaksoPoint) -> "_Pair":
         x, y = canonicalize(x), canonicalize(y)
-        pair = cls.on_scale(_orders(x.address.mask ^ y.address.mask), x.height, y.height)
+        levels = _orders(x.address.mask ^ y.address.mask)
+        pair = cls.on_scale(levels, x.height.as_integer_ratio(), y.height.as_integer_ratio())
         pair.x, pair.y = x, y
         return pair
 
@@ -211,9 +214,10 @@ class _Pair:
         path sweeping [a, b] from heights lo <= hi."""
         return 2 * (b - a) - (self.hi - self.lo)
 
-    def distance(self, a: int, b: int) -> Fraction:
-        """d(x, y) read off the minimal interval [a, b]."""
-        return Fraction(self.length(a, b), self.den)
+    def shortest(self) -> int:
+        """d(x, y) on this pair's scale: the length over the first minimal
+        interval, by one search."""
+        return self.length(*self.search()[0])
 
     def schedule(self, a: int, b: int) -> List[Tuple[int, int, List[Tuple[int, int]]]]:
         """The geodesic's height trace over [a, b] as phases (from, to, jumps).
@@ -317,7 +321,7 @@ def minimal_height_intervals(x: LaaksoPoint, y: LaaksoPoint) -> List[HeightInter
 def distance(x: LaaksoPoint, y: LaaksoPoint) -> Fraction:
     """Exact path distance between two points."""
     pair = _Pair.of(x, y)
-    return pair.distance(*pair.search()[0])
+    return Fraction(pair.shortest(), pair.den)
 
 
 def synthesize_geodesic(x: LaaksoPoint, y: LaaksoPoint, interval: HeightInterval) -> GeodesicPath:

@@ -13,21 +13,22 @@ differentiable, and lines needing three or more jumps add no new heights
 Profiling is verification based.  Candidate breakpoints come from gap
 arithmetic alone: the ends 0 and 1, h(p), and for each order n the line
 requires the order-n wormhole heights h(p) + u_n and h(p) - d_n nearest
-above and below h(p) (two lookups of the grid kernel `core._grid_index`)
-and their tie h(p) + u_n - d_n.  That is at most 3 per required order and
-3 more, so a profile costs the same at order 30 as at order 3.
+above and below h(p) (one call of the gap query `core._gaps` on the
+line's scale) and their tie h(p) + u_n - d_n.  That is at most 3 per
+required order and 3 more, so a profile costs the same at order 30 as at
+order 3.
 
 A line is worked on one integer scale (`_LineScale`).  p is canonicalized
 once, and the orders the line requires are the set bits of its address
 mask XOR the line's, less p's own wormhole order (free at p); every
 height, candidate and distance value of the line is an integer over one
 denominator, den h(p) * 3**N for N the deepest required order.  Each
-evaluation is one `metric._Pair.search` on that scale, and the returned
+evaluation is one `metric._Pair.shortest` on that scale, and the returned
 `KinkProfile` keeps the certified runs as those integers: its `Piece` and
 `Kink` `Fraction`s are views built only when a library caller reads them,
 and `laakso profile` prints the runs by `core._format_ratio`.  The closed
 forms are worked the same way: one private core (`_closed_form`) gives
-their kink heights as integers over den h * 3**N from grid-kernel gaps,
+their kink heights as integers over den h * 3**N from `core._gaps`,
 `expected_kinks`, `classify_two_level` and `census_records` are its
 `Fraction` views, and `_matches_closed_form` checks a profile against it.
 
@@ -42,7 +43,6 @@ answer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -53,7 +53,7 @@ from .core import (
     InternalError,
     LaaksoPoint,
     _format_ratio,
-    _grid_index,
+    _gaps,
     _orders,
     canonicalize,
     format_rational,
@@ -312,8 +312,7 @@ class _LineScale:
 
     def value(self, t: int) -> int:
         """d(p, [t / den, line]) times den, by one interval search."""
-        pair = _Pair(self.levels, self.hp, t, self.den)
-        return pair.length(*pair.search()[0])
+        return _Pair(self.levels, self.hp, t, self.den).shortest()
 
     def candidates(self) -> List[int]:
         """The sorted candidate breakpoints: 0, 1 and h(p), and for each
@@ -340,20 +339,6 @@ def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
 class ImpossibleGapConfiguration(InternalError):
     """Raised for gap orderings that the grid geometry rules out; reaching
     one means the closed-form case analysis disagrees with the arithmetic."""
-
-
-def _gaps(hp: int, den: int, n: int) -> Tuple[Optional[int], Optional[int]]:
-    """(up, down): the distances from hp / den to the strictly nearest
-    order-n wormhole heights above and below it, times den (a multiple of
-    3**n), None for a side with none; `nearest_wormhole_gap` on a scale."""
-    top = 3**n
-    step = den // top
-    above = _grid_index(top, hp, step, True, True)
-    below = _grid_index(top, hp, step, False, True)
-    return (
-        None if above is None else above * step - hp,
-        None if below is None else hp - below * step,
-    )
 
 
 def _single(hp: int, up: Optional[int], down: Optional[int]) -> List[int]:
@@ -509,13 +494,11 @@ def _reduction_lengths(
     orders, as integers over `den`, by one interval search each.  Both
     heights come as reduced (numerator, denominator) pairs, and `den` is the
     full line's least scale, lcm(den h, den t) * 3**N for N the deepest
-    order (the rule of `_Pair.on_scale`).  The arguments are taken as valid
+    order, as `_Pair.on_scale` puts them.  The arguments are taken as valid
     (`parallel_reduction` checks them)."""
-    (hn, hd), (tn, td) = h, t
-    den = math.lcm(hd, td) * 3 ** levels[-1]
-    hx, hy = hn * (den // hd), tn * (den // td)
-    full, two = _Pair(levels, hx, hy, den), _Pair(levels[:2], hx, hy, den)
-    return full.length(*full.search()[0]), two.length(*two.search()[0]), den
+    full = _Pair.on_scale(levels, h, t)
+    two = _Pair(levels[:2], full.hx, full.hy, full.den)
+    return full.shortest(), two.shortest(), full.den
 
 
 def parallel_reduction(
@@ -538,8 +521,7 @@ def parallel_reduction(
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")
     levels, _ = _checked_levels(p.height, levels)
-    h = p.height
-    full, two, den = _reduction_lengths((h.numerator, h.denominator), levels, (t.numerator, t.denominator))
+    full, two, den = _reduction_lengths(p.height.as_integer_ratio(), levels, t.as_integer_ratio())
     return Fraction(full, den), Fraction(two, den)
 
 

@@ -116,8 +116,7 @@ def _grid_formula(top: int, kx: int, ky: int, xor: int) -> int:
     """The interval-formula distance, times `top` = 3**m, between the points
     at heights kx / top and ky / top whose canonical masks differ by `xor`
     (bits below m), by one `_Pair` search on the graph's scale."""
-    pair = _Pair(_orders(xor), kx, ky, top)
-    return pair.length(*pair.search()[0])
+    return _Pair(_orders(xor), kx, ky, top).shortest()
 
 
 def _oracle_mismatches(
@@ -267,7 +266,7 @@ def _follow_up_slopes(scale: _LineScale, profile: KinkProfile) -> List[bool]:
     The kink k and its neighbours, the previous kink (or 0) and the next (or
     1), are the starts of the kink's two runs and the end of the second.
     The distance is read at the half-gap points on both sides, the
-    midpoints of the two runs, one `_Pair.search` per run (a midpoint is
+    midpoints of the two runs, one `_Pair.shortest` per run (a midpoint is
     shared by the kinks at both ends of its run) on the line's orders at
     the doubled scale 2 * den, where those points are integers, and v(k) is
     read off the run start; `profile.den` must be a multiple of
@@ -280,10 +279,7 @@ def _follow_up_slopes(scale: _LineScale, profile: KinkProfile) -> List[bool]:
     if len(runs) < 2:
         return []
     levels, hp = scale.levels, scale.hp * (den2 // scale.den)
-    mids = []
-    for lo, _, hi, _ in runs:
-        pair = _Pair(levels, hp, lo + hi, den2)
-        mids.append(pair.length(*pair.search()[0]))
+    mids = [_Pair(levels, hp, lo + hi, den2).shortest() for lo, _, hi, _ in runs]
     out = []
     for (prev, _, _, left), (k, vk, nxt, right), dl, dr in zip(runs, runs[1:], mids, mids[1:]):
         side = 1 if left < right else -1  # the right slope a V or a roof must have

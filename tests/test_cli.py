@@ -20,7 +20,8 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import laakso
-from laakso import cli, metric, profiles, verify
+from laakso import calculus, cli, metric, profiles, verify
+from laakso import constructions as cons
 from laakso.cli import main
 from laakso.core import (
     Direction,
@@ -800,6 +801,68 @@ def test_planted_kink_faults_fail_their_rows_with_exit_1(monkeypatch, capsys):
         census = {row.name: row.passed for row in verify.check_census(seed=7)}
         assert not census["census-confirmed-by-profiles"], name
         monkeypatch.undo()
+
+
+def test_planted_faults_fail_porosity_and_construction_rows_with_exit_1(monkeypatch, capsys):
+    # One fault per row of `verify porosity` and `verify constructions`, each
+    # in the code the row checks, turns that row (and only the rows listed)
+    # to FAIL as a failed check, exit 1, never an internal error.
+    real_gaps, real_distance, real_quotient = cons._gaps, calculus.distance, calculus.difference_quotient
+
+    def strict_settle(quotients, tol):  # `<` for `<=`: equal quotients never settle
+        lo, hi = min(quotients), max(quotients)
+        return (hi + lo) / 2 if hi - lo < 2 * tol else None
+
+    def negated_quotient(f, x, t):  # (f(x) - f(x + t)) / t
+        return -real_quotient(f, x, t)
+
+    def by_height(self, p):  # a lookup that ignores the address
+        return next(value for q, value in self.samples if q.height == p.height)
+
+    plants = [
+        ("porosity", "porosity-hole-certificates",
+         [(cons, "_gaps", lambda num, den, n: real_gaps(num, den, n)[::-1])]),  # up and down swapped
+        ("constructions", "flat-derivative-zero", [(calculus, "_settle", strict_settle)]),
+        ("constructions", "flat-jump-quotients",
+         [(calculus, "distance", lambda x, y: 2 * real_distance(x, y))]),  # the probe's distances doubled
+        ("constructions", "steep-upper-quotient-one",
+         [(calculus, "difference_quotient", negated_quotient), (verify, "difference_quotient", negated_quotient)]),
+        ("constructions", "flat-jump-quotients,steep-jump-quotients",
+         [(cons.SampledFunction, "value_at", by_height)]),
+    ]
+    for suite, rows, patches in plants:
+        for target, name, fake in patches:
+            monkeypatch.setattr(target, name, fake)
+        code, out, err = run(capsys, "verify", suite)
+        status = dict(line.split(",")[:2] for line in out.splitlines()[1:])
+        assert (code, err) == (1, ""), rows
+        assert sorted(row for row, s in status.items() if s == "FAIL") == rows.split(","), rows
+        monkeypatch.undo()
+
+    # The other three rows cannot fail: the witness build refuses the faults
+    # they would show, as internal errors (exit 3) before any row is made.
+    # `_witness` checks every sample pair against the bound 1 the two
+    # Lipschitz rows compare with, and `find_band_schedule`'s `validate()`
+    # refuses a band slope above the ramp bound `steep-ramp-bounds` reads.
+    class HalfPair(cons._Pair):  # the Lipschitz check's distances halved
+        __slots__ = ()
+
+        def shortest(self):
+            return super().shortest() // 2
+
+    monkeypatch.setattr(cons, "_Pair", HalfPair)
+    code, out, err = run(capsys, "verify", "constructions")
+    assert (code, out) == (3, "") and "exceeds bound 1" in err
+    monkeypatch.undo()
+    real_bound, reads = cons.BandSchedule.ramp_bound, []
+
+    def high_when_set(self, k):  # the slopes set 10**-9 above the bound validate() reads
+        reads.append(k)
+        return real_bound(self, k) + (Fraction(1, 10**9) if len(reads) <= len(self.levels) else 0)
+
+    monkeypatch.setattr(cons.BandSchedule, "ramp_bound", high_when_set)
+    code, out, err = run(capsys, "verify", "constructions")
+    assert (code, out) == (3, "") and "exceeds its ramp bound" in err
 
 
 def test_v_kinks_off_the_distance_fail_a7(monkeypatch, capsys):

@@ -383,10 +383,10 @@ def test_porosity_certificate_rejects_off_grid_anchor():
 
 
 def test_porosity_certificate_checks_both_bounds(monkeypatch):
-    # On the true grid a passing down gap implies a passing up gap, so a grid
-    # kernel that misreports one side is what shows each check is made.  The
-    # misreported index sits exactly the given gap away from s, so it need
-    # not be an integer.
+    # On the true grid a passing down gap implies a passing up gap, so a gap
+    # query that misreports one side is what shows each check is made.  The
+    # misreported gap is the given one on the query's scale, so it need not
+    # be an integer.
     w = porosity_witness(F(2), 1, F(1, 3), F(1, 10))
     top = 3**w.order
     down_bound, up_bound = w.lam / top, (1 - w.lam) / top
@@ -394,11 +394,10 @@ def test_porosity_certificate_checks_both_bounds(monkeypatch):
     num, den = s.numerator, s.denominator
     for down, up in ((down_bound, up_bound), (down_bound + F(1, 10**9), up_bound),
                      (down_bound, up_bound - F(1, 10**9)), (None, up_bound)):
-        def kernel(n_top, t_num, t_step, upward, strict, down=down, up=up):
-            gap = up if upward else down
-            return None if gap is None else (s + gap if upward else s - gap) * top
+        def gaps(t_num, t_den, n, down=down, up=up):
+            return tuple(None if gap is None else gap * t_den for gap in (up, down))
 
-        monkeypatch.setattr("laakso.constructions._grid_index", kernel)
+        monkeypatch.setattr("laakso.constructions._gaps", gaps)
         if (down, up) == (down_bound, up_bound):
             assert w.certify([num], den) == [(num, down * top * den, up * top * den)]
         else:
@@ -464,14 +463,14 @@ def test_porosity_certificate_per_cell_matches_per_height(seed):
 
 def test_certify_looks_up_once_per_grid_cell(monkeypatch):
     # Every hole check_porosity certifies lies inside one grid cell, so its
-    # 1000 heights cost one lookup on each side.
+    # 1000 heights cost one gap query (one kernel lookup on each side).
     calls = []
-    kernel = cons._grid_index
-    monkeypatch.setattr("laakso.constructions._grid_index", lambda *args: calls.append(args) or kernel(*args))
+    query = cons._gaps
+    monkeypatch.setattr("laakso.constructions._gaps", lambda *args: calls.append(args) or query(*args))
     for seed in range(8):
         calls.clear()
         assert all(r.passed for r in check_porosity(seed=seed))
-        assert len(calls) == 40
+        assert len(calls) == 20
 
 
 def test_check_porosity_sample_heights(monkeypatch):

@@ -12,6 +12,7 @@ from laakso.core import (
     HeightInterval,
     LaaksoPoint,
     WormholeLevel,
+    _gaps,
     _grid_index,
     _orders,
     canonicalize,
@@ -209,6 +210,42 @@ def test_grid_kernel_matches_brute_force(t, n):
         k = None if h is None else h * top
         assert _grid_index(top, a * top, b, up, strict) == k
         assert _grid_index(top, 3 * a * top, 3 * b, up, strict) == k
+
+
+def _reference_gaps(a, b, n):
+    """(up, down) at t = a / b times 3**n * b: the gap formula before
+    `_gaps`, two kernel lookups with t * 3**n as a * 3**n over step b."""
+    top = 3**n
+    above = _grid_index(top, a * top, b, True, True)
+    below = _grid_index(top, a * top, b, False, True)
+    return (
+        None if above is None else above * b - a * top,
+        None if below is None else a * top - below * b,
+    )
+
+
+def test_gaps_equal_the_reference_on_deep_scales():
+    # `nearest_wormhole_gap` is a view of `_gaps`, so `_gaps` is checked here
+    # against the formula it replaced: at 0, 1, every wormhole height of
+    # order <= 6 and 200 seeded off-grid heights, for orders 1..12, on the
+    # scales 3**N * den t with N = n..n + 4.
+    rng = random.Random(30)
+    ts = [F(0), F(1)] + [h for m in range(1, 7) for h in enumerate_wormhole_heights(m, UNIT)]
+    off_grid = []
+    while len(off_grid) < 200:
+        den = rng.randint(2, 10**6)
+        t = F(rng.randint(1, den - 1), den)
+        if wormhole_order(t) is None:
+            off_grid.append(t)
+    assert len(ts) == 2 + sum(2 * 3 ** (m - 1) for m in range(1, 7))
+    for t in ts + off_grid:
+        a, b = t.numerator, t.denominator
+        for n in range(1, 13):
+            want = _reference_gaps(a, b, n)
+            for big in range(n, n + 5):
+                scale = 3 ** (big - n)
+                got = _gaps(a * 3**big, b * 3**big, n)
+                assert got == tuple(None if g is None else g * scale for g in want), (t, n, big)
 
 
 # Heights on the order-m grids (m <= 8, so on and off the queried order's

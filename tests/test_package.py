@@ -93,6 +93,49 @@ def test_one_json_writer():
     assert writers == []
 
 
+def _enclosing(node, parents) -> str:
+    """The dotted names of the classes and functions around `node`."""
+    names = []
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+    return ".".join(reversed(names))
+
+
+def test_one_gap_query_and_one_distance_read():
+    # The integer layer has one gap query, `core._gaps`, over the one grid
+    # kernel `core._grid_index`, which outside `core` only `metric`'s
+    # interval search reads; and one distance read, `metric._Pair.shortest`,
+    # the only code that takes the first interval of a `search()`.
+    kernel_modules, first_reads, gap_definitions = set(), [], []
+    for path in sorted(Path(laakso.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+            else:
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "_grid_index":
+                kernel_modules.add(path.stem)
+            defines = isinstance(node, ast.FunctionDef) or isinstance(getattr(node, "ctx", None), ast.Store)
+            if name == "_gaps" and defines:
+                gap_definitions.append(path.stem)
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "search"
+                and isinstance(node.slice, ast.Constant)
+                and node.slice.value == 0
+            ):
+                first_reads.append((path.stem, _enclosing(node, parents)))
+    assert kernel_modules == {"core", "metric"}
+    assert first_reads == [("metric", "_Pair.shortest")]
+    assert gap_definitions == ["core"]
+
+
 def _load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
