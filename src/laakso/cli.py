@@ -68,13 +68,10 @@ from .core import (
 from .metric import _Pair, distance  # noqa: F401
 from .profiles import (
     _MAX_CENSUS_LEVEL,
-    _closed_form,
-    _matches_closed_form,
+    _profile_level_set,
     census_records,
     parallel_reduction,
-    profile_distance_on_line,
     profile_to_svg,
-    vertical_lines,
 )
 
 __all__ = ["main", "entrypoint"]
@@ -368,20 +365,16 @@ def cmd_profile(args) -> int:
     _check_free_orders("--line", p, levels)
     if levels:
         _check_printable("--line", p.height.denominator, _binding_order(p, levels))
-    lines = vertical_lines(p, levels)
-    profiles = [profile_distance_on_line(p, line) for line in lines]
-    # One closed form serves every line: it depends on h(p) and the levels.
-    _, den, closed = _closed_form(p.height, levels)
+    (_, den, closed), profiled = _profile_level_set(p, levels)
     expected = [_format_ratio(v, den) for v in closed]
     results = []
     svgs = []
     ok = True
-    for line, profile in zip(lines, profiles):
-        match = _matches_closed_form(profile, den, closed)
+    for profile, match in profiled:
         ok = ok and match
         results.append({"profile": profile.to_json(), "expected_kinks": expected, "pass": match})
         if args.svg:
-            suffix = f".{line.branch}" if len(lines) > 1 else ""
+            suffix = f".{profile.line.branch}" if len(profiled) > 1 else ""
             path = args.svg if not suffix else _suffixed(args.svg, suffix)
             svgs.append((profile_to_svg(profile), path))
     payload = {"p": point_to_json(canonicalize(p)), "lines": results}

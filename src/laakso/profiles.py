@@ -18,19 +18,17 @@ line's scale) and their tie h(p) + u_n - d_n.  That is at most 3 per
 required order and 3 more, so a profile costs the same at order 30 as at
 order 3.
 
-A line is worked on one integer scale (`_LineScale`).  p is canonicalized
-once, and the orders the line requires are the set bits of its address
-mask XOR the line's, less p's own wormhole order (free at p); every
+A line is worked on one integer scale (`_LineScale`), built from h(p)
+and the orders the line requires, with one gap query per order: every
 height, candidate and distance value of the line is an integer over one
 denominator, den h(p) * 3**N for N the deepest required order.  Each
 evaluation is one `metric._Pair.shortest` on that scale, and the returned
-`KinkProfile` keeps the certified runs as those integers: its `Piece` and
-`Kink` `Fraction`s are views built only when a library caller reads them,
-and `laakso profile` prints the runs by `core._format_ratio`.  The closed
-forms are worked the same way: one private core (`_closed_form`) gives
-their kink heights as integers over den h * 3**N from `core._gaps`,
-`expected_kinks`, `classify_two_level` and `census_records` are its
-`Fraction` views, and `_matches_closed_form` checks a profile against it.
+`KinkProfile` keeps the scale and the certified runs as those integers:
+its `Piece` and `Kink` `Fraction`s are views built only when a library
+caller reads them.  The closed forms (`_closed_form`) read their kink
+heights off a scale's gaps, `expected_kinks`, `classify_two_level` and
+`census_records` are their `Fraction` views, and `_profile_level_set`
+checks the profiles of a level set's lines against its closed form.
 
 The profile is evaluated once at each candidate, and each gap between
 consecutive candidates is then certified linear: since the profile is
@@ -46,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import (
     CantorAddress,
@@ -188,7 +186,8 @@ _Run = Tuple[int, int, int, int]  # (lo, v(lo), hi, slope), heights and values t
 class KinkProfile:
     """The certified profile of a line: its maximal linear runs, sorted
     and contiguous, as integers over `den`; consecutive runs differ in
-    slope, so every inner run start is a kink.
+    slope, so every inner run start is a kink.  `scale` is the line's
+    `_LineScale`, whose `den` the runs are written over.
 
     `pieces` and `kinks` are the runs' `Fraction` views, built the first
     time they are read.  Two profiles are equal when their lines, pieces
@@ -198,6 +197,7 @@ class KinkProfile:
     line: VerticalLine
     den: int
     runs: Tuple[_Run, ...]
+    scale: "_LineScale"
 
     @cached_property
     def pieces(self) -> Tuple[Piece, ...]:
@@ -250,10 +250,12 @@ class KinkProfile:
         }
 
 
-def _assemble(line: VerticalLine, v: Callable[[int], int], breaks: List[int], den: int) -> KinkProfile:
-    """Evaluate v once at each break (heights times `den`), certify every gap
-    between consecutive breaks linear, and merge runs of one slope."""
-    values = [v(t) for t in breaks]
+def _assemble(line: VerticalLine, scale: "_LineScale") -> KinkProfile:
+    """Evaluate the line's distance once at each candidate of its scale
+    (heights times `scale.den`), certify every gap between consecutive
+    candidates linear, and merge runs of one slope."""
+    breaks = scale.candidates()
+    values = [scale.value(t) for t in breaks]
     runs: List[_Run] = []
     for t0, v0, t1, v1 in zip(breaks, values, breaks[1:], values[1:]):
         if abs(v1 - v0) != t1 - t0:
@@ -263,18 +265,20 @@ def _assemble(line: VerticalLine, v: Callable[[int], int], breaks: List[int], de
             runs[-1] = runs[-1][:2] + (t1, slope)
         else:
             runs.append((t0, v0, t1, slope))
-    return KinkProfile(line, den, tuple(runs))
+    return KinkProfile(line, scale.den, tuple(runs), scale)
 
 
 class _LineScale:
-    """The distance from a canonical point p to a vertical line, with every
-    height on one integer scale.
+    """The distance from a point p to a vertical line, with every height on
+    one integer scale, built from h(p) and the orders the line requires.
 
-    `levels` are the orders the line requires, the set bits of p's
-    canonical mask XOR the line's, less p's own wormhole order w.  `den`
-    is den h(p) * 3**N, N the deepest of them (the rule of
+    `levels` are those orders, increasing: the set bits of p's mask XOR the
+    line's, less p's own wormhole order w (`profile_distance_on_line`), so
+    p need not be canonical (its representatives differ only in bit w).
+    `den` is den h(p) * 3**N, N the deepest of them (the rule of
     `metric._Pair.on_scale`): it holds 0, 1, h(p) (`hp` on the scale),
-    every candidate and the distance values there.
+    every candidate and the distance values there.  `gaps` holds hp's
+    (up, down) gaps of each order, one `core._gaps` query per order.
 
     Why w is left out.  Every interval the search considers holds h(p),
     which is on w's grid, so w never constrains it, required or not; left
@@ -293,42 +297,40 @@ class _LineScale:
     never a wrong profile.
     """
 
-    __slots__ = ("levels", "den", "hp")
+    __slots__ = ("levels", "den", "hp", "gaps")
 
-    def __init__(self, pc: LaaksoPoint, line: VerticalLine):
-        # Heights on the line are not canonicalized: at an order-n wormhole
-        # height t the two representatives differ only in whether n is
-        # required, and t itself meets the order-n requirement, so
-        # `_Pair.search` returns the same intervals for either.
-        height = pc.height
-        mask = pc.address.mask ^ line.base_address.mask
-        w = wormhole_order(height)
-        if w is not None:
-            mask &= ~(1 << (w - 1))
-        self.levels = _orders(mask)
-        order = self.levels[-1] if self.levels else 0
-        self.den = height.denominator * 3**order
-        self.hp = height.numerator * 3**order
+    def __init__(self, h: Fraction, levels: Sequence[int]):
+        scale = 3 ** levels[-1] if levels else 1
+        self.levels = levels
+        self.den = h.denominator * scale
+        self.hp = h.numerator * scale
+        self.gaps = [_gaps(self.hp, self.den, n) for n in levels]
 
     def value(self, t: int) -> int:
-        """d(p, [t / den, line]) times den, by one interval search."""
+        """d(p, [t / den, line]) times den, by one interval search.  t is
+        not canonicalized: at an order-n wormhole height t the two
+        representatives differ only in whether n is required, and t itself
+        meets the order-n requirement, so `_Pair.search` returns the same
+        intervals for either."""
         return _Pair(self.levels, self.hp, t, self.den).shortest()
 
     def candidates(self) -> List[int]:
         """The sorted candidate breakpoints: 0, 1 and h(p), and for each
         required order n the order-n wormhole heights nearest above and
         below h(p) and their tie, the single-jump closed form of order n."""
-        den, hp = self.den, self.hp
-        breaks = {0, den, hp}
-        for n in self.levels:
-            breaks.update(_single(hp, *_gaps(hp, den, n)))
+        breaks = {0, self.den, self.hp}
+        for gaps in self.gaps:
+            breaks.update(_single(self.hp, *gaps))
         return sorted(breaks)
 
 
 def profile_distance_on_line(p: LaaksoPoint, line: VerticalLine) -> KinkProfile:
     """Exact profile of t -> d(p, [t, line.bits]) over [0, 1]."""
-    scale = _LineScale(canonicalize(p), line)
-    return _assemble(line, scale.value, scale.candidates(), scale.den)
+    mask = p.address.mask ^ line.base_address.mask
+    w = wormhole_order(p.height)
+    if w is not None:
+        mask &= ~(1 << (w - 1))
+    return _assemble(line, _LineScale(p.height, _orders(mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,29 +367,22 @@ TWO_LEVEL_BRANCHES = (
 )
 
 
-def _closed_form(h: Fraction, levels: Sequence[int]) -> Tuple[Optional[str], int, List[int]]:
-    """The closed-form kinks of the line of jump orders `levels` (none, one,
-    or two increasing ones) from a base point at height h in [0, 1]:
-    the two-level branch label (None for fewer levels), den = den h * 3**N
-    for N the deepest order, and the kink heights as increasing integers
-    over den.  See `classify_two_level` for the two-level branches."""
-    num, den = h.numerator, h.denominator
+def _closed_form(scale: _LineScale) -> Tuple[Optional[str], int, List[int]]:
+    """The closed-form kinks of a line of the scale's orders (none, one, or
+    two increasing ones), read off its gaps: the two-level branch label
+    (None for fewer orders), den, and the kink heights as increasing
+    integers over den.  See `classify_two_level` for the branches."""
+    levels, hp, den = scale.levels, scale.hp, scale.den
     if not levels:
-        return None, den, [num] if 0 < num < den else []
-    if len(levels) == 2 and not 1 <= levels[0] < levels[1]:
-        raise ValueError("need two orders with n < m")
-    if not 0 <= num <= den:
-        raise ValueError(f"gap queries need t in [0, 1], got {h}")
-    scale = 3 ** levels[-1]
-    hp, den = num * scale, den * scale
+        return None, den, [hp] if 0 < hp < den else []
     if len(levels) == 1:
-        heights = _single(hp, *_gaps(hp, den, levels[0]))
+        heights = _single(hp, *scale.gaps[0])
         if not heights:
+            h = Fraction(hp, den)
             raise ImpossibleGapConfiguration(f"order {levels[0]} has no wormhole on either side of {h}")
         return None, den, heights
 
-    un, dn = _gaps(hp, den, levels[0])
-    um, dm = _gaps(hp, den, levels[1])
+    (un, dn), (um, dm) = scale.gaps
     if dm is None and dn is not None:
         raise ImpossibleGapConfiguration("order-m grid reaches lower than order-n grid")
     if um is None and un is not None:
@@ -445,9 +440,28 @@ def _matches_closed_form(profile: KinkProfile, den: int, heights: Sequence[int])
     )
 
 
+def _profile_level_set(
+    p: LaaksoPoint, levels: Sequence[int]
+) -> Tuple[Tuple[Optional[str], int, List[int]], List[Tuple[KinkProfile, bool]]]:
+    """The level set's closed form (branch, den, heights) and, for each of
+    its lines from p (`vertical_lines`), (profile, whether it has exactly
+    those kinks).  Every line's orders are the levels (branch 1 adds only
+    p's own wormhole order, which the scale drops), so one closed form, off
+    the first profile's scale, serves them all.  `profile_distance_on_line`
+    is called by its module name, so a wrapper bound there sees each line."""
+    profiles = [profile_distance_on_line(p, line) for line in vertical_lines(p, levels)]
+    branch, den, heights = _closed_form(profiles[0].scale)
+    return (branch, den, heights), [(prof, _matches_closed_form(prof, den, heights)) for prof in profiles]
+
+
 def _closed_heights(h: Fraction, levels: Sequence[int]) -> Tuple[Optional[str], List[Fraction]]:
-    """`_closed_form` with its heights as `Fraction`s."""
-    branch, den, heights = _closed_form(h, levels)
+    """`_closed_form` of the jump orders `levels` from height h in [0, 1],
+    its heights as `Fraction`s."""
+    if len(levels) == 2 and not 1 <= levels[0] < levels[1]:
+        raise ValueError("need two orders with n < m")
+    if levels and not 0 <= h <= 1:
+        raise ValueError(f"gap queries need t in [0, 1], got {h}")
+    branch, den, heights = _closed_form(_LineScale(h, levels))
     return branch, [Fraction(v, den) for v in heights]
 
 

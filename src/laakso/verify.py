@@ -46,14 +46,10 @@ from .metric import (
 from .profiles import (
     TWO_LEVEL_BRANCHES,
     KinkProfile,
-    _LineScale,
-    _closed_form,
-    _matches_closed_form,
+    _profile_level_set,
     _reduction_lengths,
     census_level_sets,
     nondiff_height_census,
-    profile_distance_on_line,
-    vertical_lines,
 )
 
 __all__ = [
@@ -259,7 +255,7 @@ _BRANCH_POOL: Tuple[Tuple[str, Fraction], ...] = (
 )
 
 
-def _follow_up_slopes(scale: _LineScale, profile: KinkProfile) -> List[bool]:
+def _follow_up_slopes(profile: KinkProfile) -> List[bool]:
     """For each kink of the profile, whether the distance itself has the
     kink's one-sided unit slopes, (-1, +1) at a V and (+1, -1) at a roof.
 
@@ -267,15 +263,15 @@ def _follow_up_slopes(scale: _LineScale, profile: KinkProfile) -> List[bool]:
     1), are the starts of the kink's two runs and the end of the second.
     The distance is read at the half-gap points on both sides, the
     midpoints of the two runs, one `_Pair.shortest` per run (a midpoint is
-    shared by the kinks at both ends of its run) on the line's orders at
-    the doubled scale 2 * den, where those points are integers, and v(k) is
-    read off the run start; `profile.den` must be a multiple of
-    `scale.den`, as it is (equal) for a profile `profile_distance_on_line`
-    returns.  The distance is 1-Lipschitz, so |d(k) - d(s)| == |k - s|
-    makes it linear on [s, k] with that slope: the slopes are checked on
-    the distance, not re-read from the runs the profile was assembled
-    from."""
-    runs, den2 = profile.runs, 2 * profile.den
+    shared by the kinks at both ends of its run) on the orders of the
+    profile's own scale, doubled to 2 * den, where those points are
+    integers, and v(k) is read off the run start; `profile.den` must be a
+    multiple of `profile.scale.den`, as it is (equal) for a profile
+    `profile_distance_on_line` returns.  The distance is 1-Lipschitz, so
+    |d(k) - d(s)| == |k - s| makes it linear on [s, k] with that slope: the
+    slopes are checked on the distance, not re-read from the runs the
+    profile was assembled from."""
+    runs, den2, scale = profile.runs, 2 * profile.den, profile.scale
     if len(runs) < 2:
         return []
     levels, hp = scale.levels, scale.hp * (den2 // scale.den)
@@ -288,11 +284,12 @@ def _follow_up_slopes(scale: _LineScale, profile: KinkProfile) -> List[bool]:
 
 
 def check_kinks(seed: int = 3) -> List[Check]:
-    """Profiles against closed-form kinks (`profiles._matches_closed_form`:
-    heights and kinds) on the three line families, with per-branch coverage
-    of the two-level case analysis, and double-geodesic follow-ups on every
-    kink found: each kink's one-sided unit slopes are read off the distance
-    (`_follow_up_slopes`), and roof kinks admit both geodesic endings.
+    """Profiles against closed-form kinks (heights and kinds, checked by
+    `profiles._profile_level_set`) on the three line families, with
+    per-branch coverage of the two-level case analysis, and double-geodesic
+    follow-ups on every kink found: each kink's one-sided unit slopes are
+    read off the distance (`_follow_up_slopes`, on the profile's own
+    scale), and roof kinks admit both geodesic endings.
 
     Kinks and kinds are read off each profile's integer runs; no `Piece`
     or `Kink` view is built.  The families are 20 seeded points on their
@@ -316,18 +313,14 @@ def check_kinks(seed: int = 3) -> List[Check]:
     roof_total = v_total = follow_bad = 0
     for p, levels in cases:
         family = len(levels)
-        pc = canonicalize(p)
-        # The closed form depends on h(p) and the levels only, so one list
-        # serves every line of the case; the own line's is [h(p)].
-        branch, den, closed = _closed_form(p.height, levels)
+        (branch, _, _), profiled = _profile_level_set(p, levels)
         if branch is not None:
             hits[branch] += 1
-        for line in vertical_lines(p, levels):
+        for profile, match in profiled:
             profiles[family] += 1
-            profile = profile_distance_on_line(p, line)
-            bad[family] += not _matches_closed_form(profile, den, closed)
-            runs = profile.runs
-            slopes = _follow_up_slopes(_LineScale(pc, line), profile)
+            bad[family] += not match
+            runs, line = profile.runs, profile.line
+            slopes = _follow_up_slopes(profile)
             for (_, _, _, left), (k, _, _, right), unit in zip(runs, runs[1:], slopes):
                 if left < right:
                     v_total += 1
@@ -590,16 +583,14 @@ def check_census(seed: int = 7) -> List[Check]:
         census_set = set(census)
         profiled = set()
         for levels in [()] + census_level_sets(pc, 4):
-            _, den, closed = _closed_form(pc.height, levels)
-            for line in vertical_lines(pc, levels):
-                profile = profile_distance_on_line(pc, line)
+            for profile, match in _profile_level_set(pc, levels)[1]:
                 kinks = set(profile.kink_heights())
                 profiled |= kinks
-                bad_confirm += not (kinks <= census_set and _matches_closed_form(profile, den, closed))
+                bad_confirm += not (kinks <= census_set and match)
                 # d is 1-Lipschitz along the line, so |d(b) - d(a)| = b - a
                 # makes it linear on all of [a, b]: no kink between kinks.
                 heights = sorted(kinks | {Fraction(0), Fraction(1)})
-                d = {t: distance(pc, LaaksoPoint(t, line.base_address)) for t in heights}
+                d = {t: distance(pc, LaaksoPoint(t, profile.line.base_address)) for t in heights}
                 for a, b in zip(heights, heights[1:]):
                     if abs(d[b] - d[a]) != b - a:
                         bad_smooth += 1

@@ -140,7 +140,7 @@ def test_own_line_roof_kink_fails_v0_row(monkeypatch):
         # negated slopes keep every kink's height and swap its kind.
         return dataclasses.replace(profile, runs=tuple(run[:3] + (-run[3],) for run in profile.runs))
 
-    monkeypatch.setattr("laakso.verify.profile_distance_on_line", roofed)
+    monkeypatch.setattr("laakso.profiles.profile_distance_on_line", roofed)
     rows = {r.name: r for r in verify.check_kinks(seed=3)}
     assert not rows["v0-single-kink"].passed
     assert rows["single-jump-kinks"].passed and rows["two-level-kinks"].passed

@@ -20,7 +20,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import laakso
-from laakso import calculus, cli, metric, profiles, verify
+from laakso import calculus, cli, metric, oracle, profiles, verify
 from laakso import constructions as cons
 from laakso.cli import main
 from laakso.core import (
@@ -464,7 +464,7 @@ def test_closed_form_off_the_profile_scale_is_a_mismatch(monkeypatch, capsys):
         ((None, 12, [4, 5, 8]), 1, False, ["1/3", "5/12", "2/3"]),
         ((None, 12, [4, 6, 8]), 0, True, ["1/3", "1/2", "2/3"]),
     ):
-        monkeypatch.setattr(cli, "_closed_form", lambda h, levels, planted=planted: planted)
+        monkeypatch.setattr(profiles, "_closed_form", lambda scale, planted=planted: planted)
         got, out, err = run(capsys, *argv)
         (entry,) = json.loads(out)["lines"]
         assert (got, err, entry["pass"], entry["expected_kinks"]) == (code, "", passed, expected)
@@ -662,7 +662,7 @@ def test_internal_invariant_failures_exit_3(monkeypatch, capsys):
         def boom(*args, exc=exc):
             raise exc
 
-        monkeypatch.setattr(f"laakso.cli.{name}", boom)
+        monkeypatch.setattr(f"laakso.profiles.{name}", boom)
         code, out, err = run(capsys, "profile", "--p", "1/2:0", "--line", "v1")
         assert code == 3 and out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
@@ -780,8 +780,10 @@ def test_planted_kink_faults_fail_their_rows_with_exit_1(monkeypatch, capsys):
     # moved one unit of its scale up, or every profile's slopes negated
     # (each kink's height kept, its kind swapped), fails each of them as a
     # failed check (exit 1), never as an internal error.
-    def moved(h, levels):
-        branch, den, heights = profiles._closed_form(h, levels)
+    closed_form = profiles._closed_form
+
+    def moved(scale):
+        branch, den, heights = closed_form(scale)
         return branch, den, [v + (i == 0) for i, v in enumerate(heights)]
 
     def negated(p, line):
@@ -789,8 +791,7 @@ def test_planted_kink_faults_fail_their_rows_with_exit_1(monkeypatch, capsys):
         return dataclasses.replace(profile, runs=tuple(run[:3] + (-run[3],) for run in profile.runs))
 
     for name, fake in (("_closed_form", moved), ("profile_distance_on_line", negated)):
-        monkeypatch.setattr(cli, name, fake)
-        monkeypatch.setattr(verify, name, fake)
+        monkeypatch.setattr(profiles, name, fake)
         for spec in ("v0", "v1", "vD:1,3"):
             code, out, err = run(capsys, "profile", "--p", "2/5:0", "--line", spec)
             assert (code, err) == (1, "") and not json.loads(out)["lines"][0]["pass"], (name, spec)
@@ -865,6 +866,60 @@ def test_planted_faults_fail_porosity_and_construction_rows_with_exit_1(monkeypa
     assert (code, out) == (3, "") and "exceeds its ramp bound" in err
 
 
+def test_planted_faults_fail_kink_parallel_oracle_and_regularity_rows_with_exit_1(monkeypatch, capsys):
+    # One fault per row of `verify kinks`, `parallel`, `oracle` and
+    # `regularity` that the other planted-fault tests leave out, each in the
+    # code the row checks, turns that row (and only that row) to FAIL as a
+    # failed check, exit 1, never an internal error.
+    closed_form, reduction, formula = profiles._closed_form, verify._reduction_lengths, verify._grid_formula
+    ball_estimates, centers = oracle._ball_estimates, []
+
+    def never_nested(scale):  # the nested branch reported as straddle-up
+        branch, den, heights = closed_form(scale)
+        return ("straddle-up" if branch == "nested" else branch), den, heights
+
+    def long_two_level(*args):  # the two-level length one unit of its scale long
+        full, two, den = reduction(*args)
+        return full, two + 1, den
+
+    def heavy_first(g, center, radii):  # the first center's balls 1000 times too heavy
+        centers.append(center)
+        estimates = ball_estimates(g, center, radii)
+        heavy = len(centers) == 1
+        return [dataclasses.replace(e, mass=1000 * e.mass) for e in estimates] if heavy else estimates
+
+    plants = [
+        ("kinks", "two-level-branch-coverage", profiles, "_closed_form", never_nested),
+        ("parallel", "parallel-values", verify, "_reduction_lengths", long_two_level),
+        ("oracle", "oracle-all-pairs-m2", verify, "_grid_formula",
+         lambda top, *args: formula(top, *args) + (top == 9)),  # one unit long at m = 2
+        ("oracle", "oracle-random-pairs-m3", verify, "_grid_formula",
+         lambda top, *args: formula(top, *args) + (top == 27)),  # one unit long at m = 3
+        ("oracle", "oracle-zero-classes-m2", verify, "canonicalize", lambda p: p),  # glued twins kept apart
+        ("regularity", "regularity-spread", oracle, "_ball_estimates", heavy_first),
+        ("regularity", "total-cell-mass", oracle.LevelGraph, "cell_mass",
+         property(lambda g: Fraction(2, 6**g.m))),  # each cell twice its mass
+    ]
+    for suite, row, target, name, fake in plants:
+        monkeypatch.setattr(target, name, fake)
+        code, out, err = run(capsys, "verify", suite)
+        status = dict(line.split(",")[:2] for line in out.splitlines()[1:])
+        assert (code, err) == (1, ""), row
+        assert [r for r, s in status.items() if s == "FAIL"] == [row], row
+        monkeypatch.undo()
+
+    # A13 runs in tier-1 only, so its rows are read off `check_census`: the
+    # distance one millionth long at the base point's own height makes the
+    # lines' distance non-linear between kinks, and leaves the profiles,
+    # which the confirmation row reads, as they were.
+    real_distance = verify.distance
+    monkeypatch.setattr(
+        verify, "distance", lambda x, y: real_distance(x, y) + Fraction(x.height == y.height, 10**6)
+    )
+    rows = {row.name: row.passed for row in verify.check_census(seed=7)}
+    assert rows == {"census-confirmed-by-profiles": True, "non-census-heights-smooth": False}
+
+
 def test_v_kinks_off_the_distance_fail_a7(monkeypatch, capsys):
     # Every profile rewritten over 2 * den with each V kink moved one unit of
     # that scale up and the run values re-derived along the slopes; the roofs
@@ -872,7 +927,7 @@ def test_v_kinks_off_the_distance_fail_a7(monkeypatch, capsys):
     # so when A7 read the slopes off the runs (`KinkProfile.slopes_at`) this
     # row read `pass` under this plant ("0 bad over 81 roofs, 191 Vs").  Read
     # off the distance, the slopes at the moved kinks are wrong.
-    real = verify.profile_distance_on_line
+    real = profiles.profile_distance_on_line
 
     def moved_vs(p, line):
         profile = real(p, line)
@@ -884,7 +939,7 @@ def test_v_kinks_off_the_distance_fail_a7(monkeypatch, capsys):
             value += run[3] * (hi - lo)
         return dataclasses.replace(profile, den=2 * profile.den, runs=tuple(planted))
 
-    monkeypatch.setattr(verify, "profile_distance_on_line", moved_vs)
+    monkeypatch.setattr(profiles, "profile_distance_on_line", moved_vs)
     code, out, err = run(capsys, "verify", "kinks")
     rows = {line.split(",")[0]: line for line in out.splitlines()[1:]}
     assert (code, err) == (1, "")
@@ -907,7 +962,7 @@ def test_other_runtime_errors_are_not_internal_errors(monkeypatch):
     def boom(*args):
         raise RuntimeError("unrelated")
 
-    monkeypatch.setattr("laakso.cli.profile_distance_on_line", boom)
+    monkeypatch.setattr("laakso.profiles.profile_distance_on_line", boom)
     with pytest.raises(RuntimeError, match="unrelated"):
         main(["profile", "--p", "1/2:0", "--line", "v1"])
 
@@ -1025,7 +1080,6 @@ def test_unprintable_height_denominator_is_one_usage_error(monkeypatch, capsys):
         raise AssertionError("distance or reduce work started")
 
     monkeypatch.setattr(metric._Pair, "search", refuse)
-    monkeypatch.setattr("laakso.cli.vertical_lines", refuse)
     monkeypatch.setattr("laakso.profiles.vertical_lines", refuse)
     a, b = f"1/{10**3000 + 1}", f"1/{10**3000 + 3}"
     for argv, flag in (
@@ -1223,7 +1277,6 @@ def test_profile_unprintable_order_is_usage_error(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("profile or reduce work started")
 
-    monkeypatch.setattr("laakso.cli.vertical_lines", refuse)
     monkeypatch.setattr("laakso.profiles.vertical_lines", refuse)
     for line, order in (("vN:20000", 20000), ("vN:100000", 100000), ("vD:9011,9012", 9012)):
         start = time.monotonic()

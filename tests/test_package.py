@@ -136,6 +136,27 @@ def test_one_gap_query_and_one_distance_read():
     assert gap_definitions == ["core"]
 
 
+def test_one_line_scale_per_profiled_line():
+    # A profiled line's scale is built once and read by everything that
+    # needs it: only `profiles` builds a `_LineScale` or calls
+    # `_closed_form` (which reads the scale's gaps), and inside `profiles`
+    # only `_LineScale` queries `_gaps`.
+    builders, gap_queries = set(), set()
+    for path in sorted(Path(laakso.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("_LineScale", "_closed_form"):
+                builders.add((path.stem, name))
+            elif name == "_gaps" and path.stem == "profiles":
+                gap_queries.add(_enclosing(node, parents).partition(".")[0])
+    assert builders == {("profiles", "_LineScale"), ("profiles", "_closed_form")}
+    assert gap_queries == {"_LineScale"}
+
+
 def _load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -222,3 +243,40 @@ def test_benchmark_plant_anchor_is_in_cli():
     plant = _load(PERFBENCH / "plant.py", "laakso_bench_plant")
     cli = Path(laakso.__file__).parent / "cli.py"
     assert cli.read_text().count(plant.ANCHOR) == 1
+
+
+def test_profile_work_per_request(monkeypatch):
+    # Over the `deep-profiles` universe, a `profile` reply canonicalizes its
+    # base point twice (`vertical_lines` and the printed point) and queries
+    # each order's gaps once per line, plus `cli._binding_order`'s one; and
+    # `verify kinks` builds one scale per profiled line.
+    from laakso import cli, profiles
+
+    workloads = _load(PERFBENCH / "workloads.py", "laakso_bench_workloads")
+    calls = {"canonicalize": 0, "_gaps": 0, "_LineScale": 0, "profile_distance_on_line": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for info in pkgutil.iter_modules(laakso.__path__):
+        mod = importlib.import_module(f"laakso.{info.name}")
+        for name in ("canonicalize", "_gaps"):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
+    ops = workloads.WORKLOADS["deep-profiles"].universe()
+    assert len(ops) == 200
+    for op in ops:
+        assert workloads.run_cli(cli.main, op.args)[0] == 0
+    # At most 2 and 2.55 per op, compared in integers.
+    assert calls["canonicalize"] <= 2 * len(ops) and 100 * calls["_gaps"] <= 255 * len(ops), calls
+    for owner, name, key in (
+        (profiles._LineScale, "__init__", "_LineScale"),
+        (profiles, "profile_distance_on_line", "profile_distance_on_line"),
+    ):
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+    assert all(row.passed for row in verify.check_kinks(seed=3))
+    assert calls["_LineScale"] == calls["profile_distance_on_line"] == 110

@@ -14,6 +14,7 @@ from laakso.core import (
     CantorAddress,
     InternalError,
     LaaksoPoint,
+    _gaps,
     _grid_index,
     _orders,
     canonicalize,
@@ -450,18 +451,29 @@ def test_census_records_equal_fraction_reference():
     assert census_records(p, 12) == _reference_census(p, 12)
 
 
+class _Scale:
+    """A stand-in `_LineScale` for `_assemble`: a den, candidates and an
+    evaluator given by hand."""
+
+    def __init__(self, den, breaks, value):
+        self.den, self.breaks, self.value = den, breaks, value
+
+    def candidates(self):
+        return self.breaks
+
+
 def test_linearity_failure_signals_internal_error():
     # A gap whose end values are not one slope +-1 line apart cannot be
     # certified; the assembler reports it instead of emitting a wrong
     # profile.  On the scale 8: a V at 3 given as one gap (a missed
     # breakpoint), and an evaluator that is not piecewise slope +-1.
     line = vertical_lines(point("1/2", "0"), ())[0]
-    prof = _assemble(line, lambda t: abs(t - 3), [0, 3, 8], 8)
+    prof = _assemble(line, _Scale(8, [0, 3, 8], lambda t: abs(t - 3)))
     assert prof.kinks == (Kink(F(3, 8), -1, 1),)
     with pytest.raises(ProfileLinearityError):
-        _assemble(line, lambda t: abs(t - 3), [0, 8], 8)
+        _assemble(line, _Scale(8, [0, 8], lambda t: abs(t - 3)))
     with pytest.raises(ProfileLinearityError):
-        _assemble(line, lambda t: t * t, [0, 1, 2, 8], 8)
+        _assemble(line, _Scale(8, [0, 1, 2, 8], lambda t: t * t))
     assert issubclass(ProfileLinearityError, InternalError)
 
 
@@ -470,8 +482,8 @@ def test_profile_views_are_lazy_and_equal_across_scales():
     # on first read, and profiles on different scales are equal when their
     # lines, pieces and kinks are.
     line = vertical_lines(point("1/2", "0"), ())[0]
-    a = _assemble(line, lambda t: abs(t - 3), [0, 3, 8], 8)
-    b = _assemble(line, lambda t: abs(t - 6), [0, 6, 16], 16)
+    a = _assemble(line, _Scale(8, [0, 3, 8], lambda t: abs(t - 3)))
+    b = _assemble(line, _Scale(16, [0, 6, 16], lambda t: abs(t - 6)))
     assert (a.den, a.runs) == (8, ((0, 3, 3, -1), (3, 0, 8, 1)))
     assert "pieces" not in vars(a) and "kinks" not in vars(a)
     assert a.to_json() == b.to_json()
@@ -479,8 +491,8 @@ def test_profile_views_are_lazy_and_equal_across_scales():
     assert a == b and hash(a) == hash(b) and a.runs != b.runs
     assert a.pieces == (Piece(F(0), F(3, 8), -1, F(3, 8)), Piece(F(3, 8), F(1), 1, F(-3, 8)))
     assert a.kinks == (Kink(F(3, 8), -1, 1),)
-    assert a != _assemble(line, lambda t: abs(t - 4), [0, 4, 8], 8)
-    assert a != KinkProfile(vertical_lines(point("1/2", "0"), (1,))[0], 8, a.runs)
+    assert a != _assemble(line, _Scale(8, [0, 4, 8], lambda t: abs(t - 4)))
+    assert a != KinkProfile(vertical_lines(point("1/2", "0"), (1,))[0], 8, a.runs, a.scale)
 
 
 @st.composite
@@ -506,7 +518,7 @@ def test_line_values_equal_public_distance(case, data):
     # order-n wormhole height where the line's bit n is 1 its levels differ
     # from the canonical pair's, and the value must not.
     p, line = case
-    scale = _LineScale(canonicalize(p), line)
+    scale = profile_distance_on_line(p, line).scale
     den = scale.den
     heights = {0, den, scale.hp}
     breaks = scale.candidates()
@@ -667,7 +679,7 @@ def _old_rule_profile(p, line):
         pair = _Pair(levels, hp, t, den)
         return pair.length(*pair.search()[0])
 
-    return _assemble(line, value, breaks, den)
+    return _assemble(line, _Scale(den, breaks, value))
 
 
 def test_required_order_candidates_equal_old_rule():
@@ -707,7 +719,7 @@ def _own_order_rule_profile(p, line):
         pair = _Pair(levels, hp, t, den)
         return pair.length(*pair.search()[0])
 
-    return _assemble(line, value, sorted(breaks), den)
+    return _assemble(line, _Scale(den, sorted(breaks), value))
 
 
 def test_candidates_without_own_order_equal_old_rule():
@@ -717,11 +729,12 @@ def test_candidates_without_own_order_equal_old_rule():
     cases += [(p, line) for _, p, line in _graph_line_cases(oracle.build_level_graph(4), 3, 200, 15)]
     own = 0
     for p, line in cases:
-        assert profile_distance_on_line(p, line) == _own_order_rule_profile(p, line), (p, line)
+        profile = profile_distance_on_line(p, line)
+        assert profile == _own_order_rule_profile(p, line), (p, line)
         pc = canonicalize(p)
         w = wormhole_order(pc.height)
         if w in _orders(pc.address.mask ^ line.base_address.mask):
-            assert w not in _LineScale(pc, line).levels, (p, line)
+            assert w not in profile.scale.levels, (p, line)
             own += 1
     assert own
     drawn, deadline = 0, time.monotonic() + 1.5
@@ -750,10 +763,10 @@ def test_closed_form_check_equals_fraction_comparison():
     cases += [case for seed in range(1000, 1020) for case in _deep_cases(random.Random(seed), 100)]
     verdicts, kinked = collections.Counter(), 0
     for p, line in cases:
-        levels = _LineScale(canonicalize(p), line).levels[:2]
         profile = profile_distance_on_line(p, line)
+        levels = profile.scale.levels[:2]
         negated = dataclasses.replace(profile, runs=tuple(run[:3] + (-run[3],) for run in profile.runs))
-        _, den, closed = profiles._closed_form(p.height, levels)
+        _, den, closed = profiles._closed_form(_LineScale(p.height, levels))
         expected = expected_kinks(p, dataclasses.replace(line, levels=levels))
         forms = {"closed": (closed, expected)}
         if closed:
@@ -796,8 +809,7 @@ def test_one_search_per_candidate(monkeypatch):
             cases += [(p, line) for levels in combinations(usable, k) for line in vertical_lines(p, levels)]
     for p, line in cases:
         calls.clear()
-        profile_distance_on_line(p, line)
-        scale = _LineScale(canonicalize(p), line)
+        scale = profile_distance_on_line(p, line).scale
         assert sorted(calls) == scale.candidates(), (p, line)
         assert len(calls) <= 3 * len(scale.levels) + 3, (p, line)
 
@@ -809,10 +821,109 @@ def test_follow_up_slopes_hold_on_deep_lines():
     kinks = 0
     for p, line in _deep_cases(random.Random(15), 200):
         profile = profile_distance_on_line(p, line)
-        slopes = verify._follow_up_slopes(_LineScale(canonicalize(p), line), profile)
+        slopes = verify._follow_up_slopes(profile)
         assert len(slopes) == len(profile.runs) - 1 and all(slopes), (p, line)
         kinks += len(slopes)
     assert kinks >= 400
+
+
+def _scale_key(scale):
+    """A line scale's contents: its orders, den, hp and per-order gaps."""
+    return list(scale.levels), scale.den, scale.hp, list(scale.gaps)
+
+
+def _glued_cases(rng, count):
+    """(p, twin): base points at wormhole heights of orders 1..15 with up to
+    16 address bits, and the glued twin that differs in bit w."""
+    cases = []
+    for _ in range(count):
+        w = rng.randint(1, 15)
+        k = rng.randrange(1, 3**w)
+        h = F(k + (k % 3 == 0), 3**w)
+        bits = "".join(rng.choice("01") for _ in range(rng.randint(w, 16)))
+        p = point(h, bits)
+        cases.append((p, LaaksoPoint(h, CantorAddress._of(p.address.mask ^ 1 << (w - 1), p.address.depth))))
+    return cases
+
+
+def test_glued_representatives_give_equal_profiles_and_scales():
+    # The profile takes p as given: both representatives of a glued base
+    # point give the same profile on the same scale, on every line of their
+    # level sets up to order 6 and on lines at arbitrary addresses.
+    rng = random.Random(19)
+    checked = 0
+    for p, twin in _glued_cases(rng, 60):
+        lines = [VerticalLine(CantorAddress("".join(rng.choice("01") for _ in range(16))), "addr", ())]
+        for levels in [()] + census_level_sets(p, 6):
+            lines += vertical_lines(p, levels)
+        for line in lines:
+            a, b = profile_distance_on_line(p, line), profile_distance_on_line(twin, line)
+            assert (a.line, a.den, a.runs) == (b.line, b.den, b.runs), (p, line)
+            assert _scale_key(a.scale) == _scale_key(b.scale), (p, line)
+            checked += 1
+    assert checked > 2000
+
+
+def test_branch_lines_of_a_wormhole_base_point_share_one_scale():
+    # The two lines of each level set from a wormhole base point require
+    # the same orders, the levels, so one scale (and one closed form) serves
+    # both.
+    for p, _ in _glued_cases(random.Random(20), 40):
+        for levels in [()] + census_level_sets(p, 6):
+            first, second = (profile_distance_on_line(p, line) for line in vertical_lines(p, levels))
+            assert (first.line.branch, second.line.branch) == (0, 1)
+            assert list(first.scale.levels) == list(levels), (p, levels)
+            assert _scale_key(first.scale) == _scale_key(second.scale), (p, levels)
+            assert profiles._closed_form(first.scale) == profiles._closed_form(second.scale)
+
+
+def _closed_form_before(h, levels):
+    """The closed form as it was computed from (h, levels), each order's gaps
+    queried by `core._gaps`, before it read a line's scale; kept as the
+    reference for `_closed_form(scale)`."""
+    num, den = h.numerator, h.denominator
+    if not levels:
+        return None, den, [num] if 0 < num < den else []
+    scale = 3 ** levels[-1]
+    hp, den = num * scale, den * scale
+    if len(levels) == 1:
+        return None, den, profiles._single(hp, *_gaps(hp, den, levels[0]))
+    un, dn = _gaps(hp, den, levels[0])
+    um, dm = _gaps(hp, den, levels[1])
+    if dn is None and dm is None:
+        return "deg-low-both", den, [hp + un]
+    if dn is None:
+        if un > um:
+            return "deg-low-far", den, [hp + un]
+        return "deg-low-near", den, [hp - dm, hp, hp + un, hp + um - dm, hp + um]
+    if un is None and um is None:
+        return "deg-high-both", den, [hp - dn]
+    if un is None:
+        if dn > dm:
+            return "deg-high-far", den, [hp - dn]
+        return "deg-high-near", den, sorted([hp - dm, hp + um - dm, hp - dn, hp, hp + um])
+    tie_n, tie_m = un - dn, um - dm
+    if dm < dn and um < un:
+        return "nested", den, profiles._single(hp, un, dn)
+    if dm < dn and un < um:
+        return "straddle-up", den, [hp - dn, hp + tie_n, hp - dm, hp, hp + un, hp + tie_m, hp + um]
+    return "straddle-down", den, [hp - dm, hp + tie_m, hp - dn, hp, hp + um, hp + tie_n, hp + un]
+
+
+def test_closed_form_on_a_profile_scale_equals_closed_form_before():
+    # At 0, 1, wormholes of every order up to 15 and seeded off-grid
+    # heights, on every line of every level set up to order 6, the closed
+    # form read off the profile's scale is the one computed from h(p) and
+    # the levels; every branch is reached.
+    hits = set()
+    for h in _closed_form_heights(random.Random(21)):
+        p = point(h, "01")
+        for levels in [()] + census_level_sets(p, 6):
+            expected = _closed_form_before(h, levels)
+            for line in vertical_lines(p, levels):
+                assert profiles._closed_form(profile_distance_on_line(p, line).scale) == expected, (h, line)
+            hits.add(expected[0])
+    assert hits == {None, *TWO_LEVEL_BRANCHES}
 
 
 def test_svg_output():
