@@ -23,7 +23,6 @@ from .core import (
     nearest_wormhole_gap,
     parse_rational,
     point,
-    point_to_json,
     same_point,
     wormhole_order,
 )

@@ -9,13 +9,14 @@ optional sign; "_" and other scripts' digits are usage errors.
 `distance`, `profile` and `reduce` print JSON, indented by 2 spaces, keys
 sorted, non-ASCII characters as \\uXXXX escapes, one trailing newline; its
 values are exact "p/q" strings, ints, booleans and null, never floats.
-`_json_dumps` writes the `profile` and `reduce` replies and refuses any
-other value, subclasses of these included; `cmd_distance` writes its
-reply in the same layout from fixed format strings.  `census` and
-`verify` print CSV, whose numeric fields are exact "p/q" strings except
-the `verify` fields named "ratio"/"spread", which are floating point for
-reporting only.  Identical invocations produce byte-identical output;
-randomized suites are pinned by --seed.
+Only this module builds the wire form: `cmd_profile` and `cmd_reduce` build
+their dicts from the library's integers and canonical points, and
+`_json_dumps` writes them, refusing any other value, subclasses of these
+included; `cmd_distance` writes its reply in the same layout from fixed
+format strings.  `census` and `verify` print CSV, whose numeric fields are
+exact "p/q" strings except the `verify` fields named "ratio"/"spread",
+which are floating point for reporting only.  Identical invocations
+produce byte-identical output; randomized suites are pinned by --seed.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error, 3
 internal error (an invariant of the library failed, `core.InternalError`;
@@ -60,7 +61,6 @@ from .core import (
     format_rational,
     parse_rational,
     point,
-    point_to_json,
     wormhole_order,
 )
 # `distance` stays bound here: perfbench/selftest.py checks that its tracer
@@ -68,6 +68,7 @@ from .core import (
 from .metric import _Pair, distance  # noqa: F401
 from .profiles import (
     _MAX_CENSUS_LEVEL,
+    _kind,
     _profile_level_set,
     census_records,
     parallel_reduction,
@@ -173,6 +174,12 @@ def _line(spec: str) -> Tuple[int, ...]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad line spec {spec!r}") from exc
     return _checked_orders(levels, spec)
+
+
+def _svg_path(text: str) -> str:
+    if text == "-":
+        raise argparse.ArgumentTypeError("'-' is stdout, which carries the JSON reply; give a file path")
+    return text
 
 
 def _check_free_orders(flag: str, p: LaaksoPoint, levels: Tuple[int, ...]) -> None:
@@ -365,21 +372,32 @@ def cmd_profile(args) -> int:
     _check_free_orders("--line", p, levels)
     if levels:
         _check_printable("--line", p.height.denominator, _binding_order(p, levels))
-    (_, den, closed), profiled = _profile_level_set(p, levels)
+    (_, closed), profiled = _profile_level_set(p, levels)
+    den = profiled[0][0].scale.den  # the lines of a level set share one scale
     expected = [_format_ratio(v, den) for v in closed]
-    results = []
-    svgs = []
-    ok = True
+    results, svgs = [], []
     for profile, match in profiled:
-        ok = ok and match
-        results.append({"profile": profile.to_json(), "expected_kinks": expected, "pass": match})
+        runs, line = profile.runs, profile.line
+        pieces = [{"lo": _format_ratio(lo, den), "hi": _format_ratio(hi, den), "slope": slope,
+                   "offset": _format_ratio(vlo - slope * lo, den)} for lo, vlo, hi, slope in runs]
+        kinks = [{"h": _format_ratio(b[0], den), "left": a[3], "right": b[3], "kind": _kind(a[3], b[3])}
+                 for a, b in zip(runs, runs[1:])]
+        line_wire = {"label": line.label, "bits": line.bits, "branch": line.branch}
+        wire = {"line": line_wire, "pieces": pieces, "kinks": kinks}
+        results.append({"profile": wire, "expected_kinks": expected, "pass": match})
         if args.svg:
-            suffix = f".{profile.line.branch}" if len(profiled) > 1 else ""
+            suffix = f".{line.branch}" if len(profiled) > 1 else ""
             path = args.svg if not suffix else _suffixed(args.svg, suffix)
             svgs.append((profile_to_svg(profile), path))
-    payload = {"p": point_to_json(canonicalize(p)), "lines": results}
+    payload = {"p": _point_dict(p), "lines": results}
     _emit(*svgs, (_json_dumps(payload), args.out))
-    return 0 if ok else 1
+    return 0 if all(match for _, match in profiled) else 1
+
+
+def _point_dict(p: LaaksoPoint) -> dict:
+    """A point's wire form, at its canonical representative."""
+    p = canonicalize(p)
+    return {"h": format_rational(p.height), "bits": p.address.bits}
 
 
 def _suffixed(path: str, suffix: str) -> str:
@@ -398,7 +416,7 @@ def cmd_reduce(args) -> int:
     _check_printable("--levels", den, _binding_order(p, levels[:2]))
     full, two = parallel_reduction(p, levels, t)
     payload = {
-        "p": point_to_json(canonicalize(p)),
+        "p": _point_dict(p),
         "levels": list(levels),
         "t": format_rational(t),
         "value_full": format_rational(full),
@@ -457,7 +475,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     pr = sub.add_parser("profile", help="kink profile of d_p along a vertical line")
     pr.add_argument("--p", required=True, type=_point, help="base point as h:bits")
     pr.add_argument("--line", required=True, type=_line, help="v0 | vN:<N> | vD:<N>,<M>")
-    pr.add_argument("--svg", default=None, help="write an SVG plot here")
+    pr.add_argument("--svg", default=None, type=_svg_path, help="write an SVG plot to this file (not '-')")
     pr.add_argument("--out", default=None, help="JSON output path (default stdout)")
     pr.set_defaults(func=cmd_profile)
 

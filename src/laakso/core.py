@@ -36,6 +36,9 @@ bit is cleared.  Two points are the same exactly when their canonical
 heights and masks agree, and a path between them must jump at every order
 set in the XOR of their canonical masks (`_orders`).
 
+Rationals are written by one "p/q" writer (`_format_ratio`); the JSON
+documents that carry them, points included, are built by `cli` alone.
+
 `InternalError` is the one exception type every layer raises when one of its
 own invariants fails (a bug, never bad input or a failed check).
 """
@@ -65,7 +68,6 @@ __all__ = [
     "parse_rational",
     "point",
     "point_key",
-    "point_to_json",
     "same_point",
     "wormhole_above",
     "wormhole_below",
@@ -219,11 +221,6 @@ class LaaksoPoint:
 def point(height: RationalLike, bits: str = "") -> LaaksoPoint:
     """Convenience constructor from "p/q" text (or Fraction) and bit string."""
     return LaaksoPoint(parse_rational(height), CantorAddress(bits))
-
-
-def point_to_json(p: LaaksoPoint) -> dict:
-    """Wire format shared by every module and the CLI."""
-    return {"h": format_rational(p.height), "bits": p.address.bits}
 
 
 @dataclass(frozen=True)

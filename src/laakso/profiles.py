@@ -23,12 +23,15 @@ and the orders the line requires, with one gap query per order: every
 height, candidate and distance value of the line is an integer over one
 denominator, den h(p) * 3**N for N the deepest required order.  Each
 evaluation is one `metric._Pair.shortest` on that scale, and the returned
-`KinkProfile` keeps the scale and the certified runs as those integers:
-its `Piece` and `Kink` `Fraction`s are views built only when a library
-caller reads them.  The closed forms (`_closed_form`) read their kink
-heights off a scale's gaps, `expected_kinks`, `classify_two_level` and
-`census_records` are their `Fraction` views, and `_profile_level_set`
-checks the profiles of a level set's lines against its closed form.
+`KinkProfile` keeps the scale, the one holder of that denominator, and
+the certified runs as integers over it: its `Piece` and `Kink`
+`Fraction`s are views built only when a library caller reads them.  The
+closed forms (`_closed_form`) read their kink heights off a scale's gaps,
+as integers over the same denominator; `expected_kinks`,
+`classify_two_level` and `census_records` are their `Fraction` views, and
+`_profile_level_set` checks the profiles of a level set's lines against
+its closed form.  No JSON is built here: the CLI writes its replies
+straight from the runs and the scale's `den`.
 
 The profile is evaluated once at each candidate, and each gap between
 consecutive candidates is then certified linear: since the profile is
@@ -50,7 +53,6 @@ from .core import (
     CantorAddress,
     InternalError,
     LaaksoPoint,
-    _format_ratio,
     _gaps,
     _orders,
     canonicalize,
@@ -185,23 +187,22 @@ _Run = Tuple[int, int, int, int]  # (lo, v(lo), hi, slope), heights and values t
 @dataclass(frozen=True, eq=False)
 class KinkProfile:
     """The certified profile of a line: its maximal linear runs, sorted
-    and contiguous, as integers over `den`; consecutive runs differ in
-    slope, so every inner run start is a kink.  `scale` is the line's
-    `_LineScale`, whose `den` the runs are written over.
+    and contiguous, as integers over `scale.den`; consecutive runs differ
+    in slope, so every inner run start is a kink.  `scale` is the line's
+    `_LineScale`.
 
     `pieces` and `kinks` are the runs' `Fraction` views, built the first
     time they are read.  Two profiles are equal when their lines, pieces
-    and kinks are, whatever their `den`s.
+    and kinks are, whatever their scales.
     """
 
     line: VerticalLine
-    den: int
     runs: Tuple[_Run, ...]
     scale: "_LineScale"
 
     @cached_property
     def pieces(self) -> Tuple[Piece, ...]:
-        den = self.den
+        den = self.scale.den
         return tuple(
             Piece(Fraction(lo, den), Fraction(hi, den), slope, Fraction(vlo - slope * lo, den))
             for lo, vlo, hi, slope in self.runs
@@ -229,26 +230,6 @@ class KinkProfile:
     def kink_heights(self) -> List[Fraction]:
         return [k.height for k in self.kinks]
 
-    def to_json(self) -> dict:
-        """The wire form, written straight from the runs."""
-        den, runs = self.den, self.runs
-        return {
-            "line": {"label": self.line.label, "bits": self.line.bits, "branch": self.line.branch},
-            "pieces": [
-                {
-                    "lo": _format_ratio(lo, den),
-                    "hi": _format_ratio(hi, den),
-                    "slope": slope,
-                    "offset": _format_ratio(vlo - slope * lo, den),
-                }
-                for lo, vlo, hi, slope in runs
-            ],
-            "kinks": [
-                {"h": _format_ratio(b[0], den), "left": a[3], "right": b[3], "kind": _kind(a[3], b[3])}
-                for a, b in zip(runs, runs[1:])
-            ],
-        }
-
 
 def _assemble(line: VerticalLine, scale: "_LineScale") -> KinkProfile:
     """Evaluate the line's distance once at each candidate of its scale
@@ -265,7 +246,7 @@ def _assemble(line: VerticalLine, scale: "_LineScale") -> KinkProfile:
             runs[-1] = runs[-1][:2] + (t1, slope)
         else:
             runs.append((t0, v0, t1, slope))
-    return KinkProfile(line, scale.den, tuple(runs), scale)
+    return KinkProfile(line, tuple(runs), scale)
 
 
 class _LineScale:
@@ -367,20 +348,20 @@ TWO_LEVEL_BRANCHES = (
 )
 
 
-def _closed_form(scale: _LineScale) -> Tuple[Optional[str], int, List[int]]:
+def _closed_form(scale: _LineScale) -> Tuple[Optional[str], List[int]]:
     """The closed-form kinks of a line of the scale's orders (none, one, or
     two increasing ones), read off its gaps: the two-level branch label
-    (None for fewer orders), den, and the kink heights as increasing
-    integers over den.  See `classify_two_level` for the branches."""
+    (None for fewer orders) and the kink heights as increasing integers
+    over `scale.den`.  See `classify_two_level` for the branches."""
     levels, hp, den = scale.levels, scale.hp, scale.den
     if not levels:
-        return None, den, [hp] if 0 < hp < den else []
+        return None, [hp] if 0 < hp < den else []
     if len(levels) == 1:
         heights = _single(hp, *scale.gaps[0])
         if not heights:
             h = Fraction(hp, den)
             raise ImpossibleGapConfiguration(f"order {levels[0]} has no wormhole on either side of {h}")
-        return None, den, heights
+        return None, heights
 
     (un, dn), (um, dm) = scale.gaps
     if dm is None and dn is not None:
@@ -391,67 +372,68 @@ def _closed_form(scale: _LineScale) -> Tuple[Optional[str], int, List[int]]:
     if dn is None and dm is None:
         if not (um < un):
             raise ImpossibleGapConfiguration("below the whole grid the finer gap is smaller")
-        return "deg-low-both", den, [hp + un]
+        return "deg-low-both", [hp + un]
     if dn is None:
         if un > um:
-            return "deg-low-far", den, [hp + un]
+            return "deg-low-far", [hp + un]
         heights = [hp - dm, hp, hp + un, hp + um - dm, hp + um]
         if heights != sorted(heights):
             raise ImpossibleGapConfiguration("five-kink list out of order")
-        return "deg-low-near", den, heights
+        return "deg-low-near", heights
     if un is None and um is None:
         if not (dm < dn):
             raise ImpossibleGapConfiguration("above the whole grid the finer gap is smaller")
-        return "deg-high-both", den, [hp - dn]
+        return "deg-high-both", [hp - dn]
     if un is None:
         if dn > dm:
-            return "deg-high-far", den, [hp - dn]
+            return "deg-high-far", [hp - dn]
         heights = sorted([hp - dm, hp + um - dm, hp - dn, hp, hp + um])
-        return "deg-high-near", den, heights
+        return "deg-high-near", heights
 
     # All four gaps finite.
     tie_n = un - dn
     tie_m = um - dm
     if dm < dn and um < un:
-        return "nested", den, _single(hp, un, dn)
+        return "nested", _single(hp, un, dn)
     if dm < dn and un < um:
         heights = [hp - dn, hp + tie_n, hp - dm, hp, hp + un, hp + tie_m, hp + um]
         if heights != sorted(heights):
             raise ImpossibleGapConfiguration("seven-kink list out of order")
-        return "straddle-up", den, heights
+        return "straddle-up", heights
     if dn < dm and um < un:
         heights = [hp - dm, hp + tie_m, hp - dn, hp, hp + um, hp + tie_n, hp + un]
         if heights != sorted(heights):
             raise ImpossibleGapConfiguration("seven-kink list out of order")
-        return "straddle-down", den, heights
+        return "straddle-down", heights
     raise ImpossibleGapConfiguration(
         "both order-m neighbours strictly outside the order-n window"
     )
 
 
-def _matches_closed_form(profile: KinkProfile, den: int, heights: Sequence[int]) -> bool:
-    """Whether the profile has exactly the closed-form kinks: kink i (where
-    run i + 1 starts) at heights[i] / den, read on the profile's scale so a
-    height off it matches no kink, and of kind `_KINDS[i % 2]`."""
+def _matches_closed_form(profile: KinkProfile, heights: Sequence[int]) -> bool:
+    """Whether the profile has exactly the closed-form kinks `heights`,
+    integers over the profile's `scale.den`: kink i (where run i + 1
+    starts) at heights[i], and of kind `_KINDS[i % 2]`."""
     runs = profile.runs
     return len(runs) == len(heights) + 1 and all(
-        v * profile.den == b[0] * den and _kind(a[3], b[3]) == _KINDS[i % 2]
+        v == b[0] and _kind(a[3], b[3]) == _KINDS[i % 2]
         for i, (v, a, b) in enumerate(zip(heights, runs, runs[1:]))
     )
 
 
 def _profile_level_set(
     p: LaaksoPoint, levels: Sequence[int]
-) -> Tuple[Tuple[Optional[str], int, List[int]], List[Tuple[KinkProfile, bool]]]:
-    """The level set's closed form (branch, den, heights) and, for each of
+) -> Tuple[Tuple[Optional[str], List[int]], List[Tuple[KinkProfile, bool]]]:
+    """The level set's closed form (branch, heights) and, for each of
     its lines from p (`vertical_lines`), (profile, whether it has exactly
     those kinks).  Every line's orders are the levels (branch 1 adds only
-    p's own wormhole order, which the scale drops), so one closed form, off
-    the first profile's scale, serves them all.  `profile_distance_on_line`
+    p's own wormhole order, which the scale drops), so their scales share
+    one `den`, and one closed form, off the first profile's scale, serves
+    them all.  `profile_distance_on_line`
     is called by its module name, so a wrapper bound there sees each line."""
     profiles = [profile_distance_on_line(p, line) for line in vertical_lines(p, levels)]
-    branch, den, heights = _closed_form(profiles[0].scale)
-    return (branch, den, heights), [(prof, _matches_closed_form(prof, den, heights)) for prof in profiles]
+    branch, heights = _closed_form(profiles[0].scale)
+    return (branch, heights), [(prof, _matches_closed_form(prof, heights)) for prof in profiles]
 
 
 def _closed_heights(h: Fraction, levels: Sequence[int]) -> Tuple[Optional[str], List[Fraction]]:
@@ -461,8 +443,9 @@ def _closed_heights(h: Fraction, levels: Sequence[int]) -> Tuple[Optional[str], 
         raise ValueError("need two orders with n < m")
     if levels and not 0 <= h <= 1:
         raise ValueError(f"gap queries need t in [0, 1], got {h}")
-    branch, den, heights = _closed_form(_LineScale(h, levels))
-    return branch, [Fraction(v, den) for v in heights]
+    scale = _LineScale(h, levels)
+    branch, heights = _closed_form(scale)
+    return branch, [Fraction(v, scale.den) for v in heights]
 
 
 def classify_two_level(p1: Fraction, n: int, m: int) -> Tuple[str, List[Fraction]]:

@@ -263,19 +263,17 @@ def _follow_up_slopes(profile: KinkProfile) -> List[bool]:
     1), are the starts of the kink's two runs and the end of the second.
     The distance is read at the half-gap points on both sides, the
     midpoints of the two runs, one `_Pair.shortest` per run (a midpoint is
-    shared by the kinks at both ends of its run) on the orders of the
-    profile's own scale, doubled to 2 * den, where those points are
-    integers, and v(k) is read off the run start; `profile.den` must be a
-    multiple of `profile.scale.den`, as it is (equal) for a profile
-    `profile_distance_on_line` returns.  The distance is 1-Lipschitz, so
-    |d(k) - d(s)| == |k - s| makes it linear on [s, k] with that slope: the
-    slopes are checked on the distance, not re-read from the runs the
-    profile was assembled from."""
-    runs, den2, scale = profile.runs, 2 * profile.den, profile.scale
+    shared by the kinks at both ends of its run) on the profile's own
+    scale doubled, at 2 * hp over 2 * den, where those points are
+    integers, and v(k) is read off the run start.  The distance is
+    1-Lipschitz, so |d(k) - d(s)| == |k - s| makes it linear on [s, k] with
+    that slope: the slopes are checked on the distance, not re-read from
+    the runs the profile was assembled from."""
+    runs, scale = profile.runs, profile.scale
     if len(runs) < 2:
         return []
-    levels, hp = scale.levels, scale.hp * (den2 // scale.den)
-    mids = [_Pair(levels, hp, lo + hi, den2).shortest() for lo, _, hi, _ in runs]
+    levels, hp2, den2 = scale.levels, 2 * scale.hp, 2 * scale.den
+    mids = [_Pair(levels, hp2, lo + hi, den2).shortest() for lo, _, hi, _ in runs]
     out = []
     for (prev, _, _, left), (k, vk, nxt, right), dl, dr in zip(runs, runs[1:], mids, mids[1:]):
         side = 1 if left < right else -1  # the right slope a V or a roof must have
@@ -313,7 +311,7 @@ def check_kinks(seed: int = 3) -> List[Check]:
     roof_total = v_total = follow_bad = 0
     for p, levels in cases:
         family = len(levels)
-        (branch, _, _), profiled = _profile_level_set(p, levels)
+        (branch, _), profiled = _profile_level_set(p, levels)
         if branch is not None:
             hits[branch] += 1
         for profile, match in profiled:
@@ -327,7 +325,7 @@ def check_kinks(seed: int = 3) -> List[Check]:
                     follow_bad += not unit
                     continue
                 roof_total += 1
-                q = canonicalize(LaaksoPoint(Fraction(k, profile.den), line.base_address))
+                q = canonicalize(LaaksoPoint(Fraction(k, profile.scale.den), line.base_address))
                 if same_point(q, p):
                     follow_bad += 1
                     continue

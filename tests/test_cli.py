@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from laakso.core import (
     format_rational,
     nearest_wormhole_gap,
     point,
-    point_to_json,
     wormhole_order,
 )
 from laakso.profiles import expected_kinks, profile_distance_on_line, vertical_lines
@@ -255,6 +255,12 @@ def test_verify_suites_at_eight_seeds_are_pinned(capsys):
         assert digest.hexdigest() == sha, suite
 
 
+def _reference_point(p):
+    """A point's wire form, at its canonical representative."""
+    p = canonicalize(p)
+    return {"h": format_rational(p.height), "bits": p.address.bits}
+
+
 def _reference_reply(x, y):
     """The `distance` reply built from the library's objects: intervals,
     geodesics and distance as `Fraction`s, each printed by
@@ -270,8 +276,8 @@ def _reference_reply(x, y):
                 events.append({"jump": e.order, "at": format_rational(e.height)})
         geodesics.append(events)
     payload = {
-        "x": point_to_json(canonicalize(x)),
-        "y": point_to_json(canonicalize(y)),
+        "x": _reference_point(x),
+        "y": _reference_point(y),
         "distance": format_rational(metric.distance(x, y)),
         "intervals": [[format_rational(iv.a), format_rational(iv.b)] for iv in intervals],
         "geodesics": geodesics,
@@ -343,10 +349,10 @@ def test_distance_reply_matches_the_object_path(pair):
 
 
 def test_distance_reply_builds_no_fraction_interval_or_path(monkeypatch, capsys):
-    # With the object types `metric` builds, the JSON writer and the point
-    # writer made to raise, every pinned `distance` reply still prints the
-    # same bytes: the reply is written off the pair's integers alone, in its
-    # own layout.  A `profile` reply, which goes through both writers, fails.
+    # With the object types `metric` builds and the JSON writer made to
+    # raise, every pinned `distance` reply still prints the same bytes: the
+    # reply is written off the pair's integers alone, in its own layout.  A
+    # `profile` reply, which goes through the writer, fails.
     commands = [command for command in _PINNED_STDOUT if command.startswith("distance ")]
     replies = {command: run(capsys, *command.split()) for command in commands}
 
@@ -356,7 +362,6 @@ def test_distance_reply_builds_no_fraction_interval_or_path(monkeypatch, capsys)
     for name in ("Fraction", "HeightInterval", "Segment", "WormholeLevel", "GeodesicPath"):
         monkeypatch.setattr(metric, name, refuse)
     monkeypatch.setattr(cli, "_json_dumps", refuse)
-    monkeypatch.setattr(cli, "point_to_json", refuse)
     with pytest.raises(AssertionError):
         metric.minimal_height_intervals(point("1/2", "0"), point("1/2", "1"))
     with pytest.raises(AssertionError):
@@ -398,7 +403,7 @@ def _reference_profile_reply(p, levels):
                 "pass": match,
             }
         )
-    payload = {"p": point_to_json(canonicalize(p)), "lines": results}
+    payload = {"p": _reference_point(p), "lines": results}
     return (0 if ok else 1), json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -454,15 +459,15 @@ def test_profile_reply_builds_no_fraction_piece_or_kink(monkeypatch, capsys):
 
 
 def test_closed_form_off_the_profile_scale_is_a_mismatch(monkeypatch, capsys):
-    # The profile of v1 at 1/2 lives on the scale 6.  A closed-form height
-    # whose denominator does not divide 6 is no kink of it: the line fails
-    # (exit 1), and nothing is raised.  Heights on the scale 6 written over
-    # 12 are the same kinks and pass.
+    # The profile of v1 at 1/2 lives on the scale 6, with kinks at 2, 3
+    # and 4 over it.  A closed form planted on that scale that lists too few
+    # kinks, or moves one, fails the line (exit 1), and nothing is raised;
+    # the true list passes.
     argv = ("profile", "--p", "1/2:0", "--line", "v1")
     for planted, code, passed, expected in (
-        ((None, 7, [1]), 1, False, ["1/7"]),
-        ((None, 12, [4, 5, 8]), 1, False, ["1/3", "5/12", "2/3"]),
-        ((None, 12, [4, 6, 8]), 0, True, ["1/3", "1/2", "2/3"]),
+        ((None, [1]), 1, False, ["1/6"]),
+        ((None, [2, 3, 5]), 1, False, ["1/3", "1/2", "5/6"]),
+        ((None, [2, 3, 4]), 0, True, ["1/3", "1/2", "2/3"]),
     ):
         monkeypatch.setattr(profiles, "_closed_form", lambda scale, planted=planted: planted)
         got, out, err = run(capsys, *argv)
@@ -541,6 +546,24 @@ def test_unwritable_output_is_one_usage_error(tmp_path, capsys):
         assert code == 2 and out == "", argv
         assert err == f"error: cannot write {path}: No such file or directory\n", argv
     assert not missing.exists()
+
+
+def test_svg_to_stdout_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # Stdout carries the JSON reply, so `--svg -` is refused: one line, exit
+    # 2, before any line is profiled.  Taken as a path, it would put the SVG
+    # before the JSON on stdout for one line, and name the two plots of a
+    # wormhole base point "-.0" and "-.1" in the working directory.
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("a line was profiled")
+
+    monkeypatch.setattr(profiles, "profile_distance_on_line", refuse)
+    for p, line in (("1/2:0", "v1"), ("1/3:0", "v2")):
+        code, out, err = run(capsys, "profile", "--p", p, "--line", line, "--svg", "-")
+        assert (code, out) == (2, ""), p
+        assert err == "error: argument --svg: '-' is stdout, which carries the JSON reply; give a file path\n"
+        assert os.listdir(tmp_path) == [], p
 
 
 def test_failed_write_leaves_no_output_file(tmp_path, capsys):
@@ -783,8 +806,8 @@ def test_planted_kink_faults_fail_their_rows_with_exit_1(monkeypatch, capsys):
     closed_form = profiles._closed_form
 
     def moved(scale):
-        branch, den, heights = closed_form(scale)
-        return branch, den, [v + (i == 0) for i, v in enumerate(heights)]
+        branch, heights = closed_form(scale)
+        return branch, [v + (i == 0) for i, v in enumerate(heights)]
 
     def negated(p, line):
         profile = profile_distance_on_line(p, line)
@@ -875,8 +898,8 @@ def test_planted_faults_fail_kink_parallel_oracle_and_regularity_rows_with_exit_
     ball_estimates, centers = oracle._ball_estimates, []
 
     def never_nested(scale):  # the nested branch reported as straddle-up
-        branch, den, heights = closed_form(scale)
-        return ("straddle-up" if branch == "nested" else branch), den, heights
+        branch, heights = closed_form(scale)
+        return ("straddle-up" if branch == "nested" else branch), heights
 
     def long_two_level(*args):  # the two-level length one unit of its scale long
         full, two, den = reduction(*args)
@@ -920,24 +943,60 @@ def test_planted_faults_fail_kink_parallel_oracle_and_regularity_rows_with_exit_
     assert rows == {"census-confirmed-by-profiles": True, "non-census-heights-smooth": False}
 
 
+def test_planted_faults_fail_each_geodesic_law_row(monkeypatch):
+    # A2 and A12 run in tier-1 only, so their rows are read off
+    # `check_geodesic_laws`.  One fault per row, each in a name the check
+    # calls, turns that row (and only that row) to FAIL: the last minimal
+    # interval dropped (every seeded pair has one, so none is left), the
+    # distance one millionth long, and every jump of a geodesic taken twice
+    # (a zero-length detour that crosses each low wormhole twice).
+    def rows():
+        return {row.name: row.passed for row in verify.check_geodesic_laws(seed=2)}
+
+    assert set(rows().values()) == {True}
+    intervals, distance, geodesic = verify.minimal_height_intervals, verify.distance, verify.synthesize_geodesic
+
+    def jumps_twice(x, y, interval):
+        path = geodesic(x, y, interval)
+        events = [e for event in path.events for e in (event,) * (1 + isinstance(event, metric.WormholeLevel))]
+        return dataclasses.replace(path, events=tuple(events))
+
+    plants = [
+        ("intervals-equal-length", "minimal_height_intervals", lambda x, y: intervals(x, y)[:-1]),
+        ("geodesic-length-equals-distance", "distance", lambda x, y: distance(x, y) + Fraction(1, 10**6)),
+        ("low-order-jump-bound", "synthesize_geodesic", jumps_twice),
+    ]
+    for row, name, fake in plants:
+        monkeypatch.setattr(verify, name, fake)
+        assert [r for r, passed in rows().items() if not passed] == [row], row
+        monkeypatch.undo()
+
+
 def test_v_kinks_off_the_distance_fail_a7(monkeypatch, capsys):
-    # Every profile rewritten over 2 * den with each V kink moved one unit of
-    # that scale up and the run values re-derived along the slopes; the roofs
-    # stay at their heights.  The runs still turn (-1, +1) at each moved V,
-    # so when A7 read the slopes off the runs (`KinkProfile.slopes_at`) this
-    # row read `pass` under this plant ("0 bad over 81 roofs, 191 Vs").  Read
-    # off the distance, the slopes at the moved kinks are wrong.
+    # Every profile rewritten over 2 * den, on a stand-in scale with den, hp
+    # and gaps doubled, with each V kink moved one unit of that scale up and
+    # the run values re-derived along the slopes; the roofs stay at their
+    # heights.  The runs still turn (-1, +1) at each moved V, so when A7
+    # read the slopes off the runs (`KinkProfile.slopes_at`) this row read
+    # `pass` under this plant ("0 bad over 81 roofs, 191 Vs").  Read off the
+    # distance, the slopes at the moved kinks are wrong.
     real = profiles.profile_distance_on_line
 
     def moved_vs(p, line):
         profile = real(p, line)
-        runs = profile.runs
+        runs, scale = profile.runs, profile.scale
+        doubled = types.SimpleNamespace(
+            levels=scale.levels,
+            den=2 * scale.den,
+            hp=2 * scale.hp,
+            gaps=[tuple(g if g is None else 2 * g for g in gaps) for gaps in scale.gaps],
+        )
         starts = [2 * run[0] + (i > 0 and runs[i - 1][3] < run[3]) for i, run in enumerate(runs)]
         value, planted = 2 * runs[0][1], []
-        for lo, hi, run in zip(starts, starts[1:] + [2 * profile.den], runs):
+        for lo, hi, run in zip(starts, starts[1:] + [doubled.den], runs):
             planted.append((lo, value, hi, run[3]))
             value += run[3] * (hi - lo)
-        return dataclasses.replace(profile, den=2 * profile.den, runs=tuple(planted))
+        return dataclasses.replace(profile, runs=tuple(planted), scale=doubled)
 
     monkeypatch.setattr(profiles, "profile_distance_on_line", moved_vs)
     code, out, err = run(capsys, "verify", "kinks")

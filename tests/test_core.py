@@ -23,7 +23,6 @@ from laakso.core import (
     parse_rational,
     point,
     point_key,
-    point_to_json,
     same_point,
     wormhole_above,
     wormhole_below,
@@ -297,11 +296,6 @@ def test_same_point_padding():
     assert same_point(point("1/2", "10"), point("1/2", "1"))
     assert not same_point(point("1/2", "10"), point("1/2", "01"))
     assert same_point(point("1/3", "1"), point("1/3", "0"))
-
-
-def test_point_json_roundtrip():
-    p = point("4/9", "011")
-    assert point_to_json(p) == {"h": "4/9", "bits": "011"}
 
 
 def test_point_and_address_validation():

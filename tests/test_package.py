@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -7,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import laakso
-from laakso import oracle, verify
+from laakso import oracle, profiles, verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -91,6 +92,21 @@ def test_one_json_writer():
             elif isinstance(node, ast.ImportFrom) and node.module == "json":
                 writers += [(path.stem, node.lineno) for a in node.names if a.name in ("dump", "dumps")]
     assert writers == []
+
+
+def test_one_owner_for_the_wire_format_and_the_line_denominator():
+    # `cli` alone builds the JSON wire dicts: no other module defines a
+    # function or method with "json" in its name.  A profile's denominator
+    # is held by its line scale alone: `KinkProfile` keeps no `den` of its own.
+    json_functions = []
+    for path in sorted(Path(laakso.__file__).parent.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and "json" in node.name.lower():
+                json_functions.append((path.stem, node.name))
+    assert json_functions == []
+    assert [f.name for f in dataclasses.fields(profiles.KinkProfile)] == ["line", "runs", "scale"]
 
 
 def _enclosing(node, parents) -> str:
@@ -250,7 +266,7 @@ def test_profile_work_per_request(monkeypatch):
     # base point twice (`vertical_lines` and the printed point) and queries
     # each order's gaps once per line, plus `cli._binding_order`'s one; and
     # `verify kinks` builds one scale per profiled line.
-    from laakso import cli, profiles
+    from laakso import cli
 
     workloads = _load(PERFBENCH / "workloads.py", "laakso_bench_workloads")
     calls = {"canonicalize": 0, "_gaps": 0, "_LineScale": 0, "profile_distance_on_line": 0}
