@@ -25,10 +25,14 @@ All arithmetic is exact.  Heights and gaps are `fractions.Fraction` values;
 a gap is None when no wormhole of the order lies on that side (near the
 boundary of I, and always on the outer side of 0 and 1), which plays the
 role of an infinite gap.  Every grid lookup goes through one integer
-kernel, `_grid_index`, which needs no special case at 0 or 1, and every
-gap query through `_gaps`, its integer form (a height and its gaps times a
-denominator holding the order's grid), of which `nearest_wormhole_gap` is
-the `Fraction` view.  Outside this module only `metric` reads the kernel.
+kernel, `_grid_index`: one `divmod` gives a height's nearest grid indices
+at or below it and at or above it, with no flag and no special case at 0
+or 1.  Heights and grid heights are integers on every caller's scale, so a
+strict lookup is the same call one unit of the scale further out.  Every
+gap query goes through `_gaps`, its integer form (a height and its gaps
+times a denominator holding the order's grid), of which
+`nearest_wormhole_gap` is the `Fraction` view.  Outside this module only
+`metric` reads the kernel.
 
 Addresses are worked on integers too: each carries its bits as one integer
 mask, and `canonicalize` clears a bit of it, building a point only when a
@@ -263,47 +267,52 @@ class HeightInterval:
 # ---------------------------------------------------------------------------
 
 
-def _grid_index(top: int, num: int, step: int, up: bool, strict: bool) -> Optional[int]:
-    """The index k of the nearest wormhole height k / top of order n, for
-    top = 3**n, above t (`up`) or below it, strictly or not, where
-    t * top = num / step; None when that side has none.
+def _grid_index(top: int, num: int, step: int) -> Tuple[Optional[int], Optional[int]]:
+    """(below, above): the indices k of the nearest wormhole heights k / top
+    of order n, for top = 3**n, at or below t and at or above t, where
+    t * top = num / step; None for a side that has none.
 
     A caller holding t = a / b passes num = a * top and step = b.  One that
     keeps its heights on an integer scale den, a multiple of top, passes the
-    scaled height as num and step = den // top, and reads the grid height
+    scaled height as num and step = den // top, and reads a grid height
     back as k * step on its scale; no product with top is then formed, so
-    deep orders cost no long division of a doubled-length dividend.
+    deep orders cost no long division of a doubled-length dividend.  Every
+    caller's heights and grid heights are integers on its scale, so the
+    strict lookups are these at num - 1 (the side below) and num + 1 (the
+    side above).
 
-    Integer arithmetic only: q = floor(t * top) and its remainder decide
-    the first grid index on the requested side, which is then clamped to
-    the interior 1..top - 1 and stepped off multiples of 3 (those are grid
-    heights of lower orders).
+    Integer arithmetic only, one `divmod`: q = floor(t * top) and its
+    remainder decide the first grid index on each side, which is then
+    clamped to the interior 1..top - 1 and stepped off multiples of 3
+    (those are grid heights of lower orders).
     """
     if top < 3:
         raise ValueError("order must be a positive integer")
     q, r = divmod(num, step)
-    if up:
-        k = max(q + 1 if strict or r else q, 1)
-        if k % 3 == 0:
-            k += 1
-        return k if k < top else None
-    k = min(q - 1 if strict and not r else q, top - 1)
-    if k % 3 == 0:
-        k -= 1
-    return k if k > 0 else None
+    below = q if q < top else top - 1
+    if below % 3 == 0:
+        below -= 1
+    above = q + 1 if r else q
+    if above < 1:
+        above = 1
+    elif above % 3 == 0:
+        above += 1
+    return below if below > 0 else None, above if above < top else None
 
 
 def wormhole_above(n: int, t: Fraction, strict: bool = True) -> Optional[Fraction]:
     """The least order-n wormhole height > t (or >= t), None if none exists."""
     top = 3**n
-    k = _grid_index(top, t.numerator * top, t.denominator, True, strict)
+    num = t.numerator * top
+    k = _grid_index(top, num + 1 if strict else num, t.denominator)[1]
     return None if k is None else Fraction(k, top)
 
 
 def wormhole_below(n: int, t: Fraction, strict: bool = True) -> Optional[Fraction]:
     """The greatest order-n wormhole height < t (or <= t), None if none exists."""
     top = 3**n
-    k = _grid_index(top, t.numerator * top, t.denominator, False, strict)
+    num = t.numerator * top
+    k = _grid_index(top, num - 1 if strict else num, t.denominator)[0]
     return None if k is None else Fraction(k, top)
 
 
@@ -344,11 +353,12 @@ def _gaps(num: int, den: int, n: int) -> Tuple[Optional[int], Optional[int]]:
     """(up, down): the distances from num / den in [0, 1] to the strictly
     nearest order-n wormhole heights above and below it, times den (a
     multiple of 3**n), None for a side with none; the one gap query.  Two
-    lookups of `_grid_index`, each grid height read back on den's scale."""
+    lookups of `_grid_index`, the side below at num - 1 and the side above
+    at num + 1, each grid height read back on den's scale."""
     top = 3**n
     step = den // top
-    above = _grid_index(top, num, step, True, True)
-    below = _grid_index(top, num, step, False, True)
+    below = _grid_index(top, num - 1, step)[0]
+    above = _grid_index(top, num + 1, step)[1]
     return (
         None if above is None else above * step - num,
         None if below is None else num - below * step,

@@ -21,7 +21,9 @@ over one common denominator, lcm(den h(x), den h(y)) * 3**N for N the
 deepest required order; an order-n grid height k / 3**n is then an integer
 multiple of 3**(N - n).  The minimal-interval search, the length formula
 and the geodesic jump schedule run on those integers, through the one
-grid-index kernel `core._grid_index`.  The geodesic is synthesized once,
+grid-index kernel `core._grid_index`; the search makes one kernel call,
+one integer division, per required order, and resolves the unmet orders
+in one pass over their left ends.  The geodesic is synthesized once,
 by `_Pair.trace`: an integer event list (segments and jumps on the pair's
 scale) that checks every jump against its order's grid, the summed length
 against the distance and the arrival address against the far point's.
@@ -160,39 +162,55 @@ class _Pair:
         """All minimum-length intervals covering both heights and every
         required wormhole order, in increasing order.
 
-        For each order whose grid misses [lo, hi] the interval must stretch
-        either down to the nearest grid height below lo or up to the nearest
-        above hi.  A minimum-length interval is pinned at both ends, so its
-        left endpoint is lo or one of the finitely many "down" candidates;
-        for each such left endpoint the best right endpoint is forced.
-        Enumerating the candidates therefore finds every optimum, and all
-        returned intervals share one length.
+        One kernel call per order, at lo, gives the order's nearest grid
+        heights at or below and at or above lo.  The order is met when the
+        one above lies in [lo, hi].  Otherwise lo is off that grid, so the
+        one below lies strictly below lo and the one above strictly above
+        hi, and the interval must stretch down to the first or up to the
+        second.  A minimum-length interval is pinned at both ends, so its
+        left end is lo or the grid height below lo of an unmet order, and
+        each left end forces its right end: hi, or the highest grid height
+        above hi of the unmet orders that the left end leaves uncovered.
+        One pass over the left ends from the lowest up, adding each order
+        to the uncovered ones once it is passed, meets every optimum in
+        increasing order; all returned intervals share one length.  Grids
+        of different orders are disjoint, so no two left ends coincide.
         """
         den, lo, hi = self.den, self.lo, self.hi
-        unsat = []  # (nearest grid height below lo, nearest above hi) per unmet order
+        right = hi  # raised by every unmet order, which no left end covers, with no grid height below lo
+        ends = []  # (grid height below lo, grid height above hi or None) per other unmet order
         for n in self.levels:
             top = 3**n
             step = den // top
-            k = _grid_index(top, lo, step, True, False)
-            if k is not None and k * step <= hi:
-                continue
-            below = _grid_index(top, lo, step, False, True)
-            above = _grid_index(top, hi, step, True, True)
-            if below is None and above is None:
+            below, above = _grid_index(top, lo, step)
+            if above is not None:
+                above *= step
+                if above <= hi:
+                    continue
+            if below is not None:
+                ends.append((below * step, above))
+            elif above is None:
                 raise InternalError(f"order-{n} grid is empty; invalid state")
-            unsat.append((None if below is None else below * step, None if above is None else above * step))
-        if not unsat:
+            elif above > right:
+                right = above
+        if not ends and right == hi:  # every order met
             return [(lo, hi)]
 
-        results = set()
-        for a in [lo] + [below for below, _ in unsat if below is not None]:
-            tops = [above for below, above in unsat if below is None or below < a]
-            if None not in tops:
-                results.add((a, max([hi] + tops)))
-        if not results:
-            raise InternalError("no feasible interval; invalid state")
-        best = min(b - a for a, b in results)
-        return sorted(iv for iv in results if iv[1] - iv[0] == best)
+        ends.append((lo, None))
+        ends.sort()
+        out = []
+        for a, above in ends:
+            width = right - a
+            if not out or width < best:
+                out = [(a, right)]
+                best = width
+            elif width == best:
+                out.append((a, right))
+            if above is None:
+                break
+            if above > right:
+                right = above
+        return out
 
     def intervals(self) -> List[Tuple[int, int]]:
         """`search`'s intervals, each checked to lie in [0, 1]."""
@@ -237,7 +255,8 @@ class _Pair:
             for s, e, jumps in phases:
                 if s == e:
                     continue
-                k = _grid_index(top, s, step, s < e, False)
+                below, above = _grid_index(top, s, step)
+                k = above if s < e else below
                 if k is not None and min(s, e) <= k * step <= max(s, e):
                     jumps.append((k * step, n))
                     break

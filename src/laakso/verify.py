@@ -625,12 +625,12 @@ class Suite(NamedTuple):
 # Regularity's smallest radius 1/81 needs m >= 5 (`regularity_scan` takes
 # radii down to 1/3^(m-1)), and its top is the level graph's resolution cap
 # (`oracle._MAX_RESOLUTION`).  The upper ends bound the work before it
-# starts.  On a 2-vCPU Xeon host (CPython 3.11), in process: `oracle
-# --depth 3` takes ~0.04 s (best of 5), one interval search for each of the
+# starts.  On a 2-vCPU Xeon host (CPython 3.11.7), in process: `oracle
+# --depth 3` takes ~0.03 s (best of 5), one interval search for each of the
 # 2466 distinct (row, row, XOR) inputs of its 25k pairs plus a few table
 # reads per pair; `oracle --depth 4` (860k pairs, 41k distinct inputs)
-# takes ~0.95 s (best of 3), most of it the per-pair reads, and m = 5
-# (31M pairs) is refused; `regularity --depth 8` takes ~0.04 s.
+# takes ~0.6 s (best of 3), most of it the per-pair reads, and m = 5
+# (31M pairs) is refused; `regularity --depth 8` takes ~0.04 s (best of 5).
 SUITES: Dict[str, Suite] = {
     "oracle": Suite(check_oracle, range(1, 5)),
     "kinks": Suite(check_kinks),

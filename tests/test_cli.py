@@ -1027,9 +1027,9 @@ def test_other_runtime_errors_are_not_internal_errors(monkeypatch):
 
 
 def test_metric_invariant_failure_exits_3(monkeypatch, capsys):
-    # With every grid lookup of the integer kernel failing, the real
-    # "invalid state" guard fires.
-    monkeypatch.setattr("laakso.metric._grid_index", lambda *args, **kw: None)
+    # With every grid lookup of the integer kernel finding neither side,
+    # the real "invalid state" guard fires.
+    monkeypatch.setattr("laakso.metric._grid_index", lambda *args, **kw: (None, None))
     code, out, err = run(capsys, "distance", "--x", "1/2:0", "--y", "1/2:1")
     assert code == 3 and out == ""
     assert err == "internal error: order-1 grid is empty; invalid state\n"

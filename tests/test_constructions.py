@@ -422,8 +422,8 @@ def _certify_per_height(w, nums, den):
         if not lo < num < hi:
             raise ValueError(f"{F(num, den)} is outside the hole")
         scaled = num * top
-        below = _grid_index(top, scaled, den, False, True)
-        above = _grid_index(top, scaled, den, True, True)
+        below = _grid_index(top, scaled - 1, den)[0]
+        above = _grid_index(top, scaled + 1, den)[1]
         down = None if below is None else scaled - below * den
         up = None if above is None else above * den - scaled
         if down is None or down * lq > down_cap or (up is not None and up * lq < up_floor):

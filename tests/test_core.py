@@ -202,21 +202,26 @@ def test_grid_kernel_matches_brute_force(t, n):
         None if below is None else t - below,
     )
     # The kernel in both caller forms: t = a / b as a * 3**n over step b,
-    # and t on a scale D = 3 * b * 3**n as t * D over step D // 3**n.
+    # and t on a scale D = 3 * b * 3**n as t * D over step D // 3**n.  A
+    # strict side is the lookup one unit of the scale past t: heights and
+    # grid heights are integers on both scales.
     top, a, b = 3**n, t.numerator, t.denominator
-    for up, strict, h in ((True, True, above), (True, False, above_eq),
-                          (False, True, below), (False, False, below_eq)):
+    for side, offset, h in ((1, 1, above), (1, 0, above_eq), (0, -1, below), (0, 0, below_eq)):
         k = None if h is None else h * top
-        assert _grid_index(top, a * top, b, up, strict) == k
-        assert _grid_index(top, 3 * a * top, 3 * b, up, strict) == k
+        assert _grid_index(top, a * top + offset, b)[side] == k
+        assert _grid_index(top, 3 * a * top + offset, 3 * b)[side] == k
+    assert _grid_index(top, a * top, b) == (
+        None if below_eq is None else below_eq * top,
+        None if above_eq is None else above_eq * top,
+    )
 
 
 def _reference_gaps(a, b, n):
     """(up, down) at t = a / b times 3**n * b: the gap formula before
     `_gaps`, two kernel lookups with t * 3**n as a * 3**n over step b."""
     top = 3**n
-    above = _grid_index(top, a * top, b, True, True)
-    below = _grid_index(top, a * top, b, False, True)
+    above = _grid_index(top, a * top + 1, b)[1]
+    below = _grid_index(top, a * top - 1, b)[0]
     return (
         None if above is None else above * b - a * top,
         None if below is None else a * top - below * b,

@@ -1,10 +1,11 @@
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laakso.core import (
@@ -347,3 +348,68 @@ def test_pair_from_vertex_data_equals_distance(case):
     pair = _Pair(_orders(cx ^ cy), k1, k2, top)
     assert F(pair.length(*pair.search()[0]), top) == distance(x, y)
     assert ((k1, cx) == (k2, cy)) == same_point(x, y)
+
+
+def _brute_intervals(levels, hx, hy, den):
+    """The minimal intervals of a pair on its integer scale, from every
+    order-n grid height listed on that scale: a minimal interval's left end
+    is lo or a grid height below lo, and for each left end the least right
+    end is hi or the first grid height of some order at or past it."""
+    lo, hi = min(hx, hy), max(hx, hy)
+    grids = [[k * (den // 3**n) for k in range(1, 3**n) if k % 3] for n in levels]
+    ivs = []
+    for a in [lo] + [h for grid in grids for h in grid if h < lo]:
+        firsts = [grid[i] for grid in grids for i in [bisect_left(grid, a)] if i < len(grid)]
+        if len(firsts) == len(grids):
+            ivs.append((a, max([hi] + firsts)))
+    best = min(b - a for a, b in ivs)
+    return sorted({iv for iv in ivs if iv[1] - iv[0] == best})
+
+
+@st.composite
+def _scaled_pairs(draw):
+    """Raw `_Pair` data: required orders up to 6, a scale den = c * 3**N for
+    N the deepest, and heights 0, den, on an order-j grid (j <= 6; on the
+    pair's scale when j <= N) or one unit off it, or anywhere."""
+    levels = sorted(draw(st.sets(st.integers(1, 6), max_size=6)))
+    den = 3 ** (levels[-1] if levels else 0) * draw(st.integers(1, 12))
+
+    def height():
+        kind = draw(st.sampled_from(["end", "grid", "any"]))
+        if kind == "end":
+            return draw(st.sampled_from([0, den]))
+        if kind == "any":
+            return draw(st.integers(0, den))
+        j = draw(st.integers(1, 6))
+        h = draw(st.integers(0, 3**j)) * den // 3**j + draw(st.sampled_from([-1, 0, 1]))
+        return min(max(h, 0), den)
+
+    hx = height()
+    return levels, hx, hx if draw(st.booleans()) else height(), den
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scaled_pairs())
+@example(([1], 3, 3, 6))  # 1/2:0 against 1/2:1, one unmet order, a tie at lo
+@example(([1, 2], 9, 9, 18))  # two unmet orders tie: [1/3, 1/2] and [1/2, 2/3]
+@example(([2, 3], 9, 9, 27))  # the same at 1/3, off both grids
+@example(([1, 2, 3], 27, 27, 54))  # three unmet orders tie
+@example(([1, 2, 3, 4, 5], 162, 162, 243))  # five unmet orders tie
+@example(([1, 2, 3, 4, 5, 6], 243, 243, 729))
+@example(([1], 0, 0, 3))  # at 0: no grid height below
+@example(([1], 3, 3, 3))  # at 1: no grid height above
+@example(([1, 2, 3, 4, 5, 6], 0, 0, 729))
+@example(([1, 2, 3, 4, 5, 6], 729, 729, 729))
+@example(([1, 2], 1, 17, 18))  # every order met
+@example(([], 4, 2, 7))  # no required order
+def test_search_matches_brute_force_on_raw_scales(case):
+    levels, hx, hy, den = case
+    want = _brute_intervals(levels, hx, hy, den)
+    assert _Pair(levels, hx, hy, den).search() == want
+    assert _Pair(levels, hy, hx, den).search() == want
+
+
+def test_search_tie_at_one_half():
+    pair = _Pair.of(point("1/2", "0"), point("1/2", "1"))
+    assert pair.den == 6
+    assert pair.search() == [(2, 3), (3, 4)]  # [1/3, 1/2] and [1/2, 2/3]

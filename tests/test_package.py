@@ -123,8 +123,11 @@ def test_one_gap_query_and_one_distance_read():
     # The integer layer has one gap query, `core._gaps`, over the one grid
     # kernel `core._grid_index`, which outside `core` only `metric`'s
     # interval search reads; and one distance read, `metric._Pair.shortest`,
-    # the only code that takes the first interval of a `search()`.
-    kernel_modules, first_reads, gap_definitions = set(), [], []
+    # the only code that takes the first interval of a `search()`.  In the
+    # modules that work on grids, the kernel's one `divmod` is the only
+    # one: an inlined copy of the kernel fails here.
+    kernel_modules, first_reads, gap_definitions, divisions = set(), [], [], []
+    grid_modules = {"core", "metric", "profiles", "constructions", "verify"}
     for path in sorted(Path(laakso.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
@@ -138,6 +141,8 @@ def test_one_gap_query_and_one_distance_read():
             defines = isinstance(node, ast.FunctionDef) or isinstance(getattr(node, "ctx", None), ast.Store)
             if name == "_gaps" and defines:
                 gap_definitions.append(path.stem)
+            if path.stem in grid_modules and isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod":
+                divisions.append((path.stem, _enclosing(node, parents)))
             if (
                 isinstance(node, ast.Subscript)
                 and isinstance(node.value, ast.Call)
@@ -150,6 +155,7 @@ def test_one_gap_query_and_one_distance_read():
     assert kernel_modules == {"core", "metric"}
     assert first_reads == [("metric", "_Pair.shortest")]
     assert gap_definitions == ["core"]
+    assert divisions == [("core", "_grid_index")]
 
 
 def test_one_line_scale_per_profiled_line():

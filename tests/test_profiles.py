@@ -666,7 +666,7 @@ def _old_rule_profile(p, line):
     reach = {}
     for n in involved:
         step = den // 3**n
-        nearest = (_grid_index(3**n, hp, step, up, True) for up in (True, False))
+        nearest = (_grid_index(3**n, hp + 1, step)[1], _grid_index(3**n, hp - 1, step)[0])
         reach[n] = [k * step - hp for k in nearest if k is not None]
     offsets = [g for gaps in reach.values() for g in gaps]
     offsets += [sum(gaps) for gaps in reach.values() if len(gaps) == 2]
@@ -708,7 +708,8 @@ def _own_order_rule_profile(p, line):
     breaks = {0, den, hp}
     for n in levels:
         step = den // 3**n
-        near = [k * step for k in (_grid_index(3**n, hp, step, up, True) for up in (True, False)) if k is not None]
+        nearest = (_grid_index(3**n, hp + 1, step)[1], _grid_index(3**n, hp - 1, step)[0])
+        near = [k * step for k in nearest if k is not None]
         breaks.update(near)
         if len(near) == 2:
             breaks.add(near[0] + near[1] - hp)
