@@ -17,7 +17,12 @@ claimed inequality checked exactly:
   at the jump points.  Its vertical derivative is maximal (the Lipschitz
   constant, 1) on the probed scales, and the error ratio at the jump points
   is again exactly 1/2.  Such a witness exists exactly where the gap ratios
-  are unbalanced, which is what `maximality_verdict` mechanizes.
+  are unbalanced, which is what `maximality_verdict` mechanizes.  It is
+  fixed by its center, thin side and orders (`BandSchedule`); its gaps and
+  band slopes (the ramp bounds) are read off the height.
+
+The builders share one tail, `_witness`, which refuses a measured pairwise
+Lipschitz ratio above 1 as an `InternalError`.
 
 Porosity of the balanced-height set is certified hole by hole: next to any
 wormhole height of a deep enough order, an explicit interval is produced on
@@ -38,7 +43,7 @@ is kept as an integer pair, and one `Fraction` is built at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -80,11 +85,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A function known exactly on finitely many points, with a Lipschitz
-    bound that `verify_lipschitz` checks pairwise against exact distances."""
+    """A function known exactly on finitely many points, whose worst ratio
+    `verify_lipschitz` measures pairwise against exact distances."""
 
     samples: Tuple[Tuple[LaaksoPoint, Fraction], ...]
-    lip_bound: Fraction
 
     def __post_init__(self):
         table = {}
@@ -104,10 +108,9 @@ class SampledFunction:
     def verify_lipschitz(self) -> Fraction:
         """Max of |f(a) - f(b)| / d(a, b) over sample pairs (exact).
 
-        The library builds its samples to respect the bound, so a ratio
-        above it, or two samples at distance 0 with different values, is
-        an `InternalError`.  A pair with equal values can neither raise
-        the ratio nor break the equal-points rule, so it is not measured.
+        Two samples at distance 0 with different values are an
+        `InternalError`.  A pair with equal values can neither raise the
+        ratio nor break the equal-points rule, so it is not measured.
 
         Each sample is canonicalized once and its value put over the one
         common denominator V of all values.  A pair is then one integer
@@ -132,10 +135,7 @@ class SampledFunction:
                 num = abs(va - vb) * pair.den
                 if num * worst_den > worst_num * length:
                     worst_num, worst_den = num, length
-        worst = Fraction(worst_num, worst_den * scale)
-        if worst > self.lip_bound:
-            raise InternalError(f"sampled ratio {worst} exceeds bound {self.lip_bound}")
-        return worst
+        return Fraction(worst_num, worst_den * scale)
 
 
 def as_point_function(f: SampledFunction) -> PointFunction:
@@ -176,7 +176,7 @@ class Witness:
     levels: Tuple[int, ...]
     jump_points: Tuple[LaaksoPoint, ...]
     jump_values: Tuple[Fraction, ...]
-    sampled_ratio: Fraction  # verified pairwise Lipschitz ratio
+    sampled_ratio: Fraction
 
     def jump_quotients(self) -> Tuple[Fraction, ...]:
         """|f(y) - f(center)| / d(y, center) at every jump point y."""
@@ -191,8 +191,8 @@ def _witness(
     """The witness sampled on xc's vertical line, where `line` maps each
     height to its value, and at one jump point per (order, value) in
     `jumps`, which carries the value.  Verifies exactly that every jump
-    point sits at distance twice |value| from xc and that every sample pair
-    respects the Lipschitz bound 1."""
+    point sits at distance twice |value| from xc and that the measured
+    pairwise Lipschitz ratio is at most 1, or raises `InternalError`."""
     samples = [(LaaksoPoint(t, xc.address), v) for t, v in sorted(line.items())]
     jump_points = []
     for n, value in jumps:
@@ -201,8 +201,10 @@ def _witness(
             raise InternalError(f"order-{n} jump point is not at distance twice its value")
         jump_points.append(y)
         samples.append((y, value))
-    fn = SampledFunction(tuple(samples), Fraction(1))
+    fn = SampledFunction(tuple(samples))
     ratio = fn.verify_lipschitz()
+    if ratio > 1:
+        raise InternalError(f"sampled ratio {ratio} exceeds bound 1")
     levels, values = zip(*jumps)
     return Witness(fn, xc, levels, tuple(jump_points), values, ratio)
 
@@ -226,7 +228,7 @@ def build_flat_nondifferentiable(
     height, valued at the smaller finite gap.  At heights 0 and 1 only one
     side exists and the construction is one-sided.  The build verifies,
     exactly, that the jump points sit at distance twice the smaller gap and
-    that every sample pair respects the Lipschitz bound 1.
+    that the measured pairwise Lipschitz ratio is at most 1.
     """
     xc = canonicalize(x)
     w = wormhole_order(xc.height)
@@ -260,64 +262,68 @@ def build_flat_nondifferentiable(
 
 @dataclass(frozen=True)
 class BandSchedule:
-    """Jump orders and band slopes for a steep witness at `center`.
+    """Jump orders for a steep witness at the height `center`.
 
     `jump_side` is the thin-gap side: jumps happen there, and the slope
     profile equals 1 there.  On the opposite (wide) side the profile takes
     the band slope slopes[k] between the order n_k and order n_{k+1} gap
-    heights.  Validity (checked exactly): per order, thin gap P and wide
-    gap Q are finite with
+    heights.  Building the record reads each order's thin gap P[k] and wide
+    gap Q[k] once (`thin`, `wide`) and refuses (ValueError) orders that are
+    empty or not strictly increasing, and gaps not all finite with, exactly,
 
         2 * P[k] / Q[k] < 1 / n_k          (thin side much thinner),
         2 * Q[k+1] / Q[k] < 1 / n_k        (gaps collapse fast),
-        P and Q strictly decreasing,
+        P and Q strictly decreasing.
 
-    and each slope obeys the ramp bound
+    Each slope is its ramp bound, the largest admissible value,
 
-        slopes[k] <= (1 - (P[k] + Q[k+1]) / Q[k]) / (1 - Q[k+1] / Q[k])
+        slopes[k] = ramp_bound(k) = (Q[k] - P[k] - Q[k+1]) / (Q[k] - Q[k+1])
 
-    with Q[K+1] taken as 0 for the innermost band.  The bound approaches 1
-    as the ratios collapse, so slopes can ramp to 1.
+    with Q[K+1] = 0 for the innermost band.  The gap conditions put P[k]
+    and Q[k+1] below Q[k] / 2, so each slope lies in (0, 1); it approaches
+    1 as the ratios collapse, so the slopes ramp to 1.
     """
 
     center: Fraction
     jump_side: Direction
     levels: Tuple[int, ...]
-    slopes: Tuple[Fraction, ...]
-    thin: Tuple[Fraction, ...]
-    wide: Tuple[Fraction, ...]
+    thin: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    wide: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    slopes: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.levels:
+            raise ValueError("schedule lists no orders")
+        if list(self.levels) != sorted(set(self.levels)):
+            raise ValueError("orders must be strictly increasing")
+        up_dir = self.jump_side is Direction.UP
+        thin: List[Fraction] = []
+        wide: List[Fraction] = []
+        for n in self.levels:
+            up, down = nearest_wormhole_gap(self.center, n)
+            p, q = (up, down) if up_dir else (down, up)
+            # The checks against the previous order come first; a missing
+            # gap is refused just below.
+            if thin and p is not None and q is not None:
+                if not (p < thin[-1] and q < wide[-1]):
+                    raise ValueError("gaps must strictly decrease along the schedule")
+                n_prev = self.levels[len(thin) - 1]
+                if not 2 * q * n_prev < wide[-1]:
+                    raise ValueError(f"order {n_prev}: successive wide gaps collapse too slowly")
+            if p is None or q is None:
+                raise ValueError(f"order {n} has no wormhole on one side")
+            if not 2 * p * n < q:
+                raise ValueError(f"order {n}: thin/wide gap ratio too large")
+            thin.append(p)
+            wide.append(q)
+        object.__setattr__(self, "thin", tuple(thin))
+        object.__setattr__(self, "wide", tuple(wide))
+        object.__setattr__(self, "slopes", tuple(map(self.ramp_bound, range(len(thin)))))
 
     def ramp_bound(self, k: int) -> Fraction:
         q_next = self.wide[k + 1] if k + 1 < len(self.levels) else Fraction(0)
         q = self.wide[k]
         return (1 - (self.thin[k] + q_next) / q) / (1 - q_next / q)
-
-    def validate(self) -> None:
-        if not self.levels:
-            raise ValueError("schedule lists no orders")
-        if len(self.slopes) != len(self.levels) or len(self.thin) != len(self.levels):
-            raise ValueError("schedule fields must align")
-        if list(self.levels) != sorted(set(self.levels)):
-            raise ValueError("orders must be strictly increasing")
-        up_dir = self.jump_side is Direction.UP
-        for k, n in enumerate(self.levels):
-            up, down = nearest_wormhole_gap(self.center, n)
-            thin, wide = (up, down) if up_dir else (down, up)
-            if thin is None or wide is None:
-                raise ValueError(f"order {n} has no wormhole on one side")
-            if thin != self.thin[k] or wide != self.wide[k]:
-                raise ValueError(f"stored gaps at order {n} do not match the height")
-            if not 2 * self.thin[k] * n < self.wide[k]:
-                raise ValueError(f"order {n}: thin/wide gap ratio too large")
-            if k + 1 < len(self.levels):
-                if not (self.thin[k + 1] < self.thin[k] and self.wide[k + 1] < self.wide[k]):
-                    raise ValueError("gaps must strictly decrease along the schedule")
-                if not 2 * self.wide[k + 1] * n < self.wide[k]:
-                    raise ValueError(f"order {n}: successive wide gaps collapse too slowly")
-            if not (0 < self.slopes[k] < 1):
-                raise ValueError("band slopes must lie in (0, 1)")
-            if self.slopes[k] > self.ramp_bound(k):
-                raise ValueError(f"band slope {k} exceeds its ramp bound")
 
 
 def find_band_schedule(
@@ -326,45 +332,31 @@ def find_band_schedule(
     start_level: int = 1,
     max_level: int = 48,
 ) -> Optional[BandSchedule]:
-    """Greedy search for a valid schedule at x1, thin side as given.
+    """Greedy search for a schedule at x1, thin side as given.
 
     Scans orders upward, keeping each order whose thin/wide ratio beats the
-    1/n threshold and whose wide gap collapses fast enough relative to the
-    previously kept order, up to six orders.  Slopes default to the exact
-    ramp bounds (the largest admissible values).  Returns None when nothing
+    1/n threshold and whose gaps are below, and whose wide gap collapses
+    fast enough relative to, those of the previously kept order, up to six
+    orders: exactly the conditions `BandSchedule` checks, so the schedule
+    built from the kept orders is valid.  Returns None when nothing
     qualifies.
     """
     x1 = parse_rational(x1)
     jump_side = Direction(jump_side)
     up_dir = jump_side is Direction.UP
     levels: List[int] = []
-    thin: List[Fraction] = []
-    wide: List[Fraction] = []
     for n in range(start_level, max_level + 1):
         up, down = nearest_wormhole_gap(x1, n)
         t, q = (up, down) if up_dir else (down, up)
         if t is None or q is None or not 2 * t * n < q:
             continue
-        if levels:
-            n_prev = levels[-1]
-            if not (t < thin[-1] and q < wide[-1]):
-                continue
-            if not 2 * q * n_prev < wide[-1]:
-                continue
+        if levels and not (t < t_prev and q < q_prev and 2 * q * levels[-1] < q_prev):
+            continue
         levels.append(n)
-        thin.append(t)
-        wide.append(q)
+        t_prev, q_prev = t, q
         if len(levels) == 6:
             break
-    if not levels:
-        return None
-    schedule = BandSchedule(
-        x1, jump_side, tuple(levels), (Fraction(1, 2),) * len(levels), tuple(thin), tuple(wide)
-    )
-    slopes = tuple(schedule.ramp_bound(k) for k in range(len(levels)))
-    schedule = BandSchedule(x1, jump_side, tuple(levels), slopes, tuple(thin), tuple(wide))
-    schedule.validate()
-    return schedule
+    return BandSchedule(x1, jump_side, tuple(levels)) if levels else None
 
 
 def _band_integral(schedule: BandSchedule, span: Fraction) -> Fraction:
@@ -395,7 +387,7 @@ def build_steep_nondifferentiable(
     schedule: BandSchedule,
     probe_offsets: Iterable[Fraction] = (),
 ) -> Witness:
-    """The steep witness at x for a validated band schedule.
+    """The steep witness at x for a band schedule computed at x's height.
 
     On the vertical line through x the function integrates the slope
     profile (slope 1 on the thin side, band slopes on the wide side), and
@@ -403,14 +395,13 @@ def build_steep_nondifferentiable(
     The build verifies exactly: the jump points sit at distance twice the
     thin gap, consecutive jump points sit at distance twice the earlier
     thin gap, the line value at the thin-gap height equals the jump value,
-    and every sample pair respects the Lipschitz bound 1.
+    and the measured pairwise Lipschitz ratio is at most 1.
     """
     xc = canonicalize(x)
     if wormhole_order(xc.height) is not None:
         raise ValueError("the two-sided construction needs a non-wormhole center")
     if schedule.center != xc.height:
         raise ValueError("schedule was computed for a different height")
-    schedule.validate()
     sign = 1 if schedule.jump_side is Direction.UP else -1
     heights = {xc.height}
     for k, n in enumerate(schedule.levels):
@@ -475,18 +466,22 @@ class PorosityWitness:
     """An explicit hole in the balanced-height set near t0.
 
     The hole is the open interval (anchor, anchor + lam / 3**order) just
-    above a wormhole height `anchor` of the given order.  Every height s in
-    the hole has down gap at most lam / 3**order and up gap at least
-    (1 - lam) / 3**order at that order, hence gap ratio above
-    (1 - lam) / lam, which exceeds the probed bound.
+    above a wormhole height `anchor` of the given order, with lam =
+    1 / (bound + 2).  Every height s in the hole has down gap at most
+    lam / 3**order and up gap at least (1 - lam) / 3**order at that order,
+    hence gap ratio above (1 - lam) / lam = bound + 1, which exceeds the
+    probed bound.
     """
 
     bound: Fraction
     start_level: int
     t0: Fraction
-    lam: Fraction
     order: int
     anchor: Fraction
+
+    @property
+    def lam(self) -> Fraction:
+        return 1 / (self.bound + 2)
 
     @property
     def hole_width(self) -> Fraction:
@@ -566,8 +561,8 @@ def porosity_witness(bound, start_level: int, t0, delta) -> PorosityWitness:
     """A hole of relative width lam / 2 within distance 2/3**n of t0, for
     some order n > start_level >= 1 with 2/3**n below delta; always exists.
 
-    lam is 1 / (bound + 2), which satisfies both lam < 1/2 and the ratio
-    requirement (1 - lam) / lam = bound + 1 > bound.
+    The witness's lam, 1 / (bound + 2), satisfies both lam < 1/2 and the
+    ratio requirement (1 - lam) / lam = bound + 1 > bound.
     """
     bound = parse_rational(bound)
     t0 = parse_rational(t0)
@@ -580,7 +575,6 @@ def porosity_witness(bound, start_level: int, t0, delta) -> PorosityWitness:
         raise ValueError("t0 must be interior")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    lam = 1 / (bound + 2)
 
     n = start_level + 1
     while Fraction(2, 3**n) >= delta:
@@ -591,7 +585,7 @@ def porosity_witness(bound, start_level: int, t0, delta) -> PorosityWitness:
     if not options:
         raise InternalError("a wormhole within 2/3^n of any interior height must exist")
     anchor = min(options, key=lambda h: (abs(h - t0), h))
-    return PorosityWitness(bound, start_level, t0, lam, n, anchor)
+    return PorosityWitness(bound, start_level, t0, n, anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -428,15 +428,18 @@ def same_point(x: LaaksoPoint, y: LaaksoPoint) -> bool:
 class GapRatioVerdict:
     """Outcome of a finite-depth gap-ratio probe.
 
-    `consistent` is a semi-decision: the ratio bound held at every probed
-    order, which finite computation can never upgrade to a certificate for
-    all orders.  A violation, by contrast, is definitive: `violated_at`
-    names the first order where the bound fails (a side with no wormhole
-    counts as a failure), and it stays violated at every larger probing depth.
+    `violated_at` names the first order where the bound fails (a side with
+    no wormhole counts as a failure), None if it held at every probed order.
+    A violation is definitive: it stays violated at every larger probing
+    depth.  `consistent` (no violation) is a semi-decision, which finite
+    computation can never upgrade to a certificate for all orders.
     """
 
-    consistent: bool
     violated_at: Optional[int]
+
+    @property
+    def consistent(self) -> bool:
+        return self.violated_at is None
 
 
 def gap_ratio_probe(t: Fraction, bound: Fraction, start_level: int, depth: int) -> GapRatioVerdict:
@@ -456,5 +459,5 @@ def gap_ratio_probe(t: Fraction, bound: Fraction, start_level: int, depth: int) 
     for n in range(start_level, depth + 1):
         up, down = nearest_wormhole_gap(t, n)
         if up is None or down is None or up > bound * down or down > bound * up:
-            return GapRatioVerdict(False, n)
-    return GapRatioVerdict(True, None)
+            return GapRatioVerdict(n)
+    return GapRatioVerdict(None)

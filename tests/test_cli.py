@@ -725,25 +725,11 @@ def test_porosity_certificate_failure_is_a_check_failure(monkeypatch, capsys):
 def test_construction_self_checks_exit_3(monkeypatch, capsys):
     # Each self-check of the witness builds is an invariant, not a check
     # result: `verify constructions` reports it as one internal error line.
-    from laakso.constructions import BandSchedule, SampledFunction
     from laakso.core import point
     from laakso.metric import distance
     from laakso.verify import ENGINEERED_MIRROR
 
     steep_center = point(ENGINEERED_MIRROR, "0").height
-    post_init = SampledFunction.__post_init__
-
-    def bound_zero(self):
-        post_init(self)
-        object.__setattr__(self, "lip_bound", Fraction(0))
-
-    ramp_bound, ramp_calls = BandSchedule.ramp_bound, collections.Counter()
-
-    def lowered_on_second_call(self, k):
-        # The bound of band k read 10**-9 lower the second time: the slope
-        # `find_band_schedule` set to it exceeds it when it validates.
-        ramp_calls[k] += 1
-        return ramp_bound(self, k) - (Fraction(1, 10**9) if ramp_calls[k] == 2 else 0)
 
     class LevelPair(metric._Pair):
         # Every pair at two different heights reads as length 0.
@@ -753,8 +739,6 @@ def test_construction_self_checks_exit_3(monkeypatch, capsys):
     cases = (
         # verify_lipschitz: samples at distance 0 with different values
         ("laakso.constructions._Pair", LevelPair, "equal points "),
-        # verify_lipschitz: a sampled ratio above the declared bound
-        ("laakso.constructions.SampledFunction.__post_init__", bound_zero, "sampled ratio 1 exceeds bound 0"),
         # _witness, building the flat witness: jump point distance
         (
             "laakso.constructions.distance",
@@ -785,9 +769,6 @@ def test_construction_self_checks_exit_3(monkeypatch, capsys):
             lambda *args, **kwargs: None,
             "no band schedule at the engineered steep center",
         ),
-        # find_band_schedule: a schedule it built fails its own validation,
-        # a ValueError raised inside the suite
-        ("laakso.constructions.BandSchedule.ramp_bound", lowered_on_second_call, "band slope 0 exceeds its ramp bound"),
     )
     for target, fake, message in cases:
         monkeypatch.setattr(target, fake)
@@ -843,6 +824,16 @@ def test_planted_faults_fail_porosity_and_construction_rows_with_exit_1(monkeypa
     def by_height(self, p):  # a lookup that ignores the address
         return next(value for q, value in self.samples if q.height == p.height)
 
+    band_integral = cons._band_integral
+
+    # Band 0 read 10**-9 (relative) steeper: within its Lipschitz slack, so
+    # the witness still builds and only its realized slope is off.
+    def steeper_band_0(schedule, span):
+        total = band_integral(schedule, span)
+        if span > schedule.wide[1]:
+            total += (min(span, schedule.wide[0]) - schedule.wide[1]) * schedule.slopes[0] / 10**9
+        return total
+
     plants = [
         ("porosity", "porosity-hole-certificates",
          [(cons, "_gaps", lambda num, den, n: real_gaps(num, den, n)[::-1])]),  # up and down swapped
@@ -853,6 +844,7 @@ def test_planted_faults_fail_porosity_and_construction_rows_with_exit_1(monkeypa
          [(calculus, "difference_quotient", negated_quotient), (verify, "difference_quotient", negated_quotient)]),
         ("constructions", "flat-jump-quotients,steep-jump-quotients",
          [(cons.SampledFunction, "value_at", by_height)]),
+        ("constructions", "steep-ramp-bounds", [(cons, "_band_integral", steeper_band_0)]),
     ]
     for suite, rows, patches in plants:
         for target, name, fake in patches:
@@ -863,11 +855,10 @@ def test_planted_faults_fail_porosity_and_construction_rows_with_exit_1(monkeypa
         assert sorted(row for row, s in status.items() if s == "FAIL") == rows.split(","), rows
         monkeypatch.undo()
 
-    # The other three rows cannot fail: the witness build refuses the faults
-    # they would show, as internal errors (exit 3) before any row is made.
-    # `_witness` checks every sample pair against the bound 1 the two
-    # Lipschitz rows compare with, and `find_band_schedule`'s `validate()`
-    # refuses a band slope above the ramp bound `steep-ramp-bounds` reads.
+    # The two Lipschitz rows cannot fail: `_witness` checks the measured
+    # ratio of every witness against the bound 1 they compare with, and
+    # refuses a ratio above it as an internal error (exit 3) before any row
+    # is made.
     class HalfPair(cons._Pair):  # the Lipschitz check's distances halved
         __slots__ = ()
 
@@ -876,17 +867,7 @@ def test_planted_faults_fail_porosity_and_construction_rows_with_exit_1(monkeypa
 
     monkeypatch.setattr(cons, "_Pair", HalfPair)
     code, out, err = run(capsys, "verify", "constructions")
-    assert (code, out) == (3, "") and "exceeds bound 1" in err
-    monkeypatch.undo()
-    real_bound, reads = cons.BandSchedule.ramp_bound, []
-
-    def high_when_set(self, k):  # the slopes set 10**-9 above the bound validate() reads
-        reads.append(k)
-        return real_bound(self, k) + (Fraction(1, 10**9) if len(reads) <= len(self.levels) else 0)
-
-    monkeypatch.setattr(cons.BandSchedule, "ramp_bound", high_when_set)
-    code, out, err = run(capsys, "verify", "constructions")
-    assert (code, out) == (3, "") and "exceeds its ramp bound" in err
+    assert (code, out) == (3, "") and err.startswith("internal error: sampled ratio ") and "exceeds bound 1" in err
 
 
 def test_planted_faults_fail_kink_parallel_oracle_and_regularity_rows_with_exit_1(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -46,16 +47,15 @@ def test_sparse_ternary_height():
 
 def test_sampled_function_basics():
     a, b = point("1/4", "0"), point("3/4", "0")
-    fn = SampledFunction(((a, F(0)), (b, F(1, 4))), F(1))
+    fn = SampledFunction(((a, F(0)), (b, F(1, 4))))
     assert fn.value_at(point("1/4", "00")) == 0  # padded address, same point
     with pytest.raises(KeyError):
         fn.value_at(point("1/2", "0"))
     assert fn.verify_lipschitz() == F(1, 2)
-    bad = SampledFunction(((a, F(0)), (b, F(3, 4))), F(1))
-    with pytest.raises(InternalError, match="exceeds bound"):
-        bad.verify_lipschitz()
+    # The check measures, whatever the ratio: 3/4 over the distance 1/2.
+    assert SampledFunction(((a, F(0)), (b, F(3, 4)))).verify_lipschitz() == F(3, 2)
     with pytest.raises(ValueError):
-        SampledFunction(((a, F(0)), (a, F(1))), F(1))
+        SampledFunction(((a, F(0)), (a, F(1))))
 
 
 def _lipschitz_per_pair(fn):
@@ -73,8 +73,6 @@ def _lipschitz_per_pair(fn):
             if d == 0:
                 raise InternalError(f"equal points {a}, {b} carry different values")
             worst = max(worst, abs(fa - fb) / d)
-    if worst > fn.lip_bound:
-        raise InternalError(f"sampled ratio {worst} exceeds bound {fn.lip_bound}")
     return worst
 
 
@@ -116,7 +114,7 @@ def _seeded_function(seed):
             points = [point(F(rng.randint(0, den), den), bits)]
         for p in points:
             samples.append((p, table.setdefault(point_key(p), value)))
-    return SampledFunction(tuple(samples), rng.choice([F(1, 2), F(1), F(10**6)]))
+    return SampledFunction(tuple(samples))
 
 
 def test_verify_lipschitz_matches_pairwise_distances():
@@ -129,7 +127,10 @@ def test_verify_lipschitz_matches_pairwise_distances():
         outcomes.append(_outcome(fn.verify_lipschitz))
         assert outcomes[-1] == _outcome(_lipschitz_per_pair, fn)
     assert outcomes[:2] == [1, 1]
-    assert {type(o) for o in outcomes[2:]} == {F, tuple}  # some pass, some exceed
+    # The seeded samples are not built to respect a bound: every ratio is
+    # above 1, and measured, not refused.
+    ratios = outcomes[2:]
+    assert {type(o) for o in ratios} == {F} and min(ratios) > 1
     # The seeded samples hold glued points written through both addresses.
     for fn in seeded:
         samples = [p for p, _ in fn.samples]
@@ -204,22 +205,161 @@ def test_flat_witness_at_boundary():
 def test_band_schedule_search_and_validation():
     sched = find_band_schedule(MIRROR, Direction.UP, max_level=20)
     assert sched is not None and sched.levels == (2, 4, 8, 16)
-    sched.validate()
+    # The record is its center, side and orders; gaps and slopes follow.
+    assert sched == BandSchedule(MIRROR, Direction.UP, (2, 4, 8, 16))
+    assert sched.slopes == tuple(sched.ramp_bound(k) for k in range(4))
     assert all(0 < s < 1 for s in sched.slopes)
-    # tampering with a slope past its ramp bound is rejected
-    k = 0
-    too_big = (sched.ramp_bound(k) + 1) / 2 if sched.ramp_bound(k) < 1 else F(1)
-    bad = BandSchedule(
-        sched.center,
-        sched.jump_side,
-        sched.levels,
-        (too_big,) + sched.slopes[1:],
-        sched.thin,
-        sched.wide,
-    )
-    with pytest.raises(ValueError):
-        bad.validate()
+    for levels, message in (
+        ((), "schedule lists no orders"),
+        ((4, 2), "orders must be strictly increasing"),
+        ((2, 2, 4), "orders must be strictly increasing"),
+        ((3,), "order 3: thin/wide gap ratio too large"),
+        ((2, 3), "gaps must strictly decrease along the schedule"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BandSchedule(MIRROR, Direction.UP, levels)
+    with pytest.raises(ValueError, match="^order 2 has no wormhole on one side$"):
+        BandSchedule(F(1, 27), Direction.DOWN, (2,))  # no order-2 wormhole below 1/9
     assert find_band_schedule(F(1, 2), Direction.UP, max_level=10) is None  # balanced height
+
+
+def _find_band_schedule_reference(x1, jump_side, start_level=1, max_level=48):
+    """The search as first written, on a schedule that stores its gaps: the
+    kept (levels, thin, wide, slopes), each slope its ramp bound, or None."""
+    up_dir = jump_side is Direction.UP
+    levels, thin, wide = [], [], []
+    for n in range(start_level, max_level + 1):
+        up, down = nearest_wormhole_gap(x1, n)
+        t, q = (up, down) if up_dir else (down, up)
+        if t is None or q is None or not 2 * t * n < q:
+            continue
+        if levels:
+            n_prev = levels[-1]
+            if not (t < thin[-1] and q < wide[-1]):
+                continue
+            if not 2 * q * n_prev < wide[-1]:
+                continue
+        levels.append(n)
+        thin.append(t)
+        wide.append(q)
+        if len(levels) == 6:
+            break
+    if not levels:
+        return None
+    slopes = []
+    for k in range(len(levels)):
+        q_next = wide[k + 1] if k + 1 < len(levels) else F(0)
+        slopes.append((1 - (thin[k] + q_next) / wide[k]) / (1 - q_next / wide[k]))
+    return tuple(levels), tuple(thin), tuple(wide), tuple(slopes)
+
+
+def _seeded_heights(seed, count):
+    """`count` heights in (0, 1): sparse-ternary ones (increasing exponents
+    from 1..30, a non-triadic tail on some) and random rationals."""
+    rng = random.Random(seed)
+    heights = []
+    while len(heights) < count:
+        if rng.random() < 0.5:
+            exponents = sorted(rng.sample(range(1, 31), rng.randint(1, 5)))
+            tail = F(1, 2 * 3 ** rng.randint(1, 34)) if rng.random() < 0.5 else None
+            try:
+                heights.append(sparse_ternary_height(exponents, tail))
+            except ValueError:  # escaped (0, 1)
+                pass
+        else:
+            den = rng.randint(2, 3**rng.randint(2, 12))
+            heights.append(F(rng.randint(1, den - 1), den))
+    return heights
+
+
+def test_band_schedule_search_matches_the_stored_gap_reference():
+    # Differential check of the search against the search as first written:
+    # equal orders, gaps and slopes, or None on both sides.
+    found = 0
+    for t in _seeded_heights(11, 200) + [MIRROR, UNBALANCED]:
+        for side in Direction:
+            for start, stop in ((1, 48), (2, 20), (5, 30)):
+                got = find_band_schedule(t, side, start_level=start, max_level=stop)
+                expected = _find_band_schedule_reference(t, side, start, stop)
+                if got is None:
+                    assert expected is None, (t, side, start, stop)
+                    continue
+                assert (got.center, got.jump_side) == (t, side)
+                assert (got.levels, got.thin, got.wide, got.slopes) == expected, (t, side, start, stop)
+                found += 1
+    assert found  # the check compares schedules, not only None
+
+
+def _validate_reference(center, jump_side, levels):
+    """`BandSchedule.validate()` as first written, on the schedule that
+    stores the height's own gaps and slopes equal to the ramp bounds.  The
+    checks those fields pass by construction (alignment, stored gaps, a
+    slope above its bound) are left out; the slope range is kept, since
+    the gap conditions imply it.  Raises what the original raised."""
+    if not levels:
+        raise ValueError("schedule lists no orders")
+    if list(levels) != sorted(set(levels)):
+        raise ValueError("orders must be strictly increasing")
+    up_dir = jump_side is Direction.UP
+    gaps = [nearest_wormhole_gap(center, n) for n in levels]
+    thin, wide = zip(*((up, down) if up_dir else (down, up) for up, down in gaps))
+    for k, n in enumerate(levels):
+        if thin[k] is None or wide[k] is None:
+            raise ValueError(f"order {n} has no wormhole on one side")
+        if not 2 * thin[k] * n < wide[k]:
+            raise ValueError(f"order {n}: thin/wide gap ratio too large")
+        q_next = F(0)
+        if k + 1 < len(levels):
+            if not (thin[k + 1] < thin[k] and wide[k + 1] < wide[k]):  # TypeError on None
+                raise ValueError("gaps must strictly decrease along the schedule")
+            if not 2 * wide[k + 1] * n < wide[k]:
+                raise ValueError(f"order {n}: successive wide gaps collapse too slowly")
+            q_next = wide[k + 1]
+        slope = (1 - (thin[k] + q_next) / wide[k]) / (1 - q_next / wide[k])
+        if not 0 < slope < 1:
+            raise ValueError("band slopes must lie in (0, 1)")
+
+
+def test_band_schedule_refuses_what_validate_refused():
+    # Every (center, side, levels) the original validation refused with a
+    # ValueError is refused with the same text when the record is built,
+    # and every one it accepted builds.  Where the original compared a
+    # missing gap with a number (a TypeError, no refusal), the record
+    # refuses the missing gap.
+    rng = random.Random(12)
+    messages = set()
+    for t in _seeded_heights(13, 200) + [MIRROR, UNBALANCED, F(1, 27)]:
+        for side in Direction:
+            # Orders whose own gaps pass, so that pairs of them reach the
+            # checks between consecutive orders.
+            passing = [n for n in range(1, 25) if _outcome(BandSchedule, t, side, (n,)) != (
+                ValueError, f"order {n}: thin/wide gap ratio too large")]
+            for _ in range(4):
+                pool = passing if passing and rng.random() < 0.5 else range(1, 13)
+                levels = tuple(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+                if rng.random() < 0.7:
+                    levels = tuple(sorted(levels))
+                try:
+                    expected = _outcome(_validate_reference, t, side, levels)
+                except TypeError:
+                    expected = TypeError
+                got = _outcome(BandSchedule, t, side, levels)
+                if expected is TypeError:
+                    assert got[0] is ValueError and got[1].endswith("has no wormhole on one side")
+                elif expected is None:  # accepted
+                    assert isinstance(got, BandSchedule), (t, side, levels)
+                else:
+                    assert got == expected, (t, side, levels)
+                    messages.add(re.sub(r"^order \d+:? ", "", expected[1]))
+    # No drawn schedule passes the ratio and decrease checks and then fails
+    # the collapse check; every other refusal is met.
+    assert messages == {
+        "schedule lists no orders",
+        "orders must be strictly increasing",
+        "has no wormhole on one side",
+        "thin/wide gap ratio too large",
+        "gaps must strictly decrease along the schedule",
+    }
 
 
 def test_steep_witness_identities():
@@ -437,18 +577,19 @@ def test_porosity_certificate_per_cell_matches_per_height(seed):
     # Differential check of the one-lookup-per-cell loop against the
     # per-height loop: the seeded holes of check_porosity and the hole above
     # 26/27 (no upper wormhole), each with its heights in order and
-    # shuffled; widened to lam = 5/2, so the heights cross grid heights and
-    # land on some (of 199 samples, the 80th and 160th; the 40th and 120th
-    # once moved); and moved half a grid step off its anchor, alone and
-    # widened.
+    # shuffled; widened to lam = 5/2 (the bound -8/5, as lam is
+    # 1 / (bound + 2)), so the heights cross grid heights and land on some
+    # (of 199 samples, the 80th and 160th; the 40th and 120th once moved);
+    # and moved half a grid step off its anchor, alone and widened.
     rng = random.Random(seed)
     holes = [w for w, _ in _porosity_cases(seed)]
     holes.append(porosity_witness(F(2), 1, F(26, 27), F(1, 10)))
     on_wormhole = 0
     for w in holes:
         moved = replace(w, anchor=w.anchor + F(1, 2 * 3**w.order))
-        for hole, count in ((w, 1000), (replace(w, lam=F(5, 2)), 199), (moved, 199),
-                            (replace(moved, lam=F(5, 2)), 199)):
+        for hole, count in ((w, 1000), (replace(w, bound=F(-8, 5)), 199), (moved, 199),
+                            (replace(moved, bound=F(-8, 5)), 199)):
+            assert hole.lam in (w.lam, F(5, 2))
             nums, den = hole.samples(count)
             shuffled = list(nums)
             rng.shuffle(shuffled)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import laakso
-from laakso import oracle, profiles, verify
+from laakso import constructions, core, oracle, profiles, verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -107,6 +107,20 @@ def test_one_owner_for_the_wire_format_and_the_line_denominator():
                 json_functions.append((path.stem, node.name))
     assert json_functions == []
     assert [f.name for f in dataclasses.fields(profiles.KinkProfile)] == ["line", "runs", "scale"]
+
+
+def test_witness_records_keep_only_what_they_are_built_from():
+    # A schedule is its center, side and orders (gaps and slopes are read
+    # off them), a sampled function its samples (its ratio is measured), a
+    # hole its bound, start, center, order and anchor (lam follows from the
+    # bound) and a probe verdict its first violated order.
+    def init_fields(record):
+        return [f.name for f in dataclasses.fields(record) if f.init]
+
+    assert init_fields(constructions.BandSchedule) == ["center", "jump_side", "levels"]
+    assert init_fields(constructions.SampledFunction) == ["samples"]
+    assert init_fields(constructions.PorosityWitness) == ["bound", "start_level", "t0", "order", "anchor"]
+    assert init_fields(core.GapRatioVerdict) == ["violated_at"]
 
 
 def _enclosing(node, parents) -> str:

@@ -5,6 +5,7 @@ quantity once; these tests pin the draws to their string-built reference
 and each shared computation to the public function it stands for.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -36,32 +37,23 @@ def test_random_point_draws_like_the_string_reference():
             assert rng.getstate() == ref.getstate(), (seed, max_depth)
 
 
-def _parallel_line_from_point(rng):
-    """A line of `check_parallel` as first drawn: a `_random_point` of depth
-    up to 3, levels avoiding its height's wormhole order, a `_random_height`."""
-    p = verify._random_point(rng, max_depth=3)
-    w = wormhole_order(p.height)
-    pool = [n for n in range(1, 7) if n != w]
-    size = rng.randint(3, min(4, len(pool)))
-    return p.height, tuple(sorted(rng.sample(pool, size))), verify._random_height(rng)
-
-
-def test_parallel_lines_draw_like_the_point_reference(monkeypatch):
-    # The suite draws its heights as integer pairs, with the same `rng`
-    # calls as the point-built reference, so it checks the same lines.
+def test_parallel_lines_are_valid_and_are_the_lines_checked(monkeypatch):
+    # Each drawn line has three or four strictly increasing orders in 1..6,
+    # none of them its height's wormhole order, and the suite checks
+    # exactly the lines `_parallel_line` draws from its seed.
     for seed in range(16):
-        rng, ref = random.Random(seed), random.Random(seed)
-        for _ in range(1000):
-            h, levels, t = verify._parallel_line(rng)
-            rh, rlevels, rt = _parallel_line_from_point(ref)
-            assert (h, levels, t) == ((rh.numerator, rh.denominator), rlevels, (rt.numerator, rt.denominator)), seed
-        assert rng.getstate() == ref.getstate(), seed
+        rng = random.Random(seed)
+        lines = [verify._parallel_line(rng) for _ in range(1000)]
+        for h, levels, t in lines:
+            assert 3 <= len(levels) <= 4 and list(levels) == sorted(set(levels)), (seed, levels)
+            assert set(levels) <= set(range(1, 7)), (seed, levels)
+            assert wormhole_order(Fraction(*h)) not in levels, (seed, h, levels)
+            assert all(0 < num < den and math.gcd(num, den) == 1 for num, den in (h, t)), (seed, h, t)
         drawn = []
         monkeypatch.setattr(verify, "_reduction_lengths", lambda *line: drawn.append(line) or (0, 0, 1))
         verify.check_parallel(seed)
         monkeypatch.undo()
-        ref = random.Random(seed)
-        assert drawn == [verify._parallel_line(ref) for _ in range(1000)], seed
+        assert drawn == lines, seed
 
 
 def test_parallel_reduction_equals_its_integer_core(monkeypatch):
