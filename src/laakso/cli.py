@@ -30,7 +30,8 @@ argparse's own included, is one `error:` line naming the flag at fault.
 Every argument that sets a scale is bounded before any work: the jump
 orders of profile --line and reduce --levels by their converters, verify
 --depth by the depths `verify.SUITES` lists, census --max-level by its
-converter, and the size of every printed answer by `_check_printable`.
+converter, and the size of every printed answer by `_check_printable`
+(a census's, once its heights are known, by `_check_census_printable`).
 
 A --line spec is one of v0 (the base point's own line), v<N>, vN:<N> or
 v<N>:<N> (one jump at order N), or vD:<N>,<M>[,...] (one jump at each of
@@ -42,6 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -109,8 +111,9 @@ def _height(text: str) -> Fraction:
 
 # A line at jump order n carries an n-bit address and grid arithmetic on
 # 3**n, so the work grows faster than n: a `vD:1,n` profile at p = 1/2:0
-# takes ~0.07 s at n = 100000 and ~2.4 s at n = 1000000 on a 2-vCPU host
-# (CPython 3.11).
+# takes ~0.02 s through `main` at n = 100000 and ~0.6 s in
+# `profiles._profile_level_set` at n = 1000000, best of 3 to 5 on a
+# 2-vCPU host (CPython 3.11).
 _MAX_ORDER = 100_000
 
 
@@ -228,10 +231,37 @@ def _check_printable(flag: str, den: int, order: int) -> None:
     top, power = -1, 3  # the largest order with 3**(top + 1) <= cap
     while power <= cap:
         top, power = top + 1, power * 3
+    raise _unprintable(flag, order, top, limit)
+
+
+def _unprintable(flag: str, order: int, top: int, limit: int) -> UsageError:
+    """The refusal of an answer past the digit limit at jump order `order`,
+    naming `top`, the largest order that prints (-1 for none)."""
     reach = f"orders up to {top} can be printed" if top >= 0 else "no order can be printed"
-    raise UsageError(
+    return UsageError(
         f"{flag} reaches jump order {order}; at these heights {reach} ({limit}-digit integer limit)"
     )
+
+
+def _check_census_printable(p: LaaksoPoint, max_level: int, records: list) -> None:
+    """Refuse a census with a height that could not be printed, naming the
+    largest max level whose census prints.
+
+    Every census height lies in [0, 1] with a denominator dividing
+    den h(p) * 3**max_level, so only a census where that bound is past the
+    digit limit is read height by height.  The census of a lower max level
+    is a subset of this one, read going down; the census at max level 1
+    (h(p), 1 - h(p) and order-1 grid heights) prints whenever --p was read.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or p.height.denominator.bit_length() + 2 * max_level <= 3 * limit:
+        return
+    cap, top = 10**limit, max_level
+    while top > 1 and any(h.denominator >= cap for h, _, _ in records):
+        top -= 1
+        records = census_records(p, top)
+    if top < max_level:
+        raise _unprintable("--max-level", max_level, top, limit)
 
 
 def _emit(*outputs: Tuple[str, Optional[str]]) -> None:
@@ -372,26 +402,24 @@ def cmd_profile(args) -> int:
     _check_free_orders("--line", p, levels)
     if levels:
         _check_printable("--line", p.height.denominator, _binding_order(p, levels))
-    (_, closed), profiled = _profile_level_set(p, levels)
-    den = profiled[0][0].scale.den  # the lines of a level set share one scale
+    (_, closed), profile, match, lines = _profile_level_set(p, levels)
+    runs, den = profile.runs, profile.scale.den  # the lines of a level set share them
     expected = [_format_ratio(v, den) for v in closed]
+    pieces = [{"lo": _format_ratio(lo, den), "hi": _format_ratio(hi, den), "slope": slope,
+               "offset": _format_ratio(vlo - slope * lo, den)} for lo, vlo, hi, slope in runs]
+    kinks = [{"h": _format_ratio(b[0], den), "left": a[3], "right": b[3], "kind": _kind(a[3], b[3])}
+             for a, b in zip(runs, runs[1:])]
     results, svgs = [], []
-    for profile, match in profiled:
-        runs, line = profile.runs, profile.line
-        pieces = [{"lo": _format_ratio(lo, den), "hi": _format_ratio(hi, den), "slope": slope,
-                   "offset": _format_ratio(vlo - slope * lo, den)} for lo, vlo, hi, slope in runs]
-        kinks = [{"h": _format_ratio(b[0], den), "left": a[3], "right": b[3], "kind": _kind(a[3], b[3])}
-                 for a, b in zip(runs, runs[1:])]
+    for line in lines:
         line_wire = {"label": line.label, "bits": line.bits, "branch": line.branch}
         wire = {"line": line_wire, "pieces": pieces, "kinks": kinks}
         results.append({"profile": wire, "expected_kinks": expected, "pass": match})
         if args.svg:
-            suffix = f".{line.branch}" if len(profiled) > 1 else ""
-            path = args.svg if not suffix else _suffixed(args.svg, suffix)
-            svgs.append((profile_to_svg(profile), path))
+            path = args.svg if len(lines) == 1 else _suffixed(args.svg, f".{line.branch}")
+            svgs.append((profile_to_svg(dataclasses.replace(profile, line=line)), path))
     payload = {"p": _point_dict(p), "lines": results}
     _emit(*svgs, (_json_dumps(payload), args.out))
-    return 0 if all(match for _, match in profiled) else 1
+    return 0 if match else 1
 
 
 def _point_dict(p: LaaksoPoint) -> dict:
@@ -429,6 +457,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_census(args) -> int:
     records = census_records(args.p, args.max_level)
+    _check_census_printable(args.p, args.max_level, records)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["height", "source_line", "kink_type"])

@@ -28,10 +28,12 @@ the certified runs as integers over it: its `Piece` and `Kink`
 `Fraction`s are views built only when a library caller reads them.  The
 closed forms (`_closed_form`) read their kink heights off a scale's gaps,
 as integers over the same denominator; `expected_kinks`,
-`classify_two_level` and `census_records` are their `Fraction` views, and
-`_profile_level_set` checks the profiles of a level set's lines against
-its closed form.  No JSON is built here: the CLI writes its replies
-straight from the runs and the scale's `den`.
+`classify_two_level` and `census_records` are their `Fraction` views.
+`_profile_level_set` profiles a level set once, on its branch-0 line, and
+checks that profile against the set's closed form: the set's lines from a
+wormhole base point differ only in p's own wormhole bit, which the scale
+drops, so they share one scale and one run list.  No JSON is built here:
+the CLI writes its replies straight from the runs and the scale's `den`.
 
 The profile is evaluated once at each candidate, and each gap between
 consecutive candidates is then certified linear: since the profile is
@@ -423,17 +425,19 @@ def _matches_closed_form(profile: KinkProfile, heights: Sequence[int]) -> bool:
 
 def _profile_level_set(
     p: LaaksoPoint, levels: Sequence[int]
-) -> Tuple[Tuple[Optional[str], List[int]], List[Tuple[KinkProfile, bool]]]:
-    """The level set's closed form (branch, heights) and, for each of
-    its lines from p (`vertical_lines`), (profile, whether it has exactly
-    those kinks).  Every line's orders are the levels (branch 1 adds only
-    p's own wormhole order, which the scale drops), so their scales share
-    one `den`, and one closed form, off the first profile's scale, serves
-    them all.  `profile_distance_on_line`
-    is called by its module name, so a wrapper bound there sees each line."""
-    profiles = [profile_distance_on_line(p, line) for line in vertical_lines(p, levels)]
-    branch, heights = _closed_form(profiles[0].scale)
-    return (branch, heights), [(prof, _matches_closed_form(prof, heights)) for prof in profiles]
+) -> Tuple[Tuple[Optional[str], List[int]], KinkProfile, bool, List[VerticalLine]]:
+    """The level set's closed form (branch, heights), the profile of its
+    branch-0 line, whether that profile has exactly those kinks, and the
+    set's lines from p (`vertical_lines`).  Every line's orders are the
+    levels (branch 1 adds only p's own wormhole order, which the scale
+    drops), and flipping p's own wormhole bit is an isometry fixing p, so
+    the lines share one scale and one run list: the one profile, closed
+    form and verdict serve them all.  `profile_distance_on_line` is called
+    by its module name, so a wrapper bound there sees each level set."""
+    lines = vertical_lines(p, levels)
+    profile = profile_distance_on_line(p, lines[0])
+    branch, heights = _closed_form(profile.scale)
+    return (branch, heights), profile, _matches_closed_form(profile, heights), lines
 
 
 def _closed_heights(h: Fraction, levels: Sequence[int]) -> Tuple[Optional[str], List[Fraction]]:

@@ -183,11 +183,21 @@ def check_oracle(m: int = 2, seed: int = 1) -> List[Check]:
 # ---------------------------------------------------------------------------
 
 
+# Pairs with two minimal intervals, one per order n = 1..4: at height
+# 1/(2 * 3**(n-1)), midway between two order-n wormholes, with addresses
+# differing only at bit n (1/2:0 and 1/2:1 give [1/3, 1/2] and [1/2, 2/3]).
+# The seeded pairs have one minimal interval each.
+_TIE_PAIRS = tuple(
+    tuple(point(Fraction(1, 2 * 3 ** (n - 1)), "0" * (n - 1) + bit) for bit in "01") for n in range(1, 5)
+)
+
+
 def check_geodesic_laws(seed: int = 2) -> List[Check]:
     """Equal interval lengths, geodesic length == distance, and the
     low-order jump bound (a short geodesic crosses at most one low wormhole:
     whenever d < 1/3**(N-1), at most one jump has order <= N-1), on 1000
-    seeded pairs."""
+    seeded pairs; the equal-length row also reads the pairs of `_TIE_PAIRS`,
+    the only ones with two intervals to compare."""
     rng = random.Random(seed)
     bad_lengths = 0
     bad_geodesics = 0
@@ -211,8 +221,11 @@ def check_geodesic_laws(seed: int = 2) -> List[Check]:
                     if sum(1 for o in orders if o <= n_idx - 1) > 1:
                         bad_jump_bound += 1
                         break
+    for x, y in _TIE_PAIRS:
+        bad_lengths += len({iv.length for iv in minimal_height_intervals(x, y)}) != 1
+    pairs = 1000 + len(_TIE_PAIRS)
     return [
-        Check("intervals-equal-length", bad_lengths == 0, "0 unequal", f"{bad_lengths}/1000"),
+        Check("intervals-equal-length", bad_lengths == 0, "0 unequal", f"{bad_lengths}/{pairs}"),
         Check(
             "geodesic-length-equals-distance",
             bad_geodesics == 0,
@@ -283,11 +296,13 @@ def _follow_up_slopes(profile: KinkProfile) -> List[bool]:
 
 def check_kinks(seed: int = 3) -> List[Check]:
     """Profiles against closed-form kinks (heights and kinds, checked by
-    `profiles._profile_level_set`) on the three line families, with
-    per-branch coverage of the two-level case analysis, and double-geodesic
-    follow-ups on every kink found: each kink's one-sided unit slopes are
-    read off the distance (`_follow_up_slopes`, on the profile's own
-    scale), and roof kinks admit both geodesic endings.
+    `profiles._profile_level_set`, once per level set, whose lines share
+    one profile) on the three line families, with per-branch coverage of
+    the two-level case analysis, and double-geodesic follow-ups on every
+    kink of every line: each kink's one-sided unit slopes are read off the
+    distance (`_follow_up_slopes`, once per level set, on its one scale),
+    and roof kinks admit both geodesic endings on each line.  Rows count
+    lines: a level set from a wormhole base point counts twice.
 
     Kinks and kinds are read off each profile's integer runs; no `Piece`
     or `Kink` view is built.  The families are 20 seeded points on their
@@ -311,14 +326,13 @@ def check_kinks(seed: int = 3) -> List[Check]:
     roof_total = v_total = follow_bad = 0
     for p, levels in cases:
         family = len(levels)
-        (branch, _), profiled = _profile_level_set(p, levels)
+        (branch, _), profile, match, lines = _profile_level_set(p, levels)
         if branch is not None:
             hits[branch] += 1
-        for profile, match in profiled:
+        runs, slopes = profile.runs, _follow_up_slopes(profile)
+        for line in lines:
             profiles[family] += 1
             bad[family] += not match
-            runs, line = profile.runs, profile.line
-            slopes = _follow_up_slopes(profile)
             for (_, _, _, left), (k, _, _, right), unit in zip(runs, runs[1:], slopes):
                 if left < right:
                     v_total += 1
@@ -580,14 +594,15 @@ def check_census(seed: int = 7) -> List[Check]:
         census_set = set(census)
         profiled = set()
         for levels in [()] + census_level_sets(pc, 4):
-            for profile, match in _profile_level_set(pc, levels)[1]:
-                kinks = set(profile.kink_heights())
-                profiled |= kinks
+            _, profile, match, lines = _profile_level_set(pc, levels)
+            kinks = set(profile.kink_heights())
+            profiled |= kinks
+            # d is 1-Lipschitz along the line, so |d(b) - d(a)| = b - a
+            # makes it linear on all of [a, b]: no kink between kinks.
+            heights = sorted(kinks | {Fraction(0), Fraction(1)})
+            for line in lines:
                 bad_confirm += not (kinks <= census_set and match)
-                # d is 1-Lipschitz along the line, so |d(b) - d(a)| = b - a
-                # makes it linear on all of [a, b]: no kink between kinks.
-                heights = sorted(kinks | {Fraction(0), Fraction(1)})
-                d = {t: distance(pc, LaaksoPoint(t, profile.line.base_address)) for t in heights}
+                d = {t: distance(pc, LaaksoPoint(t, line.base_address)) for t in heights}
                 for a, b in zip(heights, heights[1:]):
                     if abs(d[b] - d[a]) != b - a:
                         bad_smooth += 1

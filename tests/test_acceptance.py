@@ -104,7 +104,7 @@ def test_a01_oracle_random_pairs(m, seed):
 def test_a02_minimal_interval_law(geodesic_rows):
     rows = _named(geodesic_rows, "intervals-equal-length", "geodesic-length-equals-distance")
     _report("A02 minimal-interval law", rows)
-    assert _named(rows, "intervals-equal-length")[0].actual.endswith("/1000")
+    assert _named(rows, "intervals-equal-length")[0].actual.endswith("/1004")
 
 
 def test_a03_own_line_classification(kink_rows):

@@ -929,13 +929,19 @@ def test_planted_faults_fail_each_geodesic_law_row(monkeypatch):
     # `check_geodesic_laws`.  One fault per row, each in a name the check
     # calls, turns that row (and only that row) to FAIL: the last minimal
     # interval dropped (every seeded pair has one, so none is left), the
-    # distance one millionth long, and every jump of a geodesic taken twice
-    # (a zero-length detour that crosses each low wormhole twice).
+    # second of two minimal intervals one millionth long (only the tie
+    # pairs have two), the distance one millionth long, and every jump of
+    # a geodesic taken twice (a zero-length detour that crosses each low
+    # wormhole twice).
     def rows():
         return {row.name: row.passed for row in verify.check_geodesic_laws(seed=2)}
 
     assert set(rows().values()) == {True}
     intervals, distance, geodesic = verify.minimal_height_intervals, verify.distance, verify.synthesize_geodesic
+
+    def second_longer(x, y):
+        ivs = intervals(x, y)
+        return ivs[:1] + [HeightInterval(iv.a, iv.b + Fraction(1, 10**6)) for iv in ivs[1:]]
 
     def jumps_twice(x, y, interval):
         path = geodesic(x, y, interval)
@@ -944,6 +950,7 @@ def test_planted_faults_fail_each_geodesic_law_row(monkeypatch):
 
     plants = [
         ("intervals-equal-length", "minimal_height_intervals", lambda x, y: intervals(x, y)[:-1]),
+        ("intervals-equal-length", "minimal_height_intervals", second_longer),
         ("geodesic-length-equals-distance", "distance", lambda x, y: distance(x, y) + Fraction(1, 10**6)),
         ("low-order-jump-bound", "synthesize_geodesic", jumps_twice),
     ]
@@ -1109,6 +1116,34 @@ def test_distance_unprintable_order_is_usage_error(monkeypatch, capsys):
             assert code == 0, err
             geodesics = json.loads(out)["geodesics"]
             assert [[e["jump"] for e in g if "jump" in e] for g in geodesics] == [[top]] * len(geodesics)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_census_past_the_digit_limit_is_one_usage_error(capsys):
+    # A census prints its heights, whose denominators reach den h(p) *
+    # 3**max_level.  At the 640-digit limit a census that prints gives the
+    # bytes it gives at the default limit, and one that does not is one
+    # `error:` line naming --max-level and the largest max level that prints.
+    def census(den, level):
+        return run(capsys, "census", "--p", f"{4 * den // 10}/{den}:0", "--max-level", str(level))
+
+    big, small = 7 * 10**639 + 1, 7 * 10**637 + 1  # 640 and 638 digits
+    cases = [(big, 1, 1), (big, 2, 1), (big, 12, 1), (small, 5, 5), (small, 6, 5)]  # (den, level, top)
+    expected = {case: census(*case[:2]) for case in cases}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for (den, level, top), before in expected.items():
+            code, out, err = census(den, level)
+            if level == top:
+                assert (code, out, err) == before and code == 0
+            else:
+                assert code == 2 and out == ""
+                assert err == (
+                    f"error: --max-level reaches jump order {level}; at these heights orders up to "
+                    f"{top} can be printed (640-digit integer limit)\n"
+                )
     finally:
         sys.set_int_max_str_digits(limit)
 

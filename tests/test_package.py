@@ -193,6 +193,32 @@ def test_one_line_scale_per_profiled_line():
     assert gap_queries == {"_LineScale"}
 
 
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
+
+
+def test_one_profile_per_level_set():
+    # A line's runs are assembled in one place, `profile_distance_on_line`,
+    # and the package profiles a level set through `_profile_level_set`
+    # alone, which calls it once, outside any loop: the lines of a level
+    # set share that one profile, so a copy that profiles each line fails.
+    callers = {"_assemble": [], "profile_distance_on_line": []}
+    for path in sorted(Path(laakso.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in callers:
+                looped, up = False, node
+                while up in parents and not isinstance(up, ast.FunctionDef):
+                    up = parents[up]
+                    looped |= isinstance(up, _LOOPS)
+                callers[name].append((path.stem, _enclosing(node, parents), looped))
+    assert callers == {
+        "_assemble": [("profiles", "profile_distance_on_line", False)],
+        "profile_distance_on_line": [("profiles", "_profile_level_set", False)],
+    }
+
+
 def _load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -284,12 +310,15 @@ def test_benchmark_plant_anchor_is_in_cli():
 def test_profile_work_per_request(monkeypatch):
     # Over the `deep-profiles` universe, a `profile` reply canonicalizes its
     # base point twice (`vertical_lines` and the printed point) and queries
-    # each order's gaps once per line, plus `cli._binding_order`'s one; and
-    # `verify kinks` builds one scale per profiled line.
+    # each order's gaps once per level set, plus `cli._binding_order`'s one;
+    # `verify kinks` builds one scale, one profile and one set of slope
+    # follow-ups per level set (104 for its 110 lines: 6 level sets have a
+    # wormhole base point and two lines); and over the `queries` universe
+    # each `profile` request profiles one line.
     from laakso import cli
 
     workloads = _load(PERFBENCH / "workloads.py", "laakso_bench_workloads")
-    calls = {"canonicalize": 0, "_gaps": 0, "_LineScale": 0, "profile_distance_on_line": 0}
+    calls = {"canonicalize": 0, "_gaps": 0, "_LineScale": 0, "profile_distance_on_line": 0, "slopes": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -312,7 +341,14 @@ def test_profile_work_per_request(monkeypatch):
     for owner, name, key in (
         (profiles._LineScale, "__init__", "_LineScale"),
         (profiles, "profile_distance_on_line", "profile_distance_on_line"),
+        (verify, "_follow_up_slopes", "slopes"),
     ):
         monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
     assert all(row.passed for row in verify.check_kinks(seed=3))
-    assert calls["_LineScale"] == calls["profile_distance_on_line"] == 110
+    assert calls["_LineScale"] == calls["profile_distance_on_line"] == calls["slopes"] == 104
+    requests = [op for op in workloads.WORKLOADS["queries"].universe() if op.args[0] == "profile"]
+    assert len(requests) == 1419
+    for op in requests:
+        before = calls["profile_distance_on_line"]
+        workloads.run_cli(cli.main, op.args)
+        assert calls["profile_distance_on_line"] == before + 1, op.args

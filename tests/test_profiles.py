@@ -869,15 +869,20 @@ def test_glued_representatives_give_equal_profiles_and_scales():
 
 def test_branch_lines_of_a_wormhole_base_point_share_one_scale():
     # The two lines of each level set from a wormhole base point require
-    # the same orders, the levels, so one scale (and one closed form) serves
-    # both.
+    # the same orders, the levels, so one scale, one run list and one
+    # closed form serve both: `_profile_level_set` profiles the branch-0
+    # line alone, and each line profiled on its own has those runs on an
+    # equal scale.
     for p, _ in _glued_cases(random.Random(20), 40):
         for levels in [()] + census_level_sets(p, 6):
-            first, second = (profile_distance_on_line(p, line) for line in vertical_lines(p, levels))
-            assert (first.line.branch, second.line.branch) == (0, 1)
-            assert list(first.scale.levels) == list(levels), (p, levels)
-            assert _scale_key(first.scale) == _scale_key(second.scale), (p, levels)
-            assert profiles._closed_form(first.scale) == profiles._closed_form(second.scale)
+            closed, shared, match, lines = profiles._profile_level_set(p, levels)
+            assert [line.branch for line in lines] == [0, 1] and shared.line == lines[0]
+            assert list(shared.scale.levels) == list(levels), (p, levels)
+            assert closed == profiles._closed_form(shared.scale) and match, (p, levels)
+            for line in lines:
+                alone = profile_distance_on_line(p, line)
+                assert alone.runs == shared.runs, (p, line)
+                assert _scale_key(alone.scale) == _scale_key(shared.scale), (p, line)
 
 
 def _closed_form_before(h, levels):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from laakso import oracle, profiles, verify
 from laakso.core import CantorAddress, LaaksoPoint, _orders, canonicalize, wormhole_order
-from laakso.metric import _Pair, distance
+from laakso.metric import _Pair, distance, minimal_height_intervals
 from laakso.profiles import parallel_reduction, profile_distance_on_line, vertical_lines
 
 
@@ -173,3 +173,20 @@ def test_one_formula_search_per_distinct_input(monkeypatch):
     assert [m for m, _ in drawn] == [2, 3]
     assert Counter(searched) == expected and max(expected.values()) == 1
     assert len(searched) < sum(len(listed) for _, listed in drawn)
+
+
+def test_tie_pairs_have_two_minimal_intervals():
+    # A2's equal-length row compares lengths only where a pair has two
+    # minimal intervals; none of its 1000 seeded pairs has, so it reads the
+    # tie pool, one pair per order 1..4 at the midpoint of two wormholes.
+    intervals = [[(iv.a, iv.b) for iv in minimal_height_intervals(x, y)] for x, y in verify._TIE_PAIRS]
+    F = Fraction
+    assert intervals[0] == [(F(1, 3), F(1, 2)), (F(1, 2), F(2, 3))]
+    assert intervals[2] == [(F(1, 27), F(1, 18)), (F(1, 18), F(2, 27))]
+    for n, ((x, y), pair) in enumerate(zip(verify._TIE_PAIRS, intervals), 1):
+        h = F(1, 2 * 3 ** (n - 1))
+        assert (x.height, y.height) == (h, h) and x.address.mask ^ y.address.mask == 1 << (n - 1)
+        assert pair == [(h - F(1, 2 * 3**n), h), (h, h + F(1, 2 * 3**n))], n
+    rng = random.Random(2)
+    seeded = [(verify._random_point(rng), verify._random_point(rng)) for _ in range(1000)]
+    assert max(len(minimal_height_intervals(x, y)) for x, y in seeded) == 1
