@@ -35,9 +35,13 @@ the hole's bounds over 3**order * D, and the exact gaps are recorded as
 numerators on that scale.
 
 The pairwise Lipschitz check works the same way: each sample is
-canonicalized once and its value put on one common denominator, and each
-pair is one integer distance read, `metric._Pair.shortest`; the worst ratio
-is kept as an integer pair, and one `Fraction` is built at the end.
+canonicalized once and its value put on one common denominator.  Samples
+with one canonical address lie on one vertical line, where the worst ratio
+sits between two samples adjacent in height (the mediant inequality), so
+each line is sorted once and read pair by adjacent pair, in integers; each
+pair across lines is one integer distance read, `metric._Pair.shortest`.
+The worst ratio is kept as an integer pair, and one `Fraction` is built at
+the end.
 """
 
 from __future__ import annotations
@@ -112,29 +116,50 @@ class SampledFunction:
         `InternalError`.  A pair with equal values can neither raise the
         ratio nor break the equal-points rule, so it is not measured.
 
-        Each sample is canonicalized once and its value put over the one
-        common denominator V of all values.  A pair is then one integer
+        Each sample is canonicalized once, its value put over the one
+        common denominator V of all values, and the samples are grouped by
+        canonical mask.  Two samples of one group lie on one vertical line,
+        at distance |h_a - h_b|; by the mediant inequality the worst ratio
+        on a line is reached by two samples adjacent in height.  So a group
+        puts its heights over their common denominator H, sorts them, and
+        reads only adjacent samples: ratio |v_a - v_b| * H / (|n_a - n_b| * V)
+        for the height numerators n.  A pair across groups is one integer
         distance read on its own scale D (`metric._Pair.shortest`): with
-        the path length L over D, its ratio is |v_a - v_b| * D / (L * V),
-        and the worst one is kept as an integer pair by cross-multiplication;
+        the path length L over D, its ratio is |v_a - v_b| * D / (L * V).
+        The worst ratio is kept as an integer pair by cross-multiplication;
         one `Fraction` is built at the end."""
         scale = math.lcm(*(value.denominator for _, value in self.samples))
-        data = []
+        groups: Dict[int, List[Tuple[Tuple[int, int], int, LaaksoPoint]]] = {}
         for p, value in self.samples:
             c, v = canonicalize(p), value.numerator * (scale // value.denominator)
-            data.append((p, c.address.mask, c.height.as_integer_ratio(), v))
+            groups.setdefault(c.address.mask, []).append((c.height.as_integer_ratio(), v, p))
         worst_num, worst_den = 0, 1
-        for i, (a, mask_a, h_a, va) in enumerate(data):
-            for b, mask_b, h_b, vb in data[i + 1 :]:
+        for members in groups.values():
+            den = math.lcm(*(h[1] for h, _, _ in members))
+            line = sorted(((n * (den // d), v, p) for (n, d), v, p in members), key=lambda s: s[0])
+            for (ha, va, a), (hb, vb, b) in zip(line, line[1:]):
                 if va == vb:
                     continue
-                pair = _Pair.on_scale(_orders(mask_a ^ mask_b), h_a, h_b)
-                length = pair.shortest()
-                if length == 0:
+                if ha == hb:
                     raise InternalError(f"equal points {a}, {b} carry different values")
-                num = abs(va - vb) * pair.den
-                if num * worst_den > worst_num * length:
-                    worst_num, worst_den = num, length
+                num = abs(va - vb) * den
+                if num * worst_den > worst_num * (hb - ha):
+                    worst_num, worst_den = num, hb - ha
+        lines = list(groups.items())
+        for i, (mask_a, members_a) in enumerate(lines):
+            for mask_b, members_b in lines[i + 1 :]:
+                levels = _orders(mask_a ^ mask_b)
+                for h_a, va, a in members_a:
+                    for h_b, vb, b in members_b:
+                        if va == vb:
+                            continue
+                        pair = _Pair.on_scale(levels, h_a, h_b)
+                        length = pair.shortest()
+                        if length == 0:
+                            raise InternalError(f"equal points {a}, {b} carry different values")
+                        num = abs(va - vb) * pair.den
+                        if num * worst_den > worst_num * length:
+                            worst_num, worst_den = num, length
         return Fraction(worst_num, worst_den * scale)
 
 
@@ -272,8 +297,24 @@ class BandSchedule:
     empty or not strictly increasing, and gaps not all finite with, exactly,
 
         2 * P[k] / Q[k] < 1 / n_k          (thin side much thinner),
-        2 * Q[k+1] / Q[k] < 1 / n_k        (gaps collapse fast),
         P and Q strictly decreasing.
+
+    These imply that the wide gaps collapse fast,
+
+        2 * Q[k+1] / Q[k] < 1 / n_k,
+
+    since P[k+1] < P[k] forces Q[k+1] <= P[k] < Q[k] / (2 * n_k).  Proof of
+    Q[k+1] <= P[k], with the thin side up (the reflection t -> 1 - t maps
+    every grid onto itself and swaps the sides), c the center and n the
+    order n_{k+1}: the order-n_k height c + P[k] is a multiple of
+    3**-n_k, so it is j / 3**n with 3 | j, and the order-n grid is the set
+    of i / 3**n with 3 not dividing i.  The order-n height above c,
+    c + P[k+1], lies below c + P[k], so c < (j - 1) / 3**n.  If
+    (j - 2) / 3**n, an order-n height, lies below c, then Q[k+1] <=
+    c - (j - 2) / 3**n < j / 3**n - c = P[k].  Otherwise P[k] >= 2 / 3**n,
+    while Q[k+1] <= 2 / 3**n: the two multiples of 3**-n nearest strictly
+    below c lie within 2 / 3**n of it, and one of them is on the order-n
+    grid unless no order-n height lies below c.
 
     Each slope is its ramp bound, the largest admissible value,
 
@@ -304,12 +345,8 @@ class BandSchedule:
             p, q = (up, down) if up_dir else (down, up)
             # The checks against the previous order come first; a missing
             # gap is refused just below.
-            if thin and p is not None and q is not None:
-                if not (p < thin[-1] and q < wide[-1]):
-                    raise ValueError("gaps must strictly decrease along the schedule")
-                n_prev = self.levels[len(thin) - 1]
-                if not 2 * q * n_prev < wide[-1]:
-                    raise ValueError(f"order {n_prev}: successive wide gaps collapse too slowly")
+            if thin and p is not None and q is not None and not (p < thin[-1] and q < wide[-1]):
+                raise ValueError("gaps must strictly decrease along the schedule")
             if p is None or q is None:
                 raise ValueError(f"order {n} has no wormhole on one side")
             if not 2 * p * n < q:
@@ -335,11 +372,10 @@ def find_band_schedule(
     """Greedy search for a schedule at x1, thin side as given.
 
     Scans orders upward, keeping each order whose thin/wide ratio beats the
-    1/n threshold and whose gaps are below, and whose wide gap collapses
-    fast enough relative to, those of the previously kept order, up to six
-    orders: exactly the conditions `BandSchedule` checks, so the schedule
-    built from the kept orders is valid.  Returns None when nothing
-    qualifies.
+    1/n threshold and whose gaps are below those of the previously kept
+    order, up to six orders: exactly the conditions `BandSchedule` checks,
+    so the schedule built from the kept orders is valid.  Returns None when
+    nothing qualifies.
     """
     x1 = parse_rational(x1)
     jump_side = Direction(jump_side)
@@ -350,7 +386,7 @@ def find_band_schedule(
         t, q = (up, down) if up_dir else (down, up)
         if t is None or q is None or not 2 * t * n < q:
             continue
-        if levels and not (t < t_prev and q < q_prev and 2 * q * levels[-1] < q_prev):
+        if levels and not (t < t_prev and q < q_prev):
             continue
         levels.append(n)
         t_prev, q_prev = t, q

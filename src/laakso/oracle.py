@@ -32,8 +32,9 @@ cell of height 1/3**m and address depth m has mass (1/3**m) * 2**(-m), so
 the whole space has mass exactly 1 and a depth-m Cantor column has mass
 2**(-m), matching (3**(-m)) ** (DIMENSION - 1).  A ball's mass at every
 radius comes from one search about its center, cut off at the largest
-radius, and one histogram of the settled distances, counted by popcounts
-of the search's row bitsets.
+radius, and one pass over the search's levels that keeps a running count
+of the settled cells, by popcounts of the row bitsets; each radius reads
+that count at its own limit.
 """
 
 from __future__ import annotations
@@ -290,8 +291,11 @@ def total_cell_mass(g: LevelGraph) -> Fraction:
 
 def _ball_estimates(g: LevelGraph, center: LaaksoPoint, radii) -> List[MeasureEstimate]:
     """Ball masses about `center` at every radius, from one search cut off
-    at the largest radius and one histogram of settled distances: the
-    popcounts of each level's bitsets in rows k < 3**m.
+    at the largest radius and one pass over its levels: `settled[d]` is
+    the running count of the cells settled within distance d, summed from
+    the popcounts of each level's bitsets in rows k < 3**m, and each radius
+    reads it at its own limit (the last level, where the search ran out
+    before the limit).
 
     A cell's representative is its lower-left corner (minimum height, the
     cell's own address), so cells are the vertices of rows k < 3**m; at
@@ -300,10 +304,16 @@ def _ball_estimates(g: LevelGraph, center: LaaksoPoint, radii) -> List[MeasureEs
     """
     top = 3**g.m
     limits = [math.floor(r * top) for r in radii]  # integer d <= r * 3**m iff d <= limit
-    levels = _dijkstra(g, g.point_vertex(center), cutoff=max(limits)).levels
-    counts = [sum(bits.bit_count() for k, bits in level if k < top) for level in levels]
+    settled = []
+    count = 0
+    for level in _dijkstra(g, g.point_vertex(center), cutoff=max(limits)).levels:
+        for k, bits in level:
+            if k < top:
+                count += bits.bit_count()
+        settled.append(count)
+    last = len(settled) - 1
     return [
-        MeasureEstimate(center, r, g.m, sum(counts[: limit + 1]) * g.cell_mass)
+        MeasureEstimate(center, r, g.m, settled[min(limit, last)] * g.cell_mass)
         for r, limit in zip(radii, limits)
     ]
 

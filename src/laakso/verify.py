@@ -115,6 +115,21 @@ def _grid_formula(top: int, kx: int, ky: int, xor: int) -> int:
     return _Pair(_orders(xor), kx, ky, top).shortest()
 
 
+def _vertex_classes(g: oracle.LevelGraph) -> List[Tuple[int, int]]:
+    """(row k, canonical mask) of every vertex (k, a) of `g`, by vertex id.
+
+    Canonicalizing clears at most the one address bit that the gluing at a
+    row's height flips, and only where it is set, so the canonical mask of
+    (k, a) is a & keep for the row's keep-mask: the canonical mask of the
+    point at height k / 3**m whose m address bits are all set.  That is one
+    `canonicalize` per row, through core's canonical rule; the graph's
+    `flips` are not read."""
+    m, top, two_m = g.m, 3**g.m, 2**g.m
+    full = CantorAddress._of(two_m - 1, m)
+    keeps = [canonicalize(LaaksoPoint(Fraction(k, top), full)).address.mask for k in range(top + 1)]
+    return [(k, a & keep) for k, keep in enumerate(keeps) for a in range(two_m)]
+
+
 def _oracle_mismatches(
     m: int, pairs: Callable[[int], Iterable[Tuple[int, int]]]
 ) -> Tuple[int, int, int]:
@@ -123,15 +138,16 @@ def _oracle_mismatches(
     zero graph distance disagrees with canonical equality, pairs).  The
     graph side is one search per row, read through the address-XOR
     automorphism (`oracle.row_distances`), and one table read per pair.
-    The formula side reads each vertex's (row, canonical mask) once.  On
-    the graph's scale 3**m the formula is a function of the two rows and
-    the XOR of the two masks alone (`_grid_formula`), so it runs once per
-    distinct (row, row, XOR) and every pair with that input reads the
-    length back.  Canonical equality is equality of the per-vertex data,
-    checked per pair."""
+    The formula side reads each vertex's (row, canonical mask) from one
+    `canonicalize` per row (`_vertex_classes`), never from the graph's
+    `flips`.  On the graph's scale 3**m the formula is a function of the
+    two rows and the XOR of the two masks alone (`_grid_formula`), so it
+    runs once per distinct (row, row, XOR) and every pair with that input
+    reads the length back.  Canonical equality is equality of the
+    per-vertex data, checked per pair."""
     g = oracle.build_level_graph(m)
     rows, two_m, top = oracle.row_distances(g), 2**m, 3**m
-    canon = [(v // two_m, canonicalize(g.vertex_point(v)).address.mask) for v in range(g.vertex_count)]
+    canon = _vertex_classes(g)
     lengths: Dict[Tuple[int, int, int], int] = {}
     mismatches = zero_mismatches = total = 0
     for i, j in pairs(g.vertex_count):

@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import laakso.constructions as cons
 from laakso.calculus import difference_quotient, directional_derivative, triadic_schedule
@@ -21,15 +23,17 @@ from laakso.constructions import (
     sparse_ternary_height,
 )
 from laakso.core import (
+    CantorAddress,
     Direction,
     InternalError,
+    LaaksoPoint,
     _grid_index,
     nearest_wormhole_gap,
     point,
     point_key,
     wormhole_order,
 )
-from laakso.metric import distance
+from laakso.metric import _Pair, distance
 from laakso.verify import ENGINEERED_MIRROR, _porosity_cases, check_porosity
 
 UNBALANCED = sparse_ternary_height((2, 4, 8, 16, 32), tail=F(1, 2 * 3**34))
@@ -135,6 +139,83 @@ def test_verify_lipschitz_matches_pairwise_distances():
     for fn in seeded:
         samples = [p for p, _ in fn.samples]
         assert any(a != b and point_key(a) == point_key(b) for a, b in zip(samples, samples[1:]))
+
+
+@st.composite
+def _drawn_function(draw):
+    """Samples on one to three vertical lines (addresses of up to 4 bits),
+    at heights 0 and 1, at wormhole heights of orders 1..4, where the glued
+    point may also be written through its other address, and at free
+    heights; plus jump points at a sample's height with one address bit
+    flipped.  Values come from a pool of at most four, so many pairs carry
+    equal values; a point written twice keeps its first value."""
+    pool = draw(st.lists(st.fractions(-2, 2, max_denominator=12), min_size=1, max_size=4))
+    table, samples = {}, []
+
+    def add(p):
+        samples.append((p, table.setdefault(point_key(p), draw(st.sampled_from(pool)))))
+
+    for mask in draw(st.lists(st.integers(0, 15), min_size=1, max_size=3)):
+        for _ in range(draw(st.integers(0, 10))):
+            kind = draw(st.sampled_from(["end", "wormhole", "free"]))
+            if kind == "end":
+                h = F(draw(st.integers(0, 1)))
+            elif kind == "wormhole":
+                n = draw(st.integers(1, 4))
+                h = F(draw(st.integers(1, 3**n - 1).filter(lambda k: k % 3)), 3**n)
+            else:
+                den = draw(st.integers(1, 40))
+                h = F(draw(st.integers(0, den)), den)
+            add(LaaksoPoint(h, CantorAddress._of(mask, 4)))
+            n = wormhole_order(h)
+            if n is not None and n <= 4 and draw(st.booleans()):
+                add(LaaksoPoint(h, CantorAddress._of(mask ^ 1 << (n - 1), 4)))
+    for _ in range(draw(st.integers(0, 3)) if samples else 0):
+        p, _ = draw(st.sampled_from(samples))
+        add(LaaksoPoint(p.height, p.address.flipped(draw(st.integers(1, 6)))))
+    return SampledFunction(tuple(samples))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_function())
+def test_verify_lipschitz_matches_all_pairs_on_drawn_samples(fn):
+    # Adjacent pairs on each line plus every pair across lines against the
+    # all-pairs reference: equal ratios or the same error.
+    assert _outcome(fn.verify_lipschitz) == _outcome(_lipschitz_per_pair, fn)
+
+
+def _long_line_function(n, jumps=5, seed=0):
+    """n samples on the line through 1/2:0, at heights i / (n - 1), whose
+    values change by slopes drawn from -9/10..9/10 between neighbours, plus
+    the jump points at orders 1..jumps at the height of sample n // 2."""
+    rng = random.Random(seed)
+    value, samples = F(0), []
+    for i in range(n):
+        samples.append((point(F(i, n - 1), "0"), value))
+        value += F(rng.randint(-9, 9), 10 * (n - 1))
+    center, center_value = samples[n // 2]
+    for order in range(1, jumps + 1):
+        jump = LaaksoPoint(center.height, center.address.flipped(order))
+        samples.append((jump, center_value + F(rng.randint(-9, 9), 10 * 3**order)))
+    return SampledFunction(tuple(samples))
+
+
+def test_verify_lipschitz_reads_each_line_once(monkeypatch):
+    # About 1000 samples on one line plus 5 jump points: the line is read
+    # pair by adjacent pair without a search, and only the pairs with a
+    # jump point are searched, at most 5 * n + 10 of them (all pairs would
+    # be about n**2 / 2).
+    n = 1000
+    fn = _long_line_function(n)
+    searches = []
+    search = _Pair.search
+    monkeypatch.setattr(_Pair, "search", lambda pair: searches.append(pair) or search(pair))
+    assert fn.verify_lipschitz() > 0
+    assert 0 < len(searches) <= 5 * n + 10
+    monkeypatch.undo()
+    # The same construction at 60 line samples, against the reference.
+    small = _long_line_function(60)
+    assert small.verify_lipschitz() == _lipschitz_per_pair(small)
 
 
 def test_verify_lipschitz_canonicalizes_each_sample_once(monkeypatch):
@@ -352,7 +433,8 @@ def test_band_schedule_refuses_what_validate_refused():
                     assert got == expected, (t, side, levels)
                     messages.add(re.sub(r"^order \d+:? ", "", expected[1]))
     # No drawn schedule passes the ratio and decrease checks and then fails
-    # the collapse check; every other refusal is met.
+    # the collapse check, which they imply (`BandSchedule`'s docstring
+    # proves it); every other refusal is met.
     assert messages == {
         "schedule lists no orders",
         "orders must be strictly increasing",
@@ -360,6 +442,22 @@ def test_band_schedule_refuses_what_validate_refused():
         "thin/wide gap ratio too large",
         "gaps must strictly decrease along the schedule",
     }
+
+
+def test_thin_gap_decrease_bounds_the_next_wide_gap():
+    # The lemma behind the collapse condition: whenever the thin gap drops
+    # from order a to a later order b, the wide gap at b is at most the
+    # thin gap at a.  Every height k / (2 * 3**6), both sides, orders 1..7.
+    met = 0
+    for k in range(2 * 3**6 + 1):
+        gaps = [nearest_wormhole_gap(F(k, 2 * 3**6), n) for n in range(1, 8)]
+        for side in (gaps, [(down, up) for up, down in gaps]):
+            for a, (thin_a, wide_a) in enumerate(side):
+                for thin_b, wide_b in side[a + 1 :]:
+                    if None not in (thin_a, wide_a, thin_b, wide_b) and thin_b < thin_a:
+                        assert wide_b <= thin_a, (k, a)
+                        met += 1
+    assert met > 10000
 
 
 def test_steep_witness_identities():

@@ -309,3 +309,32 @@ def test_ball_measure_matches_heap_dijkstra_at_scan_resolutions():
             for r in (F(1, 9), F(1, 27), F(1, 81)):
                 count = sum(1 for d in ref[:cells] if d is not None and d <= r * 3**m)
                 assert ball_measure(g, center, r).mass == count * g.cell_mass, (m, source, r)
+
+
+def test_ball_masses_match_settled_counts_at_every_radius():
+    # Every radius d / 3**m, d = 0..3**m, and one between each two, from one
+    # scan of the search's levels, against a count over the dense result
+    # of the full search on rows < 3**m.  Centers in rows 0, 1, 3**m - 1
+    # and 3**m (their balls reach the top row, whose vertices are not
+    # cells) and seeded ones; radii past the farthest vertex read the
+    # whole ball.
+    rng = random.Random(36)
+    for m in range(2, 8):
+        g = build_level_graph(m)
+        two_m, top = 2**m, 3**m
+        rows = [0, 1, top - 1, top] + [rng.randrange(top + 1) for _ in range(2 if m < 7 else 1)]
+        radii = sorted({F(d, top) for d in range(top + 1)} | {F(2 * d + 1, 2 * top) for d in range(top)})
+        for k in rows:
+            source = g.vertex(k, rng.randrange(two_m))
+            dense = list(_dijkstra(g, source))
+            settled = [0] * (top + 1)
+            for d in dense[: top * two_m]:
+                settled[d] += 1
+            for d in range(1, top + 1):
+                settled[d] += settled[d - 1]
+            estimates = oracle._ball_estimates(g, g.vertex_point(source), radii)
+            assert [e.radius for e in estimates] == radii
+            want = [settled[int(r * top)] * g.cell_mass for r in radii]
+            assert [e.mass for e in estimates] == want, (m, source)
+            if k >= top - 1:  # the smallest balls already hold top-row vertices
+                assert any(d <= 1 for d in dense[top * two_m :])

@@ -219,6 +219,49 @@ def test_one_profile_per_level_set():
     }
 
 
+def _functions(module) -> dict:
+    """name -> FunctionDef of the module's top-level functions."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_cross_checks_read_their_structures_once():
+    # A1's formula side stays independent of the oracle: `_oracle_mismatches`
+    # and the `verify` functions it calls read no `flips` of the graph and
+    # take the vertex classes from core's canonical rule.  A11's ball masses
+    # come from one search per center: `_ball_estimates` calls `_dijkstra`
+    # once, outside any loop.
+    functions = _functions(verify)
+    reached, todo = set(), ["_oracle_mismatches"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += [
+            node.func.id
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in functions and node.func.id not in reached
+        ]
+    nodes = [node for name in sorted(reached) for node in ast.walk(functions[name])]
+    assert "_vertex_classes" in reached
+    assert [node.attr for node in nodes if isinstance(node, ast.Attribute) and node.attr == "flips"] == []
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "canonicalize" for node in nodes)
+
+    ball = _functions(oracle)["_ball_estimates"]
+    parents = {child: node for node in ast.walk(ball) for child in ast.iter_child_nodes(node)}
+    searches = []
+    for node in ast.walk(ball):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_dijkstra":
+            looped, up = False, node
+            while up in parents:  # a `for` loop's iterable runs once
+                looped |= isinstance(parents[up], _LOOPS) and not (
+                    isinstance(parents[up], ast.For) and up is parents[up].iter
+                )
+                up = parents[up]
+            searches.append(looped)
+    assert searches == [False]
+
+
 def _load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)

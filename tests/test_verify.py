@@ -175,6 +175,29 @@ def test_one_formula_search_per_distinct_input(monkeypatch):
     assert len(searched) < sum(len(listed) for _, listed in drawn)
 
 
+def test_vertex_classes_are_the_canonical_masks():
+    # One canonicalize per row gives every vertex's class: (k, a & keep)
+    # is (k, canonical mask of (k, a)) for every vertex up to m = 6.
+    for m in range(1, 7):
+        g = oracle.build_level_graph(m)
+        classes = verify._vertex_classes(g)
+        want = [(v >> m, canonicalize(g.vertex_point(v)).address.mask) for v in range(g.vertex_count)]
+        assert classes == want, m
+
+
+def test_a_glued_bit_kept_in_one_row_fails_the_zero_classes_row(monkeypatch):
+    # The keep-mask of the row at height 1/3 (order 1, row 3 at m = 2)
+    # planted with its glued bit: its glued twins get two classes at graph
+    # distance 0, and only the zero-classes row turns to FAIL.
+    real = verify.canonicalize
+    monkeypatch.setattr(verify, "canonicalize", lambda p: p if p.height == Fraction(1, 3) else real(p))
+    g = oracle.build_level_graph(2)
+    classes = verify._vertex_classes(g)
+    assert classes[g.vertex(3, 1)] == (3, 1) and classes[g.vertex(4, 2)] == (4, 0)
+    rows = {row.name: row.passed for row in verify.check_oracle(m=2)}
+    assert rows == {"oracle-all-pairs-m2": True, "oracle-zero-classes-m2": False, "oracle-random-pairs-m3": True}
+
+
 def test_tie_pairs_have_two_minimal_intervals():
     # A2's equal-length row compares lengths only where a pair has two
     # minimal intervals; none of its 1000 seeded pairs has, so it reads the
