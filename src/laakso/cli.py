@@ -31,7 +31,8 @@ Every argument that sets a scale is bounded before any work: the jump
 orders of profile --line and reduce --levels by their converters, verify
 --depth by the depths `verify.SUITES` lists, census --max-level by its
 converter, and the size of every printed answer by `_check_printable`
-(a census's, once its heights are known, by `_check_census_printable`).
+(a census's by `_check_census_printable`, which reads the built census's
+records once and names the largest max level that prints).
 
 A --line spec is one of v0 (the base point's own line), v<N>, vN:<N> or
 v<N>:<N> (one jump at order N), or vD:<N>,<M>[,...] (one jump at each of
@@ -243,25 +244,28 @@ def _unprintable(flag: str, order: int, top: int, limit: int) -> UsageError:
     )
 
 
-def _check_census_printable(p: LaaksoPoint, max_level: int, records: list) -> None:
+def _check_census_printable(p: LaaksoPoint, max_level: int, den: int, records: list) -> None:
     """Refuse a census with a height that could not be printed, naming the
     largest max level whose census prints.
 
     Every census height lies in [0, 1] with a denominator dividing
     den h(p) * 3**max_level, so only a census where that bound is past the
-    digit limit is read height by height.  The census of a lower max level
-    is a subset of this one, read going down; the census at max level 1
-    (h(p), 1 - h(p) and order-1 grid heights) prints whenever --p was read.
+    digit limit is read record by record, once: a record (num, label, _)
+    prints when num / den in lowest terms has a denominator below
+    10**limit.  The census of a lower max level is exactly the records
+    whose line's deepest jump order is at most that level, so the largest
+    max level that prints is one below the shallowest deepest order of an
+    unprintable record.  The census at max level 1 (h(p), 1 - h(p) and
+    order-1 grid heights) prints whenever --p was read.
     """
     limit = sys.get_int_max_str_digits()
     if not limit or p.height.denominator.bit_length() + 2 * max_level <= 3 * limit:
         return
-    cap, top = 10**limit, max_level
-    while top > 1 and any(h.denominator >= cap for h, _, _ in records):
-        top -= 1
-        records = census_records(p, top)
-    if top < max_level:
-        raise _unprintable("--max-level", max_level, top, limit)
+    cap = 10**limit
+    # A record's label is a --line spec of its line's jump orders.
+    orders = [max(_line(label), default=0) for num, label, _ in records if den // math.gcd(num, den) >= cap]
+    if orders:
+        raise _unprintable("--max-level", max_level, max(1, min(orders) - 1), limit)
 
 
 def _emit(*outputs: Tuple[str, Optional[str]]) -> None:
@@ -456,13 +460,13 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_census(args) -> int:
-    records = census_records(args.p, args.max_level)
-    _check_census_printable(args.p, args.max_level, records)
+    den, records = census_records(args.p, args.max_level)
+    _check_census_printable(args.p, args.max_level, den, records)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["height", "source_line", "kink_type"])
-    for h, label, kind in records:
-        writer.writerow([format_rational(h), label, kind])
+    for num, label, kind in records:
+        writer.writerow([_format_ratio(num, den), label, kind])
     _emit((buf.getvalue(), args.out))
     return 0
 

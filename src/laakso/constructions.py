@@ -395,27 +395,22 @@ def find_band_schedule(
     return BandSchedule(x1, jump_side, tuple(levels)) if levels else None
 
 
-def _band_integral(schedule: BandSchedule, span: Fraction) -> Fraction:
-    """Integral of the banded slope profile from the center out to distance
-    `span` on the wide side (span <= the outermost wide gap)."""
-    total = Fraction(0)
-    levels = len(schedule.levels)
-    for k in range(levels):
-        outer = schedule.wide[k]
-        inner = schedule.wide[k + 1] if k + 1 < levels else Fraction(0)
-        lo, hi = inner, min(outer, span)
-        if hi > lo:
-            total += schedule.slopes[k] * (hi - lo)
-    return total
-
-
-def _steep_line_value(center: Fraction, sign: int, schedule: BandSchedule, t: Fraction) -> Fraction:
+def _steep_line_value(
+    center: Fraction, sign: int, schedule: BandSchedule, integrals: Sequence[Fraction], t: Fraction
+) -> Fraction:
     """The steep witness on the center's vertical line: slope exactly 1 on
-    the thin side, the integrated band slopes on the wide side."""
+    the thin side, the integrated band slopes on the wide side.  Band k
+    spans the wide-side distances from wide[k + 1] (0 for the last band) to
+    wide[k], and `integrals[k]` is the band integral from the center out to
+    wide[k]; t is at most the outermost wide gap away."""
     offset = t - center
     if sign * offset >= 0:
         return offset
-    return sign * -_band_integral(schedule, abs(offset))
+    span, wide = abs(offset), schedule.wide
+    k = len(wide) - 1
+    while k and span > wide[k]:
+        k -= 1
+    return sign * (schedule.slopes[k] * (wide[k] - span) - integrals[k])
 
 
 def build_steep_nondifferentiable(
@@ -450,7 +445,13 @@ def build_steep_nondifferentiable(
         heights.add(xc.height + off)
         heights.add(xc.height - off)
 
-    line = {t: _steep_line_value(xc.height, sign, schedule, t) for t in heights}
+    # The band integrals out to each wide gap, one running sum outward.
+    edges = schedule.wide + (0,)
+    integrals, total = [], Fraction(0)
+    for k in reversed(range(len(schedule.wide))):
+        total += schedule.slopes[k] * (edges[k] - edges[k + 1])
+        integrals.insert(0, total)
+    line = {t: _steep_line_value(xc.height, sign, schedule, integrals, t) for t in heights}
     jumps = [(n, sign * thin) for n, thin in zip(schedule.levels, schedule.thin)]
     for n, value in jumps:
         if line[xc.height + value] != value:

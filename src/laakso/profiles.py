@@ -26,9 +26,12 @@ evaluation is one `metric._Pair.shortest` on that scale, and the returned
 `KinkProfile` keeps the scale, the one holder of that denominator, and
 the certified runs as integers over it: its `Piece` and `Kink`
 `Fraction`s are views built only when a library caller reads them.  The
-closed forms (`_closed_form`) read their kink heights off a scale's gaps,
-as integers over the same denominator; `expected_kinks`,
-`classify_two_level` and `census_records` are their `Fraction` views.
+closed forms (`_closed_form`) read their kink heights off the gaps of a
+scale that holds the level set's orders, as integers over its
+denominator.  A census is one scale over every order it uses, one gap
+query per order, and its records are integers over that scale's
+denominator (`census_records`); `expected_kinks` and
+`nondiff_height_census` are the `Fraction` views.
 `_profile_level_set` profiles a level set once, on its branch-0 line, and
 checks that profile against the set's closed form: the set's lines from a
 wormhole base point differ only in p's own wormhole bit, which the scale
@@ -55,6 +58,7 @@ from .core import (
     CantorAddress,
     InternalError,
     LaaksoPoint,
+    _format_ratio,
     _gaps,
     _orders,
     canonicalize,
@@ -72,7 +76,6 @@ __all__ = [
     "TWO_LEVEL_BRANCHES",
     "census_level_sets",
     "census_records",
-    "classify_two_level",
     "expected_kinks",
     "nondiff_height_census",
     "parallel_reduction",
@@ -260,8 +263,10 @@ class _LineScale:
     p need not be canonical (its representatives differ only in bit w).
     `den` is den h(p) * 3**N, N the deepest of them (the rule of
     `metric._Pair.on_scale`): it holds 0, 1, h(p) (`hp` on the scale),
-    every candidate and the distance values there.  `gaps` holds hp's
-    (up, down) gaps of each order, one `core._gaps` query per order.
+    every candidate and the distance values there.  `gaps` maps each order
+    to hp's (up, down) gaps of that order, one `core._gaps` query per
+    order.  A census builds one scale over all of its orders and reads
+    only `den`, `hp` and `gaps` (`census_records`).
 
     Why w is left out.  Every interval the search considers holds h(p),
     which is on w's grid, so w never constrains it, required or not; left
@@ -273,7 +278,7 @@ class _LineScale:
     smallest constraining orders n1 < n2 reaches |x1 - x2| >= 3**-n2 past
     x1, and x1 +- 3**-n has order n for every n > n1, so the profile is
     that of at most two orders (the parallel reduction), whose closed-form
-    kinks (`classify_two_level`) are all candidates.  No closed form lists
+    kinks (`_closed_form`) are all candidates.  No closed form lists
     a pairwise tie h(p) + a - b of gaps of two orders; that the closed
     forms are complete is checked (A3-A5, A14, A15), not proved here, and
     a missed breakpoint raises `ProfileLinearityError` in `_assemble`,
@@ -287,7 +292,7 @@ class _LineScale:
         self.levels = levels
         self.den = h.denominator * scale
         self.hp = h.numerator * scale
-        self.gaps = [_gaps(self.hp, self.den, n) for n in levels]
+        self.gaps = {n: _gaps(self.hp, self.den, n) for n in levels}
 
     def value(self, t: int) -> int:
         """d(p, [t / den, line]) times den, by one interval search.  t is
@@ -302,7 +307,7 @@ class _LineScale:
         required order n the order-n wormhole heights nearest above and
         below h(p) and their tie, the single-jump closed form of order n."""
         breaks = {0, self.den, self.hp}
-        for gaps in self.gaps:
+        for gaps in self.gaps.values():
             breaks.update(_single(self.hp, *gaps))
         return sorted(breaks)
 
@@ -350,22 +355,36 @@ TWO_LEVEL_BRANCHES = (
 )
 
 
-def _closed_form(scale: _LineScale) -> Tuple[Optional[str], List[int]]:
-    """The closed-form kinks of a line of the scale's orders (none, one, or
-    two increasing ones), read off its gaps: the two-level branch label
-    (None for fewer orders) and the kink heights as increasing integers
-    over `scale.den`.  See `classify_two_level` for the branches."""
-    levels, hp, den = scale.levels, scale.hp, scale.den
+def _closed_form(scale: _LineScale, levels: Sequence[int]) -> Tuple[Optional[str], List[int]]:
+    """The closed-form kinks of the line of the jump orders `levels` (none,
+    one, or two increasing ones) from h(p), read off the gaps of a scale
+    that holds those orders: the two-level branch label (None for fewer
+    orders) and the kink heights as increasing integers over `scale.den`.
+    Every gap and height scales by the same factor from one scale to a
+    finer one, so the branch and the heights, read back as fractions, are
+    those of any such scale.
+
+    Writing un/dn and um/dm for the order n and order m gaps above/below
+    h(p) (n < m), the realizable two-level configurations are:
+
+    - "nested": both order-m neighbours lie strictly inside the order-n
+      window; the profile matches the single-jump one (3 kinks).
+    - "straddle-up" / "straddle-down": one order-m neighbour inside, one
+      outside (7 kinks, the two tie heights on both sides plus h(p)).
+    - "deg-low-*": no order-n wormhole below h(p) (1 or 5 kinks); mirrored
+      "deg-high-*" when there is none above.
+    """
+    hp, den = scale.hp, scale.den
     if not levels:
         return None, [hp] if 0 < hp < den else []
     if len(levels) == 1:
-        heights = _single(hp, *scale.gaps[0])
+        heights = _single(hp, *scale.gaps[levels[0]])
         if not heights:
-            h = Fraction(hp, den)
+            h = _format_ratio(hp, den)
             raise ImpossibleGapConfiguration(f"order {levels[0]} has no wormhole on either side of {h}")
         return None, heights
 
-    (un, dn), (um, dm) = scale.gaps
+    (un, dn), (um, dm) = scale.gaps[levels[0]], scale.gaps[levels[1]]
     if dm is None and dn is not None:
         raise ImpossibleGapConfiguration("order-m grid reaches lower than order-n grid")
     if um is None and un is not None:
@@ -436,42 +455,8 @@ def _profile_level_set(
     by its module name, so a wrapper bound there sees each level set."""
     lines = vertical_lines(p, levels)
     profile = profile_distance_on_line(p, lines[0])
-    branch, heights = _closed_form(profile.scale)
+    branch, heights = _closed_form(profile.scale, levels)
     return (branch, heights), profile, _matches_closed_form(profile, heights), lines
-
-
-def _closed_heights(h: Fraction, levels: Sequence[int]) -> Tuple[Optional[str], List[Fraction]]:
-    """`_closed_form` of the jump orders `levels` from height h in [0, 1],
-    its heights as `Fraction`s."""
-    if len(levels) == 2 and not 1 <= levels[0] < levels[1]:
-        raise ValueError("need two orders with n < m")
-    if levels and not 0 <= h <= 1:
-        raise ValueError(f"gap queries need t in [0, 1], got {h}")
-    scale = _LineScale(h, levels)
-    branch, heights = _closed_form(scale)
-    return branch, [Fraction(v, scale.den) for v in heights]
-
-
-def classify_two_level(p1: Fraction, n: int, m: int) -> Tuple[str, List[Fraction]]:
-    """Branch label and closed-form kink heights for a two-jump line.
-
-    Writing un/dn and um/dm for the order n and order m gaps above/below
-    p1 (n < m), the realizable configurations are:
-
-    - "nested": both order-m neighbours lie strictly inside the order-n
-      window; the profile matches the single-jump one (3 kinks).
-    - "straddle-up" / "straddle-down": one order-m neighbour inside, one
-      outside (7 kinks, the two tie heights on both sides plus p1 itself).
-    - "deg-low-*": no order-n wormhole below p1 (1 or 5 kinks); mirrored
-      "deg-high-*" when there is none above.
-
-    p1 is a `Fraction` or an int; any other type is a TypeError.
-    """
-    if not (1 <= n < m):
-        raise ValueError("need two orders with n < m")
-    if isinstance(p1, str):
-        raise TypeError("expected a Fraction or int height, got str")
-    return _closed_heights(parse_rational(p1), (n, m))
 
 
 def expected_kinks(p: LaaksoPoint, line: VerticalLine) -> List[Fraction]:
@@ -482,9 +467,13 @@ def expected_kinks(p: LaaksoPoint, line: VerticalLine) -> List[Fraction]:
     level sets are rejected, since their profiles reduce to two-jump ones
     (`parallel_reduction`).
     """
-    if len(line.levels) > 2:
+    levels = line.levels
+    if len(levels) > 2:
         raise ValueError("closed forms cover at most two levels; use parallel_reduction")
-    return _closed_heights(p.height, line.levels)[1]
+    if len(levels) == 2 and not 1 <= levels[0] < levels[1]:
+        raise ValueError("need two orders with n < m")
+    scale = _LineScale(p.height, levels)
+    return [Fraction(v, scale.den) for v in _closed_form(scale, levels)[1]]
 
 
 def _reduction_lengths(
@@ -541,28 +530,36 @@ def census_level_sets(p: LaaksoPoint, max_level: int) -> List[Tuple[int, ...]]:
     return [(n,) for n in usable] + [(n, m) for i, n in enumerate(usable) for m in usable[i + 1 :]]
 
 
-def census_records(p: LaaksoPoint, max_level: int) -> List[Tuple[Fraction, str, str]]:
-    """(height, source line label, kink kind) over all lines with levels up
-    to max_level.  Kinds alternate min, max, ... in each closed-form list,
-    as the one profile check `_matches_closed_form` requires.  The own line
-    contributes h(p) unless it is a boundary height, where it has no kink."""
+def census_records(p: LaaksoPoint, max_level: int) -> Tuple[int, List[Tuple[int, str, str]]]:
+    """(D, records): the records (height times D, source line label, kink
+    kind) over all lines with levels up to max_level, sorted on height and
+    label.  Kinds alternate min, max, ... in each closed-form list, as the
+    one profile check `_matches_closed_form` requires.  The own line
+    contributes h(p) unless it is a boundary height, where it has no kink.
+
+    Every level set's closed form is read off one `_LineScale` over all of
+    the census's orders (every order up to max_level but the wormhole
+    order of h(p)), one gap query per order, so D is den h(p) * 3**N for
+    N the deepest of them."""
     if not (1 <= max_level <= _MAX_CENSUS_LEVEL):
         raise ValueError(f"max_level must be in 1..{_MAX_CENSUS_LEVEL}")
-    h = p.height
-    records: List[Tuple[Fraction, str, str]] = []
-    for levels in [()] + census_level_sets(p, max_level):
+    level_sets = census_level_sets(p, max_level)
+    scale = _LineScale(p.height, [levels[0] for levels in level_sets if len(levels) == 1])
+    records: List[Tuple[int, str, str]] = []
+    for levels in [()] + level_sets:
         label = _label(levels)
-        for i, height in enumerate(_closed_heights(h, levels)[1]):
+        for i, height in enumerate(_closed_form(scale, levels)[1]):
             records.append((height, label, _KINDS[i % 2]))
     records.sort(key=lambda r: (r[0], r[1]))
-    return records
+    return scale.den, records
 
 
 def nondiff_height_census(p: LaaksoPoint, max_level: int) -> List[Fraction]:
     """Sorted deduplicated heights at which the distance to p fails to be
     differentiable, over all lines reachable with jumps of order
     <= max_level."""
-    return sorted({h for h, _, _ in census_records(p, max_level)})
+    den, records = census_records(p, max_level)
+    return [Fraction(v, den) for v in sorted({v for v, _, _ in records})]
 
 
 # ---------------------------------------------------------------------------

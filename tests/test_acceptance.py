@@ -21,7 +21,8 @@ from laakso.core import point, wormhole_order
 from laakso.metric import distance
 from laakso.profiles import (
     TWO_LEVEL_BRANCHES,
-    classify_two_level,
+    _closed_form,
+    _LineScale,
     expected_kinks,
     profile_distance_on_line,
     vertical_lines,
@@ -125,7 +126,7 @@ def test_branch_pool_labels_match_classification():
     # drifted into another branch could pass unnoticed; each label must be
     # the branch its height hits, and the pool must name every branch once.
     for label, height in verify._BRANCH_POOL:
-        assert classify_two_level(height, 1, 2)[0] == label, (label, height)
+        assert _closed_form(_LineScale(height, (1, 2)), (1, 2))[0] == label, (label, height)
     assert tuple(label for label, _ in verify._BRANCH_POOL) == TWO_LEVEL_BRANCHES
 
 

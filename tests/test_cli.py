@@ -205,6 +205,10 @@ _PINNED_STDOUT = {
     "census --p 1/2:0 --max-level 4": "e9e4410fabe1c27eac770879d5e377f26cfe65fdd9ff68260bc92559f3bd5a0e",
     "census --p 1:0 --max-level 2": "4b58dfeccd3ed0e5cc6a07444758a5914d48c8ddbc2a9bba266f724558b0c57b",
     "census --p 1/3:1 --max-level 3": "14dc17216c019b07f73c4c81fd2f45090016cbfd4b9d05610ae9128a44d00d5c",
+    # Recorded before the census moved onto one integer scale.
+    "census --p 1/3:1 --max-level 12": "9bf1d35b5e1994ac0bbe5ea0d4b589f0fae785513d3c8541652ac55d883409b8",
+    "census --p 1:0 --max-level 12": "3aa8bcc54d7adc2d2adb5571fec21b1ae48ced70ba8866246d2aa09ad23f157a",
+    "census --p 157465/354294:0110 --max-level 12": "7de82c391fa8168a19d7456b7b76737ce844c71fd63ed579558afcbfce5c5351",
 }
 
 
@@ -221,7 +225,8 @@ def test_stdout_bytes_are_pinned(capsys):
     # order-40 line; a reduction; the sampled Lipschitz ratios of both
     # witnesses and a porosity round; the parallel and kinks suites, the
     # oracle suite at depths 2 and 3; censuses at 1/2, at the boundary
-    # height 1 and at a wormhole that skips its own order.
+    # height 1 and at a wormhole that skips its own order, the last two and
+    # one at a height off every grid near 4/9 at max level 12.
     for command, sha in _PINNED_STDOUT.items():
         code, out, _ = run(capsys, *command.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha, command
@@ -253,6 +258,25 @@ def test_verify_suites_at_eight_seeds_are_pinned(capsys):
             assert (code, err) == (0, ""), (suite, seed)
             digest.update(out.encode())
         assert digest.hexdigest() == sha, suite
+
+
+# sha256 over the exit code and stdout of every `census` op of perfbench's
+# `queries` universe, in universe order, recorded before the census moved
+# onto one integer scale.
+_QUERIES_CENSUS_SHA256 = (635, "16f01d33761d853be03302a512134f2d3e6bb1c3483d0821a616629711f2d275")
+
+
+def test_queries_census_ops_are_pinned(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    ops = [op.args for op in WORKLOADS["queries"].universe() if op.args[0] == "census"]
+    digest = hashlib.sha256()
+    for argv in ops:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n".encode())
+        digest.update(out.encode())
+    assert (len(ops), digest.hexdigest()) == _QUERIES_CENSUS_SHA256
 
 
 def _reference_point(p):
@@ -469,7 +493,7 @@ def test_closed_form_off_the_profile_scale_is_a_mismatch(monkeypatch, capsys):
         ((None, [2, 3, 5]), 1, False, ["1/3", "1/2", "5/6"]),
         ((None, [2, 3, 4]), 0, True, ["1/3", "1/2", "2/3"]),
     ):
-        monkeypatch.setattr(profiles, "_closed_form", lambda scale, planted=planted: planted)
+        monkeypatch.setattr(profiles, "_closed_form", lambda scale, levels, planted=planted: planted)
         got, out, err = run(capsys, *argv)
         (entry,) = json.loads(out)["lines"]
         assert (got, err, entry["pass"], entry["expected_kinks"]) == (code, "", passed, expected)
@@ -760,7 +784,7 @@ def test_construction_self_checks_exit_3(monkeypatch, capsys):
         # build_steep_nondifferentiable: line value at the thin-gap height
         (
             "laakso.constructions._steep_line_value",
-            lambda center, sign, schedule, t: t - center + 1,
+            lambda center, sign, schedule, integrals, t: t - center + 1,
             "order-2 thin-gap line value does not match the jump value",
         ),
         # check_constructions: the engineered steep center has a band schedule
@@ -786,8 +810,8 @@ def test_planted_kink_faults_fail_their_rows_with_exit_1(monkeypatch, capsys):
     # failed check (exit 1), never as an internal error.
     closed_form = profiles._closed_form
 
-    def moved(scale):
-        branch, heights = closed_form(scale)
+    def moved(scale, levels):
+        branch, heights = closed_form(scale, levels)
         return branch, [v + (i == 0) for i, v in enumerate(heights)]
 
     def negated(p, line):
@@ -824,15 +848,15 @@ def test_planted_faults_fail_porosity_and_construction_rows_with_exit_1(monkeypa
     def by_height(self, p):  # a lookup that ignores the address
         return next(value for q, value in self.samples if q.height == p.height)
 
-    band_integral = cons._band_integral
+    line_value = cons._steep_line_value
 
     # Band 0 read 10**-9 (relative) steeper: within its Lipschitz slack, so
     # the witness still builds and only its realized slope is off.
-    def steeper_band_0(schedule, span):
-        total = band_integral(schedule, span)
+    def steeper_band_0(center, sign, schedule, integrals, t):
+        value, span = line_value(center, sign, schedule, integrals, t), sign * (center - t)
         if span > schedule.wide[1]:
-            total += (min(span, schedule.wide[0]) - schedule.wide[1]) * schedule.slopes[0] / 10**9
-        return total
+            value -= sign * (min(span, schedule.wide[0]) - schedule.wide[1]) * schedule.slopes[0] / 10**9
+        return value
 
     plants = [
         ("porosity", "porosity-hole-certificates",
@@ -844,7 +868,7 @@ def test_planted_faults_fail_porosity_and_construction_rows_with_exit_1(monkeypa
          [(calculus, "difference_quotient", negated_quotient), (verify, "difference_quotient", negated_quotient)]),
         ("constructions", "flat-jump-quotients,steep-jump-quotients",
          [(cons.SampledFunction, "value_at", by_height)]),
-        ("constructions", "steep-ramp-bounds", [(cons, "_band_integral", steeper_band_0)]),
+        ("constructions", "steep-ramp-bounds", [(cons, "_steep_line_value", steeper_band_0)]),
     ]
     for suite, rows, patches in plants:
         for target, name, fake in patches:
@@ -878,8 +902,8 @@ def test_planted_faults_fail_kink_parallel_oracle_and_regularity_rows_with_exit_
     closed_form, reduction, formula = profiles._closed_form, verify._reduction_lengths, verify._grid_formula
     ball_estimates, centers = oracle._ball_estimates, []
 
-    def never_nested(scale):  # the nested branch reported as straddle-up
-        branch, heights = closed_form(scale)
+    def never_nested(scale, levels):  # the nested branch reported as straddle-up
+        branch, heights = closed_form(scale, levels)
         return ("straddle-up" if branch == "nested" else branch), heights
 
     def long_two_level(*args):  # the two-level length one unit of its scale long
@@ -977,7 +1001,7 @@ def test_v_kinks_off_the_distance_fail_a7(monkeypatch, capsys):
             levels=scale.levels,
             den=2 * scale.den,
             hp=2 * scale.hp,
-            gaps=[tuple(g if g is None else 2 * g for g in gaps) for gaps in scale.gaps],
+            gaps={n: tuple(g if g is None else 2 * g for g in gaps) for n, gaps in scale.gaps.items()},
         )
         starts = [2 * run[0] + (i > 0 and runs[i - 1][3] < run[3]) for i, run in enumerate(runs)]
         value, planted = 2 * runs[0][1], []
@@ -1120,24 +1144,48 @@ def test_distance_unprintable_order_is_usage_error(monkeypatch, capsys):
         sys.set_int_max_str_digits(limit)
 
 
+# sha256 of the stdout of censuses that print in full at the 640-digit
+# limit though den h(p) * 3**max_level has more digits, and their line
+# counts (header included), recorded before the census moved onto one
+# integer scale.
+_DEEP_CENSUS_STDOUT = {
+    (f"1/{3**1339}:0", 4): (12, "af6c918a05d1167cb149aa8d792d6b21cbc8e3d29cfd590e3cddbe5a108b50dc"),
+    (f"1/{3**1339}:0", 12): (80, "831b7a1e73a3962e8e8847b7d34a4bc7a50d52b9b5002abb23d41500d7934311"),
+    (f"1/{2 * 3**1338}:1", 4): (12, "81c8eecb1a80db2f438a277e4e8e5b3679d0fc110864970cf75dea845285621a"),
+    (f"1/{2 * 3**1338}:1", 12): (80, "7d5e4fc8b254012f8d7612640918dec98b396ca8563a334fecf5837a4a7ef18a"),
+}
+
+
 def test_census_past_the_digit_limit_is_one_usage_error(capsys):
     # A census prints its heights, whose denominators reach den h(p) *
     # 3**max_level.  At the 640-digit limit a census that prints gives the
     # bytes it gives at the default limit, and one that does not is one
     # `error:` line naming --max-level and the largest max level that prints.
-    def census(den, level):
-        return run(capsys, "census", "--p", f"{4 * den // 10}/{den}:0", "--max-level", str(level))
+    # Each height is judged by its own reduced denominator: at 1/3**1339 and
+    # 1/(2 * 3**1338) (about 2122 bits) every census prints, though den h(p)
+    # * 3**12 is past the limit.  At the 638-digit `small` the first
+    # unprintable lines are v6 and vD:5,6, so max levels 6, 7 and 12 all
+    # name 5.
+    def census(p, level):
+        return run(capsys, "census", "--p", p, "--max-level", str(level))
 
-    big, small = 7 * 10**639 + 1, 7 * 10**637 + 1  # 640 and 638 digits
-    cases = [(big, 1, 1), (big, 2, 1), (big, 12, 1), (small, 5, 5), (small, 6, 5)]  # (den, level, top)
+    def ratio(den):
+        return f"{4 * den // 10}/{den}:0"
+
+    big, small = ratio(7 * 10**639 + 1), ratio(7 * 10**637 + 1)  # 640 and 638 digits
+    cases = [(big, 1, 1), (big, 2, 1), (big, 12, 1), (small, 5, 5), (small, 6, 5), (small, 7, 5), (small, 12, 5)]
+    cases += [(p, level, level) for p, level in _DEEP_CENSUS_STDOUT]  # (p, level, top)
     expected = {case: census(*case[:2]) for case in cases}
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        for (den, level, top), before in expected.items():
-            code, out, err = census(den, level)
+        for (p, level, top), before in expected.items():
+            code, out, err = census(p, level)
             if level == top:
                 assert (code, out, err) == before and code == 0
+                if (p, level) in _DEEP_CENSUS_STDOUT:
+                    pinned = _DEEP_CENSUS_STDOUT[p, level]
+                    assert (len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()) == pinned
             else:
                 assert code == 2 and out == ""
                 assert err == (

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import laakso
-from laakso import constructions, core, oracle, profiles, verify
+from laakso import cli, constructions, core, oracle, profiles, verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -175,8 +175,9 @@ def test_one_gap_query_and_one_distance_read():
 def test_one_line_scale_per_profiled_line():
     # A profiled line's scale is built once and read by everything that
     # needs it: only `profiles` builds a `_LineScale` or calls
-    # `_closed_form` (which reads the scale's gaps), and inside `profiles`
-    # only `_LineScale` queries `_gaps`.
+    # `_closed_form` (which reads the scale's gaps), a profiled line's
+    # closed form is read off its profile's scale, a census's off its one
+    # scale, and inside `profiles` only `_LineScale` queries `_gaps`.
     builders, gap_queries = set(), set()
     for path in sorted(Path(laakso.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -186,11 +187,35 @@ def test_one_line_scale_per_profiled_line():
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             if name in ("_LineScale", "_closed_form"):
-                builders.add((path.stem, name))
+                builders.add((path.stem, name, _enclosing(node, parents)))
             elif name == "_gaps" and path.stem == "profiles":
                 gap_queries.add(_enclosing(node, parents).partition(".")[0])
-    assert builders == {("profiles", "_LineScale"), ("profiles", "_closed_form")}
+    assert builders == {
+        ("profiles", "_LineScale", "profile_distance_on_line"),
+        ("profiles", "_LineScale", "expected_kinks"),
+        ("profiles", "_LineScale", "census_records"),
+        ("profiles", "_closed_form", "_profile_level_set"),
+        ("profiles", "_closed_form", "expected_kinks"),
+        ("profiles", "_closed_form", "census_records"),
+    }
     assert gap_queries == {"_LineScale"}
+
+
+def test_one_census_on_one_scale():
+    # A census is built once, on one scale: `census_records` builds one
+    # `_LineScale`, outside any loop; `cmd_census` calls `census_records`
+    # once and `_check_census_printable` reads its records without calling
+    # it, and neither builds or writes a `Fraction`.  A copy that rebuilds
+    # the census for each max level it steps down fails.
+    assert _calls(_functions(profiles)["census_records"], "_LineScale") == [False]
+    cli_functions = _functions(cli)
+    command, check = cli_functions["cmd_census"], cli_functions["_check_census_printable"]
+    assert _calls(command, "census_records") == [False]
+    assert _calls(check, "census_records") == []
+    for function in (command, check):
+        names = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
+        assert not names & {"Fraction", "format_rational"}, function.name
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
@@ -225,6 +250,23 @@ def _functions(module) -> dict:
     return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
+def _calls(function: ast.FunctionDef, name: str) -> list:
+    """Whether each call of `name` in the function sits inside a loop (a
+    `for` loop's iterable runs once)."""
+    parents = {child: node for node in ast.walk(function) for child in ast.iter_child_nodes(node)}
+    calls = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+            looped, up = False, node
+            while up in parents:
+                looped |= isinstance(parents[up], _LOOPS) and not (
+                    isinstance(parents[up], ast.For) and up is parents[up].iter
+                )
+                up = parents[up]
+            calls.append(looped)
+    return calls
+
+
 def test_cross_checks_read_their_structures_once():
     # A1's formula side stays independent of the oracle: `_oracle_mismatches`
     # and the `verify` functions it calls read no `flips` of the graph and
@@ -247,19 +289,7 @@ def test_cross_checks_read_their_structures_once():
     assert [node.attr for node in nodes if isinstance(node, ast.Attribute) and node.attr == "flips"] == []
     assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "canonicalize" for node in nodes)
 
-    ball = _functions(oracle)["_ball_estimates"]
-    parents = {child: node for node in ast.walk(ball) for child in ast.iter_child_nodes(node)}
-    searches = []
-    for node in ast.walk(ball):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_dijkstra":
-            looped, up = False, node
-            while up in parents:  # a `for` loop's iterable runs once
-                looped |= isinstance(parents[up], _LOOPS) and not (
-                    isinstance(parents[up], ast.For) and up is parents[up].iter
-                )
-                up = parents[up]
-            searches.append(looped)
-    assert searches == [False]
+    assert _calls(_functions(oracle)["_ball_estimates"], "_dijkstra") == [False]
 
 
 def _load(path: Path, name: str):

@@ -35,7 +35,6 @@ from laakso.profiles import (
     _LineScale,
     census_level_sets,
     census_records,
-    classify_two_level,
     expected_kinks,
     nondiff_height_census,
     parallel_reduction,
@@ -70,26 +69,33 @@ def test_single_jump_profile_frozen():
     assert prof.value_at(F(1, 2)) == F(1, 3)
 
 
+def _closed(h, levels):
+    """`_closed_form` of the jump orders `levels` from height h, read off
+    the line's own scale, its heights as `Fraction`s."""
+    scale = _LineScale(h, levels)
+    branch, heights = profiles._closed_form(scale, levels)
+    return branch, [F(v, scale.den) for v in heights]
+
+
 def test_two_level_frozen_cases():
-    branch, heights = classify_two_level(F(13, 20), 1, 2)
+    branch, heights = _closed(F(13, 20), (1, 2))
     assert branch == "straddle-up"
     assert heights == [F(1, 3), F(7, 20), F(5, 9), F(13, 20), F(2, 3), F(41, 60), F(7, 9)]
-    branch, heights = classify_two_level(F(7, 20), 1, 2)
+    branch, heights = _closed(F(7, 20), (1, 2))
     assert branch == "straddle-down"
-    branch, heights = classify_two_level(F(1, 2), 1, 2)
+    branch, heights = _closed(F(1, 2), (1, 2))
     assert branch == "nested"
     assert heights == [F(1, 3), F(1, 2), F(2, 3)]
-    branch, heights = classify_two_level(F(1, 4), 1, 2)
+    branch, heights = _closed(F(1, 4), (1, 2))
     assert branch == "deg-low-near"
     assert heights == [F(2, 9), F(1, 4), F(1, 3), F(5, 12), F(4, 9)]
-    assert classify_two_level(F(1, 10), 1, 2) == ("deg-low-both", [F(1, 3)])
-    assert classify_two_level(F(1, 5), 1, 2) == ("deg-low-far", [F(1, 3)])
-    assert classify_two_level(F(35, 36), 1, 2) == ("deg-high-both", [F(2, 3)])
-    assert classify_two_level(F(4, 5), 1, 2) == ("deg-high-far", [F(2, 3)])
-    branch, heights = classify_two_level(F(3, 4), 1, 2)
+    assert _closed(F(1, 10), (1, 2)) == ("deg-low-both", [F(1, 3)])
+    assert _closed(F(1, 5), (1, 2)) == ("deg-low-far", [F(1, 3)])
+    assert _closed(F(35, 36), (1, 2)) == ("deg-high-both", [F(2, 3)])
+    assert _closed(F(4, 5), (1, 2)) == ("deg-high-far", [F(2, 3)])
+    branch, heights = _closed(F(3, 4), (1, 2))
     assert branch == "deg-high-near"
     assert heights == [F(5, 9), F(7, 12), F(2, 3), F(3, 4), F(7, 9)]
-    assert set(b for b, _ in [classify_two_level(h, 1, 2) for _, h in []]) <= set(TWO_LEVEL_BRANCHES)
 
 
 def test_single_jump_one_sided_gap():
@@ -258,9 +264,10 @@ def test_census_frozen_and_bounds():
     levels = 4
     pairs = levels * (levels - 1) // 2
     assert len(census) <= 7 * pairs + 3 * levels + 1
-    records = census_records(p, 2)
+    den, records = census_records(p, 2)
+    assert den == 2 * 3**2 and all(type(r[0]) is int for r in records)
     assert ("v0" in {r[1] for r in records}) and all(r[2] in ("min", "max") for r in records)
-    rows = {(r[0], r[1]) for r in records}
+    rows = {(F(r[0], den), r[1]) for r in records}
     assert (F(1, 2), "v0") in rows
     with pytest.raises(ValueError):
         census_records(p, 0)
@@ -293,8 +300,8 @@ def _reference_single(p1, n, gaps=nearest_wormhole_gap):
 
 
 def _reference_two_level(p1, n, m, gaps=nearest_wormhole_gap):
-    """`classify_two_level` in `Fraction`s, from the public gap query; kept
-    as the reference for the integer core."""
+    """The two-level closed form (branch, heights) in `Fraction`s, from the
+    public gap query; kept as the reference for the integer core."""
     if not (1 <= n < m):
         raise ValueError("need two orders with n < m")
     un, dn = gaps(p1, n)
@@ -373,7 +380,7 @@ def test_closed_forms_equal_fraction_reference():
         for n in orders:
             assert expected_kinks(p, vertical_lines(p, (n,))[0]) == _reference_single(h, n), (h, n)
         for n, m in combinations(orders, 2):
-            branch, heights = classify_two_level(h, n, m)
+            branch, heights = _closed(h, (n, m))
             assert (branch, heights) == _reference_two_level(h, n, m), (h, n, m)
             assert expected_kinks(p, vertical_lines(p, (n, m))[0]) == heights
             hits.add(branch)
@@ -381,19 +388,14 @@ def test_closed_forms_equal_fraction_reference():
 
 
 def test_closed_form_arguments_as_before():
-    # An int height is taken, a float or a str refused, orders checked first.
-    for p1, n, m in ((0, 1, 2), (1, 1, 3), (True, 2, 5)):
-        assert classify_two_level(p1, n, m) == _reference_two_level(p1, n, m)
-    for p1 in (0.5, "1/2", "0", None):
-        for f in (classify_two_level, _reference_two_level):
-            with pytest.raises(TypeError):
-                f(p1, 1, 2)
-    for p1, n, m in ((F(1, 2), 2, 1), (F(1, 2), 0, 2), (0.5, 2, 2), (F(3, 2), 1, 2), (F(-1, 2), 1, 2)):
+    # A hand-built line's orders are checked before any gap is read.
+    for n, m in ((2, 1), (0, 2), (2, 2)):
+        line = VerticalLine(CantorAddress("1"), "vD?", (n, m))
         with pytest.raises(ValueError) as new:
-            classify_two_level(p1, n, m)
+            expected_kinks(point("1/2", ""), line)
         with pytest.raises(ValueError) as old:
-            _reference_two_level(p1, n, m)
-        assert str(new.value) == str(old.value)
+            _reference_two_level(F(1, 2), n, m)
+        assert str(new.value) == str(old.value) == "need two orders with n < m"
     line = VerticalLine(CantorAddress("1"), "v0?", (0,))
     with pytest.raises(ValueError, match="order must be a positive integer"):
         expected_kinks(point("1/2", ""), line)
@@ -427,7 +429,7 @@ def test_impossible_configurations_raise_as_before(monkeypatch):
             return tuple(None if g is None else F(g, den) for g in gaps[n])
 
         results = []
-        for f in (classify_two_level, lambda p1, n, m: _reference_two_level(p1, n, m, fractions)):
+        for f in (lambda p1, n, m: _closed(p1, (n, m)), lambda p1, n, m: _reference_two_level(p1, n, m, fractions)):
             try:
                 results.append(f(h, 1, 2))
             except ImpossibleGapConfiguration as exc:
@@ -441,14 +443,57 @@ def test_impossible_configurations_raise_as_before(monkeypatch):
     assert str(new.value) == str(old.value) == "order 3 has no wormhole on either side of 1/2"
 
 
+def _census_fractions(p, max_level):
+    """`census_records` with its heights read back as `Fraction`s, after
+    checking its denominator: den h(p) * 3**N, N the census's deepest
+    order (max_level, or max_level - 1 when that is h(p)'s wormhole order)."""
+    den, records = census_records(p, max_level)
+    deepest = max_level - (wormhole_order(p.height) == max_level)
+    assert den == p.height.denominator * 3**deepest, (p, max_level)
+    return [(F(num, den), label, kind) for num, label, kind in records]
+
+
 def test_census_records_equal_fraction_reference():
     rng = random.Random(17)
     for h in [F(0), F(1), F(1, 2), F(1, 3), F(4, 9), F(2, 5)] + [_deep_height(rng) for _ in range(6)]:
         p = point(h, "01")
         for max_level in (1, 4, 7):
-            assert census_records(p, max_level) == _reference_census(p, max_level), (h, max_level)
+            assert _census_fractions(p, max_level) == _reference_census(p, max_level), (h, max_level)
     p = point("13/20", "0")
-    assert census_records(p, 12) == _reference_census(p, 12)
+    assert _census_fractions(p, 12) == _reference_census(p, 12)
+
+
+_census_heights = st.one_of(
+    st.integers(1, 12).flatmap(  # a wormhole of order n
+        lambda n: st.integers(1, 3**n - 1).map(lambda k: F(k + (k % 3 == 0), 3**n))
+    ),
+    st.sampled_from([F(0), F(1)]),
+    st.integers(0, 2**32).map(lambda seed: _deep_height(random.Random(seed))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_census_heights, st.text("01", max_size=6), st.integers(1, 12))
+def test_census_records_match_fraction_reference_at_every_max_level(h, bits, max_level):
+    # The census on one integer scale, read back as `Fraction`s, is the
+    # reference census of per-line `Fraction` closed forms.
+    p = point(h, bits)
+    assert _census_fractions(p, max_level) == _reference_census(p, max_level)
+
+
+def test_census_makes_one_gap_query_per_order(monkeypatch):
+    # A census reads every level set's closed form off one scale: one gap
+    # query per order it uses, every order up to max_level but h(p)'s
+    # wormhole order.
+    orders = []
+    monkeypatch.setattr(profiles, "_gaps", lambda hp, den, n: orders.append(n) or _gaps(hp, den, n))
+    for text in ("13/20:0", "4/9:0", "1/3:1", "1:0", "0:", "157465/354294:0110"):
+        p = point(*text.split(":"))
+        for max_level in range(1, 13):
+            orders.clear()
+            records = census_records(p, max_level)[1]
+            usable = [n for n in range(1, max_level + 1) if n != wormhole_order(p.height)]
+            assert orders == usable and len(records) > 0, (text, max_level)
 
 
 class _Scale:
@@ -766,7 +811,7 @@ def test_closed_form_check_equals_fraction_comparison():
         levels = profile.scale.levels[:2]
         negated = dataclasses.replace(profile, runs=tuple(run[:3] + (-run[3],) for run in profile.runs))
         scale = _LineScale(p.height, levels)
-        _, closed = profiles._closed_form(scale)
+        _, closed = profiles._closed_form(scale, levels)
         den = scale.den
         on_profile = profile.scale.den // den  # the profile's scale refines the closed form's
         expected = expected_kinks(p, dataclasses.replace(line, levels=levels))
@@ -832,7 +877,7 @@ def test_follow_up_slopes_hold_on_deep_lines():
 
 def _scale_key(scale):
     """A line scale's contents: its orders, den, hp and per-order gaps."""
-    return list(scale.levels), scale.den, scale.hp, list(scale.gaps)
+    return list(scale.levels), scale.den, scale.hp, scale.gaps
 
 
 def _glued_cases(rng, count):
@@ -878,7 +923,7 @@ def test_branch_lines_of_a_wormhole_base_point_share_one_scale():
             closed, shared, match, lines = profiles._profile_level_set(p, levels)
             assert [line.branch for line in lines] == [0, 1] and shared.line == lines[0]
             assert list(shared.scale.levels) == list(levels), (p, levels)
-            assert closed == profiles._closed_form(shared.scale) and match, (p, levels)
+            assert closed == profiles._closed_form(shared.scale, levels) and match, (p, levels)
             for line in lines:
                 alone = profile_distance_on_line(p, line)
                 assert alone.runs == shared.runs, (p, line)
@@ -930,7 +975,7 @@ def test_closed_form_on_a_profile_scale_equals_closed_form_before():
             expected = _closed_form_before(h, levels)
             for line in vertical_lines(p, levels):
                 scale = profile_distance_on_line(p, line).scale
-                branch, heights = profiles._closed_form(scale)
+                branch, heights = profiles._closed_form(scale, levels)
                 assert (branch, scale.den, heights) == expected, (h, line)
             hits.add(expected[0])
     assert hits == {None, *TWO_LEVEL_BRANCHES}
